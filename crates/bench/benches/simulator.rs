@@ -1,14 +1,11 @@
-//! Simulator stepping throughput, including the serial-vs-parallel node
-//! fan-out ablation (the scoped-thread fan-out kicks in at the configured
-//! threshold).
+//! Simulator stepping throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use knots_sim::prelude::*;
 
-fn loaded_cluster(nodes: usize, parallel: bool) -> Cluster {
+fn loaded_cluster(nodes: usize) -> Cluster {
     let mut cfg = ClusterConfig::homogeneous(nodes, GpuModel::P100);
     cfg.overheads.cold_start_pull = SimDuration::ZERO;
-    cfg.parallel_threshold = if parallel { 1 } else { usize::MAX };
     let mut cluster = Cluster::new(cfg);
     for i in 0..nodes * 2 {
         let profile = ResourceProfile::constant(0.3 + (i % 5) as f64 / 10.0, 1_500.0, 3_600.0);
@@ -22,11 +19,7 @@ fn bench_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster_step");
     for &nodes in &[10usize, 64, 256] {
         group.bench_with_input(BenchmarkId::new("serial", nodes), &nodes, |b, &n| {
-            let mut cluster = loaded_cluster(n, false);
-            b.iter(|| cluster.step(SimDuration::from_millis(10)));
-        });
-        group.bench_with_input(BenchmarkId::new("parallel", nodes), &nodes, |b, &n| {
-            let mut cluster = loaded_cluster(n, true);
+            let mut cluster = loaded_cluster(n);
             b.iter(|| cluster.step(SimDuration::from_millis(10)));
         });
     }

@@ -19,7 +19,7 @@
 //!   recovery  controller-crash density sweep: checkpoint/WAL recovery cost
 //!             with per-leg bit-identity checks (DESIGN.md §15)
 //!   perf      decision-loop microbenchmarks + sweep timings -> BENCH_6.json
-//!   scale     32 -> 1,024-node sweep: serial vs sharded-parallel core,
+//!   scale     32 -> 1,024-node sweep: one shard vs k shards (serial stepping),
 //!             wall time + schedule-round p99, digest-checked -> BENCH_7.json
 //!   all       everything above except trace, chaos, recovery, perf and scale
 //! ```
@@ -366,15 +366,14 @@ fn run_scale(opts: &Opts) {
     let shards = if opts.quick { 2 } else { 8 };
     let secs = opts.secs.unwrap_or(if opts.quick { 20 } else { 60 });
     eprintln!(
-        "[scale sweep: {} node counts up to {}, {} shard(s) x {} worker(s), {}s window each ...]",
+        "[scale sweep: {} node counts up to {}, 1 vs {} shard(s), {}s window each ...]",
         nodes.len(),
         nodes.last().copied().unwrap_or(0),
         shards,
-        opts.threads,
         secs
     );
     let t0 = std::time::Instant::now();
-    let points = scale_sweep::run(nodes, shards, opts.threads, secs, opts.seed);
+    let points = scale_sweep::run(nodes, shards, secs, opts.seed);
     eprintln!("[scale sweep done in {:.1?}]", t0.elapsed());
     emit(opts, "scale", &[scale_sweep::table(&points)]);
     // Stable per-point digest lines: CI runs the sweep twice and diffs
@@ -387,7 +386,6 @@ fn run_scale(opts: &Opts) {
         seed: opts.seed,
         secs,
         available_parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        effective_threads: opts.threads,
         points,
     };
     let path = opts.out.as_deref().unwrap_or("BENCH_7.json");
@@ -398,7 +396,7 @@ fn run_scale(opts: &Opts) {
         eprintln!("[scale: BIT-IDENTITY CHECK FAILED — a sharded leg diverged]");
         std::process::exit(1);
     }
-    eprintln!("[scale: every sharded-parallel leg matches its serial baseline]");
+    eprintln!("[scale: every sharded leg matches its single-shard baseline]");
 }
 
 fn main() {

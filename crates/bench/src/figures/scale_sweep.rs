@@ -1,16 +1,13 @@
-//! Scale sweep: serial vs sharded-parallel core, 32 → 1,024 nodes.
+//! Scale sweep: one shard vs k shards, 32 → 1,024 nodes.
 //!
-//! DESIGN.md §16's scale-out claim is two-sided. The *performance* side:
-//! partitioning the cluster into shards — each owning a contiguous node
-//! range, its TSDB partition and a worker-pool lane — must buy real wall
-//! clock at four-digit node counts. The *determinism* side: it must buy it
-//! for free — the sharded-parallel leg of every point must reproduce the
-//! serial leg's report digest bit for bit, because candidate orders are
-//! k-way merges of per-shard sorted runs and all cross-shard joins are
-//! by index. This sweep measures both: for each node count it runs the
-//! same seeded CBP+PP mix twice — once single-shard on one worker, once
-//! sharded across a worker pool — and records wall time, schedule-round
-//! tail latency and the digest comparison. The results land in
+//! Sharding partitions the TSDB locks and the schedulers' candidate sort
+//! along contiguous node ranges; nodes always step serially. The sweep
+//! checks that this costs nothing in fidelity and records what it costs in
+//! time: for each node count it runs the same seeded CBP+PP mix twice —
+//! once single-shard, once k-sharded — and records wall time,
+//! schedule-round tail latency and whether the two report digests match.
+//! They must, because candidate orders are k-way merges of per-shard
+//! sorted runs and every cross-shard join is by index. The results land in
 //! `BENCH_7.json`.
 
 use crate::render::{f, Table};
@@ -27,14 +24,11 @@ use std::time::Instant;
 pub struct ScalePoint {
     /// Worker-node count of this point.
     pub nodes: usize,
-    /// Shard count of the sharded-parallel leg (the serial leg always
-    /// runs one shard on one worker).
+    /// Shard count of the sharded leg (the serial leg runs one shard).
     pub shards: usize,
-    /// Worker threads of the sharded-parallel leg.
-    pub workers: usize,
-    /// Serial leg wall time, milliseconds.
+    /// Single-shard leg wall time, milliseconds.
     pub serial_wall_ms: f64,
-    /// Sharded-parallel leg wall time, milliseconds.
+    /// Sharded leg wall time, milliseconds.
     pub sharded_wall_ms: f64,
     /// `serial_wall_ms / sharded_wall_ms`.
     pub speedup: f64,
@@ -42,11 +36,11 @@ pub struct ScalePoint {
     /// `decide` and `apply` phases, microseconds (a compositional upper
     /// bound on the round tail, comparable across legs).
     pub serial_round_p99_us: f64,
-    /// The same tail bound for the sharded-parallel leg.
+    /// The same tail bound for the sharded leg.
     pub sharded_round_p99_us: f64,
     /// Report digest of the serial leg.
     pub digest: u64,
-    /// Whether the sharded-parallel digest matched the serial digest.
+    /// Whether the sharded digest matched the single-shard digest.
     pub digest_match: bool,
 }
 
@@ -59,13 +53,12 @@ fn round_p99_us(r: &RunReport) -> f64 {
         .sum()
 }
 
-fn leg(nodes: usize, shards: usize, workers: usize, secs: u64, seed: u64) -> (RunReport, f64) {
+fn leg(nodes: usize, shards: usize, secs: u64, seed: u64) -> (RunReport, f64) {
     let cfg = ExperimentConfig {
         nodes,
         duration: SimDuration::from_secs(secs),
         seed,
         shards: Some(shards),
-        workers: Some(workers),
         ..Default::default()
     };
     let t0 = Instant::now();
@@ -78,16 +71,15 @@ fn leg(nodes: usize, shards: usize, workers: usize, secs: u64, seed: u64) -> (Ru
     (report, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run one node-count point: the serial baseline, then the sharded-parallel
+/// Run one node-count point: the single-shard baseline, then the sharded
 /// leg over the identical seeded workload, then compare digests.
-pub fn run_point(nodes: usize, shards: usize, workers: usize, secs: u64, seed: u64) -> ScalePoint {
-    let (serial, serial_wall_ms) = leg(nodes, 1, 1, secs, seed);
-    let (sharded, sharded_wall_ms) = leg(nodes, shards, workers, secs, seed);
+pub fn run_point(nodes: usize, shards: usize, secs: u64, seed: u64) -> ScalePoint {
+    let (serial, serial_wall_ms) = leg(nodes, 1, secs, seed);
+    let (sharded, sharded_wall_ms) = leg(nodes, shards, secs, seed);
     let digest = report_digest(&serial);
     ScalePoint {
         nodes,
         shards,
-        workers,
         serial_wall_ms,
         sharded_wall_ms,
         speedup: serial_wall_ms / sharded_wall_ms.max(1e-9),
@@ -100,11 +92,11 @@ pub fn run_point(nodes: usize, shards: usize, workers: usize, secs: u64, seed: u
 
 /// Sweep the node axis. Points run in order (the serial 1,024-node leg is
 /// the long pole; running it last keeps early feedback flowing).
-pub fn run(node_counts: &[usize], shards: usize, workers: usize, secs: u64, seed: u64) -> Vec<ScalePoint> {
-    node_counts.iter().map(|&n| run_point(n, shards, workers, secs, seed)).collect()
+pub fn run(node_counts: &[usize], shards: usize, secs: u64, seed: u64) -> Vec<ScalePoint> {
+    node_counts.iter().map(|&n| run_point(n, shards, secs, seed)).collect()
 }
 
-/// `true` when every point's sharded-parallel digest matched its serial
+/// `true` when every point's sharded digest matched its single-shard
 /// baseline — the property the CI smoke job asserts.
 pub fn all_match(points: &[ScalePoint]) -> bool {
     points.iter().all(|p| p.digest_match)
@@ -113,11 +105,10 @@ pub fn all_match(points: &[ScalePoint]) -> bool {
 /// Render the sweep.
 pub fn table(points: &[ScalePoint]) -> Table {
     let mut t = Table::new(
-        "Scale sweep — serial vs sharded-parallel core (digest-checked)",
+        "Scale sweep — one shard vs k shards, serial stepping (digest-checked)",
         &[
             "nodes",
             "shards",
-            "workers",
             "serial ms",
             "sharded ms",
             "speedup",
@@ -130,7 +121,6 @@ pub fn table(points: &[ScalePoint]) -> Table {
         t.row(vec![
             p.nodes.to_string(),
             p.shards.to_string(),
-            p.workers.to_string(),
             f(p.serial_wall_ms, 0),
             f(p.sharded_wall_ms, 0),
             f(p.speedup, 2),
@@ -154,15 +144,12 @@ pub struct ScaleReport {
     /// `std::thread::available_parallelism()` on the measuring host
     /// (1 when unknown).
     pub available_parallelism: usize,
-    /// Effective `--threads`: the worker-lane count the sharded legs ran
-    /// on (defaults to `available_parallelism`).
-    pub effective_threads: usize,
     /// The sweep points, in node-count order.
     pub points: Vec<ScalePoint>,
 }
 
 impl ScaleReport {
-    /// Did every point keep its digest across the serial → sharded flip?
+    /// Did every point keep its digest across the 1 → k shard flip?
     pub fn ok(&self) -> bool {
         all_match(&self.points)
     }
@@ -174,8 +161,8 @@ mod tests {
 
     #[test]
     fn sharded_point_is_bit_identical_and_timed() {
-        let p = run_point(33, 4, 2, 20, 42);
-        assert!(p.digest_match, "sharded leg diverged from serial at 33 nodes");
+        let p = run_point(33, 4, 20, 42);
+        assert!(p.digest_match, "sharded leg diverged from one shard at 33 nodes");
         assert!(p.serial_wall_ms > 0.0 && p.sharded_wall_ms > 0.0);
         assert!(p.serial_round_p99_us > 0.0, "obs phase timings missing");
         assert!(table(&[p]).render().contains("digest match"));

@@ -1,9 +1,8 @@
 //! Bounded work pool for the figure sweeps.
 //!
-//! The implementation moved to [`knots_sim::pool`] so the simulator's
-//! per-tick node fan-out and the harness share one set of primitives
-//! (scoped `run_jobs` for borrowed sweep legs, a persistent
-//! [`knots_sim::pool::WorkerPool`] for owned per-tick work). This module
-//! re-exports the sweep-facing pieces to keep existing call sites stable.
+//! The implementation lives in [`knots_sim::pool`]; this module re-exports
+//! the sweep-facing pieces to keep existing call sites stable. Sweeps
+//! parallelise whole legs — each leg's simulation steps its nodes
+//! serially.
 
 pub use knots_sim::pool::{default_threads, run_jobs};

@@ -11,10 +11,10 @@
 //!    worker thread (the serial baseline) and at `--threads N`, with the
 //!    combined report digest of each leg recorded so the JSON itself proves
 //!    the parallel sweep made the *same decisions*.
-//! 3. **Loop-mode A/B** (`events`) — the same run under the naive
-//!    per-tick oracle, the span calendar and the continuous-time event
-//!    queue; all three digests must match bit for bit, and the recorded
-//!    speedups quantify what skipping dead ticks buys.
+//! 3. **Loop A/B** (`events`) — the same run under the naive per-tick
+//!    oracle and the continuous-time event queue; both digests must match
+//!    bit for bit, and the recorded speedup quantifies what skipping dead
+//!    ticks buys.
 //! 4. **Self-check digests** — the analyzer's dynamic determinism legs
 //!    (`knots-analyzer check --self-check`), replayed here so a BENCH file
 //!    from before an optimization can be diffed against one from after.
@@ -30,7 +30,6 @@
 use crate::figures::fig06_09_cluster::ClusterStudy;
 use crate::figures::fig12_dnn::DnnStudy;
 use knots_analyzer::selfcheck::{self, report_digest, Fnv};
-use knots_core::config::LoopMode;
 use knots_core::experiment::{scheduler_by_name, ExperimentConfig};
 use knots_forecast::autocorr::{acf, autocorrelation};
 use knots_forecast::spearman::{correlation_matrix, spearman};
@@ -92,22 +91,17 @@ pub struct SweepTiming {
     pub speedup_vs_serial: Option<f64>,
 }
 
-/// Loop-mode A/B: the same run under all three control loops — the naive
-/// per-tick oracle, the span calendar, and the continuous-time event
-/// queue. All three report digests must agree bit for bit: the speedups
-/// are only real if the decisions are unchanged.
+/// Loop A/B: the same run under the naive per-tick oracle and the
+/// continuous-time event queue. Both report digests must agree bit for
+/// bit: the speedup is only real if the decisions are unchanged.
 #[derive(Debug, Clone, Serialize)]
 pub struct EventsBench {
     /// Leg label (scheduler + timing shape).
     pub name: String,
     /// Wall time with `naive_ticking: true`, milliseconds.
     pub naive_wall_ms: f64,
-    /// Wall time with the span calendar (`LoopMode::Calendar`).
-    pub calendar_wall_ms: f64,
-    /// Wall time with the event queue (`LoopMode::EventQueue`).
+    /// Wall time with the event queue (the default loop).
     pub event_wall_ms: f64,
-    /// `naive_wall_ms / calendar_wall_ms`.
-    pub calendar_speedup: f64,
     /// `naive_wall_ms / event_wall_ms`.
     pub event_speedup: f64,
     /// Control-loop iterations the event queue executed (its "step"
@@ -120,7 +114,7 @@ pub struct EventsBench {
     pub ticks_skipped: u64,
     /// Calendar events the event-queue leg popped and handled.
     pub events_processed: u64,
-    /// All three report digests agreed bit for bit.
+    /// Both report digests agreed bit for bit.
     pub digests_match: bool,
 }
 
@@ -413,19 +407,13 @@ fn events_benches(cfg: &PerfConfig) -> Vec<EventsBench> {
     let phase_count = |r: &knots_core::metrics::RunReport, phase: &str| {
         r.phase_timings.iter().find(|t| t.phase == phase).map(|t| t.count).unwrap_or(0)
     };
-    let legs = [
-        ("naive", LoopMode::Naive, true),
-        ("calendar", LoopMode::Calendar, false),
-        ("events", LoopMode::EventQueue, false),
-    ];
     let mut out = Vec::new();
     for name in ["Res-Ag", "CBP+PP"] {
-        let mut walls = [0.0f64; 3];
-        let mut reports = Vec::with_capacity(3);
-        for (i, (_, mode, naive)) in legs.iter().enumerate() {
+        let mut walls = [0.0f64; 2];
+        let mut reports = Vec::with_capacity(2);
+        for (i, naive) in [true, false].into_iter().enumerate() {
             let mut leg_cfg = run_cfg;
-            leg_cfg.orch.mode = *mode;
-            leg_cfg.orch.naive_ticking = *naive;
+            leg_cfg.orch.naive_ticking = naive;
             let t0 = Instant::now();
             let r = knots_core::experiment::run_mix(
                 scheduler_by_name(name).expect("known scheduler"),
@@ -436,20 +424,18 @@ fn events_benches(cfg: &PerfConfig) -> Vec<EventsBench> {
             reports.push(r);
         }
         let d0 = report_digest(&reports[0]);
-        let steps_taken = phase_count(&reports[2], "step");
+        let steps_taken = phase_count(&reports[1], "step");
         let ticks_total = phase_count(&reports[0], "step");
         out.push(EventsBench {
             name: format!("{name}_mix2_hb50ms"),
             naive_wall_ms: walls[0],
-            calendar_wall_ms: walls[1],
-            event_wall_ms: walls[2],
-            calendar_speedup: walls[0] / walls[1].max(1e-9),
-            event_speedup: walls[0] / walls[2].max(1e-9),
+            event_wall_ms: walls[1],
+            event_speedup: walls[0] / walls[1].max(1e-9),
             steps_taken,
             ticks_total,
             ticks_skipped: ticks_total.saturating_sub(steps_taken),
-            events_processed: reports[2].events_processed,
-            digests_match: reports.iter().all(|r| report_digest(r) == d0),
+            events_processed: reports[1].events_processed,
+            digests_match: report_digest(&reports[1]) == d0,
         });
     }
     out
@@ -482,7 +468,7 @@ pub fn run(cfg: &PerfConfig) -> PerfReport {
     let micro = micro_benches(cfg);
     eprintln!("[perf: figure sweeps at 1 and {} thread(s) ...]", cfg.threads);
     let (sweeps, sweep_digests_match) = sweep_benches(cfg);
-    eprintln!("[perf: naive vs calendar vs event-queue A/B ...]");
+    eprintln!("[perf: naive vs event-queue A/B ...]");
     let events = events_benches(cfg);
     eprintln!("[perf: analyzer self-check legs ...]");
     let self_check = self_check_legs();
@@ -523,7 +509,7 @@ mod tests {
         let legs = events_benches(&cfg);
         assert_eq!(legs.len(), 2);
         for leg in &legs {
-            assert!(leg.digests_match, "{}: loop modes diverged from naive ticking", leg.name);
+            assert!(leg.digests_match, "{}: the event queue diverged from naive ticking", leg.name);
             assert!(
                 leg.ticks_skipped > 0,
                 "{}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
@@ -537,9 +523,7 @@ mod tests {
                 "{}: the event-queue leg must pop calendar events",
                 leg.name
             );
-            assert!(
-                leg.naive_wall_ms > 0.0 && leg.calendar_wall_ms > 0.0 && leg.event_wall_ms > 0.0
-            );
+            assert!(leg.naive_wall_ms > 0.0 && leg.event_wall_ms > 0.0);
         }
     }
 

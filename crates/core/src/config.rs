@@ -2,24 +2,6 @@
 
 use knots_sim::time::SimDuration;
 
-/// Which control-loop implementation drives a run. All three are
-/// bit-identical at matching grid points by construction; the pinned
-/// digests and the determinism suite prove it on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopMode {
-    /// Advance one tick at a time — the A/B oracle the other modes are
-    /// checked against.
-    Naive,
-    /// The span calendar: every layer is polled for `next_due()` hints and
-    /// dead ticks are jumped in tick-quantized spans. Kept as the middle
-    /// leg of the perf A/B.
-    Calendar,
-    /// The continuous-time event queue (the default): layers schedule
-    /// typed events on a binary-heap calendar and the loop jumps straight
-    /// to the next event, no per-step rescans.
-    EventQueue,
-}
-
 /// Timing knobs of the Kube-Knots control loop.
 #[derive(Debug, Clone, Copy)]
 pub struct OrchestratorConfig {
@@ -48,15 +30,11 @@ pub struct OrchestratorConfig {
     /// which the pinned digests assume — trusts every series, correct for
     /// a fault-free cluster where probes never miss a tick.
     pub freshness: Option<SimDuration>,
-    /// Force the control loop to advance one tick at a time instead of
-    /// jumping to the next event. Overrides [`OrchestratorConfig::mode`]:
-    /// when set, the run uses [`LoopMode::Naive`] regardless. The event
-    /// core is bit-identical to naive ticking by construction; this switch
-    /// exists so tests (and the bench harness) can prove it on every run.
+    /// Advance the control loop one tick at a time instead of jumping to
+    /// the next event. The event queue is bit-identical to naive ticking
+    /// by construction; this per-tick oracle exists so tests (and the
+    /// bench harness) can prove it on every run.
     pub naive_ticking: bool,
-    /// Control-loop implementation (ignored when `naive_ticking` is set).
-    /// Defaults to the event queue.
-    pub mode: LoopMode,
 }
 
 impl Default for OrchestratorConfig {
@@ -69,22 +47,11 @@ impl Default for OrchestratorConfig {
             drain_grace: SimDuration::from_secs(180),
             freshness: None,
             naive_ticking: false,
-            mode: LoopMode::EventQueue,
         }
     }
 }
 
 impl OrchestratorConfig {
-    /// The control-loop implementation this config selects:
-    /// `naive_ticking` wins over `mode`.
-    pub fn effective_mode(&self) -> LoopMode {
-        if self.naive_ticking {
-            LoopMode::Naive
-        } else {
-            self.mode
-        }
-    }
-
     /// A coarser loop for the long 256-GPU DNN simulation.
     pub fn dnn_sim() -> Self {
         OrchestratorConfig {
@@ -97,7 +64,6 @@ impl OrchestratorConfig {
             drain_grace: SimDuration::from_secs(600),
             freshness: None,
             naive_ticking: false,
-            mode: LoopMode::EventQueue,
         }
     }
 }
@@ -114,15 +80,5 @@ mod tests {
         assert!(c.metric_interval >= c.tick);
         let d = OrchestratorConfig::dnn_sim();
         assert!(d.metric_interval > c.metric_interval);
-    }
-
-    #[test]
-    fn naive_ticking_overrides_the_loop_mode() {
-        let mut c = OrchestratorConfig::default();
-        assert_eq!(c.effective_mode(), LoopMode::EventQueue);
-        c.mode = LoopMode::Calendar;
-        assert_eq!(c.effective_mode(), LoopMode::Calendar);
-        c.naive_ticking = true;
-        assert_eq!(c.effective_mode(), LoopMode::Naive);
     }
 }

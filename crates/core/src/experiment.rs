@@ -34,13 +34,10 @@ pub struct ExperimentConfig {
     /// Batch runtime multiplier.
     pub batch_scale: f64,
     /// Cluster shard count (`None` → single shard). Digests are
-    /// bit-identical across shard counts; shards only change how the core
-    /// parallelizes stepping, telemetry and candidate sorting.
+    /// bit-identical across shard counts; shards only partition the TSDB
+    /// locks and the schedulers' candidate sort. Nodes always step
+    /// serially.
     pub shards: Option<usize>,
-    /// Worker threads for parallel shard stepping (`None` → serial).
-    /// Like `shards`, this never moves a digest — by-index joins keep the
-    /// merged results in shard order regardless of lane count.
-    pub workers: Option<usize>,
 }
 
 impl Default for ExperimentConfig {
@@ -53,7 +50,6 @@ impl Default for ExperimentConfig {
             rate_scale: 1.0,
             batch_scale: 1.0,
             shards: None,
-            workers: None,
         }
     }
 }
@@ -114,7 +110,6 @@ pub fn run_mix_with_chaos(
     let schedule = LoadGenerator::generate(mix, &gen_cfg);
     let mut cluster_cfg = ClusterConfig::homogeneous(cfg.nodes, knots_sim::config::TESTBED_GPU);
     cluster_cfg.shards = cfg.shards;
-    cluster_cfg.workers = cfg.workers;
     // Long-lived inference services keep their images pre-pulled in
     // production; batch jobs still pay real cold starts.
     cluster_cfg.prewarm_images = mix.lc_services().iter().map(|s| s.image()).collect();

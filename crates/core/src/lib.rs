@@ -23,7 +23,7 @@ pub mod metrics;
 pub mod orchestrator;
 
 pub use calendar::{AppliedEvent, CoreEvent, EventCalendar};
-pub use config::{LoopMode, OrchestratorConfig};
+pub use config::OrchestratorConfig;
 pub use metrics::{FaultStats, JctStats, RecoveryStats, RunReport};
 pub use orchestrator::{KubeKnots, OrchestratorState};
 

@@ -184,7 +184,7 @@ pub struct RunReport {
     /// Fault-injection accounting (all-zero without a chaos engine).
     pub faults: FaultStats,
     /// Calendar events the event-queue loop processed (zero under the
-    /// `naive_ticking` oracle and the span calendar). Like `phase_timings`,
+    /// `naive_ticking` oracle). Like `phase_timings`,
     /// excluded from the determinism digest: it describes the engine, not
     /// the simulated outcome.
     pub events_processed: u64,

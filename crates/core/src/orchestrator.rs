@@ -19,13 +19,13 @@
 //!    recording experiment metrics at the configured interval.
 //!
 //! The one-tick-at-a-time loop survives as the A/B oracle behind
-//! [`OrchestratorConfig::naive_ticking`], and PR 5's polled span calendar
-//! as [`LoopMode::Calendar`]; all three are bit-identical at matching
-//! grid points (the determinism suite and the pinned self-check digests
-//! gate this on every run).
+//! [`OrchestratorConfig::naive_ticking`]; the two are bit-identical at
+//! matching grid points (the determinism suite and the pinned self-check
+//! digests gate this on every run). Either way the cluster steps its
+//! nodes serially, in node order.
 
 use crate::calendar::{grid_at_or_after, AppliedEvent, CoreEvent, EventCalendar};
-use crate::config::{LoopMode, OrchestratorConfig};
+use crate::config::OrchestratorConfig;
 use crate::metrics::{FaultStats, JctStats, PhaseTiming, RecoveryStats, RunReport, SkippedAction};
 use knots_chaos::{ChaosAction, ChaosEngine, ChaosEngineState, FaultPlan};
 use knots_obs::{Event, FieldValue, Histogram, Obs, PhaseTimers, Severity};
@@ -259,9 +259,10 @@ impl KubeKnots {
     /// the run report.
     pub fn run_schedule(&mut self, schedule: &[ScheduledPod]) -> RunReport {
         debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
-        match self.cfg.effective_mode() {
-            LoopMode::EventQueue => self.run_events(schedule),
-            LoopMode::Naive | LoopMode::Calendar => self.run_ticked(schedule),
+        if self.cfg.naive_ticking {
+            self.run_ticked(schedule);
+        } else {
+            self.run_events(schedule);
         }
         if self.tracer.enabled() {
             self.trace_scan();
@@ -277,11 +278,7 @@ impl KubeKnots {
     /// [`drive`]: KubeKnots::drive
     /// [`run_schedule`]: KubeKnots::run_schedule
     pub fn begin(&mut self, schedule: &[ScheduledPod]) {
-        assert_eq!(
-            self.cfg.effective_mode(),
-            LoopMode::EventQueue,
-            "pausable driving requires the event-queue loop"
-        );
+        assert!(!self.cfg.naive_ticking, "pausable driving requires the event-queue loop");
         debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
         self.begin_events(schedule);
     }
@@ -423,9 +420,7 @@ impl KubeKnots {
         })
     }
 
-    /// The tick-grid loop: the `naive_ticking` oracle (one tick at a time)
-    /// and PR 5's span calendar (polled `next_due()` hints, `span_ticks`
-    /// returns 1 for the oracle) share this body. Kept as the A/B
+    /// The `naive_ticking` oracle: one tick at a time. Kept as the A/B
     /// reference the event core is digest-checked against.
     fn run_ticked(&mut self, schedule: &[ScheduledPod]) {
         let mut next = 0usize;
@@ -448,24 +443,15 @@ impl KubeKnots {
             if self.aggregator.due(now) {
                 self.heartbeat_round(now);
             }
-            // 3+4. Advance and probe. The span calendar asks every layer
-            // for its next due instant and jumps there in one span; a span
-            // of one tick takes the plain path, which is also what
-            // `naive_ticking` forces for the A/B determinism harness.
-            let k = self.span_ticks(schedule, next, deadline);
-            let arrivals_done = next >= schedule.len();
-            if k <= 1 {
-                self.step_and_probe();
-            } else {
-                self.advance_span(k, arrivals_done);
-            }
+            // 3+4. Advance one tick and probe.
+            self.step_and_probe();
             self.collect_metrics();
             self.garbage_collect();
             if self.tracer.enabled() {
                 self.trace_scan();
             }
 
-            let done = arrivals_done && self.cluster.is_drained();
+            let done = next >= schedule.len() && self.cluster.is_drained();
             if done || self.cluster.now() >= deadline {
                 break;
             }
@@ -712,46 +698,6 @@ impl KubeKnots {
             self.lifecycle.on_event(e, meta, &self.tracer);
         }
         self.trace_seen = events.len();
-    }
-
-    /// How many ticks the loop may advance before the next instant at which
-    /// any layer can act: the armed heartbeat, the metric grid, the next
-    /// workload arrival, the next chaos action, a cluster-level event
-    /// (relaunch expiry, auto-sleep deadline, pod completion/phase hint) or
-    /// the drain deadline. Everything due *at or before* now clamps to a
-    /// single tick, as does an unarmed heartbeat/metric grid, so the
-    /// calendar can never jump over a trigger — jumping *to* one is exact
-    /// because in-between ticks are provably inert at the orchestrator
-    /// level.
-    fn span_ticks(&self, schedule: &[ScheduledPod], next: usize, deadline: SimTime) -> u64 {
-        if self.cfg.effective_mode() != LoopMode::Calendar {
-            return 1;
-        }
-        let Some(heartbeat) = self.aggregator.next_due() else { return 1 };
-        let Some(metric) = self.next_metric else { return 1 };
-        let now_us = self.cluster.now().as_micros();
-        let tick_us = self.cfg.tick.as_micros().max(1);
-        let ticks_until = |t: SimTime| -> u64 {
-            let t_us = t.as_micros();
-            if t_us <= now_us {
-                1
-            } else {
-                (t_us - now_us).div_ceil(tick_us)
-            }
-        };
-        let mut k = ticks_until(heartbeat).min(ticks_until(metric)).min(ticks_until(deadline));
-        if let Some(at) = next_arrival(schedule, next) {
-            k = k.min(ticks_until(at));
-        }
-        if let Some(engine) = self.chaos.as_ref() {
-            if let Some(t) = engine.next_due() {
-                k = k.min(ticks_until(t));
-            }
-        }
-        if let Some(t) = self.cluster.next_due(self.cfg.tick) {
-            k = k.min(ticks_until(t));
-        }
-        k.max(1)
     }
 
     /// Advance `k` ticks in one cluster span, probing after every tick so

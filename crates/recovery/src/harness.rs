@@ -12,7 +12,7 @@
 //! bit-identity acceptance check meaningful.
 
 use knots_chaos::{ChaosEngine, FaultPlan};
-use knots_core::config::{LoopMode, OrchestratorConfig};
+use knots_core::config::OrchestratorConfig;
 use knots_core::metrics::{RecoveryStats, RunReport};
 use knots_core::orchestrator::KubeKnots;
 use knots_obs::Obs;
@@ -52,6 +52,9 @@ enum StopKind {
 /// call — one for the initial controller and one per restart (learned
 /// state is restored from the snapshot, so the policy must match).
 ///
+/// Fails with [`RecoveryError::NotPaused`] when `orch` selects the
+/// `naive_ticking` oracle, which cannot pause for a checkpoint.
+///
 /// Returns the run's [`RunReport`] with [`RunReport::recovery`] filled:
 /// crashes performed, checkpoints taken, WAL records replayed, and the
 /// wall-clock recovery latency. Everything the report digest covers is
@@ -66,11 +69,11 @@ pub fn run_with_recovery(
     rc: &RecoveryConfig,
     obs: &Obs,
 ) -> Result<RunReport, RecoveryError> {
-    assert_eq!(
-        orch.effective_mode(),
-        LoopMode::EventQueue,
-        "crash recovery requires the pausable event-queue loop"
-    );
+    // Crash recovery checkpoints a paused event-queue loop; the per-tick
+    // oracle has none to capture.
+    if orch.naive_ticking {
+        return Err(RecoveryError::NotPaused);
+    }
     let every = rc.checkpoint_every.max(orch.tick);
     let crashes = plan.controller_crashes();
     let mut crash_iter = crashes.into_iter().peekable();
@@ -97,7 +100,7 @@ pub fn run_with_recovery(
             crash_iter.next();
         }
         while next_cp <= now {
-            next_cp = next_cp + every;
+            next_cp += every;
         }
         // Checkpoint wins a tie: crashing at the instant of a checkpoint
         // recovers from that checkpoint with an empty replay.
@@ -168,4 +171,32 @@ pub fn run_with_recovery(
 /// exposed for experiment code that wants to report crash density.
 pub fn planned_crashes(plan: &FaultPlan, horizon: SimTime) -> Vec<SimTime> {
     plan.controller_crashes().into_iter().filter(|c| *c < horizon).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use knots_sched::resag::ResAg;
+    use knots_sim::pod::PodSpec;
+    use knots_sim::profile::ResourceProfile;
+    use knots_sim::resources::GpuModel;
+
+    #[test]
+    fn naive_ticking_is_refused_with_a_typed_error() {
+        let orch = OrchestratorConfig { naive_ticking: true, ..OrchestratorConfig::default() };
+        let schedule = [ScheduledPod {
+            at: SimTime::ZERO,
+            spec: PodSpec::batch("b", ResourceProfile::constant(0.5, 1000.0, 1.0)),
+        }];
+        let out = run_with_recovery(
+            &ClusterConfig::homogeneous(2, GpuModel::P100),
+            &|| Box::new(ResAg::new()),
+            &orch,
+            &FaultPlan::empty(),
+            &schedule,
+            &RecoveryConfig::default(),
+            &Obs::disabled(),
+        );
+        assert_eq!(out.err(), Some(RecoveryError::NotPaused));
+    }
 }

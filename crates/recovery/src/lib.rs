@@ -42,8 +42,9 @@ use knots_core::AppliedEvent;
 /// Everything that can go wrong between a capture and a verified resume.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryError {
-    /// Snapshot capture was attempted on a run that is not paused (driven
-    /// via `run_schedule` instead of `begin`/`drive`).
+    /// The run cannot be paused for a snapshot: it was driven via
+    /// `run_schedule` instead of `begin`/`drive`, or its config selects the
+    /// `naive_ticking` oracle, which has no pausable loop state.
     NotPaused,
     /// A non-finite float was found in the state at capture. The serde
     /// layer round-trips non-finite floats through JSON `null` (read back
@@ -90,7 +91,7 @@ impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryError::NotPaused => {
-                write!(f, "snapshot capture requires a paused run (use begin/drive)")
+                write!(f, "snapshot capture requires a paused event-queue run (use begin/drive without naive ticking)")
             }
             RecoveryError::NonFinite { path } => {
                 write!(f, "non-finite float at {path}: would corrupt silently through JSON null")

@@ -16,7 +16,6 @@ use crate::ids::{ImageId, NodeId, PodId};
 use crate::metrics::GpuSample;
 use crate::node::{Node, StepOutcome};
 use crate::pod::{Pod, PodSpec};
-use crate::pool::{default_threads, WorkerPool};
 use crate::resources::GpuModel;
 use crate::shard::ShardLayout;
 use crate::time::{SimDuration, SimTime};
@@ -33,22 +32,15 @@ pub struct ClusterConfig {
     /// Automatically put a node to deep sleep after this much idle time.
     /// `None` disables auto-sleep (nodes stay at idle power).
     pub auto_sleep_after: Option<SimDuration>,
-    /// Node count at or above which `step` uses a parallel fan-out.
-    pub parallel_threshold: usize,
-    /// Worker threads for the parallel fan-out. `None` resolves to the
-    /// host's available parallelism once at construction; a resolved count
-    /// of 1 disables the fan-out entirely (single-core hosts pay thread
-    /// coordination without any gain).
-    pub workers: Option<usize>,
     /// Container images pre-pulled on every node at cluster creation
     /// (production registries mirror hot images; pre-warmed services skip
     /// the cold start).
     pub prewarm_images: Vec<ImageId>,
-    /// Shard count for the sharded fan-out. `None` (and `Some(1)`) keep the
-    /// cluster single-shard; higher counts partition the nodes into
-    /// contiguous [`ShardLayout`] ranges, each stepped as its own worker
-    /// lane. Digests are bit-identical across shard counts — sharding only
-    /// changes *where* node work runs, never the fold order.
+    /// Shard count. `None` (and `Some(1)`) keep the cluster single-shard;
+    /// higher counts partition the nodes into contiguous [`ShardLayout`]
+    /// ranges, which the TSDB partitions and the schedulers' candidate
+    /// sort follow. Nodes always step serially in node order, so digests
+    /// are bit-identical across shard counts.
     pub shards: Option<usize>,
 }
 
@@ -59,8 +51,6 @@ impl ClusterConfig {
             node_models: vec![model; n],
             overheads: Overheads::default(),
             auto_sleep_after: None,
-            parallel_threshold: 64,
-            workers: None,
             prewarm_images: Vec::new(),
             shards: None,
         }
@@ -87,8 +77,6 @@ impl ClusterConfig {
             node_models: (0..n).map(|i| models[i % models.len()]).collect(),
             overheads: Overheads::default(),
             auto_sleep_after: None,
-            parallel_threshold: 64,
-            workers: None,
             prewarm_images: Vec::new(),
             shards: None,
         }
@@ -151,13 +139,8 @@ pub struct Cluster {
     /// `None` when cluster state changed and it must rescan. Lets quiet
     /// ticks skip the all-nodes idle scan.
     sleep_scan_due: Option<SimTime>,
-    /// Worker count for the parallel fan-out, resolved once at build time.
-    workers: usize,
     /// Shard layout, resolved once at build time from `cfg.shards`.
     layout: ShardLayout,
-    /// Persistent worker pool, built lazily on the first parallel step so
-    /// serial clusters never spawn threads.
-    pool: Option<WorkerPool>,
 }
 
 impl Cluster {
@@ -173,7 +156,6 @@ impl Cluster {
                 n
             })
             .collect();
-        let workers = cfg.workers.unwrap_or_else(default_threads).max(1);
         let layout = ShardLayout::new(nodes.len(), cfg.shards.unwrap_or(1));
         Cluster {
             cfg,
@@ -190,9 +172,7 @@ impl Cluster {
             location: BTreeMap::new(),
             events: Vec::new(),
             sleep_scan_due: None,
-            workers,
             layout,
-            pool: None,
         }
     }
 
@@ -215,9 +195,11 @@ impl Cluster {
         self.layout.shards()
     }
 
-    /// Resolved worker-thread count (≥ 1) for parallel fan-outs.
+    /// Worker threads that step the nodes: always `1`. Nodes step
+    /// serially in node order; a per-tick fan-out measured slower than the
+    /// serial loop at every cluster size (DESIGN.md §11).
     pub fn workers(&self) -> usize {
-        self.workers
+        1
     }
 
     /// The contiguous shard layout over this cluster's node ids.
@@ -625,25 +607,13 @@ impl Cluster {
         let now = self.now;
         self.now = now + dt;
 
-        // 1. Step the nodes. Above the parallel threshold (and with more
-        //    than one resolved worker) fan out on the persistent pool;
-        //    a multi-shard layout engages the pool regardless of the
-        //    threshold so every shard steps as its own lane. Outcomes are
-        //    folded in node order either way, so results are deterministic
-        //    and identical across all paths and shard counts.
-        if quiet.is_none()
-            && self.workers > 1
-            && (self.nodes.len() >= self.cfg.parallel_threshold || self.layout.shards() > 1)
-        {
-            self.step_nodes_pooled(now, dt);
-        } else {
-            for i in 0..self.nodes.len() {
-                if quiet.is_some_and(|q| q.get(i).copied().unwrap_or(false)) {
-                    continue;
-                }
-                let out = self.nodes[i].step(now, dt);
-                self.fold_outcome(NodeId(i), out);
+        // 1. Step the nodes, folding each outcome in node order.
+        for i in 0..self.nodes.len() {
+            if quiet.is_some_and(|q| q.get(i).copied().unwrap_or(false)) {
+                continue;
             }
+            let out = self.nodes[i].step(now, dt);
+            self.fold_outcome(NodeId(i), out);
         }
 
         // 2. Relaunches whose delay expired re-enter the queue tail.
@@ -653,47 +623,7 @@ impl Cluster {
         self.auto_sleep_pass();
     }
 
-    /// Fan node stepping out over the persistent worker pool. With a
-    /// multi-shard layout each chunk is exactly one shard's contiguous
-    /// node range — its own pool lane; single-shard clusters split into
-    /// per-worker chunks as before. Chunks are *moved* to the pool (no
-    /// borrows cross threads) and reassembled in index order, then all
-    /// outcomes fold in node order — bit-identical to the serial path and
-    /// invariant across shard counts.
-    fn step_nodes_pooled(&mut self, now: SimTime, dt: SimDuration) {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.workers));
-        }
-        let Some(pool) = self.pool.as_ref() else { return };
-        let chunk = if self.layout.shards() > 1 {
-            self.layout.chunk()
-        } else {
-            self.nodes.len().div_ceil(self.workers).max(1)
-        };
-        let mut chunks: Vec<Vec<Node>> = Vec::with_capacity(self.workers.max(self.layout.shards()));
-        let mut rest = std::mem::take(&mut self.nodes);
-        while rest.len() > chunk {
-            let tail = rest.split_off(chunk);
-            chunks.push(rest);
-            rest = tail;
-        }
-        chunks.push(rest);
-        let results = pool.run(chunks, move |mut nodes: Vec<Node>| {
-            let outs: Vec<StepOutcome> = nodes.iter_mut().map(|n| n.step(now, dt)).collect();
-            (nodes, outs)
-        });
-        let mut outcomes = Vec::with_capacity(self.cfg.node_models.len());
-        for (nodes, outs) in results {
-            self.nodes.extend(nodes);
-            outcomes.extend(outs);
-        }
-        for (i, out) in outcomes.into_iter().enumerate() {
-            self.fold_outcome(NodeId(i), out);
-        }
-    }
-
-    /// Fold one node's tick outcome into cluster state. Called in node
-    /// order whether stepping ran serial or pooled.
+    /// Fold one node's tick outcome into cluster state, in node order.
     fn fold_outcome(&mut self, node: NodeId, out: StepOutcome) {
         if !out.completed.is_empty() || !out.crashed.is_empty() {
             // The node may just have gone empty; any cached auto-sleep
@@ -771,36 +701,6 @@ impl Cluster {
             }
         }
         self.sleep_scan_due = Some(next_due);
-    }
-
-    /// Earliest future instant at which this layer can act on its own:
-    /// a relaunch backoff expiring, the cached auto-sleep deadline, or a
-    /// node-level event (wake/pull finishing, a running pod hitting a
-    /// completion or profile phase boundary). `None` when nothing is
-    /// pending. Purely an event-calendar *hint*: spans sub-step active
-    /// nodes at tick granularity regardless, so a conservative bound costs
-    /// speed, never correctness.
-    pub fn next_due(&self, dt: SimDuration) -> Option<SimTime> {
-        let mut due: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            due = Some(match due {
-                Some(d) if d <= t => d,
-                _ => t,
-            });
-        };
-        if let Some((&(at, _), _)) = self.relaunching.first_key_value() {
-            consider(at);
-        }
-        if self.cfg.auto_sleep_after.is_some() {
-            // A dirty cache means "scan on the very next tick".
-            consider(self.sleep_scan_due.unwrap_or(self.now));
-        }
-        for n in &self.nodes {
-            if let Some(t) = n.next_due(self.now, dt) {
-                consider(t);
-            }
-        }
-        due
     }
 
     /// Advance the cluster `k` ticks of size `dt` in one call.
@@ -896,8 +796,7 @@ impl Cluster {
     /// Rebuild a cluster from a snapshot plus the same configuration it was
     /// originally built with (config is a static input and does not travel
     /// through snapshots). The `location` index is reconstructed from the
-    /// state maps; the worker pool is left unspawned and re-materializes
-    /// lazily on the first parallel step, exactly as after [`Cluster::new`].
+    /// state maps.
     pub fn from_state(cfg: ClusterConfig, state: ClusterState) -> Self {
         let mut location = BTreeMap::new();
         for id in state.pending.iter().map(|(id, _)| *id) {
@@ -920,7 +819,6 @@ impl Cluster {
                 location.insert(id, Loc::OnNode(node.id()));
             }
         }
-        let workers = cfg.workers.unwrap_or_else(default_threads).max(1);
         let layout = ShardLayout::new(state.nodes.len(), cfg.shards.unwrap_or(1));
         Cluster {
             cfg,
@@ -941,9 +839,7 @@ impl Cluster {
             location,
             events: state.events,
             sleep_scan_due: state.sleep_scan_due,
-            workers,
             layout,
-            pool: None,
         }
     }
 }
@@ -1182,67 +1078,6 @@ mod tests {
         let sleep_w = GpuModel::P100.spec().sleep_watts;
         let expected = sleep_w * 10.0; // 10 s
         assert!((empty.total_energy_joules() - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_and_serial_stepping_agree() {
-        let build = |threshold: usize| {
-            let mut cfg = quiet_cfg(80);
-            cfg.parallel_threshold = threshold;
-            // Force two workers so the pooled path engages even on a
-            // single-core host (where the resolved default is 1 -> serial).
-            cfg.workers = Some(2);
-            let mut c = Cluster::new(cfg);
-            for i in 0..80 {
-                let id = c.submit(spec(0.3 + (i % 5) as f64 / 10.0, 500.0, 0.8), SimTime::ZERO);
-                c.place(id, NodeId(i % 80)).unwrap();
-            }
-            for _ in 0..100 {
-                c.step(SimDuration::from_millis(10));
-            }
-            (c.completed_len(), c.total_energy_joules(), c.samples())
-        };
-        let serial = build(usize::MAX);
-        let parallel = build(1);
-        assert_eq!(serial.0, parallel.0);
-        assert!((serial.1 - parallel.1).abs() < 1e-6);
-        for (a, b) in serial.2.iter().zip(parallel.2.iter()) {
-            assert!((a.sm_util - b.sm_util).abs() < 1e-12);
-            assert!((a.mem_used_mb - b.mem_used_mb).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn sharded_stepping_is_bit_identical_across_shard_counts() {
-        let build = |shards: usize| {
-            let mut cfg = quiet_cfg(40);
-            cfg.shards = Some(shards);
-            // Two workers force the pooled path on single-core hosts; the
-            // node count sits below the parallel threshold so only the
-            // multi-shard legs engage the pool — exactly the asymmetry the
-            // invariance claim has to survive.
-            cfg.workers = Some(2);
-            let mut c = Cluster::new(cfg);
-            assert_eq!(c.shards(), shards.max(1));
-            for i in 0..40 {
-                let id = c.submit(spec(0.3 + (i % 5) as f64 / 10.0, 500.0, 0.8), SimTime::ZERO);
-                c.place(id, NodeId(i % 40)).unwrap();
-            }
-            for _ in 0..100 {
-                c.step(SimDuration::from_millis(10));
-            }
-            (c.completed_len(), c.total_energy_joules().to_bits(), c.samples())
-        };
-        let base = build(1);
-        for shards in [2usize, 4, 8] {
-            let leg = build(shards);
-            assert_eq!(base.0, leg.0, "{shards} shards");
-            assert_eq!(base.1, leg.1, "{shards} shards");
-            for (a, b) in base.2.iter().zip(leg.2.iter()) {
-                assert_eq!(a.sm_util.to_bits(), b.sm_util.to_bits(), "{shards} shards");
-                assert_eq!(a.mem_used_mb.to_bits(), b.mem_used_mb.to_bits(), "{shards} shards");
-            }
-        }
     }
 
     #[test]

@@ -275,74 +275,6 @@ impl Node {
         matches!(self.waking_until, Some(u) if u > now)
     }
 
-    /// Earliest future instant this node can change state on its own: a
-    /// wake or image pull finishing, or a running pod reaching a
-    /// completion / profile phase boundary. `None` for failed, asleep and
-    /// idle nodes (nothing is in flight). This is an event-calendar
-    /// *hint*: active nodes still sub-step at tick granularity inside a
-    /// span, so an estimate that is too early only shortens spans — the
-    /// completion bound therefore keeps a one-tick safety margin and
-    /// assumes the current contention level persists.
-    pub fn next_due(&self, now: SimTime, dt: SimDuration) -> Option<SimTime> {
-        if self.failed || self.gpu.is_asleep() {
-            return None;
-        }
-        let mut due: Option<SimTime> = None;
-        let mut consider = |t: SimTime| {
-            due = Some(match due {
-                Some(d) if d <= t => d,
-                _ => t,
-            });
-        };
-        if let Some(u) = self.waking_until {
-            if u > now {
-                consider(u);
-            }
-        }
-        if self.residents.is_empty() {
-            return due;
-        }
-        // Replicate the contention math of `step` Phase 2 to estimate how
-        // many whole ticks fit before the nearest boundary.
-        let spec = self.gpu.spec();
-        let dt_secs = dt.as_secs_f64();
-        let mut total_sm = 0.0;
-        let mut total_bw = 0.0;
-        for (_, pod) in &self.residents {
-            if matches!(pod.state(), PodState::Running) {
-                let d = pod.current_demand();
-                total_sm += d.sm_frac;
-                total_bw += d.total_bw_mbps();
-            }
-        }
-        let sm_speed = if total_sm > 1.0 { 1.0 / total_sm } else { 1.0 };
-        let bw_speed = if total_bw > spec.pcie_mbps { spec.pcie_mbps / total_bw } else { 1.0 };
-        let speed = sm_speed.min(bw_speed);
-        let per_tick = dt_secs * speed * spec.compute_scale;
-        for (_, pod) in &self.residents {
-            match pod.state() {
-                PodState::Pulling { until } => consider(until.max(now)),
-                PodState::Running => {
-                    let mut dist = pod.remaining_work();
-                    if let Some(b) = pod.next_phase_boundary() {
-                        dist = dist.min((b - pod.progress()).max(0.0));
-                    }
-                    if per_tick <= 0.0 || !per_tick.is_finite() {
-                        // Degenerate demand; re-evaluate next tick.
-                        consider(now);
-                        continue;
-                    }
-                    let ticks = (dist / per_tick).floor();
-                    let ticks =
-                        if ticks.is_finite() && ticks >= 2.0 { (ticks as u64) - 1 } else { 1 };
-                    consider(now + dt * ticks);
-                }
-                _ => {}
-            }
-        }
-        due
-    }
-
     /// Replay `ticks` quiet ticks in closed form for a node that spent a
     /// whole span failed or without residents: one constant sample moved
     /// to the span end, and the per-tick energy accruals replicated

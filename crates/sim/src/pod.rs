@@ -339,12 +339,6 @@ impl Pod {
         self.spec.profile.demand_at(self.progress)
     }
 
-    /// The cumulative-work boundary at which this pod's demand next
-    /// changes, or `None` in its final phase. Event-calendar hint.
-    pub fn next_phase_boundary(&self) -> Option<f64> {
-        self.spec.profile.next_boundary_after(self.progress)
-    }
-
     /// Memory earmarked by a greedy framework at startup, if any.
     pub fn earmark_mb(&self) -> Option<f64> {
         self.earmark_mb

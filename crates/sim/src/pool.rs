@@ -1,31 +1,14 @@
-//! Shared worker-thread utilities: a one-shot scoped fan-out for borrowed
-//! jobs and a persistent [`WorkerPool`] for owned work.
+//! Scoped worker-thread fan-out for borrowed jobs.
 //!
-//! Both live here in `knots-sim` — the workspace's root crate — so the
-//! cluster's per-tick node fan-out and the bench harness's figure sweeps
-//! reuse the same primitives instead of growing private copies. Results are
-//! always returned in submission order no matter which worker finishes
-//! first, which keeps every consumer deterministic across thread counts.
+//! It lives here in `knots-sim` — the workspace's root crate — so the bench
+//! harness's figure sweeps and any other whole-leg fan-out share one
+//! primitive instead of growing private copies. Results are always returned
+//! in submission order no matter which worker finishes first, which keeps
+//! every consumer deterministic across thread counts. The simulation itself
+//! steps nodes serially: per-tick fan-out measured slower than the serial
+//! loop at every cluster size (DESIGN.md §11).
 
-// Under `--cfg loom` (the model-checking CI leg) the pool's concurrency
-// primitives come from the loom shim, whose `model()` explores every
-// bounded interleaving of workers, senders, and the drop/join shutdown
-// path. Signatures are std-compatible, so only the imports change.
-#[cfg(not(loom))]
-use std::sync::mpsc::{channel, Sender};
-#[cfg(not(loom))]
-use std::sync::{Arc, Mutex};
-#[cfg(not(loom))]
-use std::thread::{spawn, JoinHandle};
-
-#[cfg(loom)]
-use loom::sync::mpsc::{channel, Sender};
-#[cfg(loom)]
-use loom::sync::{Arc, Mutex};
-#[cfg(loom)]
-use loom::thread::{spawn, JoinHandle};
-
-use std::sync::PoisonError;
+use std::sync::{Mutex, PoisonError};
 
 /// Worker count to use when the caller does not specify one: the host's
 /// available parallelism, falling back to 1 when it cannot be queried.
@@ -76,102 +59,6 @@ where
         .collect()
 }
 
-/// A boxed unit of work shipped to a pool worker.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent bounded worker pool: `threads` parked OS threads pulling
-/// boxed jobs off one shared channel.
-///
-/// Building the pool pays the thread-spawn cost once; every subsequent
-/// [`WorkerPool::run`] reuses the same threads. That is what makes
-/// per-tick fan-outs affordable — the previous scope-and-spawn-per-step
-/// pattern re-created threads thousands of times per simulated run.
-/// Dropping the pool closes the channel and joins every worker.
-#[derive(Debug)]
-pub struct WorkerPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool with `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..threads)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                spawn(move || loop {
-                    let job = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                    match job {
-                        Ok(job) => job(),
-                        // The pool was dropped and the channel closed.
-                        Err(_) => break,
-                    }
-                })
-            })
-            .collect();
-        WorkerPool { tx: Some(tx), workers }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Map `f` over `inputs` on the pool, returning outputs in input order.
-    ///
-    /// Inputs are moved into the jobs and outputs shipped back over a
-    /// results channel, so no borrows cross the thread boundary and the
-    /// pool stays free of `unsafe`. Blocks until every job finished.
-    pub fn run<T, R, F>(&self, inputs: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
-    {
-        let n = inputs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let f = Arc::new(f);
-        let (rtx, rrx) = channel::<(usize, R)>();
-        // knots-allow: P1 -- the sender lives until drop; a closed channel means every worker died, which only a panicking job can cause
-        let tx = self.tx.as_ref().expect("pool sender alive until drop");
-        for (i, input) in inputs.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let rtx = rtx.clone();
-            let job: Job = Box::new(move || {
-                let out = f(input);
-                // The receiver only disappears if `run` itself panicked.
-                let _ = rtx.send((i, out));
-            });
-            // knots-allow: P1 -- see above: send only fails when all workers are gone
-            tx.send(job).expect("worker pool hung up");
-        }
-        drop(rtx);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            // knots-allow: P1 -- re-raising a worker-side panic is the std idiom; there is no recovery
-            let (i, out) = rrx.recv().expect("a pool job panicked");
-            slots[i] = Some(out);
-        }
-        // knots-allow: P1 -- each index was sent exactly once, so every slot is filled
-        slots.into_iter().map(|s| s.expect("every slot filled")).collect()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel wakes every worker with a RecvError.
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,35 +91,5 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn pool_keeps_submission_order_across_runs() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        for round in 0..3u64 {
-            let inputs: Vec<u64> = (0..32).collect();
-            let out = pool.run(inputs, move |i| {
-                std::thread::sleep(std::time::Duration::from_millis((32 - i) % 3));
-                i * 10 + round
-            });
-            let expected: Vec<u64> = (0..32).map(|i| i * 10 + round).collect();
-            assert_eq!(out, expected, "round {round}");
-        }
-    }
-
-    #[test]
-    fn pool_handles_empty_input_and_single_worker() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.run(Vec::<u32>::new(), |x| x), Vec::<u32>::new());
-        assert_eq!(pool.run(vec![1, 2, 3], |x| x + 1), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn zero_thread_request_clamps_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.run(vec![5], |x: i32| x * 2), vec![10]);
     }
 }

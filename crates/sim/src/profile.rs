@@ -96,17 +96,6 @@ impl ResourceProfile {
         self.phases[idx].demand
     }
 
-    /// The first phase boundary strictly beyond `work`, excluding the
-    /// profile's end (completion is tracked through remaining work, not a
-    /// demand change). `None` once `work` is inside the final phase —
-    /// demand can no longer change. Feeds the event calendar's node hint.
-    pub fn next_boundary_after(&self, work: f64) -> Option<f64> {
-        let inner = &self.cumulative[..self.cumulative.len() - 1];
-        // Strict `>` mirrors demand_at: a pod sitting exactly on a boundary
-        // already draws the next phase's demand.
-        inner.iter().copied().find(|b| *b > work)
-    }
-
     /// Component-wise peak demand over the whole profile. This is what a
     /// "provision for the worst case" scheduler (Res-Ag) reserves.
     pub fn peak_demand(&self) -> Usage {

@@ -1,13 +1,12 @@
 //! Shard layout: the contiguous partition of node ids that every sharded
-//! layer (cluster stepping, TSDB partitions, aggregator rollup, scheduler
-//! candidate merge) agrees on.
+//! layer (TSDB partitions, scheduler candidate merge) agrees on.
 //!
 //! A layout is a pure function of `(nodes, shards)`: node `i` belongs to
 //! shard `i / ceil(nodes / shards)`. Contiguity is the load-bearing
 //! property — concatenating per-shard results in shard order reproduces
-//! global node order exactly, which is why every sharded fan-out in the
-//! workspace can join its results by index and stay bit-identical to the
-//! single-shard path regardless of shard count or thread count.
+//! global node order exactly, which is why every sharded layer can join
+//! its results by index and stay bit-identical to the single-shard path
+//! regardless of shard count.
 
 use std::ops::Range;
 

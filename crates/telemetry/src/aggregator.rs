@@ -5,24 +5,10 @@
 //! heartbeat is the central fidelity knob of the whole system: §VI-D shows
 //! prediction accuracy rising from 36% to 84% as the interval shrinks from
 //! 1000 ms to 1 ms (and degrading past that).
-//!
-//! At scale the aggregator is **two-level**: the snapshot is assembled
-//! shard by shard (per-shard node views concatenated in shard order — which
-//! *is* node order, because shards are contiguous id ranges), and each
-//! heartbeat also folds a [`ShardSummary`] per shard into a
-//! [`ClusterRollup`] — the federated head-node view with bounded staleness
-//! (every summary is at most one heartbeat old). The rollup's folded sums
-//! are a monitoring surface, deliberately kept out of scheduler decision
-//! paths: float addition is not associative, so a shard-folded mean would
-//! vary with the shard count, while the flat snapshot the schedulers
-//! consume is bit-identical at every shard count.
 
 use crate::snapshot::{ClusterSnapshot, NodeView, PodView};
 use knots_sim::cluster::Cluster;
-use knots_sim::node::Node;
 use knots_sim::pod::PodState;
-use knots_sim::pool::run_jobs;
-use knots_sim::shard::ShardLayout;
 use knots_sim::time::{SimDuration, SimTime};
 
 /// Head-node aggregator with a fixed heartbeat.
@@ -89,15 +75,6 @@ impl UtilizationAggregator {
         }
     }
 
-    /// Build a snapshot *and* the two-level shard rollup in one heartbeat
-    /// query. The rollup folds each shard's node views into a
-    /// [`ShardSummary`]; its staleness is bounded by the heartbeat.
-    pub fn query_rollup(&mut self, cluster: &Cluster) -> (ClusterSnapshot, ClusterRollup) {
-        let snap = self.query(cluster);
-        let rollup = ClusterRollup::from_snapshot(&snap, cluster.shard_layout());
-        (snap, rollup)
-    }
-
     /// Push the next heartbeat back by `by` (an injected head-node /
     /// network stall). The scheduler simply decides on an older snapshot
     /// for a while — delayed telemetry degrades decision quality, it must
@@ -115,16 +92,16 @@ impl UtilizationAggregator {
     }
 }
 
-/// Node count at or above which a multi-shard snapshot builds its
-/// per-shard view lists on the worker pool instead of inline. View
-/// assembly clones pod names and walks resident maps, so at fleet scale
-/// the per-heartbeat cost is worth fanning out; small clusters stay serial
-/// to avoid thread coordination.
-const PARALLEL_SNAPSHOT_NODES: usize = 256;
-
-/// One shard's node views, in node order. Failed nodes are omitted.
-fn shard_node_views(nodes: &[Node], now: SimTime) -> Vec<NodeView> {
-    nodes
+/// Assemble a [`ClusterSnapshot`] from the cluster's current state: one
+/// view per node, in node order.
+///
+/// Failed nodes are omitted entirely — exactly what a real head node sees
+/// when a worker stops answering. Schedulers therefore never place onto a
+/// dead node without needing any fault awareness of their own.
+pub fn snapshot_of(cluster: &Cluster) -> ClusterSnapshot {
+    let now = cluster.now();
+    let nodes = cluster
+        .nodes()
         .iter()
         .filter(|n| !n.is_failed())
         .map(|n| {
@@ -153,158 +130,8 @@ fn shard_node_views(nodes: &[Node], now: SimTime) -> Vec<NodeView> {
                 waking: n.is_waking(now),
             }
         })
-        .collect()
-}
-
-/// Assemble a [`ClusterSnapshot`] from the cluster's current state.
-///
-/// Failed nodes are omitted entirely — exactly what a real head node sees
-/// when a worker stops answering. Schedulers therefore never place onto a
-/// dead node without needing any fault awareness of their own.
-///
-/// The build is two-level: per-shard view lists concatenated in shard
-/// order. Shards are contiguous node-id ranges, so the concatenation *is*
-/// node order and the result is bit-identical to a flat scan at any shard
-/// count. Large multi-shard clusters build their shard lists in parallel
-/// on scoped worker threads, joined by index — same determinism argument.
-pub fn snapshot_of(cluster: &Cluster) -> ClusterSnapshot {
-    let now = cluster.now();
-    let layout = cluster.shard_layout();
-    let all = cluster.nodes();
-    let nodes: Vec<NodeView> = if layout.shards() > 1
-        && cluster.workers() > 1
-        && all.len() >= PARALLEL_SNAPSHOT_NODES
-    {
-        let jobs: Vec<_> = layout
-            .ranges()
-            .map(|r| {
-                let slice = &all[r];
-                move || shard_node_views(slice, now)
-            })
-            .collect();
-        run_jobs(jobs, cluster.workers()).into_iter().flatten().collect()
-    } else {
-        let mut out = Vec::with_capacity(all.len());
-        for r in layout.ranges() {
-            out.extend(shard_node_views(&all[r], now));
-        }
-        out
-    };
+        .collect();
     ClusterSnapshot { at: now, nodes }
-}
-
-/// One shard's contribution to the federated head-node view: counts and
-/// sums folded from the shard's node views at one heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSummary {
-    /// Shard index within the layout.
-    pub shard: usize,
-    /// When this shard's views were assembled.
-    pub at: SimTime,
-    /// Visible (non-failed) nodes in the shard.
-    pub nodes: usize,
-    /// Awake nodes.
-    pub active: usize,
-    /// Deep-sleep nodes.
-    pub asleep: usize,
-    /// Sum of measured free memory over awake nodes, MB.
-    pub free_measured_mb: f64,
-    /// Sum of provision-based free memory over awake nodes, MB.
-    pub free_provision_mb: f64,
-    /// Sum of SM utilization over awake nodes.
-    pub sm_util_sum: f64,
-}
-
-impl ShardSummary {
-    /// Mean SM utilization over this shard's awake nodes.
-    pub fn mean_active_sm_util(&self) -> f64 {
-        if self.active == 0 {
-            0.0
-        } else {
-            self.sm_util_sum / self.active as f64
-        }
-    }
-}
-
-/// The two-level head-node view: per-shard summaries plus their fold.
-///
-/// Staleness is bounded: every summary is stamped with its assembly time
-/// and a rollup built on the heartbeat path is never older than one
-/// heartbeat. The folded sums are monitoring data — scheduler decision
-/// paths read the flat snapshot instead, because a shard-folded float sum
-/// would vary with the shard count (addition is not associative) while
-/// the flat snapshot is bit-identical at every shard count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterRollup {
-    /// When the underlying snapshot was taken.
-    pub at: SimTime,
-    /// Per-shard summaries, in shard order.
-    pub shards: Vec<ShardSummary>,
-}
-
-impl ClusterRollup {
-    /// Fold a snapshot into per-shard summaries along `layout`. Views are
-    /// routed by node id; the snapshot's node order means each shard's
-    /// views form one contiguous stretch.
-    pub fn from_snapshot(snap: &ClusterSnapshot, layout: ShardLayout) -> Self {
-        let mut shards: Vec<ShardSummary> = (0..layout.shards())
-            .map(|s| ShardSummary {
-                shard: s,
-                at: snap.at,
-                nodes: 0,
-                active: 0,
-                asleep: 0,
-                free_measured_mb: 0.0,
-                free_provision_mb: 0.0,
-                sm_util_sum: 0.0,
-            })
-            .collect();
-        for n in &snap.nodes {
-            let s = &mut shards[layout.shard_of(n.id.0)];
-            s.nodes += 1;
-            if n.asleep {
-                s.asleep += 1;
-            } else {
-                s.active += 1;
-                s.free_measured_mb += n.free_measured_mb;
-                s.free_provision_mb += n.free_provision_mb;
-                s.sm_util_sum += n.sample.sm_util;
-            }
-        }
-        ClusterRollup { at: snap.at, shards }
-    }
-
-    /// Fold the per-shard summaries into one global summary (counts exact,
-    /// sums in shard order).
-    pub fn global(&self) -> ShardSummary {
-        let mut g = ShardSummary {
-            shard: usize::MAX,
-            at: self.at,
-            nodes: 0,
-            active: 0,
-            asleep: 0,
-            free_measured_mb: 0.0,
-            free_provision_mb: 0.0,
-            sm_util_sum: 0.0,
-        };
-        for s in &self.shards {
-            g.at = g.at.min(s.at);
-            g.nodes += s.nodes;
-            g.active += s.active;
-            g.asleep += s.asleep;
-            g.free_measured_mb += s.free_measured_mb;
-            g.free_provision_mb += s.free_provision_mb;
-            g.sm_util_sum += s.sm_util_sum;
-        }
-        g
-    }
-
-    /// Age of the oldest shard summary at `now` — the rollup's staleness
-    /// bound. On the heartbeat path this never exceeds one heartbeat.
-    pub fn staleness(&self, now: SimTime) -> SimDuration {
-        let oldest = self.shards.iter().map(|s| s.at).min().unwrap_or(self.at);
-        now.saturating_since(oldest)
-    }
 }
 
 #[cfg(test)]
@@ -425,77 +252,6 @@ mod tests {
         fresh.postpone(SimTime::ZERO, SimDuration::from_millis(50));
         assert!(!fresh.due(SimTime::from_millis(40)));
         assert!(fresh.due(SimTime::from_millis(50)));
-    }
-
-    #[test]
-    fn sharded_snapshot_matches_flat_scan() {
-        // A multi-shard cluster (with the parallel build engaged) must
-        // produce a snapshot bit-identical to the single-shard flat scan.
-        let build = |shards: usize, workers: usize| {
-            let mut cfg = ClusterConfig::homogeneous(300, GpuModel::P100);
-            cfg.overheads.cold_start_pull = SimDuration::ZERO;
-            cfg.shards = Some(shards);
-            cfg.workers = Some(workers);
-            let mut c = Cluster::new(cfg);
-            for i in 0..150 {
-                let id = c.submit(
-                    PodSpec::batch("w", ResourceProfile::constant(0.4, 900.0, 30.0)),
-                    SimTime::ZERO,
-                );
-                c.place(id, NodeId((i * 2) % 300)).unwrap();
-            }
-            c.fail_node(NodeId(7)).unwrap();
-            c.step(SimDuration::from_millis(10));
-            snapshot_of(&c)
-        };
-        let flat = build(1, 1);
-        for shards in [2usize, 4, 8] {
-            let s = build(shards, 3);
-            assert_eq!(s.nodes.len(), flat.nodes.len(), "{shards} shards");
-            for (a, b) in flat.nodes.iter().zip(s.nodes.iter()) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.free_measured_mb.to_bits(), b.free_measured_mb.to_bits());
-                assert_eq!(a.sample.sm_util.to_bits(), b.sample.sm_util.to_bits());
-                assert_eq!(a.pods.len(), b.pods.len());
-            }
-        }
-    }
-
-    #[test]
-    fn rollup_folds_per_shard_and_bounds_staleness() {
-        let mut cfg = ClusterConfig::homogeneous(8, GpuModel::P100);
-        cfg.overheads.cold_start_pull = SimDuration::ZERO;
-        cfg.shards = Some(4);
-        let mut c = Cluster::new(cfg);
-        let id = c.submit(
-            PodSpec::batch("r", ResourceProfile::constant(0.7, 3000.0, 10.0)),
-            SimTime::ZERO,
-        );
-        c.place(id, NodeId(5)).unwrap();
-        c.sleep_node(NodeId(0)).unwrap();
-        c.step(SimDuration::from_millis(10));
-        let mut agg =
-            UtilizationAggregator::new(SimDuration::from_millis(100), SimDuration::from_secs(5));
-        let (snap, rollup) = agg.query_rollup(&c);
-        assert_eq!(rollup.shards.len(), 4);
-        assert_eq!(rollup.at, snap.at);
-        // Shard 0 holds the sleeper, shard 2 (nodes 4..6) the busy node.
-        assert_eq!(rollup.shards[0].asleep, 1);
-        assert_eq!(rollup.shards[0].active, 1);
-        assert!(rollup.shards[2].sm_util_sum > 0.0);
-        let g = rollup.global();
-        assert_eq!(g.nodes, 8);
-        assert_eq!(g.active, 7);
-        assert_eq!(g.asleep, 1);
-        // Counts are exact, so the global active count matches the flat
-        // snapshot view exactly.
-        assert_eq!(g.active, snap.active_nodes().count());
-        // Staleness is bounded by the heartbeat.
-        assert_eq!(rollup.staleness(snap.at), SimDuration::ZERO);
-        assert_eq!(
-            rollup.staleness(snap.at + SimDuration::from_millis(40)),
-            SimDuration::from_millis(40)
-        );
     }
 
     #[test]

@@ -14,12 +14,10 @@
 //!
 //! The store is internally synchronized (`parking_lot::RwLock`) so node
 //! writers and the head-node reader may run concurrently, mirroring the
-//! paper's distributed deployment. At fleet scale both layers shard along
-//! the cluster's [`knots_sim::shard::ShardLayout`]: the TSDB partitions its
-//! rings per shard (per-shard write lanes via
-//! [`tsdb::TimeSeriesDb::shard_writer`]), and the aggregator assembles the
-//! snapshot shard by shard plus a federated [`aggregator::ClusterRollup`]
-//! of per-shard summaries with bounded staleness.
+//! paper's distributed deployment. The TSDB partitions its rings along the
+//! cluster's [`knots_sim::shard::ShardLayout`] (one lock per shard); the
+//! aggregator builds its snapshot with one flat scan of the nodes, which
+//! is the same list at every shard count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,6 +27,6 @@ pub mod probe;
 pub mod snapshot;
 pub mod tsdb;
 
-pub use aggregator::{ClusterRollup, ShardSummary, UtilizationAggregator};
+pub use aggregator::UtilizationAggregator;
 pub use snapshot::{ClusterSnapshot, NodeView, PodView};
-pub use tsdb::{SeriesStats, TimeSeriesDb, TsdbConfig, TsdbShardWriter, TsdbState, TsdbWriter};
+pub use tsdb::{SeriesStats, TimeSeriesDb, TsdbConfig, TsdbState, TsdbWriter};

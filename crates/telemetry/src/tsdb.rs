@@ -394,7 +394,7 @@ impl Inner {
 /// taking the locks once per tick instead of once per push removes the
 /// dominant constant cost of the probe phase. Partition guards are always
 /// acquired in index order (the workspace-wide lock-order discipline), so
-/// a full writer can never deadlock against a [`TsdbShardWriter`]. Values
+/// two full writers can never deadlock against each other. Values
 /// written through the writer are bit-identical to the one-shot
 /// [`TimeSeriesDb::push_node`] / [`TimeSeriesDb::push_pod`] calls. Drop
 /// the writer to release the locks.
@@ -455,50 +455,6 @@ impl TsdbWriter<'_> {
     }
 }
 
-/// A shard-local batched write handle: the write lock of *one* partition.
-///
-/// This is the per-shard probe lane — writers for distinct shards hold
-/// disjoint locks and proceed concurrently, while a reader of any shard
-/// blocks only on that shard's writer. Pushes are checked against the
-/// layout: a sample routed to a different partition is a programming error
-/// and panics rather than silently landing in the wrong ring.
-#[derive(Debug)]
-pub struct TsdbShardWriter<'a> {
-    cfg: TsdbConfig,
-    layout: ShardLayout,
-    part: usize,
-    guard: parking_lot::RwLockWriteGuard<'a, Inner>,
-}
-
-impl TsdbShardWriter<'_> {
-    /// The partition index this writer owns.
-    pub fn part(&self) -> usize {
-        self.part
-    }
-
-    /// Append a node sample owned by this shard; same semantics as
-    /// [`TimeSeriesDb::push_node`].
-    pub fn push_node(&mut self, node: NodeId, sample: GpuSample) -> bool {
-        assert_eq!(
-            self.layout.shard_of(node.0),
-            self.part,
-            "node routed to a foreign shard writer"
-        );
-        self.guard.push_node(&self.cfg, node, sample)
-    }
-
-    /// Append a pod usage sample owned by this partition; same semantics
-    /// as [`TimeSeriesDb::push_pod`].
-    pub fn push_pod(&mut self, pod: PodId, at: SimTime, usage: Usage) -> bool {
-        assert_eq!(
-            (pod.0 as usize) % self.layout.shards(),
-            self.part,
-            "pod routed to a foreign shard writer"
-        );
-        self.guard.push_pod(&self.cfg, pod, at, usage)
-    }
-}
-
 /// The time-series database.
 ///
 /// Thread-safe: writers (node samplers) and readers (the head-node
@@ -507,11 +463,10 @@ impl TsdbShardWriter<'_> {
 /// The store is **partitioned by shard**: node rings live in the partition
 /// of the [`ShardLayout`] shard owning their node id, pod rings round-robin
 /// across partitions by pod id. A single-partition store (the default) is
-/// exactly the old single-lock store; a sharded store lets per-shard probe
-/// lanes ([`TimeSeriesDb::shard_writer`]) write concurrently. Partitioning
-/// is invisible to every query and to [`TimeSeriesDb::snapshot_state`] —
-/// the snapshot is flat and global-ordered, so digests and restores are
-/// independent of the partition count.
+/// exactly the old single-lock store. Partitioning is invisible to every
+/// query and to [`TimeSeriesDb::snapshot_state`] — the snapshot is flat and
+/// global-ordered, so digests and restores are independent of the
+/// partition count.
 #[derive(Debug)]
 pub struct TimeSeriesDb {
     cfg: TsdbConfig,
@@ -575,18 +530,6 @@ impl TimeSeriesDb {
             cfg: self.cfg,
             layout: self.layout,
             guards: self.parts.iter().map(|p| p.write()).collect(),
-        }
-    }
-
-    /// Open a batched write handle for one shard's partition only — the
-    /// per-shard probe lane. Writers for distinct shards do not contend.
-    pub fn shard_writer(&self, shard: usize) -> TsdbShardWriter<'_> {
-        let part = shard.min(self.parts.len() - 1);
-        TsdbShardWriter {
-            cfg: self.cfg,
-            layout: self.layout,
-            part,
-            guard: self.parts[part].write(),
         }
     }
 
@@ -1314,32 +1257,6 @@ mod tests {
             assert_eq!(re.pod_len(PodId(9)), 0);
             assert_eq!(re.node_len(NodeId(5)), db.node_len(NodeId(5)));
         }
-    }
-
-    #[test]
-    fn shard_writers_cover_the_store_and_check_routing() {
-        let layout = ShardLayout::new(8, 4);
-        let db = TimeSeriesDb::partitioned(TsdbConfig::default(), layout);
-        for s in 0..4usize {
-            let mut w = db.shard_writer(s);
-            assert_eq!(w.part(), s);
-            for n in layout.range(s) {
-                assert!(w.push_node(NodeId(n), sample(5, 0.5)));
-            }
-        }
-        for n in 0..8usize {
-            assert_eq!(db.node_len(NodeId(n)), 1);
-        }
-        // Pods route round-robin by id.
-        let mut w = db.shard_writer(2);
-        assert!(w.push_pod(PodId(6), SimTime::ZERO, Usage::new(0.1, 1.0, 0.0, 0.0)));
-        drop(w);
-        assert_eq!(db.pod_len(PodId(6)), 1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut w = db.shard_writer(0);
-            w.push_node(NodeId(7), sample(6, 0.5));
-        }));
-        assert!(r.is_err(), "foreign-shard push must be rejected");
     }
 
     #[test]

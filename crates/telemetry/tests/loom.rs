@@ -42,67 +42,6 @@ fn batched_writes_are_atomic_to_concurrent_readers() {
 }
 
 #[test]
-fn shard_writers_run_concurrently_without_losing_samples() {
-    loom::model(|| {
-        use knots_sim::shard::ShardLayout;
-        use knots_telemetry::tsdb::TsdbConfig;
-        // Two shard lanes over a 4-node / 2-shard partitioned store: each
-        // lane batches into its own partition lock, so the writes commute
-        // — every interleaving must land all samples, and a reader can
-        // never see a half-applied batch within one partition.
-        let db = Arc::new(TimeSeriesDb::partitioned(
-            TsdbConfig::default(),
-            ShardLayout::new(4, 2),
-        ));
-        let db2 = Arc::clone(&db);
-        let lane1 = thread::spawn(move || {
-            let mut w = db2.shard_writer(1);
-            w.push_node(NodeId(2), sample(0));
-            w.push_node(NodeId(3), sample(0));
-        });
-        {
-            let mut w = db.shard_writer(0);
-            w.push_node(NodeId(0), sample(0));
-            w.push_node(NodeId(1), sample(0));
-        }
-        lane1.join().unwrap();
-        for n in 0..4 {
-            assert_eq!(db.node_len(NodeId(n)), 1, "node {n} lost its sample");
-        }
-    });
-}
-
-#[test]
-fn full_writer_and_shard_writer_serialize_without_deadlock() {
-    loom::model(|| {
-        use knots_sim::shard::ShardLayout;
-        use knots_telemetry::tsdb::TsdbConfig;
-        // The full writer takes every partition guard in index order; a
-        // racing shard lane takes exactly one. The index-order discipline
-        // (analyzer rule C2) means no interleaving can deadlock, and write
-        // exclusivity per partition keeps both batches intact.
-        let db = Arc::new(TimeSeriesDb::partitioned(
-            TsdbConfig::default(),
-            ShardLayout::new(4, 2),
-        ));
-        let db2 = Arc::clone(&db);
-        let lane = thread::spawn(move || {
-            let mut w = db2.shard_writer(1);
-            w.push_node(NodeId(3), sample(100));
-        });
-        {
-            let mut w = db.writer();
-            w.push_node(NodeId(0), sample(0));
-            w.push_node(NodeId(2), sample(0));
-        }
-        lane.join().unwrap();
-        assert_eq!(db.node_len(NodeId(0)), 1);
-        assert_eq!(db.node_len(NodeId(2)), 1);
-        assert_eq!(db.node_len(NodeId(3)), 1);
-    });
-}
-
-#[test]
 fn batched_and_one_shot_writers_serialize() {
     loom::model(|| {
         let db = Arc::new(TimeSeriesDb::default());

@@ -3,7 +3,7 @@
 use knots_obs::FieldValue;
 
 /// Which timeline a span lives on. Control-loop spans (probe rounds,
-/// scheduling rounds, worker-pool batches, chaos injections) share one
+/// scheduling rounds, multi-tick step batches, chaos injections) share one
 /// track; each pod gets its own, keyed by pod id, so a Perfetto view shows
 /// one row per pod with the lifecycle stages laid end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

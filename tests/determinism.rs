@@ -10,7 +10,6 @@
 //! decision-derived field of a `RunReport`, so any relapse shows up as a
 //! digest mismatch here (and in `knots-analyzer -- --self-check`).
 
-use knots_core::config::LoopMode;
 use knots_core::experiment::{run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS};
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
@@ -122,10 +121,10 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn every_loop_mode_matches_naive_ticking() {
-    // Heartbeat at 5× the tick: between scheduling rounds the span
-    // calendar jumps multi-tick spans and the event queue jumps straight
-    // to the next calendar entry. Neither may move a single bit of the
-    // report relative to the per-tick oracle, for any scheduler.
+    // Heartbeat at 5× the tick: between scheduling rounds the event queue
+    // jumps straight to the next calendar entry. That may not move a
+    // single bit of the report relative to the per-tick oracle, for any
+    // scheduler.
     for name in DNN_SCHEDULERS {
         let mut c = cfg(42);
         c.duration = SimDuration::from_secs(60);
@@ -133,15 +132,12 @@ fn every_loop_mode_matches_naive_ticking() {
         c.orch.naive_ticking = true;
         let naive = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &c);
         c.orch.naive_ticking = false;
-        for mode in [LoopMode::Calendar, LoopMode::EventQueue] {
-            c.orch.mode = mode;
-            let fast = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &c);
-            assert_eq!(
-                knots_analyzer::report_digest(&fast),
-                knots_analyzer::report_digest(&naive),
-                "{name}: {mode:?} diverged from naive ticking"
-            );
-        }
+        let fast = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &c);
+        assert_eq!(
+            knots_analyzer::report_digest(&fast),
+            knots_analyzer::report_digest(&naive),
+            "{name}: the event queue diverged from naive ticking"
+        );
     }
 }
 
@@ -149,8 +145,8 @@ fn every_loop_mode_matches_naive_ticking() {
 fn every_loop_mode_matches_naive_ticking_under_chaos() {
     // Same A/B with a seeded 6-faults/min plan: node failures,
     // degradations, probe dropouts, sample corruption and heartbeat
-    // delays all land on the same ticks whether the loop crawls, jumps
-    // spans, or runs on the event queue.
+    // delays all land on the same ticks whether the loop crawls or runs
+    // on the event queue.
     use knots_chaos::{gen, GenConfig};
     use knots_core::experiment::run_mix_with_chaos;
     let duration = SimDuration::from_secs(60);
@@ -169,32 +165,28 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
             plan(),
         );
         c.orch.naive_ticking = false;
-        for mode in [LoopMode::Calendar, LoopMode::EventQueue] {
-            c.orch.mode = mode;
-            let fast = run_mix_with_chaos(
-                scheduler_by_name(name).unwrap(),
-                AppMix::Mix2,
-                &c,
-                knots_obs::Obs::disabled(),
-                plan(),
-            );
-            assert_eq!(
-                knots_analyzer::report_digest(&fast),
-                knots_analyzer::report_digest(&naive),
-                "{name}: {mode:?} diverged from naive ticking under chaos"
-            );
-        }
+        let fast = run_mix_with_chaos(
+            scheduler_by_name(name).unwrap(),
+            AppMix::Mix2,
+            &c,
+            knots_obs::Obs::disabled(),
+            plan(),
+        );
+        assert_eq!(
+            knots_analyzer::report_digest(&fast),
+            knots_analyzer::report_digest(&naive),
+            "{name}: the event queue diverged from naive ticking under chaos"
+        );
     }
 }
 
 #[test]
 fn gave_up_terminal_path_is_identical_across_all_loop_modes() {
-    // The crash-loop cap's terminal `GaveUp` path used to be exercised
-    // only under `LoopMode::Naive` in tests; pin it across all three loop
-    // modes: with the cap at 1, every pod crashed by a node failure is
-    // abandoned, and the abandonment must land on the same tick — same
-    // digest, same `gave_up` count — whether the loop crawls, jumps spans,
-    // or runs on the event queue.
+    // Pin the crash-loop cap's terminal `GaveUp` path across both loops:
+    // with the cap at 1, every pod crashed by a node failure is abandoned,
+    // and the abandonment must land on the same tick — same digest, same
+    // `gave_up` count — whether the loop crawls or runs on the event
+    // queue.
     use knots_chaos::{gen, ChaosEngine, GenConfig};
     use knots_core::config::OrchestratorConfig;
     use knots_core::orchestrator::KubeKnots;
@@ -207,12 +199,11 @@ fn gave_up_terminal_path_is_identical_across_all_loop_modes() {
     let plan = || {
         gen::generate(&GenConfig { seed: 9, nodes, duration, faults_per_minute: 30.0 })
     };
-    let run = |mode: LoopMode, naive: bool| {
+    let run = |naive: bool| {
         let mut cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
         cluster_cfg.overheads.crash_loop_cap = 1;
         let orch = OrchestratorConfig {
             heartbeat: SimDuration::from_millis(50),
-            mode,
             naive_ticking: naive,
             ..Default::default()
         };
@@ -221,12 +212,10 @@ fn gave_up_terminal_path_is_identical_across_all_loop_modes() {
         let report = k.run_schedule(&schedule);
         (knots_analyzer::report_digest(&report), report.faults.gave_up)
     };
-    let naive = run(LoopMode::Naive, true);
+    let naive = run(true);
     assert!(naive.1 > 0, "scenario must actually abandon crash-looping pods (gave_up = 0)");
-    for mode in [LoopMode::Calendar, LoopMode::EventQueue] {
-        let fast = run(mode, false);
-        assert_eq!(fast, naive, "{mode:?}: GaveUp terminal path diverged from naive ticking");
-    }
+    let fast = run(false);
+    assert_eq!(fast, naive, "GaveUp terminal path diverged from naive ticking");
 }
 
 mod event_interleavings {
@@ -238,7 +227,7 @@ mod event_interleavings {
     //! point, not just the digested report.
 
     use knots_chaos::{gen, ChaosEngine, GenConfig};
-    use knots_core::config::{LoopMode, OrchestratorConfig};
+    use knots_core::config::OrchestratorConfig;
     use knots_core::orchestrator::KubeKnots;
     use knots_sim::cluster::ClusterConfig;
     use knots_sim::ids::NodeId;
@@ -252,21 +241,13 @@ mod event_interleavings {
     type LegResult = (u64, u64, Vec<Vec<(u64, [u64; 5])>>);
 
     /// Run one leg and return its [`LegResult`].
-    fn run_leg(
-        mode: LoopMode,
-        naive: bool,
-        seed: u64,
-        hb_ms: u64,
-        secs: u64,
-        faults_per_minute: f64,
-    ) -> LegResult {
+    fn run_leg(naive: bool, seed: u64, hb_ms: u64, secs: u64, faults_per_minute: f64) -> LegResult {
         let nodes = 4usize;
         let duration = SimDuration::from_secs(secs);
         let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, seed));
         let cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
         let orch = OrchestratorConfig {
             heartbeat: SimDuration::from_millis(hb_ms),
-            mode,
             naive_ticking: naive,
             ..Default::default()
         };
@@ -312,8 +293,8 @@ mod event_interleavings {
             faulty in proptest::bool::ANY,
         ) {
             let fpm = if faulty { 6.0 } else { 0.0 };
-            let naive = run_leg(LoopMode::Naive, true, seed, hb_ms, secs, fpm);
-            let event = run_leg(LoopMode::EventQueue, false, seed, hb_ms, secs, fpm);
+            let naive = run_leg(true, seed, hb_ms, secs, fpm);
+            let event = run_leg(false, seed, hb_ms, secs, fpm);
             prop_assert_eq!(naive.0, event.0, "report digest diverged");
             prop_assert_eq!(naive.1, event.1, "energy total diverged");
             prop_assert_eq!(naive.2, event.2, "TSDB node samples diverged");
@@ -322,11 +303,10 @@ mod event_interleavings {
 }
 
 mod shard_invariance {
-    //! Property: the shard count and the worker-lane count are pure
-    //! performance knobs — for arbitrary seeds, node counts, shard counts
-    //! and fault intensities the sharded run reproduces the single-shard
-    //! serial run bit for bit: report digest, energy bits and every
-    //! retained TSDB node sample.
+    //! Property: the shard count is a pure performance knob — for
+    //! arbitrary seeds, node counts, shard counts and fault intensities the
+    //! sharded run reproduces the single-shard run bit for bit: report
+    //! digest, energy bits and every retained TSDB node sample.
 
     use knots_chaos::{gen, ChaosEngine, GenConfig};
     use knots_core::config::OrchestratorConfig;
@@ -345,7 +325,6 @@ mod shard_invariance {
     /// Run one leg at the given partitioning and return its [`LegResult`].
     fn run_leg(
         shards: usize,
-        workers: usize,
         seed: u64,
         nodes: usize,
         secs: u64,
@@ -355,7 +334,6 @@ mod shard_invariance {
         let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, seed));
         let mut cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
         cluster_cfg.shards = Some(shards);
-        cluster_cfg.workers = Some(workers);
         let orch = OrchestratorConfig::default();
         let mut k = KubeKnots::new(cluster_cfg, Box::new(knots_sched::pp::CbpPp::new()), orch);
         if faults_per_minute > 0.0 {
@@ -396,14 +374,13 @@ mod shard_invariance {
             seed in 0u64..1_000_000,
             nodes in 3usize..24,
             shard_pow in 1u32..4,   // shards ∈ {2, 4, 8}
-            workers in 2usize..5,
             secs in 5u64..12,
             faulty in proptest::bool::ANY,
         ) {
             let fpm = if faulty { 6.0 } else { 0.0 };
             let shards = 1usize << shard_pow;
-            let flat = run_leg(1, 1, seed, nodes, secs, fpm);
-            let sharded = run_leg(shards, workers, seed, nodes, secs, fpm);
+            let flat = run_leg(1, seed, nodes, secs, fpm);
+            let sharded = run_leg(shards, seed, nodes, secs, fpm);
             prop_assert_eq!(flat.0, sharded.0, "report digest diverged");
             prop_assert_eq!(flat.1, sharded.1, "energy total diverged");
             prop_assert_eq!(flat.2, sharded.2, "TSDB node samples diverged");

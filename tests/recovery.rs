@@ -293,7 +293,7 @@ fn every_state_struct_round_trips_byte_stably() {
     }
 }
 
-/// Crash-mid-sweep with a sharded core (2 shards, 2 worker lanes): the
+/// Crash-mid-sweep with a sharded core (2 shards): the
 /// partitioned TSDB and the recorded shard count must survive checkpoint →
 /// crash → resume with the same bits as the uninterrupted sharded run —
 /// which itself matches the single-shard oracle bit for bit. Resuming the
@@ -303,7 +303,6 @@ fn sharded_crash_resume_is_bit_identical() {
     let secs = 30u64;
     let (schedule, mut cluster_cfg, orch) = setup(42, 50, secs);
     cluster_cfg.shards = Some(2);
-    cluster_cfg.workers = Some(2);
     let p = plan(42, SimDuration::from_secs(secs), 6.0, 0.0);
 
     // Single-shard oracle: the shard count must not change any bit, TSDB
@@ -311,7 +310,6 @@ fn sharded_crash_resume_is_bit_identical() {
     let flat = {
         let mut cfg = cluster_cfg.clone();
         cfg.shards = None;
-        cfg.workers = None;
         let mut k = KubeKnots::new(cfg, scheduler_by_name("CBP+PP").unwrap(), orch)
             .with_chaos(ChaosEngine::new(p.clone()));
         let report = k.run_schedule(&schedule);
