@@ -20,8 +20,9 @@
 //!
 //! **Determinism:** every cached value is computed by the exact reference
 //! code path (`TimeSeriesDb::*_series_into`, `ranks`, `pearson`), so a
-//! cache hit returns the same bits as a recompute. `tests/statscache.rs`
-//! fuzzes this bit-identity with seeded-LCG series.
+//! cache hit returns the same bits as a recompute.
+//! `crates/sched/tests/statscache.rs` fuzzes this bit-identity with
+//! seeded-LCG series.
 
 use crate::shard_order::{shard_free_memory_order, shard_packing_order};
 use knots_forecast::spearman::{pearson, ranks};

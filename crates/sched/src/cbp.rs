@@ -23,7 +23,7 @@
 
 use crate::action::Action;
 use crate::binpack::decreasing_order;
-use crate::context::{app_key, SchedContext};
+use crate::context::{app_key_str, SchedContext};
 use crate::history::{AppHistoryState, AppUsageHistory};
 use crate::traits::Scheduler;
 use knots_sim::ids::{NodeId, PodId};
@@ -94,20 +94,21 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
             if pod.pulling {
                 continue;
             }
-            let app = app_key(&pod.name);
-            history.observe_mem(&app, pod.usage.mem_mb);
-            history.observe_sm(&app, pod.usage.sm_frac.clamp(0.0, 1.0));
+            let app = app_key_str(&pod.name);
+            history.observe_mem(app, pod.usage.mem_mb);
+            history.observe_sm(app, pod.usage.sm_frac.clamp(0.0, 1.0));
         }
     }
     // Refresh one reference series per app from the longest-running pod we
-    // can see. The fetch goes through the round cache, so the correlation
-    // gate below reuses the same buffer instead of re-querying the TSDB.
-    let mut best: BTreeMap<String, (usize, PodId)> = BTreeMap::new();
+    // can see (the first one seen wins a tie). The series is read straight
+    // from the TSDB into the history's reused buffer, not through the
+    // round cache: a resident the correlation gate later compares against
+    // fetches its own series there.
+    let mut best: BTreeMap<&str, (usize, PodId)> = BTreeMap::new();
     for node in &ctx.snapshot.nodes {
         for pod in &node.pods {
-            let app = app_key(&pod.name);
             let len = ctx.tsdb.pod_len(pod.id);
-            let e = best.entry(app).or_insert((0, pod.id));
+            let e = best.entry(app_key_str(&pod.name)).or_insert((0, pod.id));
             if len > e.0 {
                 *e = (len, pod.id);
             }
@@ -115,8 +116,9 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
     }
     for (app, (len, pod)) in best {
         if len >= 8 {
-            let series = ctx.cache.pod_mem_series(ctx.tsdb, pod, ctx.now, ctx.window);
-            history.set_reference(&app, series.as_ref().clone());
+            history.refresh_reference(app, |buf| {
+                ctx.tsdb.pod_mem_series_into(pod, ctx.now, ctx.window, buf);
+            });
         }
     }
 }
@@ -184,7 +186,7 @@ pub(crate) fn sm_headroom_ok(history: &AppUsageHistory, app: &str, node: &NodeVi
     let resident_load: f64 = node
         .pods
         .iter()
-        .map(|p| history.sm_quantile(&app_key(&p.name), 0.8).unwrap_or(p.usage.sm_frac))
+        .map(|p| history.sm_quantile(app_key_str(&p.name), 0.8).unwrap_or(p.usage.sm_frac))
         .sum();
     resident_load + expected_sm(history, app) <= 1.05
 }
@@ -212,7 +214,7 @@ pub(crate) fn correlation_ok(
         return true; // nothing known yet: co-locate optimistically
     };
     // Worst (highest) coefficient seen, with the resident app it belongs to.
-    let mut max_rho: Option<(f64, String)> = None;
+    let mut max_rho: Option<(f64, &str)> = None;
     for pod in &node.pods {
         if !ctx.pod_series_fresh(pod.id) {
             // The resident's series stopped advancing (probe dropout, node
@@ -238,7 +240,7 @@ pub(crate) fn correlation_ok(
         }
         let rho = ctx.cache.spearman_suffix(app, reference, pod.id, &series);
         if max_rho.as_ref().is_none_or(|(best, _)| rho > *best) {
-            max_rho = Some((rho, app_key(&pod.name)));
+            max_rho = Some((rho, app_key_str(&pod.name)));
         }
         if rho > cfg.correlation_threshold {
             if let Some(rec) = ctx.audit() {
@@ -248,7 +250,7 @@ pub(crate) fn correlation_ok(
                     scheduler,
                     node.id.0 as u64,
                     app,
-                    &app_key(&pod.name),
+                    app_key_str(&pod.name),
                     rho,
                     cfg.correlation_threshold,
                     false,
@@ -264,7 +266,7 @@ pub(crate) fn correlation_ok(
             scheduler,
             node.id.0 as u64,
             app,
-            &other,
+            other,
             rho,
             cfg.correlation_threshold,
             true,
@@ -321,7 +323,7 @@ impl Scheduler for Cbp {
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let hs: AppHistoryState = serde::Deserialize::from_value(state)?;
-        self.history = AppUsageHistory::from_state(hs);
+        self.history = AppUsageHistory::from_state(hs)?;
         Ok(())
     }
 
@@ -410,7 +412,7 @@ mod tests {
         for &m in samples {
             s.history.observe_mem(app, m);
         }
-        s.history.set_reference(app, samples.to_vec());
+        s.history.refresh_reference(app, |b| b.extend_from_slice(samples));
     }
 
     #[test]
@@ -638,6 +640,32 @@ mod tests {
             })
             .collect();
         assert_eq!(places.first(), Some(&PodId(2)), "LC first: {places:?}");
+    }
+
+    #[test]
+    fn restore_refuses_a_reservoir_over_its_cap() {
+        // A reservoir longer than its cap would never shrink back (eviction
+        // trims only at exactly `cap`); both history-backed policies must
+        // refuse it, and a cap below the minimum, with a typed error.
+        let mut h = AppUsageHistory::new(8);
+        for i in 0..8 {
+            h.observe_mem("lud", i as f64);
+        }
+        let good = h.snapshot_state();
+        let mut oversize = good.clone();
+        oversize.apps[0].mem_samples.push(8.0);
+        let mut tiny_cap = good.clone();
+        tiny_cap.cap = 4;
+        tiny_cap.apps.clear();
+        let mut cbp = Cbp::new();
+        let mut pp = crate::pp::CbpPp::new();
+        for s in [&mut cbp as &mut dyn Scheduler, &mut pp] {
+            assert!(s.restore_state(&serde::Serialize::to_value(&good)).is_ok());
+            for bad in [&oversize, &tiny_cap] {
+                let err = s.restore_state(&serde::Serialize::to_value(bad));
+                assert!(err.is_err(), "{}: accepted {bad:?}", s.name());
+            }
+        }
     }
 
     #[test]

@@ -132,11 +132,15 @@ impl SchedContext<'_> {
 /// `"dli-3-face"` → `"dli-3-face"` is *not* stripped to keep dli ids — use
 /// explicit naming for those).
 pub fn app_key(name: &str) -> String {
+    app_key_str(name).to_string()
+}
+
+/// [`app_key`] borrowed from the pod name, for per-round lookups that
+/// should not allocate.
+pub(crate) fn app_key_str(name: &str) -> &str {
     match name.rsplit_once('-') {
-        Some((head, tail)) if !head.is_empty() && tail.chars().all(|c| c.is_ascii_digit()) => {
-            head.to_string()
-        }
-        _ => name.to_string(),
+        Some((head, tail)) if !head.is_empty() && tail.chars().all(|c| c.is_ascii_digit()) => head,
+        _ => name,
     }
 }
 
@@ -174,5 +178,8 @@ mod tests {
         assert_eq!(app_key("dlt-17"), "dlt");
         assert_eq!(app_key("a-b"), "a-b");
         assert_eq!(app_key("-3"), "-3");
+        for name in ["lud-42", "face", "a-b", "-3", "dli-3-face"] {
+            assert_eq!(app_key_str(name), app_key(name));
+        }
     }
 }

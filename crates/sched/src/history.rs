@@ -9,16 +9,61 @@
 //! needs (the 80th-percentile footprint to resize to, and a recent usage
 //! series to correlate against).
 
-use knots_forecast::stats::percentile;
+use knots_forecast::stats::percentile_of_sorted;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
+
+/// A bounded FIFO of samples with a lazily sorted copy for quantile reads.
+///
+/// `learn` observes every resident pod every round, but quantiles are read
+/// only in rounds with pending pods, many times over (pending pod ×
+/// candidate node × resident). So a push only invalidates the sorted copy,
+/// and the first read after it sorts the reservoir once; every later read
+/// in the round is a lookup.
+#[derive(Debug, Default, Clone)]
+struct Reservoir {
+    /// Samples, oldest first.
+    samples: VecDeque<f64>,
+    /// `samples` in `f64::total_cmp` order, or empty while stale. Derived
+    /// state: never serialized.
+    sorted: RefCell<Vec<f64>>,
+}
+
+impl Reservoir {
+    /// Append a sample, evicting the oldest at `cap`, and mark the sorted
+    /// copy stale.
+    fn push(&mut self, x: f64, cap: usize) {
+        if self.samples.len() == cap {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(x);
+        self.sorted.get_mut().clear();
+    }
+
+    /// The q-quantile of the samples, bit-identical to
+    /// `knots_forecast::stats::percentile` over them: the same
+    /// `total_cmp` order (under which equal elements are equal bits, so an
+    /// unstable sort yields the same slice) and the same interpolation.
+    fn quantile(&self, q: f64) -> Option<f64> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut sorted = self.sorted.borrow_mut();
+        if sorted.is_empty() {
+            sorted.extend(self.samples.iter().copied());
+            sorted.sort_unstable_by(f64::total_cmp);
+        }
+        Some(percentile_of_sorted(&sorted, q))
+    }
+}
 
 /// Bounded history for one application.
 #[derive(Debug, Default, Clone)]
 struct AppStats {
     /// Recent memory observations across all pods of this app, MB.
-    mem_samples: VecDeque<f64>,
+    mem: Reservoir,
     /// Recent SM-share observations across all pods of this app.
-    sm_samples: VecDeque<f64>,
+    sm: Reservoir,
     /// The most recent contiguous memory series of a single pod (for
     /// correlation checks).
     reference: Vec<f64>,
@@ -33,6 +78,9 @@ struct AppStats {
 pub struct AppUsageHistory {
     cap: usize,
     apps: BTreeMap<String, AppStats>,
+    /// Reused fill buffer for [`refresh_reference`](Self::refresh_reference);
+    /// holds a retired reference's allocation between calls.
+    scratch: Vec<f64>,
 }
 
 impl Default for AppUsageHistory {
@@ -41,11 +89,23 @@ impl Default for AppUsageHistory {
     }
 }
 
+/// Smallest per-app sample cap a history accepts.
+const MIN_CAP: usize = 8;
+
+/// Run `f` on the app's entry, created on first sight. Looks up by `&str`
+/// first so the per-round observations of known apps allocate nothing.
+fn update(apps: &mut BTreeMap<String, AppStats>, app: &str, f: impl FnOnce(&mut AppStats)) {
+    if let Some(s) = apps.get_mut(app) {
+        return f(s);
+    }
+    f(apps.entry(app.to_string()).or_default());
+}
+
 impl AppUsageHistory {
     /// Create with a per-app sample cap.
     pub fn new(cap: usize) -> Self {
-        assert!(cap >= 8);
-        AppUsageHistory { cap, apps: BTreeMap::new() }
+        assert!(cap >= MIN_CAP);
+        AppUsageHistory { cap, apps: BTreeMap::new(), scratch: Vec::new() }
     }
 
     /// Record one memory observation for an app.
@@ -53,13 +113,11 @@ impl AppUsageHistory {
         if !mem_mb.is_finite() || mem_mb < 0.0 {
             return;
         }
-        let s = self.apps.entry(app.to_string()).or_default();
-        if s.mem_samples.len() == self.cap {
-            s.mem_samples.pop_front();
-        }
-        s.mem_samples.push_back(mem_mb);
-        s.peak_mb = s.peak_mb.max(mem_mb);
-        s.count += 1;
+        update(&mut self.apps, app, |s| {
+            s.mem.push(mem_mb, self.cap);
+            s.peak_mb = s.peak_mb.max(mem_mb);
+            s.count += 1;
+        });
     }
 
     /// Record one SM-share observation for an app.
@@ -67,29 +125,25 @@ impl AppUsageHistory {
         if !sm_frac.is_finite() || !(0.0..=1.0).contains(&sm_frac) {
             return;
         }
-        let s = self.apps.entry(app.to_string()).or_default();
-        if s.sm_samples.len() == self.cap {
-            s.sm_samples.pop_front();
-        }
-        s.sm_samples.push_back(sm_frac);
+        update(&mut self.apps, app, |s| s.sm.push(sm_frac, self.cap));
     }
 
     /// The q-quantile of the app's observed SM share.
     pub fn sm_quantile(&self, app: &str, q: f64) -> Option<f64> {
-        let s = self.apps.get(app)?;
-        if s.sm_samples.is_empty() {
-            return None;
-        }
-        let v: Vec<f64> = s.sm_samples.iter().copied().collect();
-        Some(percentile(&v, q))
+        self.apps.get(app)?.sm.quantile(q)
     }
 
-    /// Replace the app's reference series (one pod's recent memory series).
-    pub fn set_reference(&mut self, app: &str, series: Vec<f64>) {
-        if series.is_empty() {
+    /// Replace the app's reference series (one pod's recent memory series)
+    /// in place: `fill` writes the new series into a reused buffer, which
+    /// is swapped into the app's slot. An empty series keeps the old
+    /// reference.
+    pub(crate) fn refresh_reference(&mut self, app: &str, fill: impl FnOnce(&mut Vec<f64>)) {
+        self.scratch.clear();
+        fill(&mut self.scratch);
+        if self.scratch.is_empty() {
             return;
         }
-        self.apps.entry(app.to_string()).or_default().reference = series;
+        update(&mut self.apps, app, |s| std::mem::swap(&mut s.reference, &mut self.scratch));
     }
 
     /// Whether enough history exists to trust a resize decision. The
@@ -100,12 +154,7 @@ impl AppUsageHistory {
 
     /// The q-quantile of the app's observed memory, MB.
     pub fn mem_quantile(&self, app: &str, q: f64) -> Option<f64> {
-        let s = self.apps.get(app)?;
-        if s.mem_samples.is_empty() {
-            return None;
-        }
-        let v: Vec<f64> = s.mem_samples.iter().copied().collect();
-        Some(percentile(&v, q))
+        self.apps.get(app)?.mem.quantile(q)
     }
 
     /// Largest memory observation, MB.
@@ -144,8 +193,8 @@ impl AppUsageHistory {
                 .iter()
                 .map(|(name, s)| AppStatsState {
                     name: name.clone(),
-                    mem_samples: s.mem_samples.iter().copied().collect(),
-                    sm_samples: s.sm_samples.iter().copied().collect(),
+                    mem_samples: s.mem.samples.iter().copied().collect(),
+                    sm_samples: s.sm.samples.iter().copied().collect(),
                     reference: s.reference.clone(),
                     peak_mb: s.peak_mb,
                     count: s.count,
@@ -156,23 +205,38 @@ impl AppUsageHistory {
 
     /// Rebuild a history from exported statistics. Inverse of
     /// [`snapshot_state`](Self::snapshot_state).
-    pub fn from_state(state: AppHistoryState) -> Self {
-        let cap = (state.cap as usize).max(8);
-        let apps = state
-            .apps
-            .into_iter()
-            .map(|a| {
-                let stats = AppStats {
-                    mem_samples: a.mem_samples.into_iter().collect(),
-                    sm_samples: a.sm_samples.into_iter().collect(),
-                    reference: a.reference,
-                    peak_mb: a.peak_mb,
-                    count: a.count,
-                };
-                (a.name, stats)
-            })
-            .collect();
-        AppUsageHistory { cap, apps }
+    ///
+    /// # Errors
+    /// Refuses a state [`snapshot_state`](Self::snapshot_state) cannot
+    /// produce: a cap below 8, or a reservoir holding more samples than the
+    /// cap (eviction only trims at exactly `cap`, so such a reservoir would
+    /// grow without bound).
+    pub fn from_state(state: AppHistoryState) -> Result<Self, serde::Error> {
+        let cap = usize::try_from(state.cap).unwrap_or(usize::MAX);
+        if cap < MIN_CAP {
+            return Err(serde::Error::custom(format!(
+                "app history cap {cap} is below the minimum {MIN_CAP}"
+            )));
+        }
+        let mut apps = BTreeMap::new();
+        for a in state.apps {
+            let (mem, sm) = (a.mem_samples.len(), a.sm_samples.len());
+            if mem > cap || sm > cap {
+                return Err(serde::Error::custom(format!(
+                    "app {:?} holds {mem} memory / {sm} SM samples, over its cap {cap}",
+                    a.name
+                )));
+            }
+            let stats = AppStats {
+                mem: Reservoir { samples: a.mem_samples.into(), ..Default::default() },
+                sm: Reservoir { samples: a.sm_samples.into(), ..Default::default() },
+                reference: a.reference,
+                peak_mb: a.peak_mb,
+                count: a.count,
+            };
+            apps.insert(a.name, stats);
+        }
+        Ok(AppUsageHistory { cap, apps, scratch: Vec::new() })
     }
 }
 
@@ -234,10 +298,12 @@ mod tests {
     fn reference_series_round_trip() {
         let mut h = AppUsageHistory::default();
         assert!(h.reference("a").is_none());
-        h.set_reference("a", vec![1.0, 2.0, 3.0]);
+        h.refresh_reference("a", |b| b.extend([1.0, 2.0, 3.0]));
         assert_eq!(h.reference("a").unwrap(), &[1.0, 2.0, 3.0]);
-        h.set_reference("a", vec![]);
-        assert_eq!(h.reference("a").unwrap().len(), 3, "empty update ignored");
+        h.refresh_reference("a", |_| {});
+        assert_eq!(h.reference("a").unwrap(), &[1.0, 2.0, 3.0], "empty update ignored");
+        h.refresh_reference("a", |b| b.push(4.0));
+        assert_eq!(h.reference("a").unwrap(), &[4.0], "the reused buffer starts empty");
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl Scheduler for CbpPp {
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let hs: AppHistoryState = serde::Deserialize::from_value(state)?;
-        self.history = AppUsageHistory::from_state(hs);
+        self.history = AppUsageHistory::from_state(hs)?;
         Ok(())
     }
 

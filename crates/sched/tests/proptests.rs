@@ -2,6 +2,7 @@
 //! like, every action a policy emits must reference entities that exist
 //! and respect the policy's own contracts.
 
+use knots_forecast::stats::percentile;
 use knots_sched::binpack::{decreasing_order, pick_bin, PackStrategy};
 use knots_sched::context::{app_key, PendingPodView, SchedContext};
 use knots_sched::history::AppUsageHistory;
@@ -14,6 +15,7 @@ use knots_sim::time::{SimDuration, SimTime};
 use knots_telemetry::{ClusterSnapshot, NodeView, PodView, TimeSeriesDb};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
+use std::collections::{BTreeMap, VecDeque};
 
 fn arb_node(id: usize) -> impl Strategy<Value = NodeView> {
     (0usize..4, 0.0f64..1.0, proptest::bool::ANY).prop_map(move |(pods, sm, asleep)| {
@@ -192,5 +194,49 @@ proptest! {
         let max = obs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
         prop_assert!(h.mem_peak("a").unwrap() >= max - 1e-9);
+    }
+
+    /// The lazily sorted quantile memo answers every read with the bits of
+    /// `stats::percentile` over a fresh copy of the live samples: across
+    /// eviction (small caps), observations interleaved with reads, and a
+    /// snapshot round trip mid-stream (which drops the memo).
+    #[test]
+    fn history_quantile_memo_is_bit_identical(
+        cap in 8usize..33,
+        ops in proptest::collection::vec((0u8..8, 0.0f64..1.0, 0.0f64..1.0), 1..160),
+        restore_at in 0usize..160,
+    ) {
+        let mut h = AppUsageHistory::new(cap);
+        // Reference model: per-app (memory, SM) reservoirs, oldest first.
+        let mut model: BTreeMap<&str, [VecDeque<f64>; 2]> = BTreeMap::new();
+        for (i, &(op, x, q)) in ops.iter().enumerate() {
+            if i == restore_at {
+                h = AppUsageHistory::from_state(h.snapshot_state()).unwrap();
+            }
+            let app = ["a", "b"][usize::from(op % 2)];
+            let kind = usize::from(op / 2);
+            let samples = model.entry(app).or_default();
+            match kind {
+                0 | 1 => {
+                    // Coarse values so reservoirs hold ties.
+                    let v = if kind == 0 { (x * 64.0).round() * 32.0 } else { (x * 16.0).round() / 16.0 };
+                    if kind == 0 { h.observe_mem(app, v) } else { h.observe_sm(app, v) }
+                    let r = &mut samples[kind];
+                    if r.len() == cap {
+                        r.pop_front();
+                    }
+                    r.push_back(v);
+                }
+                _ => {
+                    let r = &samples[kind - 2];
+                    let got = if kind == 2 { h.mem_quantile(app, q) } else { h.sm_quantile(app, q) };
+                    let want = (!r.is_empty()).then(|| {
+                        let fresh: Vec<f64> = r.iter().copied().collect();
+                        percentile(&fresh, q)
+                    });
+                    prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+                }
+            }
+        }
     }
 }

@@ -98,6 +98,21 @@ fn empty_fault_plan_reproduces_the_pinned_digests() {
 }
 
 #[test]
+fn cbp_mix1_chaotic_seed_keeps_its_digest() {
+    // CBP on App-Mix-1 at seed 3 was the decide hot spot: its pending queue
+    // stays long, so every round read the 80th-percentile quantiles of
+    // every resident app many times over. The quantiles now come from a
+    // per-app sorted memo; this pins that the memo moved no decision.
+    let cfg = ExperimentConfig { duration: SimDuration::from_secs(60), ..cfg(3) };
+    let r = run_mix(scheduler_by_name("CBP").unwrap(), AppMix::Mix1, &cfg);
+    assert_eq!(
+        knots_analyzer::report_digest(&r),
+        0xcced_07b7_fda1_0865,
+        "CBP/App-Mix-1 seed-3 digest moved"
+    );
+}
+
+#[test]
 fn chaos_sweep_is_byte_identical_across_thread_counts() {
     // Fault injection must not loosen the parallel-sweep guarantee: the
     // same (seed, plan) pair replays identically no matter how many
