@@ -10,8 +10,9 @@
 //! [`RunReport`] — `phase_timings` holds wall-clock phase percentiles
 //! (observability data, not simulation state) and is excluded.
 
-use knots_core::experiment::{run_mix, run_mix_with_obs, scheduler_by_name, ExperimentConfig};
+use knots_core::experiment::{mix_inputs, run_mix, scheduler_by_name, ExperimentConfig};
 use knots_core::metrics::RunReport;
+use knots_core::KubeKnots;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
 
@@ -138,7 +139,10 @@ pub fn run() -> Vec<LegResult> {
         let Some(s3) = scheduler_by_name(name) else { continue };
         let a = run_mix(s1, AppMix::Mix2, &cfg);
         let b = run_mix(s2, AppMix::Mix2, &cfg);
-        let o = run_mix_with_obs(s3, AppMix::Mix2, &cfg, knots_obs::Obs::with_trace_capacity(4096));
+        let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg);
+        let o = KubeKnots::new(cluster_cfg, s3, cfg.orch)
+            .with_obs(knots_obs::Obs::with_trace_capacity(4096))
+            .run_schedule(&schedule);
         out.push(LegResult {
             scheduler: name,
             digest_a: report_digest(&a),

@@ -112,7 +112,13 @@ pub fn collect(ctx: &FileContext, toks: &[Tok], test_lines: &[(u32, u32)]) -> Ve
             j += 1;
         };
         let Some(open) = body_open else {
-            out.push(TypeDecl { path: ctx.path.clone(), name, line, refs: Vec::new(), bad: Vec::new() });
+            out.push(TypeDecl {
+                path: ctx.path.clone(),
+                name,
+                line,
+                refs: Vec::new(),
+                bad: Vec::new(),
+            });
             i = j + 1;
             continue;
         };
@@ -244,7 +250,8 @@ mod tests {
 
     #[test]
     fn skips_test_regions_attributes_and_non_library_files() {
-        let src = "#[derive(Clone)]\npub struct Live { #[serde(default)] pub m: HashMap<u8, u8> }\n\
+        let src =
+            "#[derive(Clone)]\npub struct Live { #[serde(default)] pub m: HashMap<u8, u8> }\n\
                    #[cfg(test)]\nmod t { struct Helper { m: HashMap<u8, u8> } }\n";
         let d = decls("crates/chaos/src/x.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");

@@ -99,10 +99,8 @@ fn r1_workspace_closure_reaches_the_real_state_types() {
     use knots_analyzer::snapreach::{judge, BadMention, TypeDecl};
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let analyses = knots_analyzer::engine::analyze_root(&root).unwrap();
-    let mut types: Vec<TypeDecl> =
-        analyses.iter().flat_map(|a| a.types.iter().cloned()).collect();
-    for name in ["Snapshot", "OrchestratorState", "ClusterState", "TsdbState", "ChaosEngineState"]
-    {
+    let mut types: Vec<TypeDecl> = analyses.iter().flat_map(|a| a.types.iter().cloned()).collect();
+    for name in ["Snapshot", "OrchestratorState", "ClusterState", "TsdbState", "ChaosEngineState"] {
         assert!(types.iter().any(|t| t.name == name), "no `{name}` declaration found");
     }
     // The real closure must be clean, and must *stay* live: a forbidden
@@ -243,6 +241,8 @@ fn fixtures_outside_library_paths_mostly_relax() {
 fn workspace_is_clean() {
     // The repo itself must pass its own analyzer: zero deny, zero warn.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = knots_analyzer::engine::discover(&root).expect("workspace walk");
+    assert!(files.len() > 40, "workspace discovery came up short: {} files", files.len());
     let diags = knots_analyzer::check_root(&root).expect("workspace walk");
     assert!(diags.is_empty(), "workspace not clean:\n{diags:#?}");
 }

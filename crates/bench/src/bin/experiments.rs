@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! experiments <command> [--quick] [--seed N] [--secs N] [--json DIR]
-//!                       [--threads N] [--out FILE]
+//!                       [--threads N]
 //!                       [--trace FILE.jsonl] [--metrics FILE.prom]
 //!
 //! commands:
@@ -18,18 +18,20 @@
 //!   chaos     fault-intensity sweep: QoS / throughput / crashes (DESIGN.md §10)
 //!   recovery  controller-crash density sweep: checkpoint/WAL recovery cost
 //!             with per-leg bit-identity checks (DESIGN.md §15)
-//!   perf      decision-loop microbenchmarks + sweep timings -> BENCH_6.json
 //!   scale     32 -> 1,024-node sweep: one shard vs k shards (serial stepping),
-//!             wall time + schedule-round p99, digest-checked -> BENCH_7.json
-//!   all       everything above except trace, chaos, recovery, perf and scale
+//!             wall time + schedule-round p99, digest-checked
+//!   all       everything above except trace, chaos, recovery and scale
 //! ```
 //!
 //! `--quick` shrinks run lengths for smoke testing; the defaults match the
 //! numbers recorded in EXPERIMENTS.md.
 //!
-//! `--threads` bounds the worker pool for the cluster/dnn sweeps and the
-//! parallel legs of `perf` (default: the host's available parallelism).
-//! `--out` overrides where `perf` writes its JSON report.
+//! `--secs` overrides the simulated window of each run; it must be >= 1.
+//!
+//! `--threads` bounds the worker pool of the sweeps that fan legs out
+//! (cluster, dnn, trace, chaos, recovery; default: the host's available
+//! parallelism). `--json DIR` writes each command's tables as JSON into
+//! DIR (for `scale`: `scale.json`). Timing the program is `perfbench/`'s job, not this binary's.
 //!
 //! `--trace` (cluster command) writes the scheduler-decision audit trail as
 //! JSONL; `--metrics` writes the control-loop counters and histograms in
@@ -46,8 +48,8 @@ use knots_workloads::dnn::DnnWorkloadConfig;
 use std::io::Write as _;
 
 const USAGE: &str =
-    "usage: experiments <fig1|fig2|fig3|fig4|cluster|fig10b|dnn|trace|ablation|chaos|recovery|perf|scale|all> \
-     [--quick] [--seed N] [--secs N] [--json DIR] [--threads N] [--out FILE] \
+    "usage: experiments <fig1|fig2|fig3|fig4|cluster|fig10b|dnn|trace|ablation|chaos|recovery|scale|all> \
+     [--quick] [--seed N] [--secs N] [--json DIR] [--threads N] \
      [--trace FILE.jsonl] [--metrics FILE.prom]";
 
 struct Opts {
@@ -58,7 +60,6 @@ struct Opts {
     trace: Option<String>,
     metrics: Option<String>,
     threads: usize,
-    out: Option<String>,
 }
 
 /// Parse everything after the command word. Returns `Err` with a message for
@@ -72,8 +73,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         json_dir: None,
         trace: None,
         metrics: None,
-        threads: knots_bench::parallel::default_threads(),
-        out: None,
+        threads: knots_sim::pool::default_threads(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -87,7 +87,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--secs" => {
                 let v = value("--secs")?;
-                o.secs = Some(v.parse().map_err(|_| format!("--secs: not an integer: {v:?}"))?);
+                let n: u64 = v.parse().map_err(|_| format!("--secs: not an integer: {v:?}"))?;
+                if n == 0 {
+                    return Err("--secs must be >= 1".into());
+                }
+                o.secs = Some(n);
             }
             "--threads" => {
                 let v = value("--threads")?;
@@ -99,7 +103,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.threads = n;
             }
             "--json" => o.json_dir = Some(value("--json")?),
-            "--out" => o.out = Some(value("--out")?),
             "--trace" => o.trace = Some(value("--trace")?),
             "--metrics" => o.metrics = Some(value("--metrics")?),
             other => return Err(format!("unknown flag: {other:?}")),
@@ -167,7 +170,7 @@ fn run_cluster(opts: &Opts) {
         knots_obs::Obs::disabled()
     };
     let t0 = std::time::Instant::now();
-    let study = fig06_09_cluster::ClusterStudy::run_with_obs_threads(&cfg, &obs, opts.threads);
+    let study = fig06_09_cluster::ClusterStudy::run(&cfg, &obs, opts.threads);
     eprintln!("[cluster study done in {:.1?}]", t0.elapsed());
     if let Some(path) = &opts.trace {
         obs.recorder.write_jsonl(std::path::Path::new(path)).expect("write trace jsonl");
@@ -218,7 +221,7 @@ fn run_dnn(opts: &Opts) {
         workload.dlt_jobs, workload.dli_tasks, opts.threads
     );
     let t0 = std::time::Instant::now();
-    let study = fig12_dnn::DnnStudy::run_threads(&workload, opts.threads);
+    let study = fig12_dnn::DnnStudy::run(&workload, opts.threads);
     eprintln!("[dnn study done in {:.1?}]", t0.elapsed());
     emit(
         opts,
@@ -242,7 +245,7 @@ fn run_trace(opts: &Opts) {
         workload.dlt_jobs, workload.dli_tasks, opts.threads
     );
     let t0 = std::time::Instant::now();
-    let study = trace_study::TraceStudy::run_threads(&workload, opts.seed, opts.threads);
+    let study = trace_study::TraceStudy::run(&workload, opts.seed, opts.threads);
     eprintln!("[trace study done in {:.1?}]", t0.elapsed());
     if let Some(dir) = &opts.json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
@@ -324,10 +327,7 @@ fn run_recovery(opts: &Opts) {
     // Stable per-leg digest lines: CI runs the sweep twice and diffs these
     // (wall-clock columns in the table above legitimately differ).
     for r in &rows {
-        println!(
-            "recovery-digest {} cpm={} {:#018x}",
-            r.scheduler, r.crashes_per_minute, r.digest
-        );
+        println!("recovery-digest {} cpm={} {:#018x}", r.scheduler, r.crashes_per_minute, r.digest);
     }
     if !recovery_sweep::all_match(&rows) {
         eprintln!("[recovery: BIT-IDENTITY CHECK FAILED — a recovered leg diverged]");
@@ -336,33 +336,8 @@ fn run_recovery(opts: &Opts) {
     eprintln!("[recovery: every recovered leg matches its uninterrupted baseline]");
 }
 
-fn run_perf(opts: &Opts) {
-    let cfg =
-        knots_bench::perf::PerfConfig { quick: opts.quick, threads: opts.threads, seed: opts.seed };
-    let report = knots_bench::perf::run(&cfg);
-    let path = opts.out.as_deref().unwrap_or("BENCH_6.json");
-    let payload = serde_json::to_string_pretty(&report).expect("serialize perf report");
-    std::fs::write(path, payload).expect("write perf report");
-    eprintln!("[wrote {path}]");
-    for s in &report.sweeps {
-        match s.speedup_vs_serial {
-            Some(x) => eprintln!(
-                "[{} x{} threads: {:.0} ms, {:.2}x vs serial]",
-                s.name, s.threads, s.wall_ms, x
-            ),
-            None => eprintln!("[{} serial baseline: {:.0} ms]", s.name, s.wall_ms),
-        }
-    }
-    if !report.ok() {
-        eprintln!("[perf: DETERMINISM CHECK FAILED — see {path}]");
-        std::process::exit(1);
-    }
-    eprintln!("[perf: all determinism digests match]");
-}
-
 fn run_scale(opts: &Opts) {
-    let nodes: &[usize] =
-        if opts.quick { &[32, 64, 128] } else { &[32, 64, 128, 256, 512, 1024] };
+    let nodes: &[usize] = if opts.quick { &[32, 64, 128] } else { &[32, 64, 128, 256, 512, 1024] };
     let shards = if opts.quick { 2 } else { 8 };
     let secs = opts.secs.unwrap_or(if opts.quick { 20 } else { 60 });
     eprintln!(
@@ -381,18 +356,7 @@ fn run_scale(opts: &Opts) {
     for p in &points {
         println!("scale-digest nodes={} shards={} {:#018x}", p.nodes, p.shards, p.digest);
     }
-    let report = scale_sweep::ScaleReport {
-        quick: opts.quick,
-        seed: opts.seed,
-        secs,
-        available_parallelism: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        points,
-    };
-    let path = opts.out.as_deref().unwrap_or("BENCH_7.json");
-    let payload = serde_json::to_string_pretty(&report).expect("serialize scale report");
-    std::fs::write(path, payload).expect("write scale report");
-    eprintln!("[wrote {path}]");
-    if !report.ok() {
+    if !scale_sweep::all_match(&points) {
         eprintln!("[scale: BIT-IDENTITY CHECK FAILED — a sharded leg diverged]");
         std::process::exit(1);
     }
@@ -424,7 +388,6 @@ fn main() {
         "ablation" | "ablations" => run_ablations(&opts),
         "chaos" => run_chaos(&opts),
         "recovery" => run_recovery(&opts),
-        "perf" => run_perf(&opts),
         "scale" => run_scale(&opts),
         "all" => {
             run_fig1(&opts);
@@ -440,5 +403,59 @@ fn main() {
             eprintln!("{USAGE}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        parse_opts(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn error(args: &[&str]) -> String {
+        parse(args).err().expect("parse must fail")
+    }
+
+    #[test]
+    fn flags_parse_into_opts() {
+        let o = parse(&["--quick", "--seed", "7", "--secs", "5", "--threads", "3", "--json", "d"])
+            .expect("valid flags");
+        assert!(o.quick);
+        assert_eq!((o.seed, o.secs, o.threads), (7, Some(5), 3));
+        assert_eq!(o.json_dir.as_deref(), Some("d"));
+        let d = parse(&[]).expect("no flags");
+        assert_eq!((d.quick, d.seed, d.secs, d.json_dir), (false, 42, None, None));
+        assert!(d.threads >= 1);
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected() {
+        assert!(error(&["--quik"]).contains("unknown flag"));
+    }
+
+    #[test]
+    fn flag_without_its_value_is_rejected() {
+        assert_eq!(error(&["--seed"]), "--seed requires a value");
+        assert_eq!(error(&["--quick", "--json"]), "--json requires a value");
+    }
+
+    #[test]
+    fn non_integer_values_are_rejected() {
+        assert!(error(&["--secs", "ten"]).contains("not an integer"));
+        assert!(error(&["--threads", "-1"]).contains("not an integer"));
+    }
+
+    #[test]
+    fn zero_threads_is_rejected() {
+        assert_eq!(error(&["--threads", "0"]), "--threads must be >= 1");
+    }
+
+    #[test]
+    fn zero_secs_is_rejected() {
+        // A zero-length window runs nothing, yet every command would print
+        // its pass line; refuse it up front instead.
+        assert_eq!(error(&["--secs", "0"]), "--secs must be >= 1");
     }
 }

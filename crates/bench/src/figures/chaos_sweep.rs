@@ -9,11 +9,11 @@
 //! accounting (give-ups, rejected samples). Intensity 0.0 is the fault-free
 //! baseline: its plan is empty, so its row must match a plain run exactly.
 
-use crate::parallel::run_jobs;
 use crate::render::{f, Table};
-use knots_chaos::{gen, GenConfig};
-use knots_core::experiment::{run_mix_with_chaos, scheduler_by_name, ExperimentConfig};
+use knots_chaos::{gen, ChaosEngine, GenConfig};
+use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
 use knots_core::metrics::RunReport;
+use knots_core::KubeKnots;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
 use serde::Serialize;
@@ -84,7 +84,10 @@ pub fn run_leg(scheduler: &str, fpm: f64, cfg: &ExperimentConfig) -> ChaosRow {
     let mut cfg = *cfg;
     cfg.orch.freshness = Some(sweep_freshness());
     let sched = scheduler_by_name(scheduler).expect("known scheduler");
-    let r = run_mix_with_chaos(sched, AppMix::Mix2, &cfg, knots_obs::Obs::disabled(), plan);
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg);
+    let r = KubeKnots::new(cluster_cfg, sched, cfg.orch)
+        .with_chaos(ChaosEngine::new(plan))
+        .run_schedule(&schedule);
     row(scheduler, fpm, &r)
 }
 
@@ -100,7 +103,7 @@ pub fn run(cfg: &ExperimentConfig, intensities: &[f64], threads: usize) -> Vec<C
             move || run_leg(s, fpm, &cfg)
         })
         .collect();
-    run_jobs(jobs, threads)
+    knots_sim::pool::run_jobs(jobs, threads)
 }
 
 /// Render the sweep.

@@ -4,10 +4,9 @@
 //! once and shared.
 
 use crate::render::{f, Table};
-use knots_core::experiment::{
-    run_mix_with_obs, scheduler_by_name, ExperimentConfig, CLUSTER_SCHEDULERS,
-};
+use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig, CLUSTER_SCHEDULERS};
 use knots_core::metrics::RunReport;
+use knots_core::KubeKnots;
 use knots_obs::Obs;
 use knots_workloads::AppMix;
 use serde::Serialize;
@@ -22,27 +21,15 @@ pub struct ClusterStudy {
 }
 
 impl ClusterStudy {
-    /// Run the full 3×4 grid. Runs are parallelized across scheduler/mix
-    /// pairs with scoped threads (each run is single-threaded at 10 nodes),
-    /// bounded by the host's available parallelism.
-    pub fn run(cfg: &ExperimentConfig) -> ClusterStudy {
-        Self::run_with_obs(cfg, &Obs::disabled())
-    }
-
-    /// [`ClusterStudy::run`] with a shared observability bundle: every run
-    /// in the grid records into the same trace/metrics (the bundle clones
-    /// are `Arc` handles, so concurrent runs interleave safely).
-    pub fn run_with_obs(cfg: &ExperimentConfig, obs: &Obs) -> ClusterStudy {
-        Self::run_with_obs_threads(cfg, obs, crate::parallel::default_threads())
-    }
-
-    /// [`ClusterStudy::run_with_obs`] on an explicit worker count.
+    /// Run the full 3×4 grid, one scheduler/mix leg per job on `threads`
+    /// workers (`1` runs the grid on the calling thread).
     ///
-    /// `threads == 1` runs the grid serially on the calling thread (the
-    /// perf harness' baseline). Every leg is deterministic from the config
-    /// seed and results are reassembled in grid order, so the study is
-    /// byte-identical at every thread count.
-    pub fn run_with_obs_threads(cfg: &ExperimentConfig, obs: &Obs, threads: usize) -> ClusterStudy {
+    /// Every leg records into the shared observability bundle `obs` (its
+    /// clones are `Arc` handles, so concurrent legs interleave safely).
+    /// Every leg is deterministic from the config seed and results are
+    /// reassembled in grid order, so the study is byte-identical at every
+    /// thread count.
+    pub fn run(cfg: &ExperimentConfig, obs: &Obs, threads: usize) -> ClusterStudy {
         let jobs: Vec<_> = AppMix::ALL
             .iter()
             .flat_map(|m| CLUSTER_SCHEDULERS.iter().map(move |s| (*m, *s)))
@@ -50,16 +37,15 @@ impl ClusterStudy {
                 let cfg = *cfg;
                 let obs = obs.clone();
                 move || {
-                    run_mix_with_obs(
-                        scheduler_by_name(name).expect("known scheduler"),
-                        mix,
-                        &cfg,
-                        obs,
-                    )
+                    let (schedule, cluster_cfg) = mix_inputs(mix, &cfg);
+                    let sched = scheduler_by_name(name).expect("known scheduler");
+                    KubeKnots::new(cluster_cfg, sched, cfg.orch)
+                        .with_obs(obs)
+                        .run_schedule(&schedule)
                 }
             })
             .collect();
-        let results: Vec<RunReport> = crate::parallel::run_jobs(jobs, threads);
+        let results: Vec<RunReport> = knots_sim::pool::run_jobs(jobs, threads);
         let mut reports = Vec::new();
         for (i, _mix) in AppMix::ALL.iter().enumerate() {
             let base = i * CLUSTER_SCHEDULERS.len();
@@ -158,7 +144,7 @@ mod tests {
     #[test]
     fn study_grid_runs() {
         let cfg = ExperimentConfig { duration: SimDuration::from_secs(20), ..Default::default() };
-        let study = ClusterStudy::run(&cfg);
+        let study = ClusterStudy::run(&cfg, &Obs::disabled(), knots_sim::pool::default_threads());
         assert_eq!(study.reports.len(), 3);
         assert_eq!(study.reports[0].len(), 4);
         assert_eq!(study.report(0, "Uniform").scheduler, "Uniform");

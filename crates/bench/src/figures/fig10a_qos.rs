@@ -55,7 +55,11 @@ mod tests {
         // Even a 60 s window shows the headline ordering on the loaded mix:
         // the GPU-aware schedulers violate far less than Res-Ag.
         let cfg = ExperimentConfig { duration: SimDuration::from_secs(60), ..Default::default() };
-        let study = ClusterStudy::run(&cfg);
+        let study = ClusterStudy::run(
+            &cfg,
+            &knots_obs::Obs::disabled(),
+            knots_sim::pool::default_threads(),
+        );
         let rows = run(&study);
         assert_eq!(rows.len(), 3);
         let mix1 = &rows[0].per_kilo;

@@ -73,7 +73,11 @@ mod tests {
     #[test]
     fn pp_saves_energy_vs_uniform() {
         let cfg = ExperimentConfig { duration: SimDuration::from_secs(60), ..Default::default() };
-        let study = ClusterStudy::run(&cfg);
+        let study = ClusterStudy::run(
+            &cfg,
+            &knots_obs::Obs::disabled(),
+            knots_sim::pool::default_threads(),
+        );
         let rows = run(&study);
         // Uniform is 1.0 by construction.
         for r in &rows {

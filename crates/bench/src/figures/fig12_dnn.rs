@@ -18,17 +18,11 @@ pub struct DnnStudy {
 }
 
 impl DnnStudy {
-    /// Run the four schedulers over the workload in parallel, bounded by
-    /// the host's available parallelism.
-    pub fn run(workload: &DnnWorkloadConfig) -> DnnStudy {
-        Self::run_threads(workload, crate::parallel::default_threads())
-    }
-
-    /// [`DnnStudy::run`] on an explicit worker count. Each leg is
-    /// deterministic from the workload seed and results are reassembled in
-    /// [`DNN_SCHEDULERS`] order, so the study is identical at every thread
-    /// count (`threads == 1` is the serial baseline).
-    pub fn run_threads(workload: &DnnWorkloadConfig, threads: usize) -> DnnStudy {
+    /// Run the four schedulers over the workload, one leg per job on
+    /// `threads` workers. Each leg is deterministic from the workload seed
+    /// and results are reassembled in [`DNN_SCHEDULERS`] order, so the
+    /// study is identical at every thread count.
+    pub fn run(workload: &DnnWorkloadConfig, threads: usize) -> DnnStudy {
         let jobs: Vec<_> = DNN_SCHEDULERS
             .iter()
             .map(|name| {
@@ -36,7 +30,7 @@ impl DnnStudy {
                 move || run_dnn(scheduler_by_name(name).expect("known"), &workload)
             })
             .collect();
-        let reports = crate::parallel::run_jobs(jobs, threads);
+        let reports = knots_sim::pool::run_jobs(jobs, threads);
         DnnStudy { reports, time_scale: workload.time_scale }
     }
 
@@ -190,7 +184,7 @@ mod tests {
             time_scale: 1.0 / 240.0,
             seed: 5,
         };
-        let study = DnnStudy::run(&workload);
+        let study = DnnStudy::run(&workload, knots_sim::pool::default_threads());
         assert_eq!(study.reports.len(), 4);
         assert!(table4(&study).render().contains("CBP+PP"));
         assert!(fig12b_table(&study).render().contains("viol/hr"));

@@ -2,8 +2,6 @@
 
 pub mod ablations;
 pub mod chaos_sweep;
-pub mod recovery_sweep;
-pub mod scale_sweep;
 pub mod fig01_energy_efficiency;
 pub mod fig02_alibaba;
 pub mod fig03_rodinia;
@@ -13,4 +11,6 @@ pub mod fig10a_qos;
 pub mod fig10b_accuracy;
 pub mod fig11_power;
 pub mod fig12_dnn;
+pub mod recovery_sweep;
+pub mod scale_sweep;
 pub mod trace_study;

@@ -13,17 +13,13 @@
 //! regression guard: they take the plain code path and must keep the
 //! pinned self-check digests.
 
-use crate::parallel::run_jobs;
 use crate::render::{f, Table};
-use knots_chaos::{gen, FaultPlan};
-use knots_core::experiment::{
-    run_mix_with_chaos, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
-};
+use knots_chaos::{gen, ChaosEngine, FaultPlan};
+use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS};
 use knots_core::metrics::RunReport;
+use knots_core::KubeKnots;
 use knots_recovery::{run_with_recovery, RecoveryConfig};
-use knots_sim::cluster::ClusterConfig;
 use knots_sim::time::SimDuration;
-use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator};
 use knots_workloads::AppMix;
 use serde::Serialize;
 
@@ -61,29 +57,21 @@ pub fn run_leg(scheduler: &str, cpm: f64, cfg: &ExperimentConfig) -> RecoveryRow
     let plan =
         FaultPlan::from_events(gen::generate_controller_crashes(cfg.seed, cfg.duration, cpm));
 
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, cfg);
+    let new_scheduler = || scheduler_by_name(scheduler).expect("known scheduler");
+
     // Uninterrupted baseline: same plan (controller crashes are counted
     // no-ops inside the engine, so the legs consume identical fault
     // streams).
-    let baseline = run_mix_with_chaos(
-        scheduler_by_name(scheduler).expect("known scheduler"),
-        AppMix::Mix2,
-        cfg,
-        knots_obs::Obs::disabled(),
-        plan.clone(),
-    );
+    let baseline = KubeKnots::new(cluster_cfg.clone(), new_scheduler(), cfg.orch)
+        .with_chaos(ChaosEngine::new(plan.clone()))
+        .run_schedule(&schedule);
 
-    // Recovery leg: mirror run_mix_with_chaos's setup, then drive through
-    // the supervisor harness.
-    let mut gen_cfg = LoadGenConfig::new(cfg.duration, cfg.seed);
-    gen_cfg.rate_scale = cfg.rate_scale;
-    gen_cfg.batch_scale = cfg.batch_scale;
-    let schedule = LoadGenerator::generate(AppMix::Mix2, &gen_cfg);
-    let mut cluster_cfg = ClusterConfig::homogeneous(cfg.nodes, knots_sim::config::TESTBED_GPU);
-    cluster_cfg.prewarm_images = AppMix::Mix2.lc_services().iter().map(|s| s.image()).collect();
+    // Recovery leg: the same inputs, driven through the supervisor harness.
     let rc = RecoveryConfig { checkpoint_every: sweep_checkpoint() };
     let report = run_with_recovery(
         &cluster_cfg,
-        &|| scheduler_by_name(scheduler).expect("known scheduler"),
+        &new_scheduler,
         &cfg.orch,
         &plan,
         &schedule,
@@ -130,7 +118,7 @@ pub fn run(cfg: &ExperimentConfig, densities: &[f64], threads: usize) -> Vec<Rec
             move || run_leg(s, cpm, &cfg)
         })
         .collect();
-    run_jobs(jobs, threads)
+    knots_sim::pool::run_jobs(jobs, threads)
 }
 
 /// Render the sweep.
@@ -174,11 +162,7 @@ mod tests {
     use super::*;
 
     fn quick() -> ExperimentConfig {
-        ExperimentConfig {
-            nodes: 4,
-            duration: SimDuration::from_secs(30),
-            ..Default::default()
-        }
+        ExperimentConfig { nodes: 4, duration: SimDuration::from_secs(30), ..Default::default() }
     }
 
     #[test]

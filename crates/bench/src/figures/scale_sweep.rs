@@ -7,20 +7,19 @@
 //! once single-shard, once k-sharded — and records wall time,
 //! schedule-round tail latency and whether the two report digests match.
 //! They must, because candidate orders are k-way merges of per-shard
-//! sorted runs and every cross-shard join is by index. The results land in
-//! `BENCH_7.json`.
+//! sorted runs and every cross-shard join is by index. `experiments scale
+//! --json DIR` writes the table as JSON.
 
 use crate::render::{f, Table};
 use knots_analyzer::report_digest;
-use knots_core::experiment::{run_mix_with_obs, scheduler_by_name, ExperimentConfig};
+use knots_core::experiment::{run_mix, scheduler_by_name, ExperimentConfig};
 use knots_core::metrics::RunReport;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
-use serde::Serialize;
 use std::time::Instant;
 
 /// One node-count point of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Worker-node count of this point.
     pub nodes: usize,
@@ -62,12 +61,7 @@ fn leg(nodes: usize, shards: usize, secs: u64, seed: u64) -> (RunReport, f64) {
         ..Default::default()
     };
     let t0 = Instant::now();
-    let report = run_mix_with_obs(
-        scheduler_by_name("CBP+PP").expect("known scheduler"),
-        AppMix::Mix2,
-        &cfg,
-        knots_obs::Obs::disabled(),
-    );
+    let report = run_mix(scheduler_by_name("CBP+PP").expect("known scheduler"), AppMix::Mix2, &cfg);
     (report, t0.elapsed().as_secs_f64() * 1e3)
 }
 
@@ -130,29 +124,6 @@ pub fn table(points: &[ScalePoint]) -> Table {
         ]);
     }
     t
-}
-
-/// The full `BENCH_7.json` payload.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScaleReport {
-    /// `true` when `--quick` shrank the sweep.
-    pub quick: bool,
-    /// Seed the workloads were generated from.
-    pub seed: u64,
-    /// Simulated seconds per leg.
-    pub secs: u64,
-    /// `std::thread::available_parallelism()` on the measuring host
-    /// (1 when unknown).
-    pub available_parallelism: usize,
-    /// The sweep points, in node-count order.
-    pub points: Vec<ScalePoint>,
-}
-
-impl ScaleReport {
-    /// Did every point keep its digest across the 1 → k shard flip?
-    pub fn ok(&self) -> bool {
-        all_match(&self.points)
-    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //! at any `--threads` setting and across same-seed runs.
 
 use crate::render::{f, Table};
-use knots_chaos::{gen, FaultPlan, GenConfig};
-use knots_core::experiment::{run_dnn_traced, scheduler_by_name, DNN_SCHEDULERS};
+use knots_chaos::{gen, ChaosEngine, FaultPlan, GenConfig};
+use knots_core::experiment::{dnn_inputs, scheduler_by_name, DNN_SCHEDULERS};
 use knots_core::metrics::RunReport;
-use knots_obs::Obs;
+use knots_core::KubeKnots;
 use knots_trace::{breakdown, chrome, StageBreakdownRow, Tracer};
 use knots_workloads::dnn::DnnWorkloadConfig;
 use serde::Serialize;
@@ -51,14 +51,10 @@ pub struct TraceStudy {
 }
 
 impl TraceStudy {
-    /// Run the study bounded by the host's available parallelism.
-    pub fn run(workload: &DnnWorkloadConfig, seed: u64) -> TraceStudy {
-        Self::run_threads(workload, seed, crate::parallel::default_threads())
-    }
-
-    /// [`TraceStudy::run`] on an explicit worker count. Legs reassemble in
-    /// submission order, so the study is identical at every thread count.
-    pub fn run_threads(workload: &DnnWorkloadConfig, seed: u64, threads: usize) -> TraceStudy {
+    /// Run the study, one leg per job on `threads` workers. Legs
+    /// reassemble in submission order, so the study is identical at every
+    /// thread count.
+    pub fn run(workload: &DnnWorkloadConfig, seed: u64, threads: usize) -> TraceStudy {
         let mut jobs: Vec<Box<dyn FnOnce() -> TraceLeg + Send>> = Vec::new();
         for faulted in [false, true] {
             for name in DNN_SCHEDULERS {
@@ -66,7 +62,7 @@ impl TraceStudy {
                 jobs.push(Box::new(move || run_leg(name, faulted, &workload, seed)));
             }
         }
-        TraceStudy { legs: crate::parallel::run_jobs(jobs, threads) }
+        TraceStudy { legs: knots_sim::pool::run_jobs(jobs, threads) }
     }
 }
 
@@ -82,13 +78,12 @@ fn run_leg(name: &str, faulted: bool, workload: &DnnWorkloadConfig, seed: u64) -
         FaultPlan::empty()
     };
     let tracer = Tracer::bounded(SPAN_CAPACITY);
-    let report = run_dnn_traced(
-        scheduler_by_name(name).expect("known scheduler"),
-        workload,
-        Obs::disabled(),
-        plan,
-        tracer.clone(),
-    );
+    let (schedule, cluster_cfg, orch) = dnn_inputs(workload);
+    let report =
+        KubeKnots::new(cluster_cfg, scheduler_by_name(name).expect("known scheduler"), orch)
+            .with_chaos(ChaosEngine::new(plan))
+            .with_tracer(tracer.clone())
+            .run_schedule(&schedule);
     TraceLeg {
         scheduler: name.to_string(),
         faulted,
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn study_covers_every_scheduler_clean_and_faulted() {
-        let study = TraceStudy::run(&tiny(), 42);
+        let study = TraceStudy::run(&tiny(), 42, knots_sim::pool::default_threads());
         assert_eq!(study.legs.len(), 8);
         assert_eq!(study.legs.iter().filter(|l| l.faulted).count(), 4);
         for leg in &study.legs {

@@ -9,6 +9,4 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
-pub mod parallel;
-pub mod perf;
 pub mod render;

@@ -1,9 +1,10 @@
 //! The "near-free when disabled" acceptance bar for knots-trace, in two
 //! parts:
 //!
-//! 1. *Behavioral* cost is exactly zero: a run through the traced entry
-//!    point with a disabled tracer must produce the same decision digest as
-//!    the plain entry point (they are one code path — this pins that).
+//! 1. *Behavioral* cost is exactly zero: a run with a disabled tracer (and
+//!    a disabled obs bundle and an empty fault plan) attached must produce
+//!    the same decision digest as the plain [`run_mix`] (they are one code
+//!    path — this pins that).
 //! 2. *Wall-time* cost is under 5%: interleaved min-of-N timings of the
 //!    plain and traced-disabled runs. Min-of-N over an interleaved schedule
 //!    squeezes out scheduler and turbo noise; the 5% bound still carries a
@@ -11,8 +12,8 @@
 
 use std::time::Instant;
 
-use knots_chaos::FaultPlan;
-use knots_core::experiment::{run_mix, scheduler_by_name, ExperimentConfig};
+use knots_chaos::{ChaosEngine, FaultPlan};
+use knots_core::experiment::{mix_inputs, run_mix, scheduler_by_name, ExperimentConfig};
 use knots_core::orchestrator::KubeKnots;
 use knots_obs::Obs;
 use knots_sim::cluster::ClusterConfig;
@@ -31,19 +32,12 @@ fn run_plain() -> knots_core::metrics::RunReport {
 
 fn run_traced_disabled() -> knots_core::metrics::RunReport {
     let cfg = cfg();
-    let schedule =
-        LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(cfg.duration, cfg.seed));
-    let mut cluster_cfg = ClusterConfig::homogeneous(cfg.nodes, knots_sim::config::TESTBED_GPU);
-    cluster_cfg.prewarm_images = AppMix::Mix2.lc_services().iter().map(|s| s.image()).collect();
-    knots_core::experiment::run_schedule_traced(
-        scheduler_by_name("CBP+PP").unwrap(),
-        &schedule,
-        cluster_cfg,
-        cfg.orch,
-        Obs::disabled(),
-        FaultPlan::empty(),
-        Tracer::disabled(),
-    )
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg);
+    KubeKnots::new(cluster_cfg, scheduler_by_name("CBP+PP").unwrap(), cfg.orch)
+        .with_obs(Obs::disabled())
+        .with_chaos(ChaosEngine::new(FaultPlan::empty()))
+        .with_tracer(Tracer::disabled())
+        .run_schedule(&schedule)
 }
 
 #[test]

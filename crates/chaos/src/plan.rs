@@ -151,9 +151,7 @@ impl FaultPlan {
                         });
                     }
                 }
-                FaultKind::SampleCorruption {
-                    mode: CorruptionMode::Spike { factor }, ..
-                } => {
+                FaultKind::SampleCorruption { mode: CorruptionMode::Spike { factor }, .. } => {
                     if !factor.is_finite() {
                         return Err(PlanError::NonFinite { index, what: "Spike factor" });
                     }
@@ -371,10 +369,7 @@ mod tests {
         );
         // A never-recovering failure blocks all later failures on the node.
         let plan = FaultPlan::from_events(vec![fail(10, 3, None), fail(100, 3, Some(1))]);
-        assert!(matches!(
-            plan.validate(horizon()),
-            Err(PlanError::OverlappingNodeFailure { .. })
-        ));
+        assert!(matches!(plan.validate(horizon()), Err(PlanError::OverlappingNodeFailure { .. })));
         // Distinct nodes never conflict.
         let plan = FaultPlan::from_events(vec![fail(10, 3, None), fail(20, 4, None)]);
         assert_eq!(plan.validate(horizon()), Ok(()));

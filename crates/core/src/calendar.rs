@@ -27,7 +27,9 @@ use knots_sim::time::SimTime;
 /// within one instant, classes pop in the order the naive tick loop
 /// processes them — end-of-previous-tick work (metric grid) first, then
 /// start-of-tick work (arrivals, chaos, heartbeat), then the deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+)]
 pub enum CoreEvent {
     /// Experiment metric-grid point (`collect_metrics`): end-of-tick work,
     /// so it sorts before the start-of-tick classes at the same instant.

@@ -1,10 +1,10 @@
-//! Packaged experiment runners used by the `experiments` binary, the
-//! examples and the benches.
+//! Packaged experiments used by the `experiments` binary, the examples and
+//! the benches: the scheduler registry, the two standard runs
+//! ([`run_mix`], [`run_dnn`]) and the input builders behind them.
 
 use crate::config::OrchestratorConfig;
 use crate::metrics::RunReport;
 use crate::orchestrator::KubeKnots;
-use knots_chaos::{ChaosEngine, FaultPlan};
 use knots_sched::cbp::Cbp;
 use knots_sched::gandiva::Gandiva;
 use knots_sched::pp::CbpPp;
@@ -76,34 +76,13 @@ pub const CLUSTER_SCHEDULERS: [&str; 4] = ["Uniform", "Res-Ag", "CBP", "CBP+PP"]
 /// The four DNN-experiment schedulers (Fig. 12 / Table IV).
 pub const DNN_SCHEDULERS: [&str; 4] = ["Res-Ag", "Gandiva", "Tiresias", "CBP+PP"];
 
-/// Run one scheduler over one app-mix on the paper's testbed topology.
-pub fn run_mix(scheduler: Box<dyn Scheduler>, mix: AppMix, cfg: &ExperimentConfig) -> RunReport {
-    run_mix_with_obs(scheduler, mix, cfg, knots_obs::Obs::disabled())
-}
-
-/// [`run_mix`] with an observability bundle attached: scheduler decisions
-/// land in `obs.recorder`, control-loop counters in `obs.metrics`. The
-/// bundle is `Clone`-cheap (`Arc` interiors), so one bundle can aggregate
-/// across several concurrent runs.
-pub fn run_mix_with_obs(
-    scheduler: Box<dyn Scheduler>,
-    mix: AppMix,
-    cfg: &ExperimentConfig,
-    obs: knots_obs::Obs,
-) -> RunReport {
-    run_mix_with_chaos(scheduler, mix, cfg, obs, FaultPlan::empty())
-}
-
-/// [`run_mix_with_obs`] with a fault plan replayed against the run. An
-/// empty plan is exactly `run_mix_with_obs`: the inert engine is dropped
-/// before the loop starts, so the reports are bit-identical.
-pub fn run_mix_with_chaos(
-    scheduler: Box<dyn Scheduler>,
-    mix: AppMix,
-    cfg: &ExperimentConfig,
-    obs: knots_obs::Obs,
-    plan: FaultPlan,
-) -> RunReport {
+/// The inputs of one app-mix run on the paper's testbed topology: the
+/// seeded load schedule and the cluster it runs on.
+///
+/// Callers that attach observability, a fault plan or a tracer build the
+/// orchestrator themselves from these, e.g.
+/// `KubeKnots::new(cluster_cfg, scheduler, cfg.orch).with_chaos(engine)`.
+pub fn mix_inputs(mix: AppMix, cfg: &ExperimentConfig) -> (Vec<ScheduledPod>, ClusterConfig) {
     let mut gen_cfg = LoadGenConfig::new(cfg.duration, cfg.seed);
     gen_cfg.rate_scale = cfg.rate_scale;
     gen_cfg.batch_scale = cfg.batch_scale;
@@ -113,94 +92,24 @@ pub fn run_mix_with_chaos(
     // Long-lived inference services keep their images pre-pulled in
     // production; batch jobs still pay real cold starts.
     cluster_cfg.prewarm_images = mix.lc_services().iter().map(|s| s.image()).collect();
-    run_schedule_with_chaos(scheduler, &schedule, cluster_cfg, cfg.orch, obs, plan)
+    (schedule, cluster_cfg)
 }
 
-/// Run one scheduler over an explicit schedule and cluster topology.
-pub fn run_schedule(
-    scheduler: Box<dyn Scheduler>,
-    schedule: &[ScheduledPod],
-    cluster_cfg: ClusterConfig,
-    orch: OrchestratorConfig,
-) -> RunReport {
-    run_schedule_with_obs(scheduler, schedule, cluster_cfg, orch, knots_obs::Obs::disabled())
+/// Run one scheduler over one app-mix on the paper's testbed topology.
+pub fn run_mix(scheduler: Box<dyn Scheduler>, mix: AppMix, cfg: &ExperimentConfig) -> RunReport {
+    let (schedule, cluster_cfg) = mix_inputs(mix, cfg);
+    KubeKnots::new(cluster_cfg, scheduler, cfg.orch).run_schedule(&schedule)
 }
 
-/// [`run_schedule`] with an observability bundle attached.
-pub fn run_schedule_with_obs(
-    scheduler: Box<dyn Scheduler>,
-    schedule: &[ScheduledPod],
-    cluster_cfg: ClusterConfig,
-    orch: OrchestratorConfig,
-    obs: knots_obs::Obs,
-) -> RunReport {
-    run_schedule_with_chaos(scheduler, schedule, cluster_cfg, orch, obs, FaultPlan::empty())
-}
-
-/// [`run_schedule_with_obs`] with a fault plan replayed against the run.
-pub fn run_schedule_with_chaos(
-    scheduler: Box<dyn Scheduler>,
-    schedule: &[ScheduledPod],
-    cluster_cfg: ClusterConfig,
-    orch: OrchestratorConfig,
-    obs: knots_obs::Obs,
-    plan: FaultPlan,
-) -> RunReport {
-    run_schedule_traced(
-        scheduler,
-        schedule,
-        cluster_cfg,
-        orch,
-        obs,
-        plan,
-        knots_trace::Tracer::disabled(),
-    )
-}
-
-/// The bottom of the runner chain: observability bundle, fault plan *and*
-/// causal tracer. A disabled tracer takes exactly the untraced code path,
-/// so every shallower entry point stays bit-identical to before tracing
-/// existed.
-#[allow(clippy::too_many_arguments)]
-pub fn run_schedule_traced(
-    scheduler: Box<dyn Scheduler>,
-    schedule: &[ScheduledPod],
-    cluster_cfg: ClusterConfig,
-    orch: OrchestratorConfig,
-    obs: knots_obs::Obs,
-    plan: FaultPlan,
-    tracer: knots_trace::Tracer,
-) -> RunReport {
-    let mut k = KubeKnots::new(cluster_cfg, scheduler, orch)
-        .with_obs(obs)
-        .with_chaos(ChaosEngine::new(plan))
-        .with_tracer(tracer);
-    k.run_schedule(schedule)
-}
-
-/// Run one scheduler over the §V-C DNN workload on the 256-GPU topology.
-pub fn run_dnn(scheduler: Box<dyn Scheduler>, workload: &DnnWorkloadConfig) -> RunReport {
-    run_dnn_traced(
-        scheduler,
-        workload,
-        knots_obs::Obs::disabled(),
-        FaultPlan::empty(),
-        knots_trace::Tracer::disabled(),
-    )
-}
-
-/// [`run_dnn`] with a fault plan and a causal tracer attached — the
-/// backing runner for `experiments trace`.
-pub fn run_dnn_traced(
-    scheduler: Box<dyn Scheduler>,
+/// The inputs of one run of the §V-C DNN workload on the 256-GPU
+/// topology: the schedule, the cluster and the orchestrator timing.
+pub fn dnn_inputs(
     workload: &DnnWorkloadConfig,
-    obs: knots_obs::Obs,
-    plan: FaultPlan,
-    tracer: knots_trace::Tracer,
-) -> RunReport {
-    let tasks = dnn::generate(workload);
-    let schedule: Vec<ScheduledPod> =
-        tasks.into_iter().map(|t| ScheduledPod { at: t.at, spec: t.spec }).collect();
+) -> (Vec<ScheduledPod>, ClusterConfig, OrchestratorConfig) {
+    let schedule: Vec<ScheduledPod> = dnn::generate(workload)
+        .into_iter()
+        .map(|t| ScheduledPod { at: t.at, spec: t.spec })
+        .collect();
     let mut cluster_cfg = ClusterConfig::dnn_sim();
     // Serving images are pre-pulled fleet-wide; training images cold-start.
     cluster_cfg.prewarm_images =
@@ -209,7 +118,13 @@ pub fn run_dnn_traced(
     // Overloaded traces leave a queue at the end of the window; give the
     // backlog room to drain so JCT statistics cover the whole population.
     orch.drain_grace = SimDuration::from_secs((workload.duration.as_secs_f64() * 1.5) as u64);
-    run_schedule_traced(scheduler, &schedule, cluster_cfg, orch, obs, plan, tracer)
+    (schedule, cluster_cfg, orch)
+}
+
+/// Run one scheduler over the §V-C DNN workload on the 256-GPU topology.
+pub fn run_dnn(scheduler: Box<dyn Scheduler>, workload: &DnnWorkloadConfig) -> RunReport {
+    let (schedule, cluster_cfg, orch) = dnn_inputs(workload);
+    KubeKnots::new(cluster_cfg, scheduler, orch).run_schedule(&schedule)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub use orchestrator::{KubeKnots, OrchestratorState};
 /// Convenient re-exports for downstream binaries and examples.
 pub mod prelude {
     pub use crate::config::OrchestratorConfig;
-    pub use crate::experiment::{run_mix, run_schedule, ExperimentConfig};
+    pub use crate::experiment::{run_mix, ExperimentConfig};
     pub use crate::metrics::{JctStats, RunReport};
     pub use crate::orchestrator::KubeKnots;
     pub use knots_sched::cbp::Cbp;

@@ -388,8 +388,11 @@ impl KubeKnots {
                 cluster.shards()
             )));
         }
-        let tsdb =
-            TimeSeriesDb::from_state_partitioned(TsdbConfig::default(), cluster.shard_layout(), state.tsdb);
+        let tsdb = TimeSeriesDb::from_state_partitioned(
+            TsdbConfig::default(),
+            cluster.shard_layout(),
+            state.tsdb,
+        );
         Ok(KubeKnots {
             cluster,
             tsdb,

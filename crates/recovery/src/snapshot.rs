@@ -67,8 +67,8 @@ impl Snapshot {
     pub fn from_state(state: &OrchestratorState, at: SimTime) -> Result<Self, RecoveryError> {
         let value = serde::Serialize::to_value(state);
         check_finite(&value, "state")?;
-        let payload = serde_json::to_string(&value)
-            .map_err(|e| RecoveryError::Malformed(e.to_string()))?;
+        let payload =
+            serde_json::to_string(&value).map_err(|e| RecoveryError::Malformed(e.to_string()))?;
         let digest = fnv1a(payload.as_bytes());
         Ok(Snapshot { version: SNAPSHOT_VERSION, digest, at, payload })
     }
@@ -144,10 +144,7 @@ mod tests {
     fn finiteness_walk_reports_the_offending_path() {
         let v = serde::Value::Object(vec![(
             "nodes".into(),
-            serde::Value::Array(vec![
-                serde::Value::F64(1.0),
-                serde::Value::F64(f64::NAN),
-            ]),
+            serde::Value::Array(vec![serde::Value::F64(1.0), serde::Value::F64(f64::NAN)]),
         )]);
         let err = check_finite(&v, "state").unwrap_err();
         match err {

@@ -118,9 +118,8 @@ mod tests {
         // Exact match passes.
         wal.verify_replay(&[ev(1, CoreEvent::Arrival), ev(2, CoreEvent::Heartbeat)]).unwrap();
         // Wrong kind at index 1.
-        let err = wal
-            .verify_replay(&[ev(1, CoreEvent::Arrival), ev(2, CoreEvent::Chaos)])
-            .unwrap_err();
+        let err =
+            wal.verify_replay(&[ev(1, CoreEvent::Arrival), ev(2, CoreEvent::Chaos)]).unwrap_err();
         assert!(matches!(err, RecoveryError::Divergence { index: 1, .. }));
         // Short replay.
         let err = wal.verify_replay(&[ev(1, CoreEvent::Arrival)]).unwrap_err();

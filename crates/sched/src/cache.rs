@@ -136,11 +136,7 @@ impl StatsCache {
     /// k-way merged ([`crate::shard_order::shard_free_memory_order`]),
     /// computed at most once per round. Bit-identical to
     /// [`ClusterSnapshot::nodes_by_free_memory`] for every shard count.
-    pub fn free_memory_order(
-        &self,
-        snapshot: &ClusterSnapshot,
-        shards: usize,
-    ) -> Rc<Vec<NodeId>> {
+    pub fn free_memory_order(&self, snapshot: &ClusterSnapshot, shards: usize) -> Rc<Vec<NodeId>> {
         if let Some(o) = self.free_memory_order.borrow().as_ref() {
             self.hit();
             return Rc::clone(o);

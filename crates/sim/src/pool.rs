@@ -20,9 +20,9 @@ pub fn default_threads() -> usize {
 /// results in submission order.
 ///
 /// `threads` is clamped to `1..=jobs.len()`; `threads == 1` degenerates to
-/// a plain serial loop on the calling thread (the baseline the perf harness
-/// times against). Jobs may borrow from the caller's stack — the threads
-/// are scoped — and a panicking job propagates out of the scope.
+/// a plain serial loop on the calling thread. Jobs may borrow from the
+/// caller's stack — the threads are scoped — and a panicking job propagates
+/// out of the scope.
 pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,

@@ -1232,7 +1232,10 @@ mod tests {
                 assert_eq!(db.node_last_at(NodeId(n)), flat.node_last_at(NodeId(n)));
             }
             for p in 0..5u64 {
-                assert_eq!(db.pod_mem_series(PodId(p), now, w), flat.pod_mem_series(PodId(p), now, w));
+                assert_eq!(
+                    db.pod_mem_series(PodId(p), now, w),
+                    flat.pod_mem_series(PodId(p), now, w)
+                );
             }
         }
     }
@@ -1252,7 +1255,11 @@ mod tests {
         db.forget_pod(PodId(9)); // trailing None slot must survive the trip
         let state = db.snapshot_state();
         for shards in [1usize, 2, 6] {
-            let re = TimeSeriesDb::from_state_partitioned(cfg, ShardLayout::new(6, shards), state.clone());
+            let re = TimeSeriesDb::from_state_partitioned(
+                cfg,
+                ShardLayout::new(6, shards),
+                state.clone(),
+            );
             assert_eq!(re.snapshot_state(), state, "{shards} partitions");
             assert_eq!(re.pod_len(PodId(9)), 0);
             assert_eq!(re.node_len(NodeId(5)), db.node_len(NodeId(5)));

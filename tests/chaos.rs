@@ -6,8 +6,8 @@
 //! tracks in the decision audit log.
 
 use knots_chaos::{gen, ChaosEngine, CorruptionMode, FaultEvent, FaultKind, FaultPlan, GenConfig};
-use knots_core::experiment::{run_mix_with_chaos, scheduler_by_name, ExperimentConfig};
-use knots_core::{KubeKnots, OrchestratorConfig};
+use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
+use knots_core::{KubeKnots, OrchestratorConfig, RunReport};
 use knots_sim::cluster::{Cluster, ClusterConfig};
 use knots_sim::ids::NodeId;
 use knots_sim::time::{SimDuration, SimTime};
@@ -21,6 +21,20 @@ fn cfg(seed: u64, secs: u64) -> ExperimentConfig {
         seed,
         ..Default::default()
     }
+}
+
+/// One App-Mix-2 run of `scheduler` with `plan` replayed against it.
+fn run_mix2(
+    scheduler: &str,
+    cfg: &ExperimentConfig,
+    obs: knots_obs::Obs,
+    plan: FaultPlan,
+) -> RunReport {
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, cfg);
+    KubeKnots::new(cluster_cfg, scheduler_by_name(scheduler).unwrap(), cfg.orch)
+        .with_obs(obs)
+        .with_chaos(ChaosEngine::new(plan))
+        .run_schedule(&schedule)
 }
 
 /// Every submitted pod must be in exactly one place: completed, abandoned,
@@ -78,13 +92,7 @@ fn generated_plans_never_panic_and_keep_reports_sane() {
             });
             let mut c = c;
             c.orch.freshness = Some(SimDuration::from_secs(2));
-            let r = run_mix_with_chaos(
-                scheduler_by_name("CBP+PP").unwrap(),
-                AppMix::Mix2,
-                &c,
-                knots_obs::Obs::disabled(),
-                plan,
-            );
+            let r = run_mix2("CBP+PP", &c, knots_obs::Obs::disabled(), plan);
             let fa = &r.faults;
             let injected = fa.node_failures
                 + fa.degradations
@@ -121,13 +129,7 @@ fn corrupted_samples_are_refused_and_counted() {
             },
         },
     ]);
-    let r = run_mix_with_chaos(
-        scheduler_by_name("Res-Ag").unwrap(),
-        AppMix::Mix2,
-        &cfg(42, 30),
-        knots_obs::Obs::disabled(),
-        plan,
-    );
+    let r = run_mix2("Res-Ag", &cfg(42, 30), knots_obs::Obs::disabled(), plan);
     assert_eq!(r.faults.corruption_windows, 2);
     assert!(r.faults.corrupted_samples > 0, "the windows must mangle some readings");
     assert!(r.faults.rejected_samples > 0, "the TSDB must refuse the non-finite ones");
@@ -150,13 +152,7 @@ fn stale_series_fallbacks_show_up_in_the_audit_log() {
     let mut c = cfg(42, 40);
     c.orch.freshness = Some(SimDuration::from_millis(500));
     let obs = knots_obs::Obs::with_trace_capacity(1 << 16);
-    let r = run_mix_with_chaos(
-        scheduler_by_name("CBP+PP").unwrap(),
-        AppMix::Mix2,
-        &c,
-        obs.clone(),
-        plan,
-    );
+    let r = run_mix2("CBP+PP", &c, obs.clone(), plan);
     assert_eq!(r.faults.probe_dropouts, 10);
     let trace = obs.recorder.export_jsonl();
     assert!(

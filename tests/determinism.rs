@@ -10,7 +10,11 @@
 //! decision-derived field of a `RunReport`, so any relapse shows up as a
 //! digest mismatch here (and in `knots-analyzer -- --self-check`).
 
-use knots_core::experiment::{run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS};
+use knots_chaos::{ChaosEngine, FaultPlan};
+use knots_core::experiment::{
+    mix_inputs, run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
+};
+use knots_core::{KubeKnots, RunReport};
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
 
@@ -21,6 +25,14 @@ fn cfg(seed: u64) -> ExperimentConfig {
         seed,
         ..Default::default()
     }
+}
+
+/// One App-Mix-2 run of `scheduler` with `plan` replayed against it.
+fn run_mix2_with_plan(scheduler: &str, cfg: &ExperimentConfig, plan: FaultPlan) -> RunReport {
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, cfg);
+    KubeKnots::new(cluster_cfg, scheduler_by_name(scheduler).unwrap(), cfg.orch)
+        .with_chaos(ChaosEngine::new(plan))
+        .run_schedule(&schedule)
 }
 
 #[test]
@@ -52,16 +64,16 @@ fn parallel_sweep_matches_serial_sweep() {
         seed: 42,
         ..Default::default()
     };
-    let serial = ClusterStudy::run_with_obs_threads(&cfg, &knots_obs::Obs::disabled(), 1);
-    let parallel = ClusterStudy::run_with_obs_threads(&cfg, &knots_obs::Obs::disabled(), 4);
+    let serial = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 1);
+    let parallel = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 4);
     let digests = |s: &ClusterStudy| -> Vec<u64> {
         s.reports.iter().flatten().map(knots_analyzer::report_digest).collect()
     };
     assert_eq!(digests(&serial), digests(&parallel), "cluster sweep diverged across thread counts");
 
     let workload = DnnWorkloadConfig::smoke();
-    let serial = DnnStudy::run_threads(&workload, 1);
-    let parallel = DnnStudy::run_threads(&workload, 4);
+    let serial = DnnStudy::run(&workload, 1);
+    let parallel = DnnStudy::run(&workload, 4);
     let digests = |s: &DnnStudy| -> Vec<u64> {
         s.reports.iter().map(knots_analyzer::report_digest).collect()
     };
@@ -74,21 +86,13 @@ fn empty_fault_plan_reproduces_the_pinned_digests() {
     // carrying an *empty* fault plan must drop its inert chaos engine and
     // take the fault-free code path bit for bit — chaos support may not
     // move a single decision in a run with no faults.
-    use knots_chaos::FaultPlan;
-    use knots_core::experiment::run_mix_with_chaos;
     const PINNED: [(&str, u64); 3] = [
         ("CBP+PP", 0x3dd6_2b08_c803_b70c),
         ("Tiresias", 0x3f35_b90a_739d_908c),
         ("Gandiva", 0x3528_4ac8_9ffc_37ac),
     ];
     for (name, want) in PINNED {
-        let r = run_mix_with_chaos(
-            scheduler_by_name(name).unwrap(),
-            AppMix::Mix2,
-            &cfg(42),
-            knots_obs::Obs::disabled(),
-            FaultPlan::empty(),
-        );
+        let r = run_mix2_with_plan(name, &cfg(42), FaultPlan::empty());
         assert_eq!(
             knots_analyzer::report_digest(&r),
             want,
@@ -139,7 +143,11 @@ fn every_loop_mode_matches_naive_ticking() {
     // Heartbeat at 5× the tick: between scheduling rounds the event queue
     // jumps straight to the next calendar entry. That may not move a
     // single bit of the report relative to the per-tick oracle, for any
-    // scheduler.
+    // scheduler — and the event queue must really skip: it runs fewer
+    // control-loop steps than the oracle's ticks and pops calendar events.
+    let steps = |r: &RunReport| {
+        r.phase_timings.iter().find(|t| t.phase == "step").expect("step phase timed").count
+    };
     for name in DNN_SCHEDULERS {
         let mut c = cfg(42);
         c.duration = SimDuration::from_secs(60);
@@ -153,6 +161,15 @@ fn every_loop_mode_matches_naive_ticking() {
             knots_analyzer::report_digest(&naive),
             "{name}: the event queue diverged from naive ticking"
         );
+        assert!(steps(&fast) > 0, "{name}: the event-queue leg ran no loop steps");
+        assert!(
+            steps(&fast) < steps(&naive),
+            "{name}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
+             ({} steps over {} ticks)",
+            steps(&fast),
+            steps(&naive)
+        );
+        assert!(fast.events_processed > 0, "{name}: the event-queue leg must pop calendar events");
     }
 }
 
@@ -163,7 +180,6 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
     // delays all land on the same ticks whether the loop crawls or runs
     // on the event queue.
     use knots_chaos::{gen, GenConfig};
-    use knots_core::experiment::run_mix_with_chaos;
     let duration = SimDuration::from_secs(60);
     let plan =
         || gen::generate(&GenConfig { seed: 9, nodes: 10, duration, faults_per_minute: 6.0 });
@@ -172,21 +188,9 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
         c.duration = duration;
         c.orch.heartbeat = SimDuration::from_millis(50);
         c.orch.naive_ticking = true;
-        let naive = run_mix_with_chaos(
-            scheduler_by_name(name).unwrap(),
-            AppMix::Mix2,
-            &c,
-            knots_obs::Obs::disabled(),
-            plan(),
-        );
+        let naive = run_mix2_with_plan(name, &c, plan());
         c.orch.naive_ticking = false;
-        let fast = run_mix_with_chaos(
-            scheduler_by_name(name).unwrap(),
-            AppMix::Mix2,
-            &c,
-            knots_obs::Obs::disabled(),
-            plan(),
-        );
+        let fast = run_mix2_with_plan(name, &c, plan());
         assert_eq!(
             knots_analyzer::report_digest(&fast),
             knots_analyzer::report_digest(&naive),
@@ -211,9 +215,7 @@ fn gave_up_terminal_path_is_identical_across_all_loop_modes() {
     let nodes = 4usize;
     let duration = SimDuration::from_secs(60);
     let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, 42));
-    let plan = || {
-        gen::generate(&GenConfig { seed: 9, nodes, duration, faults_per_minute: 30.0 })
-    };
+    let plan = || gen::generate(&GenConfig { seed: 9, nodes, duration, faults_per_minute: 30.0 });
     let run = |naive: bool| {
         let mut cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
         cluster_cfg.overheads.crash_loop_cap = 1;

@@ -51,8 +51,13 @@ fn leg_result(k: &KubeKnots, report: &knots_core::RunReport, secs: u64) -> LegRe
 /// crashes/min, merged into one plan both legs consume identically.
 fn plan(seed: u64, duration: SimDuration, fpm: f64, cpm: f64) -> FaultPlan {
     let mut events = if fpm > 0.0 {
-        gen::generate(&GenConfig { seed: seed ^ 0x51ab, nodes: NODES, duration, faults_per_minute: fpm })
-            .events
+        gen::generate(&GenConfig {
+            seed: seed ^ 0x51ab,
+            nodes: NODES,
+            duration,
+            faults_per_minute: fpm,
+        })
+        .events
     } else {
         Vec::new()
     };
@@ -60,15 +65,16 @@ fn plan(seed: u64, duration: SimDuration, fpm: f64, cpm: f64) -> FaultPlan {
     FaultPlan::from_events(events)
 }
 
-fn setup(seed: u64, hb_ms: u64, secs: u64) -> (Vec<ScheduledPod>, ClusterConfig, OrchestratorConfig)
-{
+fn setup(
+    seed: u64,
+    hb_ms: u64,
+    secs: u64,
+) -> (Vec<ScheduledPod>, ClusterConfig, OrchestratorConfig) {
     let duration = SimDuration::from_secs(secs);
     let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, seed));
     let cluster_cfg = ClusterConfig::homogeneous(NODES, knots_sim::config::TESTBED_GPU);
-    let orch = OrchestratorConfig {
-        heartbeat: SimDuration::from_millis(hb_ms),
-        ..Default::default()
-    };
+    let orch =
+        OrchestratorConfig { heartbeat: SimDuration::from_millis(hb_ms), ..Default::default() };
     (schedule, cluster_cfg, orch)
 }
 

@@ -20,8 +20,8 @@ fn tiny() -> DnnWorkloadConfig {
 
 #[test]
 fn trace_study_is_byte_identical_across_thread_counts_and_runs() {
-    let serial = TraceStudy::run_threads(&tiny(), 42, 1);
-    let threaded = TraceStudy::run_threads(&tiny(), 42, 4);
+    let serial = TraceStudy::run(&tiny(), 42, 1);
+    let threaded = TraceStudy::run(&tiny(), 42, 4);
     assert_eq!(serial.legs.len(), threaded.legs.len());
     for (a, b) in serial.legs.iter().zip(&threaded.legs) {
         assert_eq!((a.scheduler.as_str(), a.faulted), (b.scheduler.as_str(), b.faulted));
@@ -35,6 +35,6 @@ fn trace_study_is_byte_identical_across_thread_counts_and_runs() {
     assert_eq!(digest(&serial), digest(&threaded));
 
     // And across two same-seed runs at the same thread count.
-    let again = TraceStudy::run_threads(&tiny(), 42, 4);
+    let again = TraceStudy::run(&tiny(), 42, 4);
     assert_eq!(digest(&again), digest(&serial), "same-seed trace study diverged");
 }
