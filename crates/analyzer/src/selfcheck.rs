@@ -6,9 +6,9 @@
 //! digest mismatch, then re-runs with observability attached to prove the
 //! obs layer is read-only with respect to simulation state.
 //!
-//! The digest deliberately covers only the deterministic fields of
-//! [`RunReport`] — `phase_timings` holds wall-clock phase percentiles
-//! (observability data, not simulation state) and is excluded.
+//! The digest deliberately covers only the simulated outcome in
+//! [`RunReport`]: engine throughput, fault and recovery accounting
+//! describe how the run was executed and are excluded.
 
 use knots_core::experiment::{mix_inputs, run_mix, scheduler_by_name, ExperimentConfig};
 use knots_core::metrics::RunReport;
@@ -55,8 +55,8 @@ impl Default for Fnv {
     }
 }
 
-/// Digest every deterministic field of a report (everything except
-/// `phase_timings`, which measures host wall-clock).
+/// Digest every simulated-outcome field of a report (everything except
+/// the engine-throughput, fault and recovery accounting).
 pub fn report_digest(r: &RunReport) -> u64 {
     let mut h = Fnv::new();
     h.write(r.scheduler.as_bytes());
@@ -249,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn digest_covers_decisions_but_not_phase_timings() {
+    fn digest_covers_decisions_but_not_engine_accounting() {
         let base = RunReport {
             scheduler: "X".into(),
             duration: SimDuration::from_secs(1),
@@ -268,24 +268,12 @@ mod tests {
             migrations: 0,
             skipped_actions: 0,
             skipped_breakdown: vec![],
-            phase_timings: vec![],
             faults: knots_core::FaultStats::default(),
             events_processed: 0,
             events_per_sim_second: 0.0,
             recovery: knots_core::RecoveryStats::default(),
         };
         let d0 = report_digest(&base);
-
-        let mut timed = base.clone();
-        timed.phase_timings = vec![knots_core::metrics::PhaseTiming {
-            phase: "tick".into(),
-            count: 10,
-            p50_us: 1.0,
-            p95_us: 2.0,
-            p99_us: 3.0,
-            mean_us: 1.5,
-        }];
-        assert_eq!(report_digest(&timed), d0, "wall-clock timings must not affect the digest");
 
         let mut evented = base.clone();
         evented.events_processed = 1234;

@@ -5,7 +5,7 @@
 //! of that bar is asserted in `tests/trace_overhead.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use knots_obs::{Event, FieldValue, Recorder};
+use knots_obs::{Event, FieldValue, Recorder, Tracer, Track};
 use knots_sched::context::{app_key, PendingPodView, SchedContext};
 use knots_sched::{cbp::Cbp, pp::CbpPp, Scheduler};
 use knots_sim::ids::{NodeId, PodId};
@@ -14,7 +14,6 @@ use knots_sim::pod::QosClass;
 use knots_sim::resources::{GpuModel, Usage};
 use knots_sim::time::{SimDuration, SimTime};
 use knots_telemetry::{ClusterSnapshot, NodeView, PodView, TimeSeriesDb};
-use knots_trace::{Tracer, Track};
 
 fn snapshot(nodes: usize, pods_per_node: usize) -> ClusterSnapshot {
     let node_views = (0..nodes)

@@ -19,7 +19,7 @@
 //!   recovery  controller-crash density sweep: checkpoint/WAL recovery cost
 //!             with per-leg bit-identity checks (DESIGN.md §15)
 //!   scale     32 -> 1,024-node sweep: one shard vs k shards (serial stepping),
-//!             wall time + schedule-round p99, digest-checked
+//!             wall time + heartbeat-round p99, digest-checked
 //!   all       everything above except trace, chaos, recovery and scale
 //! ```
 //!
@@ -33,9 +33,10 @@
 //! parallelism). `--json DIR` writes each command's tables as JSON into
 //! DIR (for `scale`: `scale.json`). Timing the program is `perfbench/`'s job, not this binary's.
 //!
-//! `--trace` (cluster command) writes the scheduler-decision audit trail as
-//! JSONL; `--metrics` writes the control-loop counters and histograms in
-//! Prometheus text exposition format.
+//! `--trace` writes the scheduler-decision audit trail as JSONL; `--metrics`
+//! writes the control-loop counters and histograms in Prometheus text
+//! exposition format. Only `cluster` (and its figure aliases) and `all`
+//! take them; any other command exits 2 rather than drop the sink.
 //!
 //! Unknown flags are an error: the run aborts with usage on stderr and a
 //! non-zero exit so a typo cannot silently fall back to defaults.
@@ -109,6 +110,26 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     Ok(o)
+}
+
+/// Commands that write the `--trace` / `--metrics` sinks: the cluster
+/// study, its figure aliases, and `all` (which runs it).
+const SINK_COMMANDS: [&str; 9] =
+    ["cluster", "fig6", "fig7", "fig8", "fig9", "fig10a", "fig11a", "fig11b", "all"];
+
+/// Refuse `--trace` / `--metrics` on a command that would ignore them, so
+/// a sink that was asked for cannot silently go unwritten.
+fn check_sinks(cmd: &str, o: &Opts) -> Result<(), String> {
+    let flag = match (&o.trace, &o.metrics) {
+        _ if SINK_COMMANDS.contains(&cmd) => return Ok(()),
+        (Some(_), _) => "--trace",
+        (None, Some(_)) => "--metrics",
+        (None, None) => return Ok(()),
+    };
+    Err(format!(
+        "{flag} is only written by the cluster study (cluster, fig6..fig11b, all), \
+         not by {cmd:?}"
+    ))
 }
 
 fn emit(opts: &Opts, name: &str, tables: &[Table]) {
@@ -366,7 +387,10 @@ fn run_scale(opts: &Opts) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
-    let opts = match parse_opts(args.get(1..).unwrap_or(&[])) {
+    let opts = match parse_opts(args.get(1..).unwrap_or(&[])).and_then(|o| {
+        check_sinks(cmd, &o)?;
+        Ok(o)
+    }) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -450,6 +474,23 @@ mod tests {
     #[test]
     fn zero_threads_is_rejected() {
         assert_eq!(error(&["--threads", "0"]), "--threads must be >= 1");
+    }
+
+    #[test]
+    fn sinks_are_refused_on_commands_that_ignore_them() {
+        // `dnn --quick --metrics m.prom` used to exit 0 having written nothing.
+        let metrics = parse(&["--quick", "--metrics", "m.prom"]).expect("valid flags");
+        let err = check_sinks("dnn", &metrics).expect_err("dnn writes no metrics");
+        assert!(err.starts_with("--metrics is only written by the cluster study"), "{err}");
+        let both = parse(&["--trace", "t.jsonl", "--metrics", "m.prom"]).expect("valid flags");
+        assert!(check_sinks("scale", &both).expect_err("refused").starts_with("--trace"));
+        for cmd in ["fig1", "fig10b", "trace", "chaos", "recovery", "ablation"] {
+            assert!(check_sinks(cmd, &both).is_err(), "{cmd} must refuse the sinks");
+        }
+        for cmd in SINK_COMMANDS {
+            assert_eq!(check_sinks(cmd, &both), Ok(()), "{cmd} writes the sinks");
+        }
+        assert_eq!(check_sinks("dnn", &parse(&["--quick"]).expect("no sinks")), Ok(()));
     }
 
     #[test]

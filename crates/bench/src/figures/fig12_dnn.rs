@@ -153,7 +153,6 @@ mod tests {
             migrations: 0,
             skipped_actions: 0,
             skipped_breakdown: vec![],
-            phase_timings: vec![],
             faults: knots_core::FaultStats::default(),
             events_processed: 0,
             events_per_sim_second: 0.0,

@@ -5,15 +5,17 @@
 //! checks that this costs nothing in fidelity and records what it costs in
 //! time: for each node count it runs the same seeded CBP+PP mix twice —
 //! once single-shard, once k-sharded — and records wall time,
-//! schedule-round tail latency and whether the two report digests match.
+//! heartbeat-round tail latency and whether the two report digests match.
 //! They must, because candidate orders are k-way merges of per-shard
 //! sorted runs and every cross-shard join is by index. `experiments scale
 //! --json DIR` writes the table as JSON.
 
 use crate::render::{f, Table};
 use knots_analyzer::report_digest;
-use knots_core::experiment::{run_mix, scheduler_by_name, ExperimentConfig};
+use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
 use knots_core::metrics::RunReport;
+use knots_core::KubeKnots;
+use knots_obs::Obs;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
 use std::time::Instant;
@@ -31,11 +33,11 @@ pub struct ScalePoint {
     pub sharded_wall_ms: f64,
     /// `serial_wall_ms / sharded_wall_ms`.
     pub speedup: f64,
-    /// Serial schedule-round tail: the sum of the p99s of the `snapshot`,
-    /// `decide` and `apply` phases, microseconds (a compositional upper
-    /// bound on the round tail, comparable across legs).
+    /// Serial heartbeat-round tail: the p99 of the loop's
+    /// `knots_heartbeat_latency_us` histogram (snapshot + decide + apply of
+    /// one scheduling round), microseconds.
     pub serial_round_p99_us: f64,
-    /// The same tail bound for the sharded leg.
+    /// The same round tail for the sharded leg.
     pub sharded_round_p99_us: f64,
     /// Report digest of the serial leg.
     pub digest: u64,
@@ -43,16 +45,8 @@ pub struct ScalePoint {
     pub digest_match: bool,
 }
 
-fn round_p99_us(r: &RunReport) -> f64 {
-    ["snapshot", "decide", "apply"]
-        .iter()
-        .map(|phase| {
-            r.phase_timings.iter().find(|t| t.phase == *phase).map(|t| t.p99_us).unwrap_or(0.0)
-        })
-        .sum()
-}
-
-fn leg(nodes: usize, shards: usize, secs: u64, seed: u64) -> (RunReport, f64) {
+/// One leg: its report, wall time (ms) and heartbeat-round p99 (µs).
+fn leg(nodes: usize, shards: usize, secs: u64, seed: u64) -> (RunReport, f64, f64) {
     let cfg = ExperimentConfig {
         nodes,
         duration: SimDuration::from_secs(secs),
@@ -60,16 +54,30 @@ fn leg(nodes: usize, shards: usize, secs: u64, seed: u64) -> (RunReport, f64) {
         shards: Some(shards),
         ..Default::default()
     };
+    let obs = Obs::disabled();
     let t0 = Instant::now();
-    let report = run_mix(scheduler_by_name("CBP+PP").expect("known scheduler"), AppMix::Mix2, &cfg);
-    (report, t0.elapsed().as_secs_f64() * 1e3)
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg);
+    let report = KubeKnots::new(
+        cluster_cfg,
+        scheduler_by_name("CBP+PP").expect("known scheduler"),
+        cfg.orch,
+    )
+    .with_obs(obs.clone())
+    .run_schedule(&schedule);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let round_p99_us = obs
+        .metrics
+        .histogram("knots_heartbeat_latency_us", &[])
+        .and_then(|h| h.percentile(0.99))
+        .unwrap_or(0.0);
+    (report, wall_ms, round_p99_us)
 }
 
 /// Run one node-count point: the single-shard baseline, then the sharded
 /// leg over the identical seeded workload, then compare digests.
 pub fn run_point(nodes: usize, shards: usize, secs: u64, seed: u64) -> ScalePoint {
-    let (serial, serial_wall_ms) = leg(nodes, 1, secs, seed);
-    let (sharded, sharded_wall_ms) = leg(nodes, shards, secs, seed);
+    let (serial, serial_wall_ms, serial_round_p99_us) = leg(nodes, 1, secs, seed);
+    let (sharded, sharded_wall_ms, sharded_round_p99_us) = leg(nodes, shards, secs, seed);
     let digest = report_digest(&serial);
     ScalePoint {
         nodes,
@@ -77,8 +85,8 @@ pub fn run_point(nodes: usize, shards: usize, secs: u64, seed: u64) -> ScalePoin
         serial_wall_ms,
         sharded_wall_ms,
         speedup: serial_wall_ms / sharded_wall_ms.max(1e-9),
-        serial_round_p99_us: round_p99_us(&serial),
-        sharded_round_p99_us: round_p99_us(&sharded),
+        serial_round_p99_us,
+        sharded_round_p99_us,
         digest,
         digest_match: report_digest(&sharded) == digest,
     }
@@ -135,7 +143,7 @@ mod tests {
         let p = run_point(33, 4, 20, 42);
         assert!(p.digest_match, "sharded leg diverged from one shard at 33 nodes");
         assert!(p.serial_wall_ms > 0.0 && p.sharded_wall_ms > 0.0);
-        assert!(p.serial_round_p99_us > 0.0, "obs phase timings missing");
+        assert!(p.serial_round_p99_us > 0.0, "heartbeat-latency histogram missing");
         assert!(table(&[p]).render().contains("digest match"));
     }
 }

@@ -3,17 +3,19 @@
 //! spans into a per-scheduler stage-latency breakdown plus a
 //! Perfetto-loadable Chrome trace per leg.
 //!
-//! Every leg gets its own [`Tracer`], runs as a pure function of
-//! `(scheduler, faulted, seed)`, and legs reassemble in a fixed order — so
-//! the whole study (tables, Chrome trace bytes, digest) is byte-identical
-//! at any `--threads` setting and across same-seed runs.
+//! Every leg gets its own [`Tracer`] inside its own `Obs` bundle, runs as
+//! a pure function of `(scheduler, faulted, seed)`, and legs reassemble in
+//! a fixed order — so the whole study (tables, Chrome trace bytes,
+//! digest) is byte-identical at any `--threads` setting and across
+//! same-seed runs.
 
 use crate::render::{f, Table};
 use knots_chaos::{gen, ChaosEngine, FaultPlan, GenConfig};
 use knots_core::experiment::{dnn_inputs, scheduler_by_name, DNN_SCHEDULERS};
 use knots_core::metrics::RunReport;
 use knots_core::KubeKnots;
-use knots_trace::{breakdown, chrome, StageBreakdownRow, Tracer};
+use knots_obs::{Obs, Tracer};
+use knots_trace::{breakdown, chrome, StageBreakdownRow};
 use knots_workloads::dnn::DnnWorkloadConfig;
 use serde::Serialize;
 
@@ -77,13 +79,14 @@ fn run_leg(name: &str, faulted: bool, workload: &DnnWorkloadConfig, seed: u64) -
     } else {
         FaultPlan::empty()
     };
-    let tracer = Tracer::bounded(SPAN_CAPACITY);
+    let obs = Obs { tracer: Tracer::bounded(SPAN_CAPACITY), ..Obs::disabled() };
     let (schedule, cluster_cfg, orch) = dnn_inputs(workload);
     let report =
         KubeKnots::new(cluster_cfg, scheduler_by_name(name).expect("known scheduler"), orch)
+            .with_obs(obs.clone())
             .with_chaos(ChaosEngine::new(plan))
-            .with_tracer(tracer.clone())
             .run_schedule(&schedule);
+    let tracer = &obs.tracer;
     TraceLeg {
         scheduler: name.to_string(),
         faulted,

@@ -43,38 +43,6 @@ impl JctStats {
     }
 }
 
-/// Wall-clock percentiles for one control-loop phase (snapshot, decide,
-/// apply, step, probe), microseconds.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct PhaseTiming {
-    /// Phase name.
-    pub phase: String,
-    /// Number of timed executions.
-    pub count: u64,
-    /// Median, µs.
-    pub p50_us: f64,
-    /// 95th percentile, µs.
-    pub p95_us: f64,
-    /// 99th percentile, µs.
-    pub p99_us: f64,
-    /// Mean, µs.
-    pub mean_us: f64,
-}
-
-impl PhaseTiming {
-    /// Convert from the observability crate's aggregate.
-    pub fn from_stat(s: &knots_obs::PhaseStat) -> Self {
-        PhaseTiming {
-            phase: s.phase.to_string(),
-            count: s.count,
-            p50_us: s.p50_us,
-            p95_us: s.p95_us,
-            p99_us: s.p99_us,
-            mean_us: s.mean_us,
-        }
-    }
-}
-
 /// One row of the skipped-action breakdown: how many actions of `kind`
 /// failed with `error` when the orchestrator applied them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,10 +87,10 @@ pub struct FaultStats {
 /// Controller crash/recovery accounting for one run, filled in by the
 /// recovery harness (crates/recovery). All-zero for an uninterrupted run.
 ///
-/// Like [`FaultStats`] and `phase_timings`, excluded from the determinism
-/// digest: recovery describes how the run was *executed* (how many times
-/// the controller was killed and replayed), never the simulated outcome —
-/// which the crash-resume proptest pins to be bit-identical.
+/// Like [`FaultStats`], excluded from the determinism digest: recovery
+/// describes how the run was *executed* (how many times the controller
+/// was killed and replayed), never the simulated outcome — which the
+/// crash-resume proptest pins to be bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// Controller kills performed by the harness.
@@ -178,15 +146,12 @@ pub struct RunReport {
     /// Skipped actions broken down by action kind and simulator error
     /// (sums to `skipped_actions`).
     pub skipped_breakdown: Vec<SkippedAction>,
-    /// Per-phase wall-clock percentiles of the control loop (snapshot,
-    /// decide, apply, step, probe).
-    pub phase_timings: Vec<PhaseTiming>,
     /// Fault-injection accounting (all-zero without a chaos engine).
     pub faults: FaultStats,
     /// Calendar events the event-queue loop processed (zero under the
-    /// `naive_ticking` oracle). Like `phase_timings`,
-    /// excluded from the determinism digest: it describes the engine, not
-    /// the simulated outcome.
+    /// `naive_ticking` oracle). Like `faults`, excluded from the
+    /// determinism digest: it describes the engine, not the simulated
+    /// outcome.
     pub events_processed: u64,
     /// `events_processed` per simulated second — the event core's
     /// throughput row.
@@ -309,7 +274,6 @@ mod tests {
             migrations: 0,
             skipped_actions: 0,
             skipped_breakdown: Vec::new(),
-            phase_timings: Vec::new(),
             faults: FaultStats::default(),
             events_processed: 0,
             events_per_sim_second: 0.0,
@@ -349,14 +313,6 @@ mod tests {
             SkippedAction { kind: "Place".into(), error: "node_asleep".into(), count: 2 },
             SkippedAction { kind: "Resize".into(), error: "invalid_state".into(), count: 1 },
         ];
-        r.phase_timings = vec![PhaseTiming {
-            phase: "decide".into(),
-            count: 400,
-            p50_us: 12.0,
-            p95_us: 80.5,
-            p99_us: 140.25,
-            mean_us: 19.875,
-        }];
         r.events_processed = 12_345;
         r.events_per_sim_second = 102.875;
         r.faults = FaultStats {
@@ -379,7 +335,6 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.skipped_breakdown, r.skipped_breakdown);
-        assert_eq!(back.phase_timings, r.phase_timings);
         assert_eq!(back.faults, r.faults);
         assert_eq!(back.recovery, r.recovery);
         // Re-serializing must reproduce the exact bytes: the JSON form is

@@ -26,17 +26,17 @@
 
 use crate::calendar::{grid_at_or_after, AppliedEvent, CoreEvent, EventCalendar};
 use crate::config::OrchestratorConfig;
-use crate::metrics::{FaultStats, JctStats, PhaseTiming, RecoveryStats, RunReport, SkippedAction};
+use crate::metrics::{FaultStats, JctStats, RecoveryStats, RunReport, SkippedAction};
 use knots_chaos::{ChaosAction, ChaosEngine, ChaosEngineState, FaultPlan};
-use knots_obs::{Event, FieldValue, Histogram, Obs, PhaseTimers, Severity};
+use knots_obs::{Event, FieldValue, Histogram, Obs, Severity, Track};
 use knots_sched::{Action, PendingPodView, SchedContext, Scheduler, SuspendedPodView};
 use knots_sim::cluster::{Cluster, ClusterConfig, ClusterState};
 use knots_sim::error::SimError;
 use knots_sim::events::EventKind;
-use knots_sim::pod::{PodState, QosClass};
+use knots_sim::pod::QosClass;
 use knots_sim::time::SimTime;
 use knots_telemetry::{probe, TimeSeriesDb, TsdbConfig, TsdbState, UtilizationAggregator};
-use knots_trace::{LifecycleTracker, PodMeta, Tracer, Track};
+use knots_trace::{LifecycleTracker, PodMeta};
 use knots_workloads::{next_arrival, ScheduledPod};
 
 /// Stable label for an action's kind, used in metrics and audit events.
@@ -66,6 +66,31 @@ fn error_label(e: &SimError) -> &'static str {
     }
 }
 
+/// Probe every live node into the TSDB through
+/// `probe::sample_cluster_with`: the one probe path of the single-tick
+/// step and of every in-span tick. Under chaos the engine may drop or
+/// corrupt each node's sample; the return value counts dropped nodes.
+/// Without chaos, nodes flagged in `quiet` are skipped (the span backfills
+/// their constant samples afterwards), and a skip is not a drop. A quiet
+/// mask exists only without chaos.
+fn probe_round(
+    cluster: &Cluster,
+    tsdb: &TimeSeriesDb,
+    chaos: Option<&mut ChaosEngine>,
+    quiet: &[bool],
+) -> u64 {
+    let Some(engine) = chaos else {
+        probe::sample_cluster_with(cluster, tsdb, |node, s| {
+            (!quiet.get(node.0).copied().unwrap_or(false)).then_some(s)
+        });
+        return 0;
+    };
+    let now = cluster.now();
+    probe::sample_cluster_with(cluster, tsdb, |node, s| {
+        (!engine.probe_dropped(node, now)).then(|| engine.corrupt_sample(node, now, s))
+    })
+}
+
 /// The orchestrator.
 pub struct KubeKnots {
     cluster: Cluster,
@@ -74,7 +99,6 @@ pub struct KubeKnots {
     scheduler: Box<dyn Scheduler>,
     cfg: OrchestratorConfig,
     obs: Obs,
-    timers: PhaseTimers,
     chaos: Option<ChaosEngine>,
     chaos_buf: Vec<ChaosAction>,
     skipped: usize,
@@ -82,9 +106,7 @@ pub struct KubeKnots {
     active_util: Vec<f64>,
     next_metric: Option<SimTime>,
     events_seen: usize,
-    tracer: Tracer,
     lifecycle: LifecycleTracker,
-    trace_seen: usize,
     round: u64,
     event_counts: [u64; 5],
     /// Per-round heartbeat latency, accumulated locally and merged into
@@ -177,7 +199,6 @@ impl KubeKnots {
             scheduler,
             cfg,
             obs: Obs::disabled(),
-            timers: PhaseTimers::new(),
             chaos: None,
             chaos_buf: Vec::new(),
             skipped: 0,
@@ -185,9 +206,7 @@ impl KubeKnots {
             active_util: Vec::new(),
             next_metric: None,
             events_seen: 0,
-            tracer: Tracer::disabled(),
             lifecycle: LifecycleTracker::new(),
-            trace_seen: 0,
             round: 0,
             event_counts: [0; 5],
             hb_latency: Histogram::latency_us(),
@@ -196,8 +215,12 @@ impl KubeKnots {
         }
     }
 
-    /// Attach an observability bundle (trace recorder + metrics registry).
-    /// The configs stay `Copy`; the handle rides on the orchestrator itself.
+    /// Attach the observability bundle: JSONL recorder, metrics registry
+    /// and span tracer, all in one handle. A disabled recorder or tracer
+    /// keeps each of its emission sites down to one branch, and no sink
+    /// feeds back into the simulation, so observed runs stay bit-identical
+    /// to bare ones. The configs stay `Copy`; the handle rides on the
+    /// orchestrator itself.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -206,19 +229,6 @@ impl KubeKnots {
     /// The attached observability bundle.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Attach a causal tracer. Like `with_obs`, a disabled tracer keeps
-    /// every emission site down to one branch, so untraced runs stay
-    /// bit-identical to runs built without tracing.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The attached tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Attach a fault-injection engine. An inert engine (empty plan) is
@@ -232,11 +242,6 @@ impl KubeKnots {
     /// Fault-injection totals so far, when an engine is attached.
     pub fn fault_counts(&self) -> Option<knots_chaos::FaultCounts> {
         self.chaos.as_ref().map(|e| e.counts())
-    }
-
-    /// The control loop's per-phase wall-clock timers.
-    pub fn phase_timers(&self) -> &PhaseTimers {
-        &self.timers
     }
 
     /// The underlying cluster (read access for tests and examples).
@@ -264,9 +269,8 @@ impl KubeKnots {
         } else {
             self.run_events(schedule);
         }
-        if self.tracer.enabled() {
-            self.trace_scan();
-            self.lifecycle.flush(self.cluster.now().as_micros(), &self.tracer);
+        if self.obs.tracer.enabled() {
+            self.lifecycle.flush(self.cluster.now().as_micros(), &self.obs.tracer);
         }
         self.report(schedule.len())
     }
@@ -347,9 +351,10 @@ impl KubeKnots {
     /// static configuration. The scheduler must be the same policy that
     /// produced the state (its learned state is restored via
     /// [`Scheduler::restore_state`]); `chaos_plan` must be the original
-    /// plan when the state carries a chaos cursor. Wall-clock observers
-    /// (phase timers, heartbeat-latency histogram, obs, tracer) restart
-    /// empty — they describe the process, not the simulation. The per-round
+    /// plan when the state carries a chaos cursor. The observability bundle
+    /// (recorder, registry, tracer) and the heartbeat-latency histogram
+    /// restart empty, and the lifecycle tracker starts at the resumed event
+    /// cursor — they describe the process, not the simulation. The per-round
     /// `StatsCache` is built fresh each heartbeat, so restore invalidates
     /// it by construction.
     pub fn resume(
@@ -379,7 +384,6 @@ impl KubeKnots {
         for (slot, v) in event_counts.iter_mut().zip(state.event_counts.iter()) {
             *slot = *v;
         }
-        let events_seen = state.events_seen as usize;
         let cluster = Cluster::from_state(cluster_cfg, state.cluster);
         if cluster.shards() as u64 != state.shards {
             return Err(serde::Error::custom(format!(
@@ -400,17 +404,14 @@ impl KubeKnots {
             scheduler,
             cfg,
             obs: Obs::disabled(),
-            timers: PhaseTimers::new(),
             chaos,
             chaos_buf: Vec::new(),
             skipped: state.skipped as usize,
             util_series: state.util_series,
             active_util: state.active_util,
             next_metric: state.next_metric,
-            events_seen,
-            tracer: Tracer::disabled(),
+            events_seen: state.events_seen as usize,
             lifecycle: LifecycleTracker::new(),
-            trace_seen: events_seen,
             round: state.round,
             event_counts,
             hb_latency: Histogram::latency_us(),
@@ -450,9 +451,6 @@ impl KubeKnots {
             self.step_and_probe();
             self.collect_metrics();
             self.garbage_collect();
-            if self.tracer.enabled() {
-                self.trace_scan();
-            }
 
             let done = next >= schedule.len() && self.cluster.is_drained();
             if done || self.cluster.now() >= deadline {
@@ -554,9 +552,6 @@ impl KubeKnots {
                 self.handle_event(CoreEvent::MetricGrid, now, schedule, &mut st.next, &mut st.cal);
             }
             self.garbage_collect();
-            if self.tracer.enabled() {
-                self.trace_scan();
-            }
 
             if arrivals_done && self.cluster.is_drained() {
                 break true;
@@ -630,8 +625,8 @@ impl KubeKnots {
     fn heartbeat_round(&mut self, now: SimTime) {
         // knots-allow: D1 -- wall-clock heartbeat latency is an observability metric only; it never feeds back into simulation state
         let t0 = std::time::Instant::now();
-        let heartbeat_span = if self.tracer.enabled() {
-            self.tracer.record_instant(
+        let heartbeat_span = if self.obs.tracer.enabled() {
+            self.obs.tracer.record_instant(
                 Track::Control,
                 "agg.heartbeat",
                 now.as_micros(),
@@ -649,36 +644,11 @@ impl KubeKnots {
     /// step every loop implementation shares (a jump of one tick and the
     /// oracle's every-tick path are the same code).
     fn step_and_probe(&mut self) {
-        {
-            let _span = self.timers.span("step");
-            self.cluster.step(self.cfg.tick);
-        }
-        let _span = self.timers.span("probe");
-        match self.chaos.as_mut() {
-            None => {
-                probe::sample_cluster(&self.cluster, &self.tsdb);
-            }
-            Some(engine) => {
-                let now = self.cluster.now();
-                let dropped = probe::sample_cluster_with(&self.cluster, &self.tsdb, |node, s| {
-                    if engine.probe_dropped(node, now) {
-                        None
-                    } else {
-                        Some(engine.corrupt_sample(node, now, s))
-                    }
-                });
-                if dropped > 0 {
-                    self.obs.metrics.add("knots_probe_dropped_total", &[], dropped);
-                }
-                self.obs.metrics.set_gauge(
-                    "knots_telemetry_rejected_samples_total",
-                    &[],
-                    self.tsdb.rejected_total() as f64,
-                );
-            }
-        }
-        if self.tracer.enabled() {
-            self.tracer.record_instant(
+        self.cluster.step(self.cfg.tick);
+        let dropped = probe_round(&self.cluster, &self.tsdb, self.chaos.as_mut(), &[]);
+        self.note_probe_faults(dropped);
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.record_instant(
                 Track::Control,
                 "probe.round",
                 self.cluster.now().as_micros(),
@@ -688,19 +658,21 @@ impl KubeKnots {
         }
     }
 
-    /// Fold cluster events recorded since the last scan into lifecycle
-    /// spans. Runs once per loop iteration when tracing is on, so the span
-    /// stream stays roughly chronological with the system spans.
-    fn trace_scan(&mut self) {
-        let events = self.cluster.events();
-        for e in &events[self.trace_seen..] {
-            let meta = e.pod.and_then(|id| self.cluster.pod(id)).map(|p| PodMeta {
-                arrival_us: p.arrival().as_micros(),
-                checkpoint_fraction: p.spec().checkpoint_fraction,
-            });
-            self.lifecycle.on_event(e, meta, &self.tracer);
+    /// Fold a probe burst's chaos outcome into the metrics registry: the
+    /// dropped-node count and the TSDB's rejected-sample total. A no-op
+    /// without a chaos engine, where no sample is dropped or corrupted.
+    fn note_probe_faults(&self, dropped: u64) {
+        if self.chaos.is_none() {
+            return;
         }
-        self.trace_seen = events.len();
+        if dropped > 0 {
+            self.obs.metrics.add("knots_probe_dropped_total", &[], dropped);
+        }
+        self.obs.metrics.set_gauge(
+            "knots_telemetry_rejected_samples_total",
+            &[],
+            self.tsdb.rejected_total() as f64,
+        );
     }
 
     /// Advance `k` ticks in one cluster span, probing after every tick so
@@ -710,9 +682,7 @@ impl KubeKnots {
     /// span; under a chaos plan probe behaviour can differ per node per
     /// tick, so batching is disabled and every node steps normally. The
     /// span stops on the exact tick the cluster drains (`on_tick` → false)
-    /// so the reported duration matches naive ticking. The "step" timer
-    /// covers the whole span including the in-span probes; the nested
-    /// "probe" spans still account them separately.
+    /// so the reported duration matches naive ticking.
     fn advance_span(&mut self, k: u64, arrivals_done: bool) {
         let tick = self.cfg.tick;
         let start = self.cluster.now();
@@ -721,51 +691,15 @@ impl KubeKnots {
         } else {
             self.cluster.nodes().iter().map(|n| n.is_failed() || n.resident_count() == 0).collect()
         };
-        let mut dropped_total = 0u64;
-        let mut probe_us = 0.0f64;
+        let mut dropped = 0u64;
         let executed = {
-            let timers = &self.timers;
             let tsdb = &self.tsdb;
-            let quiet_ref = &quiet;
             let mut engine = self.chaos.as_mut();
-            let dropped = &mut dropped_total;
-            let probe_us = &mut probe_us;
-            let _span = timers.span("step");
-            self.cluster.step_span(tick, k, quiet_ref, |c, activity| {
-                // knots-allow: D1 -- wall-clock probe-phase accounting (observability only); summed per span and recorded once per burst
-                let t0 = std::time::Instant::now();
-                let now = c.now();
-                let mut w = tsdb.writer();
-                for (i, node) in c.nodes().iter().enumerate() {
-                    if node.is_failed() || quiet_ref.get(i).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let sample = match engine.as_deref_mut() {
-                        None => node.last_sample(),
-                        Some(e) => {
-                            if e.probe_dropped(node.id(), now) {
-                                *dropped += 1;
-                                continue;
-                            }
-                            e.corrupt_sample(node.id(), now, node.last_sample())
-                        }
-                    };
-                    w.push_node(node.id(), sample);
-                    for (pod_id, pod) in node.residents() {
-                        if matches!(pod.state(), PodState::Running) {
-                            w.push_pod(pod_id, sample.at, pod.last_usage());
-                        }
-                    }
-                }
-                drop(w);
-                *probe_us += t0.elapsed().as_secs_f64() * 1e6;
+            self.cluster.step_span(tick, k, &quiet, |c, activity| {
+                dropped += probe_round(c, tsdb, engine.as_deref_mut(), &quiet);
                 !(arrivals_done && activity && c.is_drained())
             })
         };
-        // One "probe" record per burst: the in-span probes are one batched
-        // round, and a single histogram record per span keeps the timer's
-        // own cost out of the measured loop.
-        self.timers.record_us("probe", probe_us);
         if !quiet.is_empty() && executed > 0 {
             let mut w = self.tsdb.writer();
             for (i, node) in self.cluster.nodes().iter().enumerate() {
@@ -774,18 +708,9 @@ impl KubeKnots {
                 }
             }
         }
-        if dropped_total > 0 {
-            self.obs.metrics.add("knots_probe_dropped_total", &[], dropped_total);
-        }
-        if self.chaos.is_some() {
-            self.obs.metrics.set_gauge(
-                "knots_telemetry_rejected_samples_total",
-                &[],
-                self.tsdb.rejected_total() as f64,
-            );
-        }
-        if self.tracer.enabled() {
-            self.tracer.record_complete(
+        self.note_probe_faults(dropped);
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.record_complete(
                 Track::Control,
                 "pool.batch",
                 start.as_micros(),
@@ -831,8 +756,8 @@ impl KubeKnots {
                             .severity(Severity::Warn)
                             .str("kind", kind),
                     );
-                    if self.tracer.enabled() {
-                        self.tracer.record_instant(
+                    if self.obs.tracer.enabled() {
+                        self.obs.tracer.record_instant(
                             Track::Control,
                             "chaos.inject",
                             now_us,
@@ -855,7 +780,6 @@ impl KubeKnots {
     /// One scheduling round: snapshot, contextualize, decide, apply.
     /// `trace_parent` is the heartbeat instant that triggered this round.
     fn schedule_round(&mut self, trace_parent: Option<u64>) {
-        let snapshot_span = self.timers.span("snapshot");
         let snapshot = self.aggregator.query(&self.cluster);
         let pending: Vec<PendingPodView> = self
             .cluster
@@ -894,11 +818,9 @@ impl KubeKnots {
                 })
             })
             .collect();
-        drop(snapshot_span);
         self.obs.metrics.set_gauge("knots_pending_pods", &[], pending.len() as f64);
 
         let actions = {
-            let _span = self.timers.span("decide");
             let ctx = SchedContext {
                 now: self.cluster.now(),
                 snapshot: &snapshot,
@@ -919,9 +841,9 @@ impl KubeKnots {
             self.obs.metrics.add("knots_stats_cache_misses_total", &[], cs.misses);
             actions
         };
-        let round_span = if self.tracer.enabled() {
+        let round_span = if self.obs.tracer.enabled() {
             self.round += 1;
-            self.tracer.record_instant(
+            self.obs.tracer.record_instant(
                 Track::Control,
                 "sched.round",
                 self.cluster.now().as_micros(),
@@ -936,7 +858,6 @@ impl KubeKnots {
         } else {
             None
         };
-        let _span = self.timers.span("apply");
         let now_us = self.cluster.now().as_micros();
         for action in actions {
             let kind = action_kind(&action);
@@ -976,9 +897,9 @@ impl KubeKnots {
                     self.obs.metrics.inc("knots_actions_applied_total", &[("kind", kind)]);
                     // The audit link: a pod-track instant tying the decision
                     // that moved this pod back to the deciding round.
-                    if self.tracer.enabled() {
+                    if self.obs.tracer.enabled() {
                         if let Some(pod) = audit_pod {
-                            self.tracer.record_instant(
+                            self.obs.tracer.record_instant(
                                 Track::Pod(pod),
                                 "sched.round",
                                 now_us,
@@ -1066,10 +987,14 @@ impl KubeKnots {
         self.obs.metrics.set_gauge("knots_telemetry_stale_series", &[], stale as f64);
     }
 
-    /// Drop TSDB series of pods that finished since the last call.
+    /// Drop TSDB series of pods that finished since the last call and,
+    /// when tracing, fold the same new events into lifecycle spans. Runs
+    /// once per loop iteration, so the span stream stays roughly
+    /// chronological with the system spans.
     fn garbage_collect(&mut self) {
         let events = self.cluster.events();
-        for e in &events[self.events_seen..] {
+        let fresh = &events[self.events_seen..];
+        for e in fresh {
             match (e.pod, e.kind) {
                 (Some(pod), EventKind::Completed { .. }) => self.tsdb.forget_pod(pod),
                 (_, EventKind::Crashed { .. }) => {
@@ -1079,6 +1004,15 @@ impl KubeKnots {
                     self.obs.metrics.inc("knots_crashes_total", &[]);
                 }
                 _ => {}
+            }
+        }
+        if self.obs.tracer.enabled() {
+            for e in fresh {
+                let meta = e.pod.and_then(|id| self.cluster.pod(id)).map(|p| PodMeta {
+                    arrival_us: p.arrival().as_micros(),
+                    checkpoint_fraction: p.spec().checkpoint_fraction,
+                });
+                self.lifecycle.on_event(e, meta, &self.obs.tracer);
             }
         }
         self.events_seen = events.len();
@@ -1133,7 +1067,7 @@ impl KubeKnots {
                 _ => {}
             }
         }
-        // Event-core throughput (digest-excluded, like phase timings): how
+        // Event-core throughput (digest-excluded, like fault counts): how
         // many calendar events the run processed, per kind and per
         // simulated second. Zero under the oracle and calendar legs, which
         // don't pop events.
@@ -1202,7 +1136,6 @@ impl KubeKnots {
                     SkippedAction { kind: get("kind"), error: get("error"), count }
                 })
                 .collect(),
-            phase_timings: self.timers.stats().iter().map(PhaseTiming::from_stat).collect(),
             faults,
             events_processed,
             events_per_sim_second,
@@ -1432,7 +1365,7 @@ mod tests {
     }
 
     #[test]
-    fn obs_bundle_records_metrics_trace_and_phase_timings() {
+    fn obs_bundle_records_metrics_and_trace() {
         let obs = knots_obs::Obs::with_trace_capacity(4096);
         let mut k = KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default())
             .with_obs(obs);
@@ -1443,13 +1376,6 @@ mod tests {
         assert!(placed >= 6, "every pod placement should be counted, got {placed}");
         let hist = k.obs().metrics.histogram("knots_heartbeat_latency_us", &[]).expect("histogram");
         assert!(hist.count() > 0, "heartbeat latency must be observed every round");
-        assert!(!report.phase_timings.is_empty(), "phase timings must reach the report");
-        for phase in ["snapshot", "decide", "apply", "step", "probe"] {
-            assert!(
-                report.phase_timings.iter().any(|p| p.phase == phase && p.count > 0),
-                "missing phase timing for {phase}"
-            );
-        }
         // The scheduler audit trail flows through the shared recorder.
         let trace = k.obs().recorder.export_jsonl();
         assert!(trace.contains("\"sched."), "scheduler decisions should be audited: {trace}");
@@ -1460,12 +1386,12 @@ mod tests {
 
     #[test]
     fn tracer_captures_lifecycle_and_system_spans() {
-        let tracer = Tracer::bounded(1 << 16);
+        let obs = Obs { tracer: knots_obs::Tracer::bounded(1 << 16), ..Obs::disabled() };
         let mut k = KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default())
-            .with_tracer(tracer);
+            .with_obs(obs);
         let report = k.run_schedule(&tiny_schedule());
         assert_eq!(report.completed, 6);
-        let spans = k.tracer().spans();
+        let spans = k.obs().tracer.spans();
         let has = |name: &str| spans.iter().any(|s| s.name == name);
         for name in ["queued", "placed", "running", "completed", "agg.heartbeat", "sched.round"] {
             assert!(has(name), "missing span {name}");
@@ -1483,7 +1409,7 @@ mod tests {
             .iter()
             .any(|s| s.id == parent && s.name == "sched.round" && s.track == Track::Control));
         // Stage histograms fold every complete span.
-        let stages = k.tracer().stage_histograms();
+        let stages = k.obs().tracer.stage_histograms();
         assert!(stages.iter().any(|(name, h)| *name == "queued" && h.count() >= 6));
     }
 
@@ -1492,8 +1418,8 @@ mod tests {
         let mut k = KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default());
         let report = k.run_schedule(&tiny_schedule());
         assert_eq!(report.completed, 6);
-        assert!(k.tracer().is_empty());
-        assert!(k.tracer().stage_histograms().is_empty());
+        assert!(k.obs().tracer.is_empty());
+        assert!(k.obs().tracer.stage_histograms().is_empty());
     }
 
     #[test]

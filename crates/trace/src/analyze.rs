@@ -52,7 +52,7 @@ pub fn breakdown(stages: &[(&'static str, Histogram)]) -> Vec<StageBreakdownRow>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Tracer, Track};
+    use knots_obs::{Tracer, Track};
 
     #[test]
     fn breakdown_reports_percentiles_per_stage() {

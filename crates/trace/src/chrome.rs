@@ -12,10 +12,8 @@
 //! field order fixed by construction, so the bytes are a deterministic
 //! function of the span list.
 
-use knots_obs::FieldValue;
+use knots_obs::{FieldValue, Span, Track};
 use serde::Value;
-
-use crate::span::{Span, Track};
 
 /// Process id for the orchestrator/control track.
 const PID_CONTROL: u64 = 1;
@@ -94,7 +92,7 @@ pub fn export(spans: &[Span]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
+    use knots_obs::Tracer;
 
     #[test]
     fn export_emits_complete_and_instant_events() {

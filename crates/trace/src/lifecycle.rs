@@ -15,11 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use knots_obs::FieldValue;
+use knots_obs::{FieldValue, Tracer, Track};
 use knots_sim::events::{CrashReason, Event, EventKind};
-
-use crate::span::Track;
-use crate::Tracer;
 
 /// Per-pod facts the tracker cannot derive from the event stream alone.
 #[derive(Debug, Clone, Copy)]

@@ -1,7 +1,7 @@
 //! Seed-replay determinism: the whole control loop — load generation,
 //! telemetry, forecasting, scheduling, simulation — must be a pure function
 //! of the experiment seed. Two runs with the same seed must produce
-//! bit-identical reports (wall-clock phase timings excluded).
+//! bit-identical reports (engine and recovery accounting excluded).
 //!
 //! This pins the tie-break fix in the Tiresias/Gandiva placement path:
 //! their per-node load maps used to be `HashMap`s, whose per-instance
@@ -15,6 +15,7 @@ use knots_core::experiment::{
     mix_inputs, run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
 };
 use knots_core::{KubeKnots, RunReport};
+use knots_obs::{Obs, Tracer, Track};
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
 
@@ -145,29 +146,41 @@ fn every_loop_mode_matches_naive_ticking() {
     // single bit of the report relative to the per-tick oracle, for any
     // scheduler — and the event queue must really skip: it runs fewer
     // control-loop steps than the oracle's ticks and pops calendar events.
-    let steps = |r: &RunReport| {
-        r.phase_timings.iter().find(|t| t.phase == "step").expect("step phase timed").count
+    // Steps are read off the tracer's control track: one `probe.round` per
+    // single-tick step, one `pool.batch` per multi-tick span.
+    let traced_run = |name: &str, c: &ExperimentConfig| {
+        let obs = Obs { tracer: Tracer::bounded(1 << 20), ..Obs::disabled() };
+        let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, c);
+        let report = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), c.orch)
+            .with_obs(obs.clone())
+            .run_schedule(&schedule);
+        assert_eq!(obs.tracer.dropped(), 0, "{name}: the span ring evicted");
+        let steps = obs
+            .tracer
+            .spans()
+            .iter()
+            .filter(|s| s.track == Track::Control && matches!(s.name, "probe.round" | "pool.batch"))
+            .count();
+        (report, steps)
     };
     for name in DNN_SCHEDULERS {
         let mut c = cfg(42);
         c.duration = SimDuration::from_secs(60);
         c.orch.heartbeat = SimDuration::from_millis(50);
         c.orch.naive_ticking = true;
-        let naive = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &c);
+        let (naive, naive_steps) = traced_run(name, &c);
         c.orch.naive_ticking = false;
-        let fast = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &c);
+        let (fast, fast_steps) = traced_run(name, &c);
         assert_eq!(
             knots_analyzer::report_digest(&fast),
             knots_analyzer::report_digest(&naive),
             "{name}: the event queue diverged from naive ticking"
         );
-        assert!(steps(&fast) > 0, "{name}: the event-queue leg ran no loop steps");
+        assert!(fast_steps > 0, "{name}: the event-queue leg ran no loop steps");
         assert!(
-            steps(&fast) < steps(&naive),
+            fast_steps < naive_steps,
             "{name}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
-             ({} steps over {} ticks)",
-            steps(&fast),
-            steps(&naive)
+             ({fast_steps} steps over {naive_steps} ticks)"
         );
         assert!(fast.events_processed > 0, "{name}: the event-queue leg must pop calendar events");
     }
