@@ -1,6 +1,6 @@
 //! The workspace lock-acquisition-order graph behind rule C2.
 //!
-//! Every [`LockEdge`](crate::conc::LockEdge) says "site S acquired lock B
+//! Every [`LockEdge`] says "site S acquired lock B
 //! while lock A was held". Collected across the whole workspace they form
 //! a directed graph over lock identities; a cycle in that graph means two
 //! code paths nest the same locks in opposite orders, which is the classic

@@ -61,7 +61,7 @@ pub struct TypeDecl {
 /// One mention of a forbidden type inside a declaration body.
 #[derive(Debug, Clone)]
 pub struct BadMention {
-    /// Which of [`BAD_TYPES`] was mentioned.
+    /// Which of `BAD_TYPES` was mentioned.
     pub ty: String,
     /// 1-based line of the mention.
     pub line: u32,
@@ -155,7 +155,7 @@ pub fn collect(ctx: &FileContext, toks: &[Tok], test_lines: &[(u32, u32)]) -> Ve
 
 /// Judge a set of declarations (one file's for `check_source`, the whole
 /// workspace's for `check_root`): BFS the name-reference graph from
-/// [`ROOTS`] and report every forbidden mention inside a reachable type.
+/// `ROOTS` and report every forbidden mention inside a reachable type.
 pub fn judge(decls: &[TypeDecl]) -> Vec<Diagnostic> {
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, d) in decls.iter().enumerate() {

@@ -167,13 +167,6 @@ impl RunReport {
         self.node_util_series.iter().map(|s| utilization_quartet(s)).collect()
     }
 
-    /// Cluster-wide (p50, p90, p99, max) over all node samples pooled
-    /// (idle periods included).
-    pub fn cluster_quartet(&self) -> (f64, f64, f64, f64) {
-        let pooled: Vec<f64> = self.node_util_series.iter().flatten().copied().collect();
-        utilization_quartet(&pooled)
-    }
-
     /// Cluster-wide (p50, p90, p99, max) over active-GPU samples — the
     /// Fig. 9 bars.
     pub fn active_quartet(&self) -> (f64, f64, f64, f64) {
@@ -222,12 +215,6 @@ impl RunReport {
     pub fn violations_per_kilo(&self) -> f64 {
         let denom = self.lc_completed.max(1);
         self.lc_violations as f64 * 1000.0 / denom as f64
-    }
-
-    /// Mean SM utilization across all nodes and samples, percent.
-    pub fn mean_util(&self) -> f64 {
-        let pooled: Vec<f64> = self.node_util_series.iter().flatten().copied().collect();
-        mean(&pooled)
     }
 }
 
@@ -291,8 +278,6 @@ mod tests {
         let covs = r.node_covs_sorted();
         assert!(covs[0] <= covs[1]);
         assert!((covs[0] - 0.0).abs() < 1e-12); // constant series
-        let cq = r.cluster_quartet();
-        assert!(cq.0 <= cq.3);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use knots_sim::time::SimTime;
 use knots_telemetry::{probe, TimeSeriesDb, TsdbConfig, TsdbState, UtilizationAggregator};
 use knots_trace::{LifecycleTracker, PodMeta};
 use knots_workloads::{next_arrival, ScheduledPod};
+use std::collections::BTreeMap;
 
 /// Stable label for an action's kind, used in metrics and audit events.
 fn action_kind(a: &Action) -> &'static str {
@@ -102,6 +103,10 @@ pub struct KubeKnots {
     chaos: Option<ChaosEngine>,
     chaos_buf: Vec<ChaosAction>,
     skipped: usize,
+    /// This run's skipped actions keyed `(error, kind)` — the metrics
+    /// registry's sorted label order. The registry may be shared with other
+    /// runs, so the report's breakdown is counted here, not read back.
+    skips: BTreeMap<(&'static str, &'static str), u64>,
     util_series: Vec<Vec<f64>>,
     active_util: Vec<f64>,
     next_metric: Option<SimTime>,
@@ -202,6 +207,7 @@ impl KubeKnots {
             chaos: None,
             chaos_buf: Vec::new(),
             skipped: 0,
+            skips: BTreeMap::new(),
             util_series: vec![Vec::new(); nodes],
             active_util: Vec::new(),
             next_metric: None,
@@ -252,11 +258,6 @@ impl KubeKnots {
     /// The telemetry store.
     pub fn tsdb(&self) -> &TimeSeriesDb {
         &self.tsdb
-    }
-
-    /// The scheduler's display name.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
     }
 
     /// Run the full workload `schedule` (sorted by arrival), then keep
@@ -352,8 +353,9 @@ impl KubeKnots {
     /// produced the state (its learned state is restored via
     /// [`Scheduler::restore_state`]); `chaos_plan` must be the original
     /// plan when the state carries a chaos cursor. The observability bundle
-    /// (recorder, registry, tracer) and the heartbeat-latency histogram
-    /// restart empty, and the lifecycle tracker starts at the resumed event
+    /// (recorder, registry, tracer), the heartbeat-latency histogram and
+    /// the per-kind skip breakdown restart empty (the skip total carries
+    /// over), and the lifecycle tracker starts at the resumed event
     /// cursor — they describe the process, not the simulation. The per-round
     /// `StatsCache` is built fresh each heartbeat, so restore invalidates
     /// it by construction.
@@ -407,6 +409,7 @@ impl KubeKnots {
             chaos,
             chaos_buf: Vec::new(),
             skipped: state.skipped as usize,
+            skips: BTreeMap::new(),
             util_series: state.util_series,
             active_util: state.active_util,
             next_metric: state.next_metric,
@@ -804,8 +807,6 @@ impl KubeKnots {
         let suspended: Vec<SuspendedPodView> = self
             .cluster
             .suspended_pods()
-            .collect::<Vec<_>>()
-            .into_iter()
             .filter_map(|id| {
                 let pod = self.cluster.pod(id)?;
                 Some(SuspendedPodView {
@@ -841,8 +842,8 @@ impl KubeKnots {
             self.obs.metrics.add("knots_stats_cache_misses_total", &[], cs.misses);
             actions
         };
+        self.round += 1;
         let round_span = if self.obs.tracer.enabled() {
-            self.round += 1;
             self.obs.tracer.record_instant(
                 Track::Control,
                 "sched.round",
@@ -927,6 +928,7 @@ impl KubeKnots {
                 Err(e) => {
                     self.skipped += 1;
                     let err = error_label(&e);
+                    *self.skips.entry((err, kind)).or_insert(0) += 1;
                     self.obs
                         .metrics
                         .inc("knots_actions_skipped_total", &[("kind", kind), ("error", err)]);
@@ -1044,7 +1046,7 @@ impl KubeKnots {
         // also count as violations (a scheduler cannot hide violations by
         // starving the queue).
         let now = self.cluster.now();
-        for id in self.cluster.pending_queue().collect::<Vec<_>>() {
+        for id in self.cluster.pending_queue() {
             if let Some(pod) = self.cluster.pod(id) {
                 if let QosClass::LatencyCritical { deadline } = pod.spec().qos {
                     if now.saturating_since(pod.arrival()) > deadline {
@@ -1120,20 +1122,12 @@ impl KubeKnots {
             migrations,
             skipped_actions: self.skipped,
             skipped_breakdown: self
-                .obs
-                .metrics
-                .counters_named("knots_actions_skipped_total")
-                .into_iter()
-                .map(|(labels, count)| {
-                    // Labels come back sorted alphabetically: error, kind.
-                    let get = |key: &str| {
-                        labels
-                            .iter()
-                            .find(|(k, _)| k == key)
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or_default()
-                    };
-                    SkippedAction { kind: get("kind"), error: get("error"), count }
+                .skips
+                .iter()
+                .map(|(&(error, kind), &count)| SkippedAction {
+                    kind: kind.to_string(),
+                    error: error.to_string(),
+                    count,
                 })
                 .collect(),
             faults,
@@ -1420,6 +1414,72 @@ mod tests {
         assert_eq!(report.completed, 6);
         assert!(k.obs().tracer.is_empty());
         assert!(k.obs().tracer.stage_histograms().is_empty());
+    }
+
+    #[test]
+    fn skip_breakdown_is_per_run_when_runs_share_a_registry() {
+        // Every round asks to sleep a node that does not exist, so every
+        // action is skipped. Two identical runs share one metrics registry
+        // (as the legs of a cluster study do); each report must describe its
+        // own run only.
+        struct SleepGhost;
+        impl Scheduler for SleepGhost {
+            fn name(&self) -> &'static str {
+                "SleepGhost"
+            }
+            fn decide(&mut self, _ctx: &SchedContext<'_>) -> Vec<Action> {
+                vec![Action::Sleep { node: knots_sim::ids::NodeId(99) }]
+            }
+        }
+        let schedule = vec![ScheduledPod {
+            at: SimTime::ZERO,
+            spec: PodSpec::batch("b", ResourceProfile::constant(0.4, 1000.0, 1.0)),
+        }];
+        let cfg =
+            OrchestratorConfig { drain_grace: SimDuration::from_secs(1), ..Default::default() };
+        let obs = Obs::disabled();
+        let run = || {
+            KubeKnots::new(quiet(1), Box::new(SleepGhost), cfg)
+                .with_obs(obs.clone())
+                .run_schedule(&schedule)
+        };
+        let (a, b) = (run(), run());
+        assert!(a.skipped_actions > 0);
+        assert_eq!(a.skipped_actions, b.skipped_actions);
+        assert_eq!(a.skipped_breakdown, b.skipped_breakdown);
+        let sum: u64 = b.skipped_breakdown.iter().map(|s| s.count).sum();
+        assert_eq!(sum as usize, b.skipped_actions);
+        assert_eq!(
+            b.skipped_breakdown,
+            vec![SkippedAction {
+                kind: "Sleep".into(),
+                error: "unknown_node".into(),
+                count: b.skipped_actions as u64,
+            }]
+        );
+        // The shared registry still accumulates across runs.
+        let total = obs.metrics.counter_value(
+            "knots_actions_skipped_total",
+            &[("kind", "Sleep"), ("error", "unknown_node")],
+        );
+        assert_eq!(total, 2 * a.skipped_actions as u64);
+    }
+
+    #[test]
+    fn pause_state_does_not_depend_on_the_tracer() {
+        let paused = |obs: Obs| {
+            let schedule = tiny_schedule();
+            let mut k =
+                KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default())
+                    .with_obs(obs);
+            k.begin(&schedule);
+            assert!(!k.drive(&schedule, Some(SimTime::from_millis(700))), "run must pause");
+            let state = k.pause_state().expect("paused run has a state");
+            assert!(state.round > 0, "every heartbeat is a scheduling round");
+            serde_json::to_string(&state).unwrap()
+        };
+        let traced = Obs { tracer: knots_obs::Tracer::bounded(1 << 16), ..Obs::disabled() };
+        assert_eq!(paused(Obs::disabled()), paused(traced));
     }
 
     #[test]

@@ -86,12 +86,6 @@ fn summarize(preds: &[f64], actuals: &[f64], tol: f64) -> AccuracyReport {
     }
 }
 
-/// Downsample a fine-grained series by keeping every `k`-th point.
-pub fn downsample(series: &[f64], k: usize) -> Vec<f64> {
-    assert!(k > 0);
-    series.iter().step_by(k).copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,12 +144,5 @@ mod tests {
         let rep = walk_forward(&[1.0, 2.0], &mut ArimaRegressor::default(), &cfg);
         assert_eq!(rep.evaluated, 0);
         assert_eq!(rep.accuracy, 0.0);
-    }
-
-    #[test]
-    fn downsample_keeps_every_kth() {
-        let ys: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(downsample(&ys, 3), vec![0.0, 3.0, 6.0, 9.0]);
-        assert_eq!(downsample(&ys, 1).len(), 10);
     }
 }

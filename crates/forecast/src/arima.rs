@@ -62,12 +62,6 @@ impl Ar1 {
         }
         y
     }
-
-    /// The stationary mean `µ / (1 − φ)` the iterated forecast converges to
-    /// (when `|φ| < 1`).
-    pub fn stationary_mean(&self) -> f64 {
-        self.mu / (1.0 - self.phi)
-    }
 }
 
 /// [`Regressor`] adapter so ARIMA competes in the Fig. 10b accuracy harness.
@@ -110,7 +104,6 @@ mod tests {
         let m = Ar1::fit(&ys[..30]);
         assert!((m.phi - 0.8).abs() < 1e-6, "phi {}", m.phi);
         assert!((m.mu - 2.0).abs() < 1e-5, "mu {}", m.mu);
-        assert!((m.stationary_mean() - 10.0).abs() < 1e-4);
     }
 
     #[test]

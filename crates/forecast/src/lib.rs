@@ -4,7 +4,7 @@
 //!
 //! * [`stats`] — means, percentiles, CDFs and the coefficient of variation
 //!   (COV) used to classify app-mix load (§III-C, Fig. 7).
-//! * [`spearman`] — Spearman's rank correlation, Eq. (1), the signal CBP
+//! * [`spearman`](mod@spearman) — Spearman's rank correlation, Eq. (1), the signal CBP
 //!   uses to decide which pods may share a GPU (§IV-C, Fig. 2).
 //! * [`autocorr`] — the autocorrelation function, Eq. (2), which PP uses to
 //!   detect periodic peak-resource phases (§IV-D).
@@ -13,8 +13,6 @@
 //! * [`regressors`] — the alternative estimators the paper compares in
 //!   Fig. 10b (Theil-Sen, SGD linear regression, a small MLP) behind a
 //!   common [`regressors::Regressor`] trait.
-//! * [`extra_models`] — the remaining §IV-D comparison models (closed-form
-//!   linear regression, automatic relevance determination, random forest).
 //! * [`accuracy`] — walk-forward evaluation of forecast accuracy versus
 //!   heartbeat interval, regenerating the Fig. 10b methodology.
 
@@ -24,7 +22,6 @@
 pub mod accuracy;
 pub mod arima;
 pub mod autocorr;
-pub mod extra_models;
 pub mod regressors;
 pub mod spearman;
 pub mod stats;

@@ -12,7 +12,7 @@
 //!   bin-pack pass rejected a pod — so a run's JSONL trace reads as an
 //!   explanation, not just a log.
 //! * **Metrics** ([`Registry`], [`Histogram`]): labelled counters, gauges
-//!   and fixed-bucket histograms with JSON and Prometheus text exposition.
+//!   and fixed-bucket histograms with Prometheus text exposition.
 //! * **Causal spans** ([`Tracer`], [`Span`], [`Track`]): a bounded ring of
 //!   sim-time spans on a control track and one track per pod, with
 //!   per-stage latency histograms; `knots-trace` folds them into stage

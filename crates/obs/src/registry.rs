@@ -1,10 +1,9 @@
-//! Labelled metrics registry with JSON and Prometheus text exposition.
+//! Labelled metrics registry with Prometheus text exposition.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::Value;
 
 use crate::histogram::Histogram;
 
@@ -90,22 +89,11 @@ impl Registry {
         self.inner.lock().gauges.insert(Key::new(name, labels), v);
     }
 
-    /// Record `v` into a histogram (created with [`Histogram::latency_us`]
-    /// buckets on first use).
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.inner
-            .lock()
-            .histograms
-            .entry(Key::new(name, labels))
-            .or_insert_with(Histogram::latency_us)
-            .observe(v);
-    }
-
     /// Fold a locally-accumulated histogram into the registry series.
     /// One lock + merge instead of a lock per observation; the series is
     /// created with the same [`Histogram::latency_us`] buckets on first
     /// use, and the merged result is identical to observing every value
-    /// through [`Registry::observe`].
+    /// through [`Registry::observe_with`] with those buckets.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
         self.inner
             .lock()
@@ -139,17 +127,6 @@ impl Registry {
     /// Snapshot a histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         self.inner.lock().histograms.get(&Key::new(name, labels)).cloned()
-    }
-
-    /// All counters under `name`, as `(label pairs, value)` rows.
-    pub fn counters_named(&self, name: &str) -> Vec<(Vec<(String, String)>, u64)> {
-        self.inner
-            .lock()
-            .counters
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(k, v)| (k.labels.clone(), *v))
-            .collect()
     }
 
     /// Prometheus text exposition (v0.0.4) of every metric.
@@ -192,37 +169,6 @@ impl Registry {
         }
         out
     }
-
-    /// JSON snapshot: `{"counters": {...}, "gauges": {...}, "histograms":
-    /// {name: {count, sum, p50, p95, p99}}}`.
-    pub fn to_json(&self) -> Value {
-        let inner = self.inner.lock();
-        let counters: Vec<(String, Value)> =
-            inner.counters.iter().map(|(k, v)| (k.render(), Value::U64(*v))).collect();
-        let gauges: Vec<(String, Value)> =
-            inner.gauges.iter().map(|(k, v)| (k.render(), Value::F64(*v))).collect();
-        let histograms: Vec<(String, Value)> = inner
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.render(),
-                    Value::Object(vec![
-                        ("count".into(), Value::U64(h.count())),
-                        ("sum".into(), Value::F64(h.sum())),
-                        ("p50".into(), Value::F64(h.percentile(0.50).unwrap_or(f64::NAN))),
-                        ("p95".into(), Value::F64(h.percentile(0.95).unwrap_or(f64::NAN))),
-                        ("p99".into(), Value::F64(h.percentile(0.99).unwrap_or(f64::NAN))),
-                    ]),
-                )
-            })
-            .collect();
-        Value::Object(vec![
-            ("counters".into(), Value::Object(counters)),
-            ("gauges".into(), Value::Object(gauges)),
-            ("histograms".into(), Value::Object(histograms)),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -252,8 +198,8 @@ mod tests {
         let r = Registry::new();
         r.inc("knots_crashes_total", &[]);
         r.set_gauge("knots_pending_pods", &[], 4.0);
-        r.observe("knots_heartbeat_latency_us", &[], 120.0);
-        r.observe("knots_heartbeat_latency_us", &[], 90.0);
+        r.observe_with("knots_heartbeat_latency_us", &[], 120.0, Histogram::latency_us);
+        r.observe_with("knots_heartbeat_latency_us", &[], 90.0, Histogram::latency_us);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE knots_crashes_total counter"));
         assert!(text.contains("knots_crashes_total 1"));
@@ -263,16 +209,5 @@ mod tests {
         assert!(text.contains("knots_heartbeat_latency_us_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("knots_heartbeat_latency_us_count 2"));
         assert!(text.contains("knots_heartbeat_latency_us_sum 210"));
-    }
-
-    #[test]
-    fn json_snapshot_reports_percentiles() {
-        let r = Registry::new();
-        for v in 1..=100 {
-            r.observe("lat_us", &[], v as f64);
-        }
-        let json = serde_json::to_string(&r.to_json()).unwrap();
-        assert!(json.contains("\"lat_us\""));
-        assert!(json.contains("\"count\":100"));
     }
 }

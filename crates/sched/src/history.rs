@@ -240,7 +240,7 @@ impl AppUsageHistory {
     }
 }
 
-/// Serializable form of one app's [`AppStats`] (snapshot interchange).
+/// Serializable form of one app's `AppStats` (snapshot interchange).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AppStatsState {
     /// Application name (the map key in the live structure).

@@ -56,13 +56,6 @@ impl ClusterConfig {
         }
     }
 
-    /// The paper's physical testbed: ten P100 worker nodes (§V-A). Empty
-    /// GPUs drop to the deep-sleep p-state automatically, so consolidation
-    /// translates directly into energy savings.
-    pub fn paper_testbed() -> Self {
-        Self::homogeneous(crate::config::TESTBED_WORKER_NODES, GpuModel::P100)
-    }
-
     /// The trace-driven DNN simulation setup (§V-C): 256 GPUs.
     pub fn dnn_sim() -> Self {
         Self::homogeneous(crate::config::DNN_SIM_GPUS, GpuModel::P100)
@@ -85,18 +78,6 @@ impl ClusterConfig {
     /// Builder-style override of the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Builder-style override of the auto-sleep policy.
-    pub fn with_auto_sleep(mut self, after: Option<SimDuration>) -> Self {
-        self.auto_sleep_after = after;
-        self
-    }
-
-    /// Builder-style override of the overheads.
-    pub fn with_overheads(mut self, o: Overheads) -> Self {
-        self.overheads = o;
         self
     }
 }
@@ -751,20 +732,6 @@ impl Cluster {
         executed
     }
 
-    /// Run until `deadline`, stepping by `dt`, invoking `hook` before every
-    /// step (for arrivals/scheduling). Convenience for tests and examples.
-    pub fn run_until(
-        &mut self,
-        deadline: SimTime,
-        dt: SimDuration,
-        mut hook: impl FnMut(&mut Cluster),
-    ) {
-        while self.now < deadline {
-            hook(self);
-            self.step(dt);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Snapshot / restore (durable control plane; see crates/recovery).
     // ------------------------------------------------------------------
@@ -1191,14 +1158,5 @@ mod tests {
         // Restoring health re-admits the pod.
         c.degrade_node(NodeId(0), 0.0).unwrap();
         c.place(id, NodeId(0)).unwrap();
-    }
-
-    #[test]
-    fn run_until_invokes_hook() {
-        let mut c = Cluster::new(quiet_cfg(1));
-        let mut calls = 0;
-        c.run_until(SimTime::from_millis(100), SimDuration::from_millis(10), |_| calls += 1);
-        assert_eq!(calls, 10);
-        assert_eq!(c.now(), SimTime::from_millis(100));
     }
 }

@@ -16,10 +16,6 @@ pub const TESTBED_GPU: GpuModel = GpuModel::P100;
 /// this flattens to 256 single-GPU nodes.
 pub const DNN_SIM_GPUS: usize = 256;
 
-/// The paper's QoS deadline for latency-critical queries (§VI-B, "typically
-/// set around 150 milliseconds").
-pub const QOS_DEADLINE: SimDuration = SimDuration(150_000);
-
 /// Defaults for timing overheads (documented in DESIGN.md):
 /// cold-start image pulls take a few seconds (§V-B), container relaunch
 /// latency is "in the order of few seconds" (§IV-C), job migration incurs
@@ -90,7 +86,6 @@ mod tests {
     fn constants_match_paper() {
         assert_eq!(TESTBED_WORKER_NODES, 10);
         assert_eq!(DNN_SIM_GPUS, 32 * 8);
-        assert_eq!(QOS_DEADLINE, SimDuration::from_millis(150));
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl Node {
         self.image_cache.extend(images.iter().copied());
     }
 
-    /// Whether the image is already cached (no cold start).
-    pub fn has_image(&self, image: ImageId) -> bool {
-        self.image_cache.contains(&image)
-    }
-
     /// Whether the node can accept placements right now.
     pub fn is_available(&self) -> bool {
         !self.gpu.is_asleep() && !self.failed
@@ -755,7 +750,7 @@ mod tests {
         assert_eq!(victims.len(), 1);
         assert!(n.is_failed());
         assert!(!n.is_available());
-        assert!(!n.has_image(victims[0].1.spec().image), "image cache lost on failure");
+        assert!(!n.image_cache.contains(&victims[0].1.spec().image), "image cache lost on failure");
         let mut now = SimTime::ZERO;
         tick(&mut n, &mut now, 1000);
         assert_eq!(n.last_sample().power_watts, 0.0);

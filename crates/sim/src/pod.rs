@@ -130,12 +130,6 @@ impl PodSpec {
         self.allow_growth = allow;
         self
     }
-
-    /// Override the QoS class.
-    pub fn with_qos(mut self, qos: QosClass) -> Self {
-        self.qos = qos;
-        self
-    }
 }
 
 /// Lifecycle state of a pod.

@@ -85,11 +85,6 @@ impl EnergyMeter {
     pub fn joules(&self) -> f64 {
         self.joules
     }
-
-    /// Total energy in watt-hours.
-    pub fn watt_hours(&self) -> f64 {
-        self.joules / 3600.0
-    }
 }
 
 #[cfg(test)]
@@ -166,6 +161,5 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.add(100.0, SimDuration::from_secs(36));
         assert!((m.joules() - 3600.0).abs() < 1e-9);
-        assert!((m.watt_hours() - 1.0).abs() < 1e-9);
     }
 }

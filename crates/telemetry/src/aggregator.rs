@@ -20,12 +20,7 @@ pub struct UtilizationAggregator {
 }
 
 impl UtilizationAggregator {
-    /// The paper's operating point: 1 ms heartbeat, 5 s sliding window.
-    pub fn paper_default() -> Self {
-        Self::new(SimDuration::from_millis(1), SimDuration::from_secs(5))
-    }
-
-    /// Custom heartbeat and window.
+    /// Aggregator with the given heartbeat and sliding window.
     pub fn new(heartbeat: SimDuration, window: SimDuration) -> Self {
         assert!(!heartbeat.is_zero(), "heartbeat must be positive");
         UtilizationAggregator { heartbeat, window, next_due: None }
@@ -64,15 +59,6 @@ impl UtilizationAggregator {
         let hb_us = self.heartbeat.as_micros().max(1);
         self.next_due = Some(SimTime::from_micros((now.as_micros() / hb_us + 1) * hb_us));
         snapshot_of(cluster)
-    }
-
-    /// Build a snapshot only if the heartbeat has elapsed.
-    pub fn query_if_due(&mut self, cluster: &Cluster) -> Option<ClusterSnapshot> {
-        if self.due(cluster.now()) {
-            Some(self.query(cluster))
-        } else {
-            None
-        }
     }
 
     /// Push the next heartbeat back by `by` (an injected head-node /
@@ -149,18 +135,28 @@ mod tests {
         Cluster::new(cfg)
     }
 
+    /// Query only when the heartbeat is due, as the orchestrator does;
+    /// returns whether a snapshot was taken.
+    fn poll(agg: &mut UtilizationAggregator, c: &Cluster) -> bool {
+        let due = agg.due(c.now());
+        if due {
+            agg.query(c);
+        }
+        due
+    }
+
     #[test]
     fn heartbeat_gating() {
         let mut c = cluster();
         let mut agg =
             UtilizationAggregator::new(SimDuration::from_millis(100), SimDuration::from_secs(5));
         assert!(agg.due(c.now()));
-        assert!(agg.query_if_due(&c).is_some());
+        assert!(poll(&mut agg, &c));
         assert!(!agg.due(c.now()));
         c.step(SimDuration::from_millis(50));
-        assert!(agg.query_if_due(&c).is_none());
+        assert!(!poll(&mut agg, &c));
         c.step(SimDuration::from_millis(50));
-        assert!(agg.query_if_due(&c).is_some());
+        assert!(poll(&mut agg, &c));
     }
 
     #[test]
@@ -174,7 +170,7 @@ mod tests {
             UtilizationAggregator::new(SimDuration::from_millis(100), SimDuration::from_secs(5));
         let mut fires = Vec::new();
         for _ in 0..101 {
-            if agg.query_if_due(&c).is_some() {
+            if poll(&mut agg, &c) {
                 fires.push(c.now().as_micros());
             }
             c.step(SimDuration::from_millis(30));
@@ -242,22 +238,15 @@ mod tests {
         for _ in 0..25 {
             c.step(SimDuration::from_millis(10));
             if c.now() < SimTime::from_millis(250) {
-                assert!(agg.query_if_due(&c).is_none(), "due too early at {:?}", c.now());
+                assert!(!poll(&mut agg, &c), "due too early at {:?}", c.now());
             }
         }
-        assert!(agg.query_if_due(&c).is_some());
+        assert!(poll(&mut agg, &c));
         // Postponing before the first heartbeat anchors on `now`.
         let mut fresh =
             UtilizationAggregator::new(SimDuration::from_millis(100), SimDuration::from_secs(5));
         fresh.postpone(SimTime::ZERO, SimDuration::from_millis(50));
         assert!(!fresh.due(SimTime::from_millis(40)));
         assert!(fresh.due(SimTime::from_millis(50)));
-    }
-
-    #[test]
-    fn paper_default_operating_point() {
-        let agg = UtilizationAggregator::paper_default();
-        assert_eq!(agg.heartbeat(), SimDuration::from_millis(1));
-        assert_eq!(agg.window(), SimDuration::from_secs(5));
     }
 }

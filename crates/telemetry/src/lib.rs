@@ -29,4 +29,4 @@ pub mod tsdb;
 
 pub use aggregator::UtilizationAggregator;
 pub use snapshot::{ClusterSnapshot, NodeView, PodView};
-pub use tsdb::{SeriesStats, TimeSeriesDb, TsdbConfig, TsdbState, TsdbWriter};
+pub use tsdb::{TimeSeriesDb, TsdbConfig, TsdbState, TsdbWriter};

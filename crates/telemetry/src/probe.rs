@@ -11,18 +11,14 @@ use knots_sim::ids::NodeId;
 use knots_sim::metrics::GpuSample;
 use knots_sim::pod::PodState;
 
-/// Sample every node (and resident pod) of the cluster into the store.
+/// Sample every node (and resident pod) of the cluster into the store,
+/// through a per-node interposition hook — the seam the chaos layer uses to
+/// model probe dropouts and sample corruption without the telemetry crate
+/// knowing about fault plans.
 ///
 /// Call once per heartbeat, after `Cluster::step`. Failed nodes are skipped
 /// entirely: a dead agent reports nothing, so its series simply goes stale
 /// rather than filling with fabricated zeros.
-pub fn sample_cluster(cluster: &Cluster, db: &TimeSeriesDb) {
-    sample_cluster_with(cluster, db, |_, s| Some(s));
-}
-
-/// [`sample_cluster`] with a per-node interposition hook — the seam the
-/// chaos layer uses to model probe dropouts and sample corruption without
-/// the telemetry crate knowing about fault plans.
 ///
 /// For each live node the hook receives the would-be sample and returns
 /// `Some(sample)` to record it (possibly altered) or `None` to drop this
@@ -64,6 +60,11 @@ mod tests {
     use knots_sim::profile::ResourceProfile;
     use knots_sim::resources::GpuModel;
     use knots_sim::time::{SimDuration, SimTime};
+
+    /// Probe without interposition: every live node's sample is recorded.
+    fn sample_cluster(cluster: &Cluster, db: &TimeSeriesDb) {
+        sample_cluster_with(cluster, db, |_, s| Some(s));
+    }
 
     #[test]
     fn probe_records_node_and_pod_series() {

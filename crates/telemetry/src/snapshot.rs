@@ -52,18 +52,6 @@ pub struct NodeView {
     pub waking: bool,
 }
 
-impl NodeView {
-    /// Number of resident pods — the queue-length signal from §IV-B.
-    pub fn queue_len(&self) -> usize {
-        self.pods.len()
-    }
-
-    /// True when the node hosts no pods and is awake.
-    pub fn is_idle(&self) -> bool {
-        !self.asleep && self.pods.is_empty()
-    }
-}
-
 /// A consistent snapshot of every node, produced once per heartbeat.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterSnapshot {
@@ -177,7 +165,7 @@ mod tests {
         let s = snap();
         assert!(s.node(NodeId(3)).is_some());
         assert!(s.node(NodeId(9)).is_none());
-        assert!(s.node(NodeId(1)).unwrap().is_idle());
+        assert!(s.node(NodeId(1)).unwrap().pods.is_empty());
     }
 
     #[test]

@@ -19,10 +19,7 @@
 //!   event-driven loop leans on this — a multi-tick quiet span costs the
 //!   same as a single push.
 //! * **Pushes only touch the ring**: a push is a finite-value check plus a
-//!   run extend-or-append. Summary statistics ([`SeriesStats`]) are
-//!   computed on demand by a Welford rescan of the retained samples — they
-//!   are diagnostic reads (tests, tools), never on the per-tick or
-//!   per-heartbeat path.
+//!   run extend-or-append; the store keeps no per-series summary to update.
 //! * **Copy-into-scratch** queries (`*_series_into`) extend a caller-owned
 //!   buffer under the read lock one run at a time, so hot callers reuse one
 //!   allocation across heartbeats and constant stretches decode as a
@@ -50,68 +47,6 @@ pub struct TsdbConfig {
 impl Default for TsdbConfig {
     fn default() -> Self {
         TsdbConfig { node_capacity: 8192, pod_capacity: 8192 }
-    }
-}
-
-/// Count/mean/M2 summary of a series, built with Welford's online update.
-///
-/// The store computes these on demand by rescanning the retained ring, so
-/// the summary always describes exactly the samples currently retained.
-/// `push`/`evict` remain available for callers maintaining their own
-/// incremental summaries; the inverse update is subject to ordinary
-/// floating-point cancellation, so `m2` is clamped at zero.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SeriesStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl SeriesStats {
-    /// Number of samples currently summarized.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the retained samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance of the retained samples (0 when `count < 2`).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0)
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Welford push.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Inverse Welford update: remove one previously-pushed sample.
-    pub fn evict(&mut self, x: f64) {
-        match self.count {
-            0 => {}
-            1 => *self = SeriesStats::default(),
-            n => {
-                self.count = n - 1;
-                let old_mean = self.mean;
-                self.mean = (n as f64 * old_mean - x) / (n - 1) as f64;
-                self.m2 = (self.m2 - (x - self.mean) * (x - old_mean)).max(0.0);
-            }
-        }
     }
 }
 
@@ -243,11 +178,6 @@ impl<V: Copy> RleRing<V> {
         self.runs.back().map(|r| (r.last_at(), &r.v))
     }
 
-    /// Every retained value, oldest first, one item per logical sample.
-    fn values(&self) -> impl Iterator<Item = &V> {
-        self.runs.iter().flat_map(|r| std::iter::repeat_n(&r.v, r.n as usize))
-    }
-
     /// Visit the runs overlapping `start <= at <= now`, oldest first, as
     /// `(first_at, dt, count, value)` — the caller decodes each run with
     /// one value read. Runs are time-monotone (`run[i].last_at <=
@@ -318,15 +248,6 @@ struct PodEntry {
     ring: RleRing<Usage>,
     /// Samples skipped because a usage value was NaN/Inf.
     rejected: u64,
-}
-
-/// Welford rescan over an iterator of values.
-fn stats_over(values: impl Iterator<Item = f64>) -> SeriesStats {
-    let mut s = SeriesStats::default();
-    for v in values {
-        s.push(v);
-    }
-    s
 }
 
 /// Grow-on-demand slot table: return the entry at `i`, creating it (and any
@@ -577,26 +498,6 @@ impl TimeSeriesDb {
         self.pod_part(pod).read().pod(pod).map_or(0, |e| e.ring.len)
     }
 
-    /// Summary statistics of one node metric over the *retained ring* (not
-    /// the query window), computed on demand by a Welford rescan. This is
-    /// a diagnostic read — O(ring), never on the per-tick probe path.
-    pub fn node_stats(&self, node: NodeId, metric: Metric) -> Option<SeriesStats> {
-        self.node_part(node)
-            .read()
-            .node(node)
-            .map(|e| stats_over(e.ring.values().map(|s| s.get(metric))))
-    }
-
-    /// Summary statistics of a pod's retained memory series.
-    pub fn pod_mem_stats(&self, pod: PodId) -> Option<SeriesStats> {
-        self.pod_part(pod).read().pod(pod).map(|e| stats_over(e.ring.values().map(|u| u.mem_mb)))
-    }
-
-    /// Summary statistics of a pod's retained SM-share series.
-    pub fn pod_sm_stats(&self, pod: PodId) -> Option<SeriesStats> {
-        self.pod_part(pod).read().pod(pod).map(|e| stats_over(e.ring.values().map(|u| u.sm_frac)))
-    }
-
     /// The most recent node sample, if any.
     pub fn latest_node(&self, node: NodeId) -> Option<GpuSample> {
         self.node_part(node)
@@ -657,45 +558,6 @@ impl TimeSeriesDb {
         out.len()
     }
 
-    /// Pod usage samples within the trailing window, oldest first.
-    pub fn pod_window(
-        &self,
-        pod: PodId,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Vec<(SimTime, Usage)> {
-        let start = SimTime(now.0.saturating_sub(window.0));
-        let mut out = Vec::new();
-        if let Some(e) = self.pod_part(pod).read().pod(pod) {
-            e.ring.window_runs(start, now, |at0, dt, n, v| {
-                for i in 0..n {
-                    out.push((SimTime(at0.0 + dt.0 * i), *v));
-                }
-            });
-        }
-        out
-    }
-
-    /// A pod's usage-derived series over the trailing window, into a
-    /// caller-owned scratch buffer. Clears `out`; returns the sample count.
-    fn pod_series_into(
-        &self,
-        pod: PodId,
-        now: SimTime,
-        window: SimDuration,
-        out: &mut Vec<f64>,
-        get: impl Fn(&Usage) -> f64,
-    ) -> usize {
-        out.clear();
-        let start = SimTime(now.0.saturating_sub(window.0));
-        if let Some(e) = self.pod_part(pod).read().pod(pod) {
-            e.ring.window_runs(start, now, |_, _, n, v| {
-                out.extend(std::iter::repeat_n(get(v), n as usize));
-            });
-        }
-        out.len()
-    }
-
     /// A pod's memory series over the trailing window.
     pub fn pod_mem_series(&self, pod: PodId, now: SimTime, window: SimDuration) -> Vec<f64> {
         let mut out = Vec::new();
@@ -704,6 +566,7 @@ impl TimeSeriesDb {
     }
 
     /// [`TimeSeriesDb::pod_mem_series`] into a caller-owned scratch buffer.
+    /// Clears `out`; returns the sample count.
     pub fn pod_mem_series_into(
         &self,
         pod: PodId,
@@ -711,21 +574,14 @@ impl TimeSeriesDb {
         window: SimDuration,
         out: &mut Vec<f64>,
     ) -> usize {
-        self.pod_series_into(pod, now, window, out, |u| u.mem_mb)
-    }
-
-    /// A pod's SM-share series over the trailing window.
-    pub fn pod_sm_series(&self, pod: PodId, now: SimTime, window: SimDuration) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.pod_series_into(pod, now, window, &mut out, |u| u.sm_frac);
-        out
-    }
-
-    /// A pod's total-bandwidth series over the trailing window.
-    pub fn pod_bw_series(&self, pod: PodId, now: SimTime, window: SimDuration) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.pod_series_into(pod, now, window, &mut out, |u| u.total_bw_mbps());
-        out
+        out.clear();
+        let start = SimTime(now.0.saturating_sub(window.0));
+        if let Some(e) = self.pod_part(pod).read().pod(pod) {
+            e.ring.window_runs(start, now, |_, _, n, v| {
+                out.extend(std::iter::repeat_n(v.mem_mb, n as usize));
+            });
+        }
+        out.len()
     }
 
     /// Clear everything (between experiment repetitions).
@@ -863,6 +719,20 @@ mod tests {
         GpuSample { at: SimTime::from_millis(ms), sm_util: sm, ..Default::default() }
     }
 
+    /// Every sample of a node's window as `(at, metric bits)`, so equality
+    /// is bitwise (`-0.0 != 0.0`) rather than numeric.
+    fn window_bits(
+        db: &TimeSeriesDb,
+        node: NodeId,
+        now: SimTime,
+        w: SimDuration,
+    ) -> Vec<(SimTime, [u64; 5])> {
+        db.node_window(node, now, w)
+            .iter()
+            .map(|g| (g.at, Metric::ALL.map(|m| g.get(m).to_bits())))
+            .collect()
+    }
+
     #[test]
     fn push_and_window_query() {
         let db = TimeSeriesDb::default();
@@ -881,10 +751,14 @@ mod tests {
         let db = TimeSeriesDb::new(TsdbConfig { node_capacity: 10, pod_capacity: 4 });
         for i in 0..25 {
             db.push_node(NodeId(1), sample(i, 0.0));
+            db.push_pod(PodId(2), SimTime::from_millis(i), Usage::new(0.2, i as f64, 0.0, 0.0));
         }
         assert_eq!(db.node_len(NodeId(1)), 10);
         let w = db.node_window(NodeId(1), SimTime::from_millis(30), SimDuration::from_secs(10));
         assert_eq!(w.first().unwrap().at, SimTime::from_micros(15_000));
+        assert_eq!(db.pod_len(PodId(2)), 4);
+        let mem = db.pod_mem_series(PodId(2), SimTime::from_millis(30), SimDuration::from_secs(10));
+        assert_eq!(mem, vec![21.0, 22.0, 23.0, 24.0]);
     }
 
     #[test]
@@ -931,71 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn rolling_stats_track_the_retained_ring() {
-        // Capacity 8: pushes 0..50 keep only the last 8; the Welford
-        // summary (push + inverse-update eviction) must match a rescan.
-        let db = TimeSeriesDb::new(TsdbConfig { node_capacity: 8, pod_capacity: 8 });
-        for i in 0..50u64 {
-            db.push_node(NodeId(0), sample(i, i as f64 * 0.7));
-            db.push_pod(PodId(1), SimTime::from_millis(i), Usage::new(0.2, i as f64, 0.0, 0.0));
-        }
-        let retained: Vec<f64> = (42..50).map(|i| i as f64 * 0.7).collect();
-        let naive_mean = retained.iter().sum::<f64>() / retained.len() as f64;
-        let naive_var =
-            retained.iter().map(|x| (x - naive_mean).powi(2)).sum::<f64>() / retained.len() as f64;
-        let s = db.node_stats(NodeId(0), Metric::SmUtil).unwrap();
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - naive_mean).abs() < 1e-9, "{} vs {naive_mean}", s.mean());
-        assert!((s.variance() - naive_var).abs() < 1e-9, "{} vs {naive_var}", s.variance());
-        let p = db.pod_mem_stats(PodId(1)).unwrap();
-        assert_eq!(p.count(), 8);
-        assert!((p.mean() - 45.5).abs() < 1e-9);
-        assert!(db.pod_sm_stats(PodId(1)).unwrap().count() == 8);
-    }
-
-    #[test]
-    fn rolling_stats_survive_long_evict_cycles() {
-        // Seeded-LCG fuzz: thousands of push/evict cycles with values of
-        // mixed magnitude must not drift the incremental summary off a
-        // fresh rescan of the retained window.
-        let mut state = 0x2545_f491_4f6c_dd1d_u64;
-        let mut lcg = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 1000.0
-        };
-        let db = TimeSeriesDb::new(TsdbConfig { node_capacity: 32, pod_capacity: 32 });
-        let mut pushed = Vec::new();
-        for i in 0..5000u64 {
-            let v = lcg();
-            pushed.push(v);
-            db.push_node(NodeId(0), sample(i, v));
-        }
-        let tail = &pushed[pushed.len() - 32..];
-        let mean = tail.iter().sum::<f64>() / 32.0;
-        let var = tail.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / 32.0;
-        let s = db.node_stats(NodeId(0), Metric::SmUtil).unwrap();
-        assert!((s.mean() - mean).abs() / mean.abs() < 1e-6, "{} vs {mean}", s.mean());
-        assert!((s.variance() - var).abs() / var < 1e-6, "{} vs {var}", s.variance());
-    }
-
-    #[test]
-    fn stats_degenerate_cases() {
-        let mut s = SeriesStats::default();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        s.evict(1.0); // evicting from empty is a no-op
-        assert_eq!(s.count(), 0);
-        s.push(5.0);
-        assert_eq!(s.variance(), 0.0);
-        s.evict(5.0);
-        assert_eq!(s, SeriesStats::default());
-        let db = TimeSeriesDb::default();
-        assert!(db.node_stats(NodeId(0), Metric::SmUtil).is_none());
-        assert!(db.pod_mem_stats(PodId(0)).is_none());
-    }
-
-    #[test]
     fn pod_series_round_trip() {
         let db = TimeSeriesDb::default();
         for i in 0..10u64 {
@@ -1009,11 +818,9 @@ mod tests {
         let mem = db.pod_mem_series(PodId(7), SimTime::from_millis(9), SimDuration::from_secs(1));
         assert_eq!(mem.len(), 10);
         assert_eq!(mem[9], 109.0);
-        let bw = db.pod_bw_series(PodId(7), SimTime::from_millis(9), SimDuration::from_secs(1));
-        assert!(bw.iter().all(|&b| (b - 3.0).abs() < 1e-12));
         db.forget_pod(PodId(7));
         assert_eq!(db.pod_len(PodId(7)), 0);
-        assert!(db.pod_mem_stats(PodId(7)).is_none(), "forget drops the rolling stats too");
+        assert_eq!(db.pod_last_at(PodId(7)), None, "forget drops the whole series");
     }
 
     #[test]
@@ -1023,11 +830,16 @@ mod tests {
         assert!(!db.push_node(NodeId(0), sample(1, f64::NAN)));
         assert!(!db.push_node(NodeId(0), sample(2, f64::INFINITY)));
         assert!(db.push_node(NodeId(0), sample(3, 0.6)));
-        // Only the two finite samples are retained; stats stay finite.
+        // Only the two finite samples are retained.
         assert_eq!(db.node_len(NodeId(0)), 2);
         assert_eq!(db.node_rejected(NodeId(0)), 2);
-        let s = db.node_stats(NodeId(0), Metric::SmUtil).unwrap();
-        assert!((s.mean() - 0.5).abs() < 1e-12);
+        let s = db.node_series(
+            NodeId(0),
+            Metric::SmUtil,
+            SimTime::from_millis(3),
+            SimDuration::from_secs(1),
+        );
+        assert_eq!(s, vec![0.4, 0.6]);
         // Freshness reflects the last *accepted* sample.
         assert_eq!(db.node_last_at(NodeId(0)), Some(SimTime::from_millis(3)));
 
@@ -1062,7 +874,7 @@ mod tests {
             .node_window(NodeId(3), SimTime::from_secs(1), SimDuration::from_secs(1))
             .is_empty());
         assert!(db.latest_node(NodeId(3)).is_none());
-        assert_eq!(db.pod_sm_series(PodId(1), SimTime::ZERO, SimDuration::from_secs(1)).len(), 0);
+        assert!(db.pod_mem_series(PodId(1), SimTime::ZERO, SimDuration::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -1073,7 +885,7 @@ mod tests {
         db.clear();
         assert_eq!(db.node_len(NodeId(0)), 0);
         assert_eq!(db.pod_len(PodId(0)), 0);
-        assert!(db.node_stats(NodeId(0), Metric::SmUtil).is_none());
+        assert!(db.latest_node(NodeId(0)).is_none());
     }
 
     #[test]
@@ -1095,14 +907,7 @@ mod tests {
         b.push_node(NodeId(0), sample(40, f64::NAN));
         let now = SimTime::from_millis(39);
         let w = SimDuration::from_secs(1);
-        assert_eq!(
-            a.node_series(NodeId(0), Metric::SmUtil, now, w),
-            b.node_series(NodeId(0), Metric::SmUtil, now, w)
-        );
-        assert_eq!(
-            a.node_stats(NodeId(0), Metric::SmUtil),
-            b.node_stats(NodeId(0), Metric::SmUtil)
-        );
+        assert_eq!(window_bits(&a, NodeId(0), now, w), window_bits(&b, NodeId(0), now, w));
         assert_eq!(a.node_rejected(NodeId(0)), b.node_rejected(NodeId(0)));
         assert_eq!(a.pod_mem_series(PodId(1), now, w), b.pod_mem_series(PodId(1), now, w));
     }
@@ -1111,7 +916,7 @@ mod tests {
     fn span_backfill_matches_per_tick_pushes() {
         // 12 quiet ticks through push_node_span must equal 12 individual
         // pushes of the same constant sample with advancing timestamps —
-        // including ring eviction and retained-sample stats.
+        // including ring eviction, down to the bits of every retained sample.
         let a = TimeSeriesDb::new(TsdbConfig { node_capacity: 8, pod_capacity: 8 });
         let b = TimeSeriesDb::new(TsdbConfig { node_capacity: 8, pod_capacity: 8 });
         let dt = SimDuration::from_millis(10);
@@ -1131,17 +936,8 @@ mod tests {
         }
         let now = start + dt * 12;
         let w = SimDuration::from_secs(5);
-        let wa = a.node_window(NodeId(3), now, w);
-        let wb = b.node_window(NodeId(3), now, w);
-        assert_eq!(wa.len(), wb.len());
-        for (x, y) in wa.iter().zip(wb.iter()) {
-            assert_eq!(x.at, y.at);
-            assert_eq!(x.power_watts, y.power_watts);
-        }
-        assert_eq!(
-            a.node_stats(NodeId(3), Metric::PowerWatts),
-            b.node_stats(NodeId(3), Metric::PowerWatts)
-        );
+        assert_eq!(a.node_len(NodeId(3)), 8);
+        assert_eq!(window_bits(&a, NodeId(3), now, w), window_bits(&b, NodeId(3), now, w));
         assert_eq!(a.node_last_at(NodeId(3)), b.node_last_at(NodeId(3)));
     }
 

@@ -22,16 +22,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Scale of the original trace, for reference and for full-size synthesis.
+/// Scale of the original trace, for full-size synthesis.
 pub mod trace_scale {
-    /// Machines in the Alibaba 2017 trace.
-    pub const MACHINES: usize = 1300;
-    /// Batch jobs over the 12 h window.
-    pub const BATCH_JOBS: usize = 12_951;
     /// Latency-critical containers.
     pub const LC_CONTAINERS: usize = 11_089;
-    /// Trace duration in hours.
-    pub const HOURS: u64 = 12;
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Small, dependency-free samplers built on `rand::Rng` via inverse-
 //! transform and Box-Muller. (The approved crate list contains `rand` but
-//! not `rand_distr`; these four distributions are all the generators need.)
+//! not `rand_distr`; these three distributions are all the generators need.)
 
 use rand::Rng;
 
@@ -14,14 +14,6 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Pareto variate with scale `xm > 0` and shape `alpha > 0`.
-/// Heavy-tailed: used for the 80/20 short/long job split (§III).
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, xm: f64, alpha: f64) -> f64 {
-    assert!(xm > 0.0 && alpha > 0.0);
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    xm / u.powf(1.0 / alpha)
-}
-
 /// Standard normal via Box-Muller.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -32,11 +24,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std: f64) -> f64 {
 /// Log-normal with the given parameters of the underlying normal.
 pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
-}
-
-/// A value clamped into `[lo, hi]`.
-pub fn clamped<R: Rng + ?Sized>(v: f64, lo: f64, hi: f64, _rng: &mut R) -> f64 {
-    v.clamp(lo, hi)
 }
 
 #[cfg(test)]
@@ -55,19 +42,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| exponential(&mut r, 2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
-    }
-
-    #[test]
-    fn pareto_respects_scale_and_tail() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..20_000).map(|_| pareto(&mut r, 1.0, 1.16)).collect();
-        assert!(xs.iter().all(|&x| x >= 1.0));
-        // ~80/20: with alpha≈1.16 the top 20% hold most of the mass.
-        let mut sorted = xs.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let total: f64 = sorted.iter().sum();
-        let top20: f64 = sorted[(0.8 * sorted.len() as f64) as usize..].iter().sum();
-        assert!(top20 / total > 0.6, "top-20% share {}", top20 / total);
     }
 
     #[test]

@@ -114,16 +114,6 @@ impl LoadGenerator {
         out.sort_by_key(|s| s.at);
         out
     }
-
-    /// Pareto sanity metric: the fraction of *pods* that are short-lived
-    /// (latency-critical). The paper's cut keeps ~80% of jobs short.
-    pub fn short_lived_fraction(schedule: &[ScheduledPod]) -> f64 {
-        if schedule.is_empty() {
-            return 0.0;
-        }
-        let lc = schedule.iter().filter(|s| s.spec.qos.is_latency_critical()).count();
-        lc as f64 / schedule.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +135,11 @@ mod tests {
 
     #[test]
     fn pareto_split_keeps_most_pods_short_lived() {
+        // The paper's cut keeps ~80% of pods short-lived (latency-critical).
         for mix in AppMix::ALL {
             let s = schedule(mix);
-            let frac = LoadGenerator::short_lived_fraction(&s);
+            let lc = s.iter().filter(|p| p.spec.qos.is_latency_critical()).count();
+            let frac = lc as f64 / s.len() as f64;
             assert!(frac > 0.70, "{mix}: short-lived fraction {frac}");
         }
     }

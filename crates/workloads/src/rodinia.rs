@@ -198,12 +198,6 @@ impl RodiniaApp {
         }
     }
 
-    /// Solo runtime at the given scale, seconds.
-    pub fn solo_secs(self, scale: f64) -> f64 {
-        let s = self.shape();
-        s.cycles as f64 * s.cycle_secs * scale
-    }
-
     /// Build the application's resource profile.
     ///
     /// `scale` stretches each cycle (scale 1.0 gives runs of ~10–40 s,
@@ -312,7 +306,6 @@ mod tests {
         let a = RodiniaApp::Lud.profile(1.0).total_work();
         let b = RodiniaApp::Lud.profile(2.0).total_work();
         assert!((b - 2.0 * a).abs() < 1e-9);
-        assert!((RodiniaApp::Lud.solo_secs(1.0) - a).abs() < 1e-9);
     }
 
     #[test]
