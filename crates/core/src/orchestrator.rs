@@ -29,13 +29,16 @@ use crate::config::OrchestratorConfig;
 use crate::metrics::{FaultStats, JctStats, RecoveryStats, RunReport, SkippedAction};
 use knots_chaos::{ChaosAction, ChaosEngine, ChaosEngineState, FaultPlan};
 use knots_obs::{Event, FieldValue, Histogram, Obs, Severity, Track};
+use knots_sched::context::app_key_str;
 use knots_sched::{Action, PendingPodView, SchedContext, Scheduler, SuspendedPodView};
 use knots_sim::cluster::{Cluster, ClusterConfig, ClusterState};
 use knots_sim::error::SimError;
 use knots_sim::events::EventKind;
 use knots_sim::pod::QosClass;
 use knots_sim::time::SimTime;
-use knots_telemetry::{probe, TimeSeriesDb, TsdbConfig, TsdbState, UtilizationAggregator};
+use knots_telemetry::{
+    probe, ClusterSnapshot, TimeSeriesDb, TsdbConfig, TsdbState, UtilizationAggregator,
+};
 use knots_trace::{LifecycleTracker, PodMeta};
 use knots_workloads::{next_arrival, ScheduledPod};
 use std::collections::BTreeMap;
@@ -92,6 +95,95 @@ fn probe_round(
     })
 }
 
+/// Store `item` at index `i` (at most `v.len()`): overwrite, or append.
+fn put<T>(v: &mut Vec<T>, i: usize, item: T) {
+    match v.get_mut(i) {
+        Some(slot) => *slot = item,
+        None => v.push(item),
+    }
+}
+
+/// Refill the scheduler's pending and suspended pod views (queue order) in
+/// place: names and app keys reuse the previous round's strings, and both
+/// lists truncate to the live counts.
+fn fill_views(
+    cluster: &Cluster,
+    pending: &mut Vec<PendingPodView>,
+    suspended: &mut Vec<SuspendedPodView>,
+) {
+    let mut n = 0;
+    for id in cluster.pending_queue() {
+        let Some(pod) = cluster.pod(id) else { continue };
+        let spec = pod.spec();
+        let (mut name, mut app) = pending
+            .get_mut(n)
+            .map(|v| (std::mem::take(&mut v.name), std::mem::take(&mut v.app)))
+            .unwrap_or_default();
+        name.clone_from(&spec.name);
+        app.clear();
+        app.push_str(app_key_str(&spec.name));
+        let view = PendingPodView {
+            id,
+            name,
+            app,
+            qos: spec.qos,
+            request_mb: spec.request_mb,
+            limit_mb: pod.limit_mb(),
+            greedy_memory: spec.greedy_memory,
+            allow_growth: spec.allow_growth,
+            arrival: pod.arrival(),
+            crashes: pod.crashes(),
+        };
+        put(pending, n, view);
+        n += 1;
+    }
+    pending.truncate(n);
+    let mut n = 0;
+    for id in cluster.suspended_pods() {
+        let Some(pod) = cluster.pod(id) else { continue };
+        let mut app = suspended.get_mut(n).map(|v| std::mem::take(&mut v.app)).unwrap_or_default();
+        app.clear();
+        app.push_str(app_key_str(&pod.spec().name));
+        let view = SuspendedPodView {
+            id,
+            app,
+            qos: pod.spec().qos,
+            limit_mb: pod.limit_mb(),
+            attained_service_secs: pod.attained_service(),
+            arrival: pod.arrival(),
+        };
+        put(suspended, n, view);
+        n += 1;
+    }
+    suspended.truncate(n);
+}
+
+/// Loop metrics counted in plain fields while the run goes and published to
+/// the metrics registry once, by `report` — no registry lock or series-key
+/// allocation per heartbeat or probe. Each `Option` is `Some` exactly when
+/// the per-event write would have created its series. Like the skip
+/// breakdown, the tally describes this process and restarts empty on resume.
+#[derive(Debug, Default)]
+struct LoopTally {
+    /// Pending-queue length of the latest round (`knots_pending_pods`);
+    /// `Some` once a round ran.
+    pending: Option<usize>,
+    /// Round-cache lookups (`knots_stats_cache_{hits,misses}_total`).
+    cache_hits: u64,
+    cache_misses: u64,
+    /// Applied actions by kind (`knots_actions_applied_total{kind}`).
+    applied: BTreeMap<&'static str, u64>,
+    /// Sums of the per-action `mb as u64` truncations
+    /// (`knots_{requested,harvested}_mb_total`).
+    requested_mb: Option<u64>,
+    harvested_mb: Option<u64>,
+    /// Nodes whose probe sample chaos dropped (`knots_probe_dropped_total`).
+    probe_dropped: u64,
+    /// Whether a probe burst ran under chaos, which publishes the TSDB's
+    /// rejected-sample total (`knots_telemetry_rejected_samples_total`).
+    chaos_probed: bool,
+}
+
 /// The orchestrator.
 pub struct KubeKnots {
     cluster: Cluster,
@@ -107,6 +199,14 @@ pub struct KubeKnots {
     /// registry's sorted label order. The registry may be shared with other
     /// runs, so the report's breakdown is counted here, not read back.
     skips: BTreeMap<(&'static str, &'static str), u64>,
+    tally: LoopTally,
+    /// The scheduler's inputs, refilled in place every heartbeat so a
+    /// steady-state round reuses the previous round's buffers.
+    snapshot: ClusterSnapshot,
+    pending: Vec<PendingPodView>,
+    suspended: Vec<SuspendedPodView>,
+    /// Quiet-node mask of the current span, reused across spans.
+    quiet: Vec<bool>,
     util_series: Vec<Vec<f64>>,
     active_util: Vec<f64>,
     next_metric: Option<SimTime>,
@@ -208,6 +308,11 @@ impl KubeKnots {
             chaos_buf: Vec::new(),
             skipped: 0,
             skips: BTreeMap::new(),
+            tally: LoopTally::default(),
+            snapshot: ClusterSnapshot::default(),
+            pending: Vec::new(),
+            suspended: Vec::new(),
+            quiet: Vec::new(),
             util_series: vec![Vec::new(); nodes],
             active_util: Vec::new(),
             next_metric: None,
@@ -353,12 +458,13 @@ impl KubeKnots {
     /// produced the state (its learned state is restored via
     /// [`Scheduler::restore_state`]); `chaos_plan` must be the original
     /// plan when the state carries a chaos cursor. The observability bundle
-    /// (recorder, registry, tracer), the heartbeat-latency histogram and
-    /// the per-kind skip breakdown restart empty (the skip total carries
-    /// over), and the lifecycle tracker starts at the resumed event
-    /// cursor — they describe the process, not the simulation. The per-round
-    /// `StatsCache` is built fresh each heartbeat, so restore invalidates
-    /// it by construction.
+    /// (recorder, registry, tracer), the heartbeat-latency histogram, the
+    /// loop-metric tally and the per-kind skip breakdown restart empty (the
+    /// skip total carries over), and the lifecycle tracker starts at the
+    /// resumed event cursor — they describe the process, not the
+    /// simulation. The per-round `StatsCache` is built fresh each
+    /// heartbeat, so restore invalidates it by construction; the reused
+    /// snapshot and pod views start empty and are derived state anyway.
     pub fn resume(
         mut cluster_cfg: ClusterConfig,
         mut scheduler: Box<dyn Scheduler>,
@@ -410,6 +516,11 @@ impl KubeKnots {
             chaos_buf: Vec::new(),
             skipped: state.skipped as usize,
             skips: BTreeMap::new(),
+            tally: LoopTally::default(),
+            snapshot: ClusterSnapshot::default(),
+            pending: Vec::new(),
+            suspended: Vec::new(),
+            quiet: Vec::new(),
             util_series: state.util_series,
             active_util: state.active_util,
             next_metric: state.next_metric,
@@ -661,21 +772,14 @@ impl KubeKnots {
         }
     }
 
-    /// Fold a probe burst's chaos outcome into the metrics registry: the
-    /// dropped-node count and the TSDB's rejected-sample total. A no-op
+    /// Tally a probe burst's chaos outcome: the dropped-node count, and
+    /// that the TSDB's rejected-sample total is to be published. A no-op
     /// without a chaos engine, where no sample is dropped or corrupted.
-    fn note_probe_faults(&self, dropped: u64) {
-        if self.chaos.is_none() {
-            return;
+    fn note_probe_faults(&mut self, dropped: u64) {
+        if self.chaos.is_some() {
+            self.tally.probe_dropped += dropped;
+            self.tally.chaos_probed = true;
         }
-        if dropped > 0 {
-            self.obs.metrics.add("knots_probe_dropped_total", &[], dropped);
-        }
-        self.obs.metrics.set_gauge(
-            "knots_telemetry_rejected_samples_total",
-            &[],
-            self.tsdb.rejected_total() as f64,
-        );
     }
 
     /// Advance `k` ticks in one cluster span, probing after every tick so
@@ -689,11 +793,13 @@ impl KubeKnots {
     fn advance_span(&mut self, k: u64, arrivals_done: bool) {
         let tick = self.cfg.tick;
         let start = self.cluster.now();
-        let quiet: Vec<bool> = if self.chaos.is_some() {
-            Vec::new()
-        } else {
-            self.cluster.nodes().iter().map(|n| n.is_failed() || n.resident_count() == 0).collect()
-        };
+        let mut quiet = std::mem::take(&mut self.quiet);
+        quiet.clear();
+        if self.chaos.is_none() {
+            quiet.extend(
+                self.cluster.nodes().iter().map(|n| n.is_failed() || n.resident_count() == 0),
+            );
+        }
         let mut dropped = 0u64;
         let executed = {
             let tsdb = &self.tsdb;
@@ -725,6 +831,7 @@ impl KubeKnots {
                 ],
             );
         }
+        self.quiet = quiet;
     }
 
     /// Replay every chaos action due at `now` against the cluster. Errors
@@ -782,51 +889,18 @@ impl KubeKnots {
 
     /// One scheduling round: snapshot, contextualize, decide, apply.
     /// `trace_parent` is the heartbeat instant that triggered this round.
+    /// The snapshot and the pending/suspended views are refilled in place.
     fn schedule_round(&mut self, trace_parent: Option<u64>) {
-        let snapshot = self.aggregator.query(&self.cluster);
-        let pending: Vec<PendingPodView> = self
-            .cluster
-            .pending_queue()
-            .filter_map(|id| {
-                let pod = self.cluster.pod(id)?;
-                let spec = pod.spec();
-                Some(PendingPodView {
-                    id,
-                    name: spec.name.clone(),
-                    app: knots_sched::context::app_key(&spec.name),
-                    qos: spec.qos,
-                    request_mb: spec.request_mb,
-                    limit_mb: pod.limit_mb(),
-                    greedy_memory: spec.greedy_memory,
-                    allow_growth: spec.allow_growth,
-                    arrival: pod.arrival(),
-                    crashes: pod.crashes(),
-                })
-            })
-            .collect();
-        let suspended: Vec<SuspendedPodView> = self
-            .cluster
-            .suspended_pods()
-            .filter_map(|id| {
-                let pod = self.cluster.pod(id)?;
-                Some(SuspendedPodView {
-                    id,
-                    app: knots_sched::context::app_key(&pod.spec().name),
-                    qos: pod.spec().qos,
-                    limit_mb: pod.limit_mb(),
-                    attained_service_secs: pod.attained_service(),
-                    arrival: pod.arrival(),
-                })
-            })
-            .collect();
-        self.obs.metrics.set_gauge("knots_pending_pods", &[], pending.len() as f64);
+        self.aggregator.query_into(&self.cluster, &mut self.snapshot);
+        fill_views(&self.cluster, &mut self.pending, &mut self.suspended);
+        self.tally.pending = Some(self.pending.len());
 
         let actions = {
             let ctx = SchedContext {
                 now: self.cluster.now(),
-                snapshot: &snapshot,
-                pending: &pending,
-                suspended: &suspended,
+                snapshot: &self.snapshot,
+                pending: &self.pending,
+                suspended: &self.suspended,
                 tsdb: &self.tsdb,
                 window: self.cfg.window,
                 recorder: Some(&self.obs.recorder),
@@ -835,11 +909,10 @@ impl KubeKnots {
                 shards: self.cluster.shards(),
             };
             let actions = self.scheduler.decide(&ctx);
-            // The cache dies with the round; fold its effectiveness into the
-            // metrics registry before it goes.
+            // The cache dies with the round; tally its effectiveness first.
             let cs = ctx.cache.stats();
-            self.obs.metrics.add("knots_stats_cache_hits_total", &[], cs.hits);
-            self.obs.metrics.add("knots_stats_cache_misses_total", &[], cs.misses);
+            self.tally.cache_hits += cs.hits;
+            self.tally.cache_misses += cs.misses;
             actions
         };
         self.round += 1;
@@ -852,7 +925,7 @@ impl KubeKnots {
                 vec![
                     ("round", FieldValue::U64(self.round)),
                     ("scheduler", FieldValue::Str(self.scheduler.name().to_string())),
-                    ("pending", FieldValue::U64(pending.len() as u64)),
+                    ("pending", FieldValue::U64(self.pending.len() as u64)),
                     ("actions", FieldValue::U64(actions.len() as u64)),
                 ],
             )
@@ -895,7 +968,7 @@ impl KubeKnots {
             };
             match res {
                 Ok(()) => {
-                    self.obs.metrics.inc("knots_actions_applied_total", &[("kind", kind)]);
+                    *self.tally.applied.entry(kind).or_insert(0) += 1;
                     // The audit link: a pod-track instant tying the decision
                     // that moved this pod back to the deciding round.
                     if self.obs.tracer.enabled() {
@@ -917,10 +990,10 @@ impl KubeKnots {
                     }
                     match mb_delta {
                         Some(("requested", mb)) => {
-                            self.obs.metrics.add("knots_requested_mb_total", &[], mb as u64);
+                            *self.tally.requested_mb.get_or_insert(0) += mb as u64;
                         }
                         Some(("harvested", mb)) if mb > 0.0 => {
-                            self.obs.metrics.add("knots_harvested_mb_total", &[], mb as u64);
+                            *self.tally.harvested_mb.get_or_insert(0) += mb as u64;
                         }
                         _ => {}
                     }
@@ -929,9 +1002,6 @@ impl KubeKnots {
                     self.skipped += 1;
                     let err = error_label(&e);
                     *self.skips.entry((err, kind)).or_insert(0) += 1;
-                    self.obs
-                        .metrics
-                        .inc("knots_actions_skipped_total", &[("kind", kind), ("error", err)]);
                     self.obs.recorder.record(
                         Event::new("orchestrator", "action.skipped")
                             .at(now_us)
@@ -1020,6 +1090,39 @@ impl KubeKnots {
         self.events_seen = events.len();
     }
 
+    /// Publish the run's loop tallies to the metrics registry: counters add
+    /// to whatever the (possibly shared) registry holds, gauges overwrite.
+    fn publish_tally(&self) {
+        let (m, t) = (&self.obs.metrics, &self.tally);
+        if let Some(pending) = t.pending {
+            m.set_gauge("knots_pending_pods", &[], pending as f64);
+            m.add("knots_stats_cache_hits_total", &[], t.cache_hits);
+            m.add("knots_stats_cache_misses_total", &[], t.cache_misses);
+        }
+        for (&kind, &n) in &t.applied {
+            m.add("knots_actions_applied_total", &[("kind", kind)], n);
+        }
+        for (&(error, kind), &n) in &self.skips {
+            m.add("knots_actions_skipped_total", &[("kind", kind), ("error", error)], n);
+        }
+        if let Some(mb) = t.requested_mb {
+            m.add("knots_requested_mb_total", &[], mb);
+        }
+        if let Some(mb) = t.harvested_mb {
+            m.add("knots_harvested_mb_total", &[], mb);
+        }
+        if t.probe_dropped > 0 {
+            m.add("knots_probe_dropped_total", &[], t.probe_dropped);
+        }
+        if t.chaos_probed {
+            m.set_gauge(
+                "knots_telemetry_rejected_samples_total",
+                &[],
+                self.tsdb.rejected_total() as f64,
+            );
+        }
+    }
+
     /// Build the final report.
     fn report(&self, submitted: usize) -> RunReport {
         let mut batch = Vec::new();
@@ -1084,6 +1187,7 @@ impl KubeKnots {
         if self.hb_latency.count() > 0 {
             self.obs.metrics.merge_histogram("knots_heartbeat_latency_us", &[], &self.hb_latency);
         }
+        self.publish_tally();
         let duration = now.saturating_since(SimTime::ZERO);
         let events_per_sim_second = if duration.as_micros() > 0 {
             events_processed as f64 / duration.as_secs_f64()
@@ -1501,5 +1605,122 @@ mod tests {
             );
         }
         assert_eq!(k.obs().metrics.gauge_value("knots_telemetry_stale_series", &[]), Some(0.0));
+    }
+
+    #[test]
+    fn refilled_pod_views_match_fresh_ones() {
+        // The pending queue and the suspended set grow and shrink, and the
+        // view at a given slot changes name length: every in-place refill
+        // must print exactly like views built from empty buffers.
+        let mut c = Cluster::new(quiet(2));
+        let (mut pending, mut suspended) = (Vec::new(), Vec::new());
+        let mut check = |c: &Cluster| {
+            fill_views(c, &mut pending, &mut suspended);
+            let (mut fresh_pending, mut fresh_suspended) = (Vec::new(), Vec::new());
+            fill_views(c, &mut fresh_pending, &mut fresh_suspended);
+            assert_eq!(format!("{pending:?}"), format!("{fresh_pending:?}"));
+            assert_eq!(format!("{suspended:?}"), format!("{fresh_suspended:?}"));
+            (pending.len(), suspended.len())
+        };
+        let submit = |c: &mut Cluster, name: &str| {
+            let spec = PodSpec::batch(name, ResourceProfile::constant(0.2, 500.0, 30.0));
+            c.submit(spec, c.now())
+        };
+        let node = knots_sim::ids::NodeId;
+        assert_eq!(check(&c), (0, 0));
+        let a = submit(&mut c, "a-1");
+        let long = submit(&mut c, "a-much-longer-application-name-12");
+        submit(&mut c, "mid-3");
+        submit(&mut c, "q");
+        assert_eq!(check(&c), (4, 0));
+        c.place(a, node(0)).unwrap();
+        c.place(long, node(0)).unwrap();
+        assert_eq!(check(&c), (2, 0));
+        c.step(SimDuration::from_millis(300));
+        c.preempt(a).unwrap();
+        c.preempt(long).unwrap();
+        assert_eq!(check(&c), (2, 2));
+        c.resume(a, node(1)).unwrap();
+        assert_eq!(check(&c), (2, 1));
+        for name in ["b-1", "b-22", "c-333"] {
+            submit(&mut c, name);
+        }
+        assert_eq!(check(&c), (5, 1));
+        let queued: Vec<_> = c.pending_queue().collect();
+        for id in queued {
+            c.place(id, node(1)).unwrap();
+        }
+        assert_eq!(check(&c), (0, 1));
+        c.resume(long, node(0)).unwrap();
+        assert_eq!(check(&c), (0, 0));
+    }
+
+    #[test]
+    fn loop_metrics_are_published_once_per_run() {
+        // A scheduler that records each round's pending count, driving
+        // CBP+PP. The unplaceable query keeps the queue non-empty to the
+        // end, so the last round's pending count is not trivially zero.
+        struct Spy(CbpPp, std::rc::Rc<std::cell::Cell<usize>>);
+        impl Scheduler for Spy {
+            fn name(&self) -> &'static str {
+                "Spy"
+            }
+            fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
+                self.1.set(ctx.pending.len());
+                self.0.decide(ctx)
+            }
+        }
+        let mut schedule = tiny_schedule();
+        schedule.push(ScheduledPod {
+            at: SimTime::from_millis(1000),
+            spec: PodSpec::latency_critical("huge", ResourceProfile::constant(0.5, 100.0, 0.05))
+                .with_request_mb(20_000.0),
+        });
+        let cfg =
+            OrchestratorConfig { drain_grace: SimDuration::from_secs(8), ..Default::default() };
+        let obs = Obs::disabled();
+        let m = &obs.metrics;
+        let place = || m.counter_value("knots_actions_applied_total", &[("kind", "Place")]);
+        let cache = || {
+            ["knots_stats_cache_hits_total", "knots_stats_cache_misses_total"]
+                .map(|name| m.counter_value(name, &[]))
+        };
+        let last_pending = std::rc::Rc::new(std::cell::Cell::new(usize::MAX));
+        // One leg, paused halfway: placements have happened, but nothing
+        // reaches the registry before the run reports. Returns the leg's
+        // placement events.
+        let run = || {
+            let before = place();
+            let spy = Spy(CbpPp::new(), last_pending.clone());
+            let mut k = KubeKnots::new(quiet(2), Box::new(spy), cfg).with_obs(obs.clone());
+            k.begin(&schedule);
+            assert!(!k.drive(&schedule, Some(SimTime::from_secs(2))), "run must pause");
+            let placed = |k: &KubeKnots| {
+                let events = k.cluster().events().iter();
+                events.filter(|e| matches!(e.kind, EventKind::Placed { .. })).count() as u64
+            };
+            assert!(placed(&k) > 0);
+            assert_eq!(place(), before, "applied actions reached the registry mid-run");
+            assert!(k.drive(&schedule, None));
+            k.report_now(schedule.len());
+            placed(&k)
+        };
+        let placed = run();
+        let applied = place();
+        assert_eq!(applied, placed, "one Place per placement event");
+        assert_eq!(last_pending.get(), 1, "the unplaceable query is still queued");
+        assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
+        let first_cache = cache();
+        assert!(first_cache[1] > 0, "rounds with pending pods build a candidate order");
+        let requested = m.counter_value("knots_requested_mb_total", &[]);
+        assert!(requested > 0);
+
+        // A second, identical leg on the same registry: counters add up,
+        // the gauge holds the latest round.
+        assert_eq!(run(), placed);
+        assert_eq!(place(), 2 * applied);
+        assert_eq!(m.counter_value("knots_requested_mb_total", &[]), 2 * requested);
+        assert_eq!(cache(), first_cache.map(|n| 2 * n));
+        assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
     }
 }

@@ -331,6 +331,9 @@ impl Scheduler for Cbp {
         learn(&mut self.history, ctx);
         let mut actions = growth_actions(ctx);
         actions.extend(resize_actions(&self.history, &self.cfg, ctx));
+        if ctx.pending.is_empty() {
+            return actions; // nothing to place: skip the candidate order
+        }
 
         // Candidate nodes ordered by *measured* free memory, most free
         // first (the real-time signal Knots adds over Res-Ag), merged

@@ -137,7 +137,7 @@ pub fn app_key(name: &str) -> String {
 
 /// [`app_key`] borrowed from the pod name, for per-round lookups that
 /// should not allocate.
-pub(crate) fn app_key_str(name: &str) -> &str {
+pub fn app_key_str(name: &str) -> &str {
     match name.rsplit_once('-') {
         Some((head, tail)) if !head.is_empty() && tail.chars().all(|c| c.is_ascii_digit()) => head,
         _ => name,

@@ -192,6 +192,9 @@ impl Scheduler for CbpPp {
         learn(&mut self.history, ctx);
         let mut actions = growth_actions(ctx);
         actions.extend(resize_actions(&self.history, &self.cfg.cbp, ctx));
+        if ctx.pending.is_empty() {
+            return actions; // nothing to place: skip the candidate order
+        }
 
         // Placement order adapts to load (§VI-B: "PP performs efficient
         // load balancing ... in high-load scenarios along with
@@ -208,7 +211,6 @@ impl Scheduler for CbpPp {
             .active_nodes()
             .map(|n| (n.id, (n.free_provision_mb, n.free_measured_mb)))
             .collect();
-        let mut placed_on: BTreeMap<NodeId, usize> = BTreeMap::new();
         let mut unplaced = false;
 
         for i in service_order(ctx) {
@@ -270,7 +272,6 @@ impl Scheduler for CbpPp {
                 }
                 actions.push(Action::Place { pod: pod.id, node: *node_id });
                 free.insert(*node_id, (prov - limit, meas - limit));
-                *placed_on.entry(*node_id).or_insert(0) += 1;
                 placed = true;
                 break;
             }
@@ -287,7 +288,6 @@ impl Scheduler for CbpPp {
                 actions.push(Action::Wake { node });
             }
         }
-        let _ = placed_on; // retained for future balance diagnostics
         actions
     }
 }

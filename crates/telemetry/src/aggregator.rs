@@ -5,6 +5,11 @@
 //! heartbeat is the central fidelity knob of the whole system: §VI-D shows
 //! prediction accuracy rising from 36% to 84% as the interval shrinks from
 //! 1000 ms to 1 ms (and degrading past that).
+//!
+//! Because the snapshot is rebuilt on every heartbeat, the orchestrator
+//! keeps one and refills it in place ([`UtilizationAggregator::query_into`]):
+//! each node view, its pod list and each pod name reuse last round's
+//! buffers, so a steady-state heartbeat allocates nothing here.
 
 use crate::snapshot::{ClusterSnapshot, NodeView, PodView};
 use knots_sim::cluster::Cluster;
@@ -48,17 +53,24 @@ impl UtilizationAggregator {
         self.next_due
     }
 
-    /// Build a snapshot (unconditionally) and schedule the next due time.
+    /// Refill `snap` (unconditionally) and schedule the next due time.
     /// The next due time snaps to the heartbeat grid (anchored at t=0)
     /// instead of `now + heartbeat`: when the simulation tick doesn't divide
     /// the heartbeat, measuring from the (late) fire time would stretch
     /// every interval to `ceil(heartbeat / tick) * tick` and the cadence
     /// would drift ever further behind the configured rate.
-    pub fn query(&mut self, cluster: &Cluster) -> ClusterSnapshot {
+    pub fn query_into(&mut self, cluster: &Cluster, snap: &mut ClusterSnapshot) {
         let now = cluster.now();
         let hb_us = self.heartbeat.as_micros().max(1);
         self.next_due = Some(SimTime::from_micros((now.as_micros() / hb_us + 1) * hb_us));
-        snapshot_of(cluster)
+        fill_snapshot(cluster, snap);
+    }
+
+    /// [`Self::query_into`] a fresh snapshot.
+    pub fn query(&mut self, cluster: &Cluster) -> ClusterSnapshot {
+        let mut snap = ClusterSnapshot::default();
+        self.query_into(cluster, &mut snap);
+        snap
     }
 
     /// Push the next heartbeat back by `by` (an injected head-node /
@@ -78,46 +90,62 @@ impl UtilizationAggregator {
     }
 }
 
-/// Assemble a [`ClusterSnapshot`] from the cluster's current state: one
-/// view per node, in node order.
+/// Overwrite `snap` with the cluster's current state: one view per node, in
+/// node order. Every field is rewritten, so the result equals a fresh
+/// snapshot; only the buffers (node views, pod lists, pod names) carry
+/// over, truncated to the live counts.
 ///
 /// Failed nodes are omitted entirely — exactly what a real head node sees
 /// when a worker stops answering. Schedulers therefore never place onto a
 /// dead node without needing any fault awareness of their own.
-pub fn snapshot_of(cluster: &Cluster) -> ClusterSnapshot {
+fn fill_snapshot(cluster: &Cluster, snap: &mut ClusterSnapshot) {
     let now = cluster.now();
-    let nodes = cluster
-        .nodes()
-        .iter()
-        .filter(|n| !n.is_failed())
-        .map(|n| {
-            let pods = n
-                .residents()
-                .map(|(id, p)| PodView {
-                    id,
-                    name: p.spec().name.clone(),
-                    qos: p.spec().qos,
-                    limit_mb: p.limit_mb(),
-                    request_mb: p.spec().request_mb,
-                    usage: p.last_usage(),
-                    pulling: matches!(p.state(), PodState::Pulling { .. }),
-                    attained_service_secs: p.attained_service(),
-                })
-                .collect();
-            NodeView {
-                id: n.id(),
-                model: n.gpu().spec().model,
-                capacity_mb: n.gpu().capacity_mb(),
-                free_measured_mb: n.free_measured_mb(),
-                free_provision_mb: n.free_provision_mb(),
-                sample: n.last_sample(),
-                pods,
-                asleep: n.gpu().is_asleep(),
-                waking: n.is_waking(now),
-            }
-        })
-        .collect();
-    ClusterSnapshot { at: now, nodes }
+    snap.at = now;
+    let mut live = 0;
+    for n in cluster.nodes().iter().filter(|n| !n.is_failed()) {
+        let mut pods =
+            snap.nodes.get_mut(live).map(|v| std::mem::take(&mut v.pods)).unwrap_or_default();
+        let mut k = 0;
+        for (id, p) in n.residents() {
+            let mut name = pods.get_mut(k).map(|v| std::mem::take(&mut v.name)).unwrap_or_default();
+            name.clone_from(&p.spec().name);
+            let view = PodView {
+                id,
+                name,
+                qos: p.spec().qos,
+                limit_mb: p.limit_mb(),
+                request_mb: p.spec().request_mb,
+                usage: p.last_usage(),
+                pulling: matches!(p.state(), PodState::Pulling { .. }),
+                attained_service_secs: p.attained_service(),
+            };
+            put(&mut pods, k, view);
+            k += 1;
+        }
+        pods.truncate(k);
+        let view = NodeView {
+            id: n.id(),
+            model: n.gpu().spec().model,
+            capacity_mb: n.gpu().capacity_mb(),
+            free_measured_mb: n.free_measured_mb(),
+            free_provision_mb: n.free_provision_mb(),
+            sample: n.last_sample(),
+            pods,
+            asleep: n.gpu().is_asleep(),
+            waking: n.is_waking(now),
+        };
+        put(&mut snap.nodes, live, view);
+        live += 1;
+    }
+    snap.nodes.truncate(live);
+}
+
+/// Store `item` at index `i` (at most `v.len()`): overwrite, or append.
+fn put<T>(v: &mut Vec<T>, i: usize, item: T) {
+    match v.get_mut(i) {
+        Some(slot) => *slot = item,
+        None => v.push(item),
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +161,12 @@ mod tests {
         let mut cfg = ClusterConfig::homogeneous(3, GpuModel::P100);
         cfg.overheads.cold_start_pull = SimDuration::ZERO;
         Cluster::new(cfg)
+    }
+
+    fn snapshot_of(c: &Cluster) -> ClusterSnapshot {
+        let mut snap = ClusterSnapshot::default();
+        fill_snapshot(c, &mut snap);
+        snap
     }
 
     /// Query only when the heartbeat is due, as the orchestrator does;
@@ -248,5 +282,74 @@ mod tests {
         fresh.postpone(SimTime::ZERO, SimDuration::from_millis(50));
         assert!(!fresh.due(SimTime::from_millis(40)));
         assert!(fresh.due(SimTime::from_millis(50)));
+    }
+
+    /// Refill `reused` in place and check it serializes exactly like a
+    /// freshly built snapshot of the same instant.
+    fn assert_refill_matches(
+        agg: &mut UtilizationAggregator,
+        c: &Cluster,
+        reused: &mut ClusterSnapshot,
+    ) {
+        agg.query_into(c, reused);
+        let fresh = agg.query(c);
+        assert_eq!(
+            serde_json::to_string(reused).unwrap(),
+            serde_json::to_string(&fresh).unwrap(),
+            "refilled snapshot diverged at {:?}",
+            c.now()
+        );
+    }
+
+    #[test]
+    fn refilled_snapshot_matches_a_fresh_one() {
+        // Per-node pod counts grow and shrink, the pod at a given slot
+        // changes name length, and a node fails then recovers: every
+        // refill must equal a fresh snapshot, whatever the buffers held.
+        let mut c = cluster();
+        let mut agg =
+            UtilizationAggregator::new(SimDuration::from_millis(100), SimDuration::from_secs(5));
+        let mut reused = ClusterSnapshot::default();
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        let start = |c: &mut Cluster, name: &str, secs: f64, node: usize| {
+            let spec = PodSpec::batch(name, ResourceProfile::constant(0.2, 1000.0, secs));
+            let id = c.submit(spec, c.now());
+            c.place(id, NodeId(node)).unwrap();
+        };
+        start(&mut c, "a-1", 0.5, 0);
+        start(&mut c, "a-much-longer-application-name-22", 3.0, 0);
+        start(&mut c, "mid-3", 5.0, 1);
+        c.step(SimDuration::from_millis(100));
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        assert_eq!(reused.node(NodeId(0)).unwrap().pods.len(), 2);
+        // The short job finishes: node 0 shrinks and its first slot now
+        // holds the longer name.
+        c.step(SimDuration::from_secs(1));
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        assert_eq!(
+            reused.node(NodeId(0)).unwrap().pods[0].name,
+            "a-much-longer-application-name-22"
+        );
+        // Node 1 fails: the node list shrinks and its resident requeues.
+        c.fail_node(NodeId(1)).unwrap();
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        assert_eq!(reused.nodes.len(), 2);
+        // Node 0 grows past its previous count with short names.
+        for (i, name) in ["b-1", "b-2", "c"].into_iter().enumerate() {
+            start(&mut c, name, 1.0 + i as f64, 0);
+        }
+        c.step(SimDuration::from_millis(100));
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        assert_eq!(reused.node(NodeId(0)).unwrap().pods.len(), 4);
+        // Node 1 recovers and takes a pod again; then everything drains.
+        c.recover_node(NodeId(1)).unwrap();
+        assert_refill_matches(&mut agg, &c, &mut reused);
+        assert_eq!(reused.nodes.len(), 3);
+        start(&mut c, "late-100", 0.3, 1);
+        for _ in 0..60 {
+            c.step(SimDuration::from_millis(100));
+            assert_refill_matches(&mut agg, &c, &mut reused);
+        }
+        assert!(reused.nodes.iter().all(|n| n.pods.is_empty()), "cluster should drain");
     }
 }

@@ -53,7 +53,7 @@ pub struct NodeView {
 }
 
 /// A consistent snapshot of every node, produced once per heartbeat.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusterSnapshot {
     /// When the snapshot was taken.
     pub at: SimTime,
@@ -95,11 +95,11 @@ impl ClusterSnapshot {
 
     /// Cluster-wide mean SM utilization over awake nodes.
     pub fn mean_active_sm_util(&self) -> f64 {
-        let active: Vec<f64> = self.active_nodes().map(|n| n.sample.sm_util).collect();
-        if active.is_empty() {
+        let active = self.active_nodes().count();
+        if active == 0 {
             0.0
         } else {
-            active.iter().sum::<f64>() / active.len() as f64
+            self.active_nodes().map(|n| n.sample.sm_util).sum::<f64>() / active as f64
         }
     }
 }
