@@ -303,7 +303,6 @@ pub fn analyze_source(rel: &str, src: &str) -> FileAnalysis {
     let tree = crate::parser::parse(&lexed.toks);
     let edges = crate::conc::scan(&lexed.toks, &tree, &lexed.comments, &ctx, &regions, &mut raw);
     crate::events::scan(&lexed.toks, &tree, &ctx, &regions, &mut raw);
-    crate::shardmerge::scan(&lexed.toks, &tree, &ctx, &regions, &mut raw);
     let types = crate::snapreach::collect(&ctx, &lexed.toks, &regions);
     let (pragmas, pragma_diags) = parse_pragmas(&lexed.comments, rel);
     FileAnalysis { rel: rel.to_string(), raw, edges, types, pragmas, pragma_diags }

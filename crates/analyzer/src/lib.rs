@@ -43,7 +43,6 @@ pub mod lockgraph;
 pub mod parser;
 pub mod rules;
 pub mod selfcheck;
-pub mod shardmerge;
 pub mod snapreach;
 
 pub use diag::{Diagnostic, Severity};

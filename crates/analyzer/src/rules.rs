@@ -15,7 +15,6 @@
 //! | C4 | no `try_recv`/`recv_timeout`/`try_iter` channel drains in decision crates |
 //! | E1 | no tick quantization (div / `div_ceil` by the tick) or wall clock inside event handlers (`on_*`/`handle_*` fns in `sim`/`core`) |
 //! | R1 | no `HashMap`/`HashSet`/`Instant` fields in types reachable from the control-plane snapshot (`Snapshot`/`OrchestratorState`) |
-//! | S1 | no unordered collections or channel receives (arrival-order joins) inside shard-merge code paths (`*shard*`/`*merge*`/`*rollup*` fns in decision crates) |
 //!
 //! D–M matching is purely token-shaped: strings, comments and
 //! `#[cfg(test)]` regions were already stripped or marked by the
@@ -46,7 +45,7 @@ pub struct Rule {
 }
 
 /// Every rule the engine knows, in reporting order.
-pub const RULES: [Rule; 14] = [
+pub const RULES: [Rule; 13] = [
     Rule {
         id: "D1",
         severity: Severity::Deny,
@@ -146,16 +145,6 @@ pub const RULES: [Rule; 14] = [
         hint: "use BTreeMap/BTreeSet/Vec for collections and SimTime for time; snapshot state \
                must serialize deterministically (see crates/recovery)",
     },
-    Rule {
-        id: "S1",
-        severity: Severity::Deny,
-        summary: "no HashMap/HashSet and no channel receives (recv/try_recv/recv_timeout/\
-                  try_iter — arrival-order joins) inside shard-merge code paths \
-                  (fns named *shard*/*merge*/*rollup* in decision crates)",
-        hint: "fold per-shard results in shard order and join parallel lanes by index \
-               (pre-sized slots, like knots_sim::pool); use BTree collections if a map is \
-               unavoidable",
-    },
 ];
 
 /// Direct references for the scope-aware passes in [`crate::conc`],
@@ -167,7 +156,6 @@ pub(crate) const C3: &Rule = &RULES[9];
 pub(crate) const C4: &Rule = &RULES[10];
 pub(crate) const E1: &Rule = &RULES[11];
 pub(crate) const R1: &Rule = &RULES[12];
-pub(crate) const S1: &Rule = &RULES[13];
 
 /// Look up a rule by id.
 pub fn rule(id: &str) -> Option<&'static Rule> {

@@ -179,7 +179,7 @@ impl FormatDigests {
 /// The embedded corpus: every per-rule fixture, checked as decision-crate
 /// library code so each rule contributes diagnostics to the rendered set.
 fn fixture_corpus() -> Vec<crate::diag::Diagnostic> {
-    const FIXTURES: [(&str, &str); 16] = [
+    const FIXTURES: [(&str, &str); 15] = [
         ("d1", include_str!("../tests/fixtures/d1_wall_clock.rs")),
         ("d2", include_str!("../tests/fixtures/d2_hash_collections.rs")),
         ("d3", include_str!("../tests/fixtures/d3_ambient_entropy.rs")),
@@ -193,7 +193,6 @@ fn fixture_corpus() -> Vec<crate::diag::Diagnostic> {
         ("c4", include_str!("../tests/fixtures/c4_channel_drain.rs")),
         ("e1", include_str!("../tests/fixtures/e1_event_handlers.rs")),
         ("r1", include_str!("../tests/fixtures/r1_snapshot_reach.rs")),
-        ("s1", include_str!("../tests/fixtures/s1_shard_merge.rs")),
         ("pragmas", include_str!("../tests/fixtures/pragmas.rs")),
         ("tricky", include_str!("../tests/fixtures/tricky.rs")),
     ];

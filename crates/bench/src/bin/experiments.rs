@@ -18,8 +18,8 @@
 //!   chaos     fault-intensity sweep: QoS / throughput / crashes (DESIGN.md §10)
 //!   recovery  controller-crash density sweep: checkpoint/WAL recovery cost
 //!             with per-leg bit-identity checks (DESIGN.md §15)
-//!   scale     32 -> 1,024-node sweep: one shard vs k shards (serial stepping),
-//!             wall time + heartbeat-round p99, digest-checked
+//!   scale     32 -> 1,024-node sweep: wall time, heartbeat-round p99 and
+//!             report digest per node count
 //!   all       everything above except trace, chaos, recovery and scale
 //! ```
 //!
@@ -359,29 +359,22 @@ fn run_recovery(opts: &Opts) {
 
 fn run_scale(opts: &Opts) {
     let nodes: &[usize] = if opts.quick { &[32, 64, 128] } else { &[32, 64, 128, 256, 512, 1024] };
-    let shards = if opts.quick { 2 } else { 8 };
     let secs = opts.secs.unwrap_or(if opts.quick { 20 } else { 60 });
     eprintln!(
-        "[scale sweep: {} node counts up to {}, 1 vs {} shard(s), {}s window each ...]",
+        "[scale sweep: {} node counts up to {}, {}s window each ...]",
         nodes.len(),
         nodes.last().copied().unwrap_or(0),
-        shards,
         secs
     );
     let t0 = std::time::Instant::now();
-    let points = scale_sweep::run(nodes, shards, secs, opts.seed);
+    let points = scale_sweep::run(nodes, secs, opts.seed);
     eprintln!("[scale sweep done in {:.1?}]", t0.elapsed());
     emit(opts, "scale", &[scale_sweep::table(&points)]);
     // Stable per-point digest lines: CI runs the sweep twice and diffs
     // these (the wall-clock columns above legitimately differ).
     for p in &points {
-        println!("scale-digest nodes={} shards={} {:#018x}", p.nodes, p.shards, p.digest);
+        println!("scale-digest nodes={} {:#018x}", p.nodes, p.digest);
     }
-    if !scale_sweep::all_match(&points) {
-        eprintln!("[scale: BIT-IDENTITY CHECK FAILED — a sharded leg diverged]");
-        std::process::exit(1);
-    }
-    eprintln!("[scale: every sharded leg matches its single-shard baseline]");
 }
 
 fn main() {

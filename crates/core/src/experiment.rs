@@ -33,11 +33,6 @@ pub struct ExperimentConfig {
     pub rate_scale: f64,
     /// Batch runtime multiplier.
     pub batch_scale: f64,
-    /// Cluster shard count (`None` → single shard). Digests are
-    /// bit-identical across shard counts; shards only partition the TSDB
-    /// locks and the schedulers' candidate sort. Nodes always step
-    /// serially.
-    pub shards: Option<usize>,
 }
 
 impl Default for ExperimentConfig {
@@ -49,7 +44,6 @@ impl Default for ExperimentConfig {
             orch: OrchestratorConfig::default(),
             rate_scale: 1.0,
             batch_scale: 1.0,
-            shards: None,
         }
     }
 }
@@ -88,7 +82,6 @@ pub fn mix_inputs(mix: AppMix, cfg: &ExperimentConfig) -> (Vec<ScheduledPod>, Cl
     gen_cfg.batch_scale = cfg.batch_scale;
     let schedule = LoadGenerator::generate(mix, &gen_cfg);
     let mut cluster_cfg = ClusterConfig::homogeneous(cfg.nodes, knots_sim::config::TESTBED_GPU);
-    cluster_cfg.shards = cfg.shards;
     // Long-lived inference services keep their images pre-pulled in
     // production; batch jobs still pay real cold starts.
     cluster_cfg.prewarm_images = mix.lc_services().iter().map(|s| s.image()).collect();

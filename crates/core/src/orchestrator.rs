@@ -273,10 +273,11 @@ pub struct OrchestratorState {
     pub round: u64,
     /// Per-class processed-event counters (priority order, 5 entries).
     pub event_counts: Vec<u64>,
-    /// Shard count of the cluster core that produced this state. Static
-    /// configuration, recorded so resuming under a different partitioning
-    /// is a loud error instead of a silent re-shard (digests are
-    /// shard-invariant, but the snapshot format guards it anyway).
+    /// Always written as `1` and ignored on resume. Builds with a sharded
+    /// core recorded their shard count here; the field keeps the snapshot
+    /// format (`SNAPSHOT_VERSION` 2) and the benchmark's loop copy, which
+    /// still writes it, unchanged. ROADMAP item 5 deletes it together with
+    /// that copy.
     pub shards: u64,
 }
 
@@ -293,10 +294,7 @@ impl KubeKnots {
         let heartbeat = cfg.heartbeat.max(cfg.tick);
         let nodes = cluster_cfg.node_models.len();
         let cluster = Cluster::new(cluster_cfg);
-        // The TSDB partitions along the cluster's shard layout so each
-        // shard's probe lane owns its rings (single-shard → one partition,
-        // same bits either way).
-        let tsdb = TimeSeriesDb::partitioned(TsdbConfig::default(), cluster.shard_layout());
+        let tsdb = TimeSeriesDb::new(TsdbConfig::default());
         KubeKnots {
             cluster,
             tsdb,
@@ -426,8 +424,10 @@ impl KubeKnots {
     ///
     /// Configuration (cluster topology, orchestrator config, scheduler
     /// identity, workload schedule, fault plan) is *not* captured — it is
-    /// re-supplied to [`KubeKnots::resume`], which keeps snapshots small
-    /// and makes config drift a loud error instead of a silent fork.
+    /// re-supplied to [`KubeKnots::resume`], which keeps snapshots small.
+    /// A state with a chaos cursor needs its fault plan; the cluster config
+    /// is not checked against the state (a different node count resumes on
+    /// the state's nodes).
     /// There is no live RNG to capture: workload schedules and fault plans
     /// are pre-generated, so the loop itself is deterministic state
     /// machine + calendar.
@@ -449,7 +449,7 @@ impl KubeKnots {
             events_seen: self.events_seen as u64,
             round: self.round,
             event_counts: self.event_counts.to_vec(),
-            shards: self.cluster.shards() as u64,
+            shards: 1,
         })
     }
 
@@ -493,18 +493,7 @@ impl KubeKnots {
             *slot = *v;
         }
         let cluster = Cluster::from_state(cluster_cfg, state.cluster);
-        if cluster.shards() as u64 != state.shards {
-            return Err(serde::Error::custom(format!(
-                "snapshot was taken with {} shard(s) but the supplied config yields {}",
-                state.shards,
-                cluster.shards()
-            )));
-        }
-        let tsdb = TimeSeriesDb::from_state_partitioned(
-            TsdbConfig::default(),
-            cluster.shard_layout(),
-            state.tsdb,
-        );
+        let tsdb = TimeSeriesDb::from_state(TsdbConfig::default(), state.tsdb);
         Ok(KubeKnots {
             cluster,
             tsdb,
@@ -906,7 +895,7 @@ impl KubeKnots {
                 recorder: Some(&self.obs.recorder),
                 cache: knots_sched::StatsCache::new(),
                 freshness: self.cfg.freshness,
-                shards: self.cluster.shards(),
+                shards: 1,
             };
             let actions = self.scheduler.decide(&ctx);
             // The cache dies with the round; tally its effectiveness first.

@@ -24,7 +24,6 @@
 //! `crates/sched/tests/statscache.rs` fuzzes this bit-identity with
 //! seeded-LCG series.
 
-use crate::shard_order::{shard_free_memory_order, shard_packing_order};
 use knots_forecast::spearman::{pearson, ranks};
 use knots_sim::ids::{NodeId, PodId};
 use knots_sim::metrics::Metric;
@@ -61,8 +60,8 @@ pub struct StatsCache {
     ref_ranks: SeriesMemo<(String, usize)>,
     /// Pairwise Spearman ρ keyed (app, resident pod, overlap n).
     rho: RefCell<BTreeMap<(String, PodId, usize), f64>>,
-    /// This round's free-memory candidate order (Algorithm 1), built via
-    /// the shard-local merge and shared by every placement pass.
+    /// This round's free-memory candidate order (Algorithm 1), shared by
+    /// every placement pass.
     free_memory_order: RefCell<Option<Rc<Vec<NodeId>>>>,
     /// This round's consolidation (packing) candidate order.
     packing_order: RefCell<Option<Rc<Vec<NodeId>>>>,
@@ -132,30 +131,29 @@ impl StatsCache {
         rc
     }
 
-    /// The round's free-memory placement order, built shard-locally and
-    /// k-way merged ([`crate::shard_order::shard_free_memory_order`]),
-    /// computed at most once per round. Bit-identical to
-    /// [`ClusterSnapshot::nodes_by_free_memory`] for every shard count.
-    pub fn free_memory_order(&self, snapshot: &ClusterSnapshot, shards: usize) -> Rc<Vec<NodeId>> {
+    /// The round's free-memory placement order
+    /// ([`ClusterSnapshot::nodes_by_free_memory`]), computed at most once
+    /// per round.
+    pub fn free_memory_order(&self, snapshot: &ClusterSnapshot) -> Rc<Vec<NodeId>> {
         if let Some(o) = self.free_memory_order.borrow().as_ref() {
             self.hit();
             return Rc::clone(o);
         }
         self.miss();
-        let rc = Rc::new(shard_free_memory_order(snapshot, shards));
+        let rc = Rc::new(snapshot.nodes_by_free_memory());
         *self.free_memory_order.borrow_mut() = Some(Rc::clone(&rc));
         rc
     }
 
-    /// Packing counterpart of [`Self::free_memory_order`]; bit-identical
-    /// to [`ClusterSnapshot::nodes_by_packing`] for every shard count.
-    pub fn packing_order(&self, snapshot: &ClusterSnapshot, shards: usize) -> Rc<Vec<NodeId>> {
+    /// Packing counterpart of [`Self::free_memory_order`]
+    /// ([`ClusterSnapshot::nodes_by_packing`]).
+    pub fn packing_order(&self, snapshot: &ClusterSnapshot) -> Rc<Vec<NodeId>> {
         if let Some(o) = self.packing_order.borrow().as_ref() {
             self.hit();
             return Rc::clone(o);
         }
         self.miss();
-        let rc = Rc::new(shard_packing_order(snapshot, shards));
+        let rc = Rc::new(snapshot.nodes_by_packing());
         *self.packing_order.borrow_mut() = Some(Rc::clone(&rc));
         rc
     }

@@ -336,8 +336,7 @@ impl Scheduler for Cbp {
         }
 
         // Candidate nodes ordered by *measured* free memory, most free
-        // first (the real-time signal Knots adds over Res-Ag), merged
-        // from per-shard sorted runs.
+        // first (the real-time signal Knots adds over Res-Ag).
         let order = ctx.free_memory_order();
         let mut free: BTreeMap<NodeId, (f64, f64)> = ctx
             .snapshot

@@ -85,11 +85,9 @@ pub struct SchedContext<'a> {
     /// baseline instead of deciding on dead data after a probe dropout or
     /// node failure.
     pub freshness: Option<SimDuration>,
-    /// Shard count of the cluster this snapshot came from. Candidate node
-    /// orderings are built shard-locally and k-way merged
-    /// ([`crate::shard_order`]); the merged order is bit-identical for
-    /// every shard count, so this only controls how the sort is chunked,
-    /// never what the scheduler decides.
+    /// Unread single-partition stand-in: the benchmark's copy of the event
+    /// loop (`perfbench/`) still writes it, and the orchestrator writes
+    /// `1`. ROADMAP item 5 deletes it together with that copy.
     pub shards: usize,
 }
 
@@ -114,16 +112,15 @@ impl SchedContext<'_> {
     }
 
     /// Active nodes by measured free memory, most free first — the
-    /// `Sort_by_Free_Memory` order of Algorithm 1, assembled from
-    /// per-shard sorted runs and memoized for the round.
+    /// `Sort_by_Free_Memory` order of Algorithm 1, memoized for the round.
     pub fn free_memory_order(&self) -> Rc<Vec<NodeId>> {
-        self.cache.free_memory_order(self.snapshot, self.shards)
+        self.cache.free_memory_order(self.snapshot)
     }
 
-    /// Active nodes by packing (least free memory first), assembled from
-    /// per-shard sorted runs and memoized for the round.
+    /// Active nodes by packing (least free memory first), memoized for the
+    /// round.
     pub fn packing_order(&self) -> Rc<Vec<NodeId>> {
-        self.cache.packing_order(self.snapshot, self.shards)
+        self.cache.packing_order(self.snapshot)
     }
 }
 

@@ -30,7 +30,6 @@ pub mod gandiva;
 pub mod history;
 pub mod pp;
 pub mod resag;
-pub mod shard_order;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod tiresias;

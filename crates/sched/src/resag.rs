@@ -50,6 +50,9 @@ impl Scheduler for ResAg {
     }
 
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
+        if ctx.pending.is_empty() {
+            return Vec::new(); // nothing to place: skip collecting the bins
+        }
         let mut actions = Vec::new();
         // Bins: awake nodes with *provision-based* free memory (the only
         // signal a GPU-agnostic scheduler has), in node-id order.

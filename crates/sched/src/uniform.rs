@@ -31,6 +31,9 @@ impl Scheduler for Uniform {
     }
 
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
+        if ctx.pending.is_empty() {
+            return Vec::new(); // nothing to place: skip collecting the nodes
+        }
         let mut actions = Vec::new();
         // Free = awake, not mid-wake, hosting nothing.
         let mut free: Vec<NodeId> = ctx
@@ -122,10 +125,14 @@ mod tests {
 
     #[test]
     fn no_pending_no_actions() {
-        let s0 = snap(vec![node_view(0, 0, false)]);
+        // A free node and a sleeper: with nothing pending, neither Uniform
+        // nor Res-Ag places or wakes anything.
+        let s0 = snap(vec![node_view(0, 0, false), node_view(1, 0, true)]);
         let db = TimeSeriesDb::default();
         let mut s = Uniform::new();
         assert!(s.decide(&ctx(&s0, &[], &[], &db)).is_empty());
         assert!(!s.consolidates());
+        let mut r = crate::resag::ResAg::new();
+        assert!(r.decide(&ctx(&s0, &[], &[], &db)).is_empty());
     }
 }

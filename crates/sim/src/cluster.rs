@@ -17,7 +17,6 @@ use crate::metrics::GpuSample;
 use crate::node::{Node, StepOutcome};
 use crate::pod::{Pod, PodSpec};
 use crate::resources::GpuModel;
-use crate::shard::ShardLayout;
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -36,12 +35,6 @@ pub struct ClusterConfig {
     /// (production registries mirror hot images; pre-warmed services skip
     /// the cold start).
     pub prewarm_images: Vec<ImageId>,
-    /// Shard count. `None` (and `Some(1)`) keep the cluster single-shard;
-    /// higher counts partition the nodes into contiguous [`ShardLayout`]
-    /// ranges, which the TSDB partitions and the schedulers' candidate
-    /// sort follow. Nodes always step serially in node order, so digests
-    /// are bit-identical across shard counts.
-    pub shards: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -52,7 +45,6 @@ impl ClusterConfig {
             overheads: Overheads::default(),
             auto_sleep_after: None,
             prewarm_images: Vec::new(),
-            shards: None,
         }
     }
 
@@ -71,14 +63,7 @@ impl ClusterConfig {
             overheads: Overheads::default(),
             auto_sleep_after: None,
             prewarm_images: Vec::new(),
-            shards: None,
         }
-    }
-
-    /// Builder-style override of the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
     }
 }
 
@@ -120,8 +105,6 @@ pub struct Cluster {
     /// `None` when cluster state changed and it must rescan. Lets quiet
     /// ticks skip the all-nodes idle scan.
     sleep_scan_due: Option<SimTime>,
-    /// Shard layout, resolved once at build time from `cfg.shards`.
-    layout: ShardLayout,
 }
 
 impl Cluster {
@@ -137,7 +120,6 @@ impl Cluster {
                 n
             })
             .collect();
-        let layout = ShardLayout::new(nodes.len(), cfg.shards.unwrap_or(1));
         Cluster {
             cfg,
             nodes,
@@ -153,7 +135,6 @@ impl Cluster {
             location: BTreeMap::new(),
             events: Vec::new(),
             sleep_scan_due: None,
-            layout,
         }
     }
 
@@ -169,23 +150,6 @@ impl Cluster {
     /// The configuration this cluster was built with.
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
-    }
-
-    /// Effective shard count (≥ 1), resolved at construction.
-    pub fn shards(&self) -> usize {
-        self.layout.shards()
-    }
-
-    /// Worker threads that step the nodes: always `1`. Nodes step
-    /// serially in node order; a per-tick fan-out measured slower than the
-    /// serial loop at every cluster size (DESIGN.md §11).
-    pub fn workers(&self) -> usize {
-        1
-    }
-
-    /// The contiguous shard layout over this cluster's node ids.
-    pub fn shard_layout(&self) -> ShardLayout {
-        self.layout
     }
 
     /// All nodes.
@@ -786,7 +750,6 @@ impl Cluster {
                 location.insert(id, Loc::OnNode(node.id()));
             }
         }
-        let layout = ShardLayout::new(state.nodes.len(), cfg.shards.unwrap_or(1));
         Cluster {
             cfg,
             nodes: state.nodes,
@@ -806,8 +769,37 @@ impl Cluster {
             location,
             events: state.events,
             sleep_scan_due: state.sleep_scan_due,
-            layout,
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Single-partition stand-ins. The benchmark's copy of the event loop
+// (`perfbench/`) still names these; no program path calls them. ROADMAP
+// item 5 deletes them together with that copy.
+// ----------------------------------------------------------------------
+
+/// Zero-sized stand-in for the deleted shard layout: a cluster is one
+/// partition.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardLayout;
+
+impl Cluster {
+    /// Always `1`: a cluster is one partition.
+    pub fn shards(&self) -> usize {
+        1
+    }
+
+    /// Always `1`: nodes step serially in node order; a per-tick fan-out
+    /// measured slower than the serial loop at every cluster size
+    /// (DESIGN.md §11).
+    pub fn workers(&self) -> usize {
+        1
+    }
+
+    /// The single-partition layout.
+    pub fn shard_layout(&self) -> ShardLayout {
+        ShardLayout
     }
 }
 

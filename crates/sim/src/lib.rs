@@ -57,7 +57,6 @@ pub mod pool;
 pub mod power;
 pub mod profile;
 pub mod resources;
-pub mod shard;
 pub mod time;
 
 /// Convenient glob-import of the most commonly used simulator types.
@@ -73,6 +72,5 @@ pub mod prelude {
     pub use crate::power::{cpu_energy_efficiency, gpu_power_watts, CpuGeneration, EnergyMeter};
     pub use crate::profile::{Phase, ResourceProfile};
     pub use crate::resources::{GpuModel, GpuSpec, Usage};
-    pub use crate::shard::ShardLayout;
     pub use crate::time::{SimDuration, SimTime};
 }

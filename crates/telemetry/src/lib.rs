@@ -12,12 +12,11 @@
 //!   recent window and assembles a [`snapshot::ClusterSnapshot`], the view a
 //!   GPU-aware scheduler acts on ([`aggregator::UtilizationAggregator`]).
 //!
-//! The store is internally synchronized (`parking_lot::RwLock`) so node
-//! writers and the head-node reader may run concurrently, mirroring the
-//! paper's distributed deployment. The TSDB partitions its rings along the
-//! cluster's [`knots_sim::shard::ShardLayout`] (one lock per shard); the
-//! aggregator builds its snapshot with one flat scan of the nodes, which
-//! is the same list at every shard count.
+//! The store is one set of rings behind one `parking_lot::RwLock`: the
+//! orchestrator's probe writes it between scheduling rounds and the
+//! schedulers read it during them, as the paper's single head node reads
+//! one InfluxDB. The aggregator builds its snapshot with one flat scan of
+//! the nodes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -27,10 +27,10 @@
 //!   forms remain as conveniences built on top and return bit-identical
 //!   values.
 
+use knots_sim::cluster::ShardLayout;
 use knots_sim::ids::{NodeId, PodId};
 use knots_sim::metrics::{GpuSample, Metric};
 use knots_sim::resources::Usage;
-use knots_sim::shard::ShardLayout;
 use knots_sim::time::{SimDuration, SimTime};
 use parking_lot::RwLock;
 use std::collections::VecDeque;
@@ -309,41 +309,29 @@ impl Inner {
     }
 }
 
-/// A batched write handle holding the write lock of *every* partition.
+/// A batched write handle holding the store's write lock.
 ///
 /// Per-tick probing pushes one sample per node and one per running pod;
-/// taking the locks once per tick instead of once per push removes the
-/// dominant constant cost of the probe phase. Partition guards are always
-/// acquired in index order (the workspace-wide lock-order discipline), so
-/// two full writers can never deadlock against each other. Values
-/// written through the writer are bit-identical to the one-shot
-/// [`TimeSeriesDb::push_node`] / [`TimeSeriesDb::push_pod`] calls. Drop
-/// the writer to release the locks.
+/// taking the lock once per tick instead of once per push removes the
+/// dominant constant cost of the probe phase. Values written through the
+/// writer are bit-identical to the one-shot [`TimeSeriesDb::push_node`] /
+/// [`TimeSeriesDb::push_pod`] calls. Drop the writer to release the lock.
 #[derive(Debug)]
 pub struct TsdbWriter<'a> {
     cfg: TsdbConfig,
-    layout: ShardLayout,
-    guards: Vec<parking_lot::RwLockWriteGuard<'a, Inner>>,
+    inner: parking_lot::RwLockWriteGuard<'a, Inner>,
 }
 
 impl TsdbWriter<'_> {
-    fn node_guard(&mut self, node: NodeId) -> &mut Inner {
-        let p = self.layout.shard_of(node.0);
-        &mut self.guards[p]
-    }
-
     /// Append a node sample; same semantics as [`TimeSeriesDb::push_node`].
     pub fn push_node(&mut self, node: NodeId, sample: GpuSample) -> bool {
-        let cfg = self.cfg;
-        self.node_guard(node).push_node(&cfg, node, sample)
+        self.inner.push_node(&self.cfg, node, sample)
     }
 
     /// Append a pod usage sample; same semantics as
     /// [`TimeSeriesDb::push_pod`].
     pub fn push_pod(&mut self, pod: PodId, at: SimTime, usage: Usage) -> bool {
-        let cfg = self.cfg;
-        let p = (pod.0 as usize) % self.guards.len();
-        self.guards[p].push_pod(&cfg, pod, at, usage)
+        self.inner.push_pod(&self.cfg, pod, at, usage)
     }
 
     /// Backfill `ticks` constant samples for a quiet node: the same metric
@@ -362,7 +350,7 @@ impl TsdbWriter<'_> {
         ticks: u64,
     ) -> u64 {
         let cap = self.cfg.node_capacity;
-        let g = self.node_guard(node);
+        let g = &mut *self.inner;
         if Metric::ALL.iter().any(|m| !sample.get(*m).is_finite()) {
             // Every sample in the span carries the same values, so the
             // whole span is rejected exactly as `ticks` one-shot pushes
@@ -376,23 +364,15 @@ impl TsdbWriter<'_> {
     }
 }
 
-/// The time-series database.
+/// The time-series database: one store behind one lock.
 ///
-/// Thread-safe: writers (node samplers) and readers (the head-node
-/// aggregator) take the internal locks independently.
-///
-/// The store is **partitioned by shard**: node rings live in the partition
-/// of the [`ShardLayout`] shard owning their node id, pod rings round-robin
-/// across partitions by pod id. A single-partition store (the default) is
-/// exactly the old single-lock store. Partitioning is invisible to every
-/// query and to [`TimeSeriesDb::snapshot_state`] — the snapshot is flat and
-/// global-ordered, so digests and restores are independent of the
-/// partition count.
+/// The orchestrator is its only writer (the per-tick probe, through a
+/// [`TsdbWriter`]); schedulers read it between writes. The lock keeps the
+/// `&self` write API that the benchmark's loop copy still calls.
 #[derive(Debug)]
 pub struct TimeSeriesDb {
     cfg: TsdbConfig,
-    layout: ShardLayout,
-    parts: Vec<RwLock<Inner>>,
+    inner: RwLock<Inner>,
 }
 
 impl Default for TimeSeriesDb {
@@ -402,29 +382,9 @@ impl Default for TimeSeriesDb {
 }
 
 impl TimeSeriesDb {
-    /// Create an empty single-partition store.
+    /// Create an empty store.
     pub fn new(cfg: TsdbConfig) -> Self {
-        Self::partitioned(cfg, ShardLayout::new(0, 1))
-    }
-
-    /// Create an empty store partitioned along `layout`: one lock-guarded
-    /// partition per shard.
-    pub fn partitioned(cfg: TsdbConfig, layout: ShardLayout) -> Self {
-        let parts = (0..layout.shards()).map(|_| RwLock::new(Inner::default())).collect();
-        TimeSeriesDb { cfg, layout, parts }
-    }
-
-    /// Number of lock-guarded partitions (= shard count of the layout).
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    fn node_part(&self, node: NodeId) -> &RwLock<Inner> {
-        &self.parts[self.layout.shard_of(node.0)]
-    }
-
-    fn pod_part(&self, pod: PodId) -> &RwLock<Inner> {
-        &self.parts[(pod.0 as usize) % self.parts.len()]
+        TimeSeriesDb { cfg, inner: RwLock::new(Inner::default()) }
     }
 
     /// Append a node sample. A sample carrying any non-finite metric value
@@ -433,74 +393,69 @@ impl TimeSeriesDb {
     /// series. Returns whether the sample was accepted; rejections are
     /// counted per series and in total.
     pub fn push_node(&self, node: NodeId, sample: GpuSample) -> bool {
-        self.node_part(node).write().push_node(&self.cfg, node, sample)
+        self.inner.write().push_node(&self.cfg, node, sample)
     }
 
     /// Append a pod usage sample, with the same non-finite rejection rule
     /// as [`TimeSeriesDb::push_node`].
     pub fn push_pod(&self, pod: PodId, at: SimTime, usage: Usage) -> bool {
-        self.pod_part(pod).write().push_pod(&self.cfg, pod, at, usage)
+        self.inner.write().push_pod(&self.cfg, pod, at, usage)
     }
 
-    /// Open a batched write handle that holds every partition's write lock
-    /// until dropped. Use for per-tick probe bursts: one lock sweep per
-    /// tick instead of one acquisition per sample. Guards are taken in
-    /// partition-index order.
+    /// Open a batched write handle that holds the write lock until
+    /// dropped. Use for per-tick probe bursts: one acquisition per tick
+    /// instead of one per sample.
     pub fn writer(&self) -> TsdbWriter<'_> {
-        TsdbWriter {
-            cfg: self.cfg,
-            layout: self.layout,
-            guards: self.parts.iter().map(|p| p.write()).collect(),
-        }
+        TsdbWriter { cfg: self.cfg, inner: self.inner.write() }
     }
 
     /// Rejected (non-finite) samples for one node series.
     pub fn node_rejected(&self, node: NodeId) -> u64 {
-        self.node_part(node).read().node(node).map_or(0, |e| e.rejected)
+        self.inner.read().node(node).map_or(0, |e| e.rejected)
     }
 
     /// Rejected (non-finite) samples for one pod series.
     pub fn pod_rejected(&self, pod: PodId) -> u64 {
-        self.pod_part(pod).read().pod(pod).map_or(0, |e| e.rejected)
+        self.inner.read().pod(pod).map_or(0, |e| e.rejected)
     }
 
     /// Total rejected samples across every series since creation/`clear`.
     pub fn rejected_total(&self) -> u64 {
-        self.parts.iter().map(|p| p.read().rejected_total).sum()
+        self.inner.read().rejected_total
     }
 
     /// Timestamp of the most recent *accepted* sample of a node series —
     /// the freshness signal consumers use to spot probe dropouts.
     pub fn node_last_at(&self, node: NodeId) -> Option<SimTime> {
-        self.node_part(node).read().node(node).and_then(|e| e.ring.last().map(|(at, _)| at))
+        self.inner.read().node(node).and_then(|e| e.ring.last().map(|(at, _)| at))
     }
 
     /// Timestamp of the most recent *accepted* sample of a pod series.
     pub fn pod_last_at(&self, pod: PodId) -> Option<SimTime> {
-        self.pod_part(pod).read().pod(pod).and_then(|e| e.ring.last().map(|(at, _)| at))
+        self.inner.read().pod(pod).and_then(|e| e.ring.last().map(|(at, _)| at))
     }
 
     /// Drop a pod's series (pod finished; keeps the store bounded over long
     /// experiments).
     pub fn forget_pod(&self, pod: PodId) {
-        if let Some(e) = self.pod_part(pod).write().pods.get_mut(pod.0 as usize) {
+        if let Some(e) = self.inner.write().pods.get_mut(pod.0 as usize) {
             *e = None;
         }
     }
 
     /// Number of samples currently retained for a node.
     pub fn node_len(&self, node: NodeId) -> usize {
-        self.node_part(node).read().node(node).map_or(0, |e| e.ring.len)
+        self.inner.read().node(node).map_or(0, |e| e.ring.len)
     }
 
     /// Number of samples currently retained for a pod.
     pub fn pod_len(&self, pod: PodId) -> usize {
-        self.pod_part(pod).read().pod(pod).map_or(0, |e| e.ring.len)
+        self.inner.read().pod(pod).map_or(0, |e| e.ring.len)
     }
 
     /// The most recent node sample, if any.
     pub fn latest_node(&self, node: NodeId) -> Option<GpuSample> {
-        self.node_part(node)
+        self.inner
             .read()
             .node(node)
             .and_then(|e| e.ring.last().map(|(at, v)| GpuSample { at, ..*v }))
@@ -511,7 +466,7 @@ impl TimeSeriesDb {
     pub fn node_window(&self, node: NodeId, now: SimTime, window: SimDuration) -> Vec<GpuSample> {
         let start = SimTime(now.0.saturating_sub(window.0));
         let mut out = Vec::new();
-        if let Some(e) = self.node_part(node).read().node(node) {
+        if let Some(e) = self.inner.read().node(node) {
             e.ring.window_runs(start, now, |at0, dt, n, v| {
                 for i in 0..n {
                     out.push(GpuSample { at: SimTime(at0.0 + dt.0 * i), ..*v });
@@ -550,7 +505,7 @@ impl TimeSeriesDb {
     ) -> usize {
         out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
-        if let Some(e) = self.node_part(node).read().node(node) {
+        if let Some(e) = self.inner.read().node(node) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.get(metric), n as usize));
             });
@@ -576,7 +531,7 @@ impl TimeSeriesDb {
     ) -> usize {
         out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
-        if let Some(e) = self.pod_part(pod).read().pod(pod) {
+        if let Some(e) = self.inner.read().pod(pod) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.mem_mb, n as usize));
             });
@@ -586,43 +541,38 @@ impl TimeSeriesDb {
 
     /// Clear everything (between experiment repetitions).
     pub fn clear(&self) {
-        for p in &self.parts {
-            let mut g = p.write();
-            g.nodes.clear();
-            g.pods.clear();
-            g.rejected_total = 0;
-        }
+        let mut g = self.inner.write();
+        g.nodes.clear();
+        g.pods.clear();
+        g.rejected_total = 0;
     }
 
     // ------------------------------------------------------------------
     // Snapshot / restore (durable control plane; see crates/recovery).
     // ------------------------------------------------------------------
 
-    /// Serializable image of every retained series, run-exact and **flat**:
-    /// slot tables are walked in global id order regardless of how the
-    /// store is partitioned, so the state (and any digest over it) is
-    /// identical across partition counts. Read-only under the read locks
-    /// (taken in partition-index order); taking a snapshot never perturbs
-    /// the store.
+    /// Serializable image of every retained series, run-exact, with the
+    /// slot tables in id order. Read-only under the read lock; taking a
+    /// snapshot never perturbs the store.
     pub fn snapshot_state(&self) -> TsdbState {
-        let guards: Vec<_> = self.parts.iter().map(|p| p.read()).collect();
-        let node_len = guards.iter().map(|g| g.nodes.len()).max().unwrap_or(0);
-        let pod_len = guards.iter().map(|g| g.pods.len()).max().unwrap_or(0);
+        let g = self.inner.read();
         TsdbState {
-            rejected_total: guards.iter().map(|g| g.rejected_total).sum(),
-            nodes: (0..node_len)
-                .map(|i| {
-                    let g = &guards[self.layout.shard_of(i)];
-                    g.nodes.get(i).and_then(|e| e.as_ref()).map(|e| NodeSeriesState {
+            rejected_total: g.rejected_total,
+            nodes: g
+                .nodes
+                .iter()
+                .map(|e| {
+                    e.as_ref().map(|e| NodeSeriesState {
                         rejected: e.rejected,
                         runs: e.ring.runs.iter().map(|r| (r.at0, r.dt, r.n, r.v)).collect(),
                     })
                 })
                 .collect(),
-            pods: (0..pod_len)
-                .map(|i| {
-                    let g = &guards[i % guards.len()];
-                    g.pods.get(i).and_then(|e| e.as_ref()).map(|e| PodSeriesState {
+            pods: g
+                .pods
+                .iter()
+                .map(|e| {
+                    e.as_ref().map(|e| PodSeriesState {
                         rejected: e.rejected,
                         runs: e.ring.runs.iter().map(|r| (r.at0, r.dt, r.n, r.v)).collect(),
                     })
@@ -631,19 +581,10 @@ impl TimeSeriesDb {
         }
     }
 
-    /// Rebuild a single-partition store from a snapshot plus its original
-    /// configuration. See [`TimeSeriesDb::from_state_partitioned`].
+    /// Rebuild a store from a snapshot plus its original configuration.
+    /// Empty (`None`) slots — pods forgotten after completion — are
+    /// preserved, so slot indices keep their meaning.
     pub fn from_state(cfg: TsdbConfig, state: TsdbState) -> Self {
-        Self::from_state_partitioned(cfg, ShardLayout::new(0, 1), state)
-    }
-
-    /// Rebuild a store from a snapshot plus its original configuration and
-    /// shard layout. The snapshot is flat; series are re-routed into the
-    /// partitions of `layout`, so a run captured at one partition count
-    /// restores bit-identically at any other. Empty (`None`) slots — pods
-    /// forgotten after completion — are preserved, so slot indices keep
-    /// their meaning.
-    pub fn from_state_partitioned(cfg: TsdbConfig, layout: ShardLayout, state: TsdbState) -> Self {
         fn ring<V: Copy>(runs: Vec<(SimTime, SimDuration, u64, V)>) -> RleRing<V> {
             let len = runs.iter().map(|(_, _, n, _)| *n as usize).sum();
             RleRing {
@@ -651,32 +592,38 @@ impl TimeSeriesDb {
                 len,
             }
         }
-        // Extend the owning partition's slot table to the global index even
-        // for `None` slots: trailing forgotten pods must keep the flat
-        // table length stable through a snapshot round-trip.
-        fn route<T>(table: &mut Vec<Option<T>>, i: usize, e: Option<T>) {
-            if table.len() <= i {
-                table.resize_with(i + 1, || None);
-            }
-            table[i] = e;
-        }
-        let mut inners: Vec<Inner> = (0..layout.shards()).map(|_| Inner::default()).collect();
-        // The per-partition split of the running total is not observable
-        // (every read sums the partitions), so the whole count lands in
-        // partition 0.
-        inners[0].rejected_total = state.rejected_total;
-        for (i, e) in state.nodes.into_iter().enumerate() {
-            let p = layout.shard_of(i);
-            let e = e.map(|e| NodeEntry { ring: ring(e.runs), rejected: e.rejected });
-            route(&mut inners[p].nodes, i, e);
-        }
-        let parts_n = inners.len();
-        for (i, e) in state.pods.into_iter().enumerate() {
-            let p = i % parts_n;
-            let e = e.map(|e| PodEntry { ring: ring(e.runs), rejected: e.rejected });
-            route(&mut inners[p].pods, i, e);
-        }
-        TimeSeriesDb { cfg, layout, parts: inners.into_iter().map(RwLock::new).collect() }
+        let inner = Inner {
+            rejected_total: state.rejected_total,
+            nodes: state
+                .nodes
+                .into_iter()
+                .map(|e| e.map(|e| NodeEntry { ring: ring(e.runs), rejected: e.rejected }))
+                .collect(),
+            pods: state
+                .pods
+                .into_iter()
+                .map(|e| e.map(|e| PodEntry { ring: ring(e.runs), rejected: e.rejected }))
+                .collect(),
+        };
+        TimeSeriesDb { cfg, inner: RwLock::new(inner) }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Single-partition stand-ins. The benchmark's copy of the event loop
+// (`perfbench/`) still names these; no program path calls them. ROADMAP
+// item 5 deletes them together with that copy.
+// ----------------------------------------------------------------------
+
+impl TimeSeriesDb {
+    /// Same as [`TimeSeriesDb::new`]: the store is one partition.
+    pub fn partitioned(cfg: TsdbConfig, _layout: ShardLayout) -> Self {
+        Self::new(cfg)
+    }
+
+    /// Same as [`TimeSeriesDb::from_state`]: the store is one partition.
+    pub fn from_state_partitioned(cfg: TsdbConfig, _layout: ShardLayout, state: TsdbState) -> Self {
+        Self::from_state(cfg, state)
     }
 }
 
@@ -988,78 +935,26 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_store_matches_single_partition() {
-        // The same push sequence against 1-, 2- and 4-partition stores must
-        // be indistinguishable through every query and through the flat
-        // snapshot — partitioning only moves locks, never data.
-        let cfg = TsdbConfig { node_capacity: 32, pod_capacity: 32 };
-        let feed = |db: &TimeSeriesDb| {
-            for i in 0..200u64 {
-                for n in 0..8usize {
-                    db.push_node(NodeId(n), sample(i * 10, (i as f64 + n as f64).sin()));
-                }
-                for p in 0..5u64 {
-                    db.push_pod(
-                        PodId(p),
-                        SimTime::from_millis(i * 10),
-                        Usage::new(0.2, i as f64 + p as f64, 1.0, 0.0),
-                    );
-                }
-            }
-            db.push_node(NodeId(3), sample(9999, f64::NAN));
-            db.forget_pod(PodId(4));
-        };
-        let flat = TimeSeriesDb::new(cfg);
-        feed(&flat);
-        let base = flat.snapshot_state();
-        for shards in [2usize, 4] {
-            let db = TimeSeriesDb::partitioned(cfg, ShardLayout::new(8, shards));
-            assert_eq!(db.partitions(), shards);
-            feed(&db);
-            assert_eq!(db.snapshot_state(), base, "{shards} partitions");
-            assert_eq!(db.rejected_total(), flat.rejected_total());
-            let now = SimTime::from_millis(1990);
-            let w = SimDuration::from_secs(1);
-            for n in 0..8usize {
-                assert_eq!(
-                    db.node_series(NodeId(n), Metric::SmUtil, now, w),
-                    flat.node_series(NodeId(n), Metric::SmUtil, now, w)
-                );
-                assert_eq!(db.node_last_at(NodeId(n)), flat.node_last_at(NodeId(n)));
-            }
-            for p in 0..5u64 {
-                assert_eq!(
-                    db.pod_mem_series(PodId(p), now, w),
-                    flat.pod_mem_series(PodId(p), now, w)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_round_trips_across_partition_counts() {
-        // Capture at one partition count, restore at another: the restored
-        // store must re-snapshot identically and answer queries the same.
+    fn snapshot_round_trip_keeps_forgotten_slots() {
+        // The restored store re-snapshots identically and answers queries
+        // the same; a trailing forgotten pod keeps its `None` slot.
         let cfg = TsdbConfig { node_capacity: 16, pod_capacity: 16 };
-        let db = TimeSeriesDb::partitioned(cfg, ShardLayout::new(6, 3));
+        let db = TimeSeriesDb::new(cfg);
         for i in 0..50u64 {
             for n in 0..6usize {
                 db.push_node(NodeId(n), sample(i, (n as f64) * 0.1));
             }
             db.push_pod(PodId(9), SimTime::from_millis(i), Usage::new(0.4, i as f64, 0.0, 0.0));
         }
-        db.forget_pod(PodId(9)); // trailing None slot must survive the trip
+        db.push_node(NodeId(2), sample(99, f64::NAN));
+        db.forget_pod(PodId(9));
         let state = db.snapshot_state();
-        for shards in [1usize, 2, 6] {
-            let re = TimeSeriesDb::from_state_partitioned(
-                cfg,
-                ShardLayout::new(6, shards),
-                state.clone(),
-            );
-            assert_eq!(re.snapshot_state(), state, "{shards} partitions");
-            assert_eq!(re.pod_len(PodId(9)), 0);
-            assert_eq!(re.node_len(NodeId(5)), db.node_len(NodeId(5)));
-        }
+        assert_eq!(state.pods.len(), 10);
+        let re = TimeSeriesDb::from_state(cfg, state.clone());
+        assert_eq!(re.snapshot_state(), state);
+        assert_eq!(re.pod_len(PodId(9)), 0);
+        assert_eq!(re.node_len(NodeId(5)), db.node_len(NodeId(5)));
+        assert_eq!(re.rejected_total(), 1);
     }
 
     #[test]

@@ -332,92 +332,6 @@ mod event_interleavings {
     }
 }
 
-mod shard_invariance {
-    //! Property: the shard count is a pure performance knob — for
-    //! arbitrary seeds, node counts, shard counts and fault intensities the
-    //! sharded run reproduces the single-shard run bit for bit: report
-    //! digest, energy bits and every retained TSDB node sample.
-
-    use knots_chaos::{gen, ChaosEngine, GenConfig};
-    use knots_core::config::OrchestratorConfig;
-    use knots_core::orchestrator::KubeKnots;
-    use knots_sim::cluster::ClusterConfig;
-    use knots_sim::ids::NodeId;
-    use knots_sim::metrics::{GpuSample, Metric};
-    use knots_sim::time::SimDuration;
-    use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator};
-    use knots_workloads::AppMix;
-    use proptest::prelude::*;
-
-    /// (report digest, energy bits, per-node `(at, metric bits)` samples).
-    type LegResult = (u64, u64, Vec<Vec<(u64, [u64; 5])>>);
-
-    /// Run one leg at the given partitioning and return its [`LegResult`].
-    fn run_leg(
-        shards: usize,
-        seed: u64,
-        nodes: usize,
-        secs: u64,
-        faults_per_minute: f64,
-    ) -> LegResult {
-        let duration = SimDuration::from_secs(secs);
-        let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, seed));
-        let mut cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
-        cluster_cfg.shards = Some(shards);
-        let orch = OrchestratorConfig::default();
-        let mut k = KubeKnots::new(cluster_cfg, Box::new(knots_sched::pp::CbpPp::new()), orch);
-        if faults_per_minute > 0.0 {
-            let plan = gen::generate(&GenConfig {
-                seed: seed ^ 0x51ab,
-                nodes,
-                duration,
-                faults_per_minute,
-            });
-            k = k.with_chaos(ChaosEngine::new(plan));
-        }
-        let report = k.run_schedule(&schedule);
-        let now = k.cluster().now();
-        let window = SimDuration::from_secs(secs + 3600);
-        let samples = (0..nodes)
-            .map(|n| {
-                k.tsdb()
-                    .node_window(NodeId(n), now, window)
-                    .iter()
-                    .map(|s: &GpuSample| {
-                        let mut vals = [0u64; 5];
-                        for (i, m) in Metric::ALL.iter().enumerate() {
-                            vals[i] = s.get(*m).to_bits();
-                        }
-                        (s.at.0, vals)
-                    })
-                    .collect()
-            })
-            .collect();
-        (knots_analyzer::report_digest(&report), report.energy_joules.to_bits(), samples)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-        #[test]
-        fn sharded_runs_reproduce_the_serial_run_bit_identically(
-            seed in 0u64..1_000_000,
-            nodes in 3usize..24,
-            shard_pow in 1u32..4,   // shards ∈ {2, 4, 8}
-            secs in 5u64..12,
-            faulty in proptest::bool::ANY,
-        ) {
-            let fpm = if faulty { 6.0 } else { 0.0 };
-            let shards = 1usize << shard_pow;
-            let flat = run_leg(1, seed, nodes, secs, fpm);
-            let sharded = run_leg(shards, seed, nodes, secs, fpm);
-            prop_assert_eq!(flat.0, sharded.0, "report digest diverged");
-            prop_assert_eq!(flat.1, sharded.1, "energy total diverged");
-            prop_assert_eq!(flat.2, sharded.2, "TSDB node samples diverged");
-        }
-    }
-}
-
 #[test]
 fn different_seeds_diverge() {
     // Digest sanity: if report_digest collapsed distinct runs the replay

@@ -237,7 +237,7 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
     rotten.payload.replace_range(mid..mid + 1, "X");
     assert!(matches!(rotten.state(), Err(RecoveryError::DigestMismatch { .. })));
 
-    // Version skew — both a future format and the pre-sharding v1 format
+    // Version skew — both a future format and the v1 format
     // are rejected with the typed error carrying both versions.
     let mut skewed = snap.clone();
     skewed.version = 999;
@@ -299,77 +299,35 @@ fn every_state_struct_round_trips_byte_stably() {
     }
 }
 
-/// Crash-mid-sweep with a sharded core (2 shards): the
-/// partitioned TSDB and the recorded shard count must survive checkpoint →
-/// crash → resume with the same bits as the uninterrupted sharded run —
-/// which itself matches the single-shard oracle bit for bit. Resuming the
-/// sharded snapshot under a different partitioning fails loudly.
+/// A v2 snapshot written by a build with a sharded core records its shard
+/// count in `OrchestratorState::shards`. Such a state — a paused chaotic
+/// CBP+PP run with `shards` set to 2, round-tripped through the snapshot
+/// envelope — still resumes, and the resumed run completes with the same
+/// report digest, energy bits and TSDB node-sample bits as the run that
+/// never paused.
 #[test]
-fn sharded_crash_resume_is_bit_identical() {
+fn sharded_v2_state_resumes_bit_identically() {
     let secs = 30u64;
-    let (schedule, mut cluster_cfg, orch) = setup(42, 50, secs);
-    cluster_cfg.shards = Some(2);
+    let (schedule, cluster_cfg, orch) = setup(42, 50, secs);
     let p = plan(42, SimDuration::from_secs(secs), 6.0, 0.0);
-
-    // Single-shard oracle: the shard count must not change any bit, TSDB
-    // samples included.
-    let flat = {
-        let mut cfg = cluster_cfg.clone();
-        cfg.shards = None;
-        let mut k = KubeKnots::new(cfg, scheduler_by_name("CBP+PP").unwrap(), orch)
-            .with_chaos(ChaosEngine::new(p.clone()));
-        let report = k.run_schedule(&schedule);
-        leg_result(&k, &report, secs)
-    };
-    let oracle = {
-        let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name("CBP+PP").unwrap(), orch)
-            .with_chaos(ChaosEngine::new(p.clone()));
-        let report = k.run_schedule(&schedule);
-        leg_result(&k, &report, secs)
-    };
-    assert_eq!(flat, oracle, "sharded run diverged from the single-shard oracle");
+    let oracle = uninterrupted("CBP+PP", 42, 50, secs, &p);
 
     let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name("CBP+PP").unwrap(), orch)
         .with_chaos(ChaosEngine::new(p.clone()));
     k.begin(&schedule);
-    k.enable_journal();
-    assert!(!k.drive(&schedule, Some(SimTime(7_000_000))), "run ended before checkpoint");
-    let snap = Snapshot::capture(&k).unwrap();
-    let state = snap.state().unwrap();
-    assert_eq!(state.shards, 2, "snapshot must record the shard count");
-    k.take_journal();
-    let mut wal = knots_recovery::WriteAheadLog::new();
-    assert!(!k.drive(&schedule, Some(SimTime(19_000_000))), "run ended before crash");
-    wal.append(&k.take_journal());
+    assert!(!k.drive(&schedule, Some(SimTime(7_000_000))), "run ended before the pause");
+    let mut state = k.pause_state().unwrap();
     drop(k);
+    assert_eq!(state.shards, 1);
+    state.shards = 2;
+    let snap = Snapshot::from_state(&state, state.cluster.now).unwrap();
+    assert_eq!(snap.version, 2);
+    let state = snap.state().unwrap();
+    assert_eq!(state.shards, 2);
 
-    // Config drift: a resume that would re-partition the cluster is a
-    // typed error, not a silent re-shard.
-    let mut drifted_cfg = cluster_cfg.clone();
-    drifted_cfg.shards = Some(4);
-    assert!(
-        KubeKnots::resume(
-            drifted_cfg,
-            scheduler_by_name("CBP+PP").unwrap(),
-            orch,
-            Some(p.clone()),
-            snap.state().unwrap(),
-        )
-        .is_err(),
-        "resume under a different shard count must fail"
-    );
-
-    let mut revived = KubeKnots::resume(
-        cluster_cfg,
-        scheduler_by_name("CBP+PP").unwrap(),
-        orch,
-        Some(p.clone()),
-        state,
-    )
-    .unwrap();
-    revived.enable_journal();
-    assert!(!revived.drive(&schedule, Some(SimTime(19_000_000))), "replay overshot the run");
-    wal.verify_replay(&revived.take_journal()).expect("replay must match the WAL");
+    let mut revived =
+        KubeKnots::resume(cluster_cfg, scheduler_by_name("CBP+PP").unwrap(), orch, Some(p), state)
+            .expect("a v2 state recorded with 2 shards must resume");
     assert!(revived.drive(&schedule, None), "resumed run must complete");
     let report = revived.report_now(schedule.len());
     let rec = leg_result(&revived, &report, secs);
