@@ -168,9 +168,6 @@ struct LoopTally {
     /// Pending-queue length of the latest round (`knots_pending_pods`);
     /// `Some` once a round ran.
     pending: Option<usize>,
-    /// Round-cache lookups (`knots_stats_cache_{hits,misses}_total`).
-    cache_hits: u64,
-    cache_misses: u64,
     /// Applied actions by kind (`knots_actions_applied_total{kind}`).
     applied: BTreeMap<&'static str, u64>,
     /// Sums of the per-action `mb as u64` truncations
@@ -276,8 +273,8 @@ pub struct OrchestratorState {
     /// Always written as `1` and ignored on resume. Builds with a sharded
     /// core recorded their shard count here; the field keeps the snapshot
     /// format (`SNAPSHOT_VERSION` 2) and the benchmark's loop copy, which
-    /// still writes it, unchanged. ROADMAP item 5 deletes it together with
-    /// that copy.
+    /// still writes it, unchanged. The change to the benchmark that deletes
+    /// that copy deletes this field with it.
     pub shards: u64,
 }
 
@@ -457,14 +454,14 @@ impl KubeKnots {
     /// static configuration. The scheduler must be the same policy that
     /// produced the state (its learned state is restored via
     /// [`Scheduler::restore_state`]); `chaos_plan` must be the original
-    /// plan when the state carries a chaos cursor. The observability bundle
-    /// (recorder, registry, tracer), the heartbeat-latency histogram, the
-    /// loop-metric tally and the per-kind skip breakdown restart empty (the
-    /// skip total carries over), and the lifecycle tracker starts at the
-    /// resumed event cursor — they describe the process, not the
-    /// simulation. The per-round `StatsCache` is built fresh each
-    /// heartbeat, so restore invalidates it by construction; the reused
-    /// snapshot and pod views start empty and are derived state anyway.
+    /// plan when the state carries a chaos cursor, and `cluster_cfg` must
+    /// describe the state's topology (same node count, same GPU model per
+    /// node). The observability bundle (recorder, registry, tracer), the
+    /// heartbeat-latency histogram, the loop-metric tally and the per-kind
+    /// skip breakdown restart empty (the skip total carries over), and the
+    /// lifecycle tracker starts at the resumed event cursor — they describe
+    /// the process, not the simulation. The reused snapshot and pod views
+    /// start empty and are derived state anyway.
     pub fn resume(
         mut cluster_cfg: ClusterConfig,
         mut scheduler: Box<dyn Scheduler>,
@@ -472,6 +469,15 @@ impl KubeKnots {
         chaos_plan: Option<FaultPlan>,
         state: OrchestratorState,
     ) -> Result<Self, serde::Error> {
+        let nodes = &state.cluster.nodes;
+        if !cluster_cfg.node_models.iter().copied().eq(nodes.iter().map(|n| n.gpu().spec().model)) {
+            return Err(serde::Error::custom(format!(
+                "cluster config ({} nodes) does not match the state's topology ({} nodes): \
+                 node count and per-node GPU models must be equal",
+                cluster_cfg.node_models.len(),
+                nodes.len()
+            )));
+        }
         if !scheduler.wants_cluster_auto_sleep() {
             cluster_cfg.auto_sleep_after = None;
         }
@@ -897,12 +903,7 @@ impl KubeKnots {
                 freshness: self.cfg.freshness,
                 shards: 1,
             };
-            let actions = self.scheduler.decide(&ctx);
-            // The cache dies with the round; tally its effectiveness first.
-            let cs = ctx.cache.stats();
-            self.tally.cache_hits += cs.hits;
-            self.tally.cache_misses += cs.misses;
-            actions
+            self.scheduler.decide(&ctx)
         };
         self.round += 1;
         let round_span = if self.obs.tracer.enabled() {
@@ -1085,8 +1086,6 @@ impl KubeKnots {
         let (m, t) = (&self.obs.metrics, &self.tally);
         if let Some(pending) = t.pending {
             m.set_gauge("knots_pending_pods", &[], pending as f64);
-            m.add("knots_stats_cache_hits_total", &[], t.cache_hits);
-            m.add("knots_stats_cache_misses_total", &[], t.cache_misses);
         }
         for (&kind, &n) in &t.applied {
             m.add("knots_actions_applied_total", &[("kind", kind)], n);
@@ -1670,10 +1669,6 @@ mod tests {
         let obs = Obs::disabled();
         let m = &obs.metrics;
         let place = || m.counter_value("knots_actions_applied_total", &[("kind", "Place")]);
-        let cache = || {
-            ["knots_stats_cache_hits_total", "knots_stats_cache_misses_total"]
-                .map(|name| m.counter_value(name, &[]))
-        };
         let last_pending = std::rc::Rc::new(std::cell::Cell::new(usize::MAX));
         // One leg, paused halfway: placements have happened, but nothing
         // reaches the registry before the run reports. Returns the leg's
@@ -1699,8 +1694,6 @@ mod tests {
         assert_eq!(applied, placed, "one Place per placement event");
         assert_eq!(last_pending.get(), 1, "the unplaceable query is still queued");
         assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
-        let first_cache = cache();
-        assert!(first_cache[1] > 0, "rounds with pending pods build a candidate order");
         let requested = m.counter_value("knots_requested_mb_total", &[]);
         assert!(requested > 0);
 
@@ -1709,7 +1702,6 @@ mod tests {
         assert_eq!(run(), placed);
         assert_eq!(place(), 2 * applied);
         assert_eq!(m.counter_value("knots_requested_mb_total", &[]), 2 * requested);
-        assert_eq!(cache(), first_cache.map(|n| 2 * n));
         assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
     }
 }

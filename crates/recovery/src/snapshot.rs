@@ -24,8 +24,8 @@ use crate::RecoveryError;
 /// History: 1 = original shape; 2 = adds `OrchestratorState::shards`,
 /// the shard count of the since-deleted sharded core. The field is now
 /// always written as `1` and ignored on resume, so a v2 state recorded
-/// with any shard count still resumes; it goes, with a version bump,
-/// when ROADMAP item 5 deletes the benchmark's loop copy that writes it.
+/// with any shard count still resumes; it goes, with a version bump, in
+/// the change to the benchmark that deletes the loop copy that writes it.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit over a byte slice — the integrity digest of the payload.

@@ -26,6 +26,7 @@ use crate::binpack::decreasing_order;
 use crate::context::{app_key_str, SchedContext};
 use crate::history::{AppHistoryState, AppUsageHistory};
 use crate::traits::Scheduler;
+use knots_forecast::spearman::spearman;
 use knots_sim::ids::{NodeId, PodId};
 use knots_sim::pod::QosClass;
 use knots_telemetry::NodeView;
@@ -100,10 +101,8 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
         }
     }
     // Refresh one reference series per app from the longest-running pod we
-    // can see (the first one seen wins a tie). The series is read straight
-    // from the TSDB into the history's reused buffer, not through the
-    // round cache: a resident the correlation gate later compares against
-    // fetches its own series there.
+    // can see (the first one seen wins a tie), read straight from the TSDB
+    // into the history's reused buffer.
     let mut best: BTreeMap<&str, (usize, PodId)> = BTreeMap::new();
     for node in &ctx.snapshot.nodes {
         for pod in &node.pods {
@@ -198,10 +197,8 @@ pub(crate) fn sm_headroom_ok(history: &AppUsageHistory, app: &str, node: &NodeVi
 /// context carries an audit recorder, the gate logs the worst coefficient
 /// it compared (`scheduler` labels the policy driving the shared gate).
 ///
-/// Series fetches, rank vectors, and pairwise ρ all go through the round's
-/// [`crate::StatsCache`], so a resident pod compared against many candidate
-/// apps (or one app probing many nodes) costs one TSDB query and one ranking
-/// per overlap length instead of one per comparison.
+/// Each resident's series is read from the TSDB and compared with
+/// [`spearman`], which aligns both series on their common trailing suffix.
 pub(crate) fn correlation_ok(
     history: &AppUsageHistory,
     cfg: &CbpConfig,
@@ -233,12 +230,12 @@ pub(crate) fn correlation_ok(
             }
             continue;
         }
-        let series = ctx.cache.pod_mem_series(ctx.tsdb, pod.id, ctx.now, ctx.window);
+        let series = ctx.tsdb.pod_mem_series(pod.id, ctx.now, ctx.window);
         let n = reference.len().min(series.len());
         if n < cfg.min_corr_samples {
             continue;
         }
-        let rho = ctx.cache.spearman_suffix(app, reference, pod.id, &series);
+        let rho = spearman(reference, &series);
         if max_rho.as_ref().is_none_or(|(best, _)| rho > *best) {
             max_rho = Some((rho, app_key_str(&pod.name)));
         }
@@ -337,7 +334,7 @@ impl Scheduler for Cbp {
 
         // Candidate nodes ordered by *measured* free memory, most free
         // first (the real-time signal Knots adds over Res-Ag).
-        let order = ctx.free_memory_order();
+        let order = ctx.snapshot.nodes_by_free_memory();
         let mut free: BTreeMap<NodeId, (f64, f64)> = ctx
             .snapshot
             .active_nodes()
@@ -405,6 +402,7 @@ impl Scheduler for Cbp {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, node_view, pending, pending_lc, snap};
+    use knots_obs::FieldValue;
     use knots_sim::resources::Usage;
     use knots_sim::time::{SimDuration, SimTime};
     use knots_telemetry::TimeSeriesDb;
@@ -579,9 +577,15 @@ mod tests {
         nv0.free_provision_mb = 15_000.0;
         let s0 = snap(vec![nv0]);
         let db = TimeSeriesDb::default();
-        let ramp_up: Vec<f64> = (0..40).map(|i| 100.0 + 10.0 * i as f64).collect();
-        let ramp_down: Vec<f64> = ramp_up.iter().rev().copied().collect();
-        for (i, &m) in ramp_up.iter().enumerate() {
+        // A rising resident with a bump every third sample, against a
+        // longer falling reference: strongly but not perfectly
+        // anti-correlated, and the gate must align the two on their
+        // common trailing suffix.
+        let resident: Vec<f64> = (0..40)
+            .map(|i| 100.0 + 10.0 * i as f64 + if i % 3 == 0 { 25.0 } else { 0.0 })
+            .collect();
+        let ramp_down: Vec<f64> = (0..48).map(|i| 600.0 - 10.0 * i as f64).collect();
+        for (i, &m) in resident.iter().enumerate() {
             db.push_pod(
                 resident_id,
                 SimTime::from_millis(i as u64 * 10),
@@ -593,6 +597,7 @@ mod tests {
         let mut snapshot = s0;
         snapshot.at = SimTime::from_millis(400);
         let pend = vec![pending(1, "anti-1", 500.0)];
+        let rec = knots_obs::Recorder::bounded(64);
         let c = SchedContext {
             now: snapshot.at,
             snapshot: &snapshot,
@@ -600,7 +605,7 @@ mod tests {
             suspended: &[],
             tsdb: &db,
             window: SimDuration::from_secs(5),
-            recorder: None,
+            recorder: Some(&rec),
             cache: Default::default(),
             freshness: None,
             shards: 1,
@@ -610,6 +615,18 @@ mod tests {
             acts.iter().any(|a| matches!(a, Action::Place { .. })),
             "negatively-correlated pods should co-locate: {acts:?}"
         );
+        // The ρ the gate admitted on is the library's Spearman of the app's
+        // reference against the resident's TSDB window, bit for bit.
+        let series = db.pod_mem_series(resident_id, snapshot.at, c.window);
+        let expected = spearman(s.history.reference("anti").unwrap(), &series);
+        assert!(expected > -1.0 && expected < -0.9, "rho {expected}");
+        let events = rec.events();
+        let gate = events.iter().find(|e| e.kind == "sched.correlation").expect("gate audited");
+        let Some(&FieldValue::F64(rho)) = gate.field("spearman_rho") else {
+            panic!("no rho: {gate:?}")
+        };
+        assert_eq!(rho.to_bits(), expected.to_bits(), "gate rho {rho} vs spearman {expected}");
+        assert_eq!(gate.field("admitted"), Some(&FieldValue::Bool(true)));
     }
 
     #[test]

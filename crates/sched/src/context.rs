@@ -1,12 +1,10 @@
 //! The read-only context handed to a scheduler on every heartbeat.
 
-use crate::cache::StatsCache;
 use knots_obs::Recorder;
 use knots_sim::ids::{NodeId, PodId};
 use knots_sim::pod::QosClass;
 use knots_sim::time::{SimDuration, SimTime};
 use knots_telemetry::{ClusterSnapshot, TimeSeriesDb};
-use std::rc::Rc;
 
 /// What the scheduler knows about one pending pod.
 ///
@@ -74,9 +72,10 @@ pub struct SchedContext<'a> {
     /// decision happened (Spearman gate outcomes, Algorithm-1 branches,
     /// bin-pack rejections) via [`knots_obs::audit`].
     pub recorder: Option<&'a Recorder>,
-    /// Per-round memo tables for series fetches, rank vectors, and pairwise
-    /// Spearman ρ. Rebuilt with the context every heartbeat, so nothing in
-    /// it can go stale (the TSDB is only written between rounds).
+    /// Unread stand-in for the deleted per-round memo (see [`StatsCache`]).
+    /// The benchmark's copy of the event loop (`perfbench/`) still writes
+    /// it; the change to the benchmark that deletes that copy deletes this
+    /// field with it.
     pub cache: StatsCache,
     /// Maximum telemetry age before a series is treated as stale. `None`
     /// (the default) trusts every series — the behavior of a fault-free
@@ -87,8 +86,41 @@ pub struct SchedContext<'a> {
     pub freshness: Option<SimDuration>,
     /// Unread single-partition stand-in: the benchmark's copy of the event
     /// loop (`perfbench/`) still writes it, and the orchestrator writes
-    /// `1`. ROADMAP item 5 deletes it together with that copy.
+    /// `1`. The change to the benchmark that deletes that copy deletes
+    /// this field with it.
     pub shards: usize,
+}
+
+// Stand-ins for the benchmark's copy of the event loop (`perfbench/`), which
+// builds a `StatsCache` per round and reads its counts. Every other place
+// that constructs a `SchedContext` fills `cache` with the stand-in, and
+// nothing reads it; the change to the benchmark that deletes that copy
+// deletes them.
+
+/// Lookup counts of the deleted per-round memo; always zero.
+#[derive(Debug, Default)]
+pub struct CacheStats {
+    /// Memo hits (always 0).
+    pub hits: u64,
+    /// Memo misses (always 0).
+    pub misses: u64,
+}
+
+/// Field-less stand-in for the per-round memo that schedulers no longer
+/// read: CBP and PP query the TSDB and compute Spearman ρ directly.
+#[derive(Debug, Default)]
+pub struct StatsCache;
+
+impl StatsCache {
+    /// The stand-in.
+    pub fn new() -> Self {
+        StatsCache
+    }
+
+    /// Always [`CacheStats::default`].
+    pub fn stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
 }
 
 impl SchedContext<'_> {
@@ -109,18 +141,6 @@ impl SchedContext<'_> {
     pub fn node_series_fresh(&self, node: NodeId) -> bool {
         let Some(max_age) = self.freshness else { return true };
         self.tsdb.node_last_at(node).is_some_and(|at| self.now.saturating_since(at) <= max_age)
-    }
-
-    /// Active nodes by measured free memory, most free first — the
-    /// `Sort_by_Free_Memory` order of Algorithm 1, memoized for the round.
-    pub fn free_memory_order(&self) -> Rc<Vec<NodeId>> {
-        self.cache.free_memory_order(self.snapshot)
-    }
-
-    /// Active nodes by packing (least free memory first), memoized for the
-    /// round.
-    pub fn packing_order(&self) -> Rc<Vec<NodeId>> {
-        self.cache.packing_order(self.snapshot)
     }
 }
 

@@ -23,7 +23,6 @@
 
 pub mod action;
 pub mod binpack;
-pub mod cache;
 pub mod cbp;
 pub mod context;
 pub mod gandiva;
@@ -37,6 +36,5 @@ pub mod traits;
 pub mod uniform;
 
 pub use action::Action;
-pub use cache::{CacheStats, StatsCache};
-pub use context::{PendingPodView, SchedContext, SuspendedPodView};
+pub use context::{CacheStats, PendingPodView, SchedContext, StatsCache, SuspendedPodView};
 pub use traits::Scheduler;

@@ -28,6 +28,7 @@ use crate::traits::Scheduler;
 use knots_forecast::arima::Ar1;
 use knots_forecast::autocorr::has_forecastable_trend;
 use knots_sim::ids::NodeId;
+use knots_sim::metrics::Metric;
 use knots_sim::pod::QosClass;
 use std::collections::BTreeMap;
 
@@ -105,7 +106,7 @@ impl CbpPp {
             }
             return false;
         }
-        let series = ctx.cache.node_mem_series(ctx.tsdb, node, ctx.now, ctx.window);
+        let series = ctx.tsdb.node_series(node, Metric::MemUsedMb, ctx.now, ctx.window);
         if series.len() < 8 {
             // "input time-series data is limited"
             self.audit_branch(
@@ -202,9 +203,9 @@ impl Scheduler for CbpPp {
         // while the active fleet is lightly used, balance by free memory
         // once it saturates.
         let order = if ctx.snapshot.mean_active_sm_util() > 0.6 {
-            ctx.free_memory_order()
+            ctx.snapshot.nodes_by_free_memory()
         } else {
-            ctx.packing_order()
+            ctx.snapshot.nodes_by_packing()
         };
         let mut free: BTreeMap<NodeId, (f64, f64)> = ctx
             .snapshot

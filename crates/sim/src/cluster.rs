@@ -775,8 +775,8 @@ impl Cluster {
 
 // ----------------------------------------------------------------------
 // Single-partition stand-ins. The benchmark's copy of the event loop
-// (`perfbench/`) still names these; no program path calls them. ROADMAP
-// item 5 deletes them together with that copy.
+// (`perfbench/`) still names these; no program path calls them. The
+// change to the benchmark that deletes that copy deletes them with it.
 // ----------------------------------------------------------------------
 
 /// Zero-sized stand-in for the deleted shard layout: a cluster is one

@@ -611,8 +611,8 @@ impl TimeSeriesDb {
 
 // ----------------------------------------------------------------------
 // Single-partition stand-ins. The benchmark's copy of the event loop
-// (`perfbench/`) still names these; no program path calls them. ROADMAP
-// item 5 deletes them together with that copy.
+// (`perfbench/`) still names these; no program path calls them. The
+// change to the benchmark that deletes that copy deletes them with it.
 // ----------------------------------------------------------------------
 
 impl TimeSeriesDb {

@@ -16,6 +16,7 @@ use knots_recovery::{run_with_recovery, RecoveryConfig, RecoveryError, Snapshot}
 use knots_sim::cluster::ClusterConfig;
 use knots_sim::ids::NodeId;
 use knots_sim::metrics::{GpuSample, Metric};
+use knots_sim::resources::GpuModel;
 use knots_sim::time::{SimDuration, SimTime};
 use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator, ScheduledPod};
 use knots_workloads::AppMix;
@@ -334,6 +335,49 @@ fn sharded_v2_state_resumes_bit_identically() {
     assert_eq!(oracle.0, rec.0, "report digest diverged");
     assert_eq!(oracle.1, rec.1, "energy total diverged");
     assert_eq!(oracle.2, rec.2, "TSDB node sample bits diverged");
+}
+
+/// `KubeKnots::resume` refuses a cluster config whose topology differs
+/// from the captured state's — more nodes, or the same count with another
+/// GPU model on one node — instead of running on the state's nodes while
+/// `cluster().config()` reports the config's. The original config still
+/// resumes bit-identically.
+#[test]
+fn resume_refuses_a_config_of_another_topology() {
+    let secs = 20u64;
+    let (schedule, cluster_cfg, orch) = setup(5, 50, secs);
+    let p = plan(5, SimDuration::from_secs(secs), 6.0, 0.0);
+    let oracle = uninterrupted("CBP+PP", 5, 50, secs, &p);
+
+    let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name("CBP+PP").unwrap(), orch)
+        .with_chaos(ChaosEngine::new(p.clone()));
+    k.begin(&schedule);
+    assert!(!k.drive(&schedule, Some(SimTime(6_000_000))), "run ended before the pause");
+    let state = k.pause_state().unwrap();
+    drop(k);
+
+    let bigger = ClusterConfig::homogeneous(NODES + 2, knots_sim::config::TESTBED_GPU);
+    let mut other_model = cluster_cfg.clone();
+    other_model.node_models[1] = GpuModel::V100;
+    assert_ne!(other_model.node_models, cluster_cfg.node_models);
+    for (what, cfg) in [("6-node", bigger), ("other-GPU", other_model)] {
+        let resumed = KubeKnots::resume(
+            cfg,
+            scheduler_by_name("CBP+PP").unwrap(),
+            orch,
+            Some(p.clone()),
+            state.clone(),
+        );
+        let Err(e) = resumed else { panic!("the {what} config was accepted") };
+        assert!(e.to_string().contains("topology"), "{what}: {e}");
+    }
+
+    let mut revived =
+        KubeKnots::resume(cluster_cfg, scheduler_by_name("CBP+PP").unwrap(), orch, Some(p), state)
+            .expect("the original config must resume");
+    assert!(revived.drive(&schedule, None), "resumed run must complete");
+    let report = revived.report_now(schedule.len());
+    assert_eq!(oracle, leg_result(&revived, &report, secs), "resumed run diverged");
 }
 
 #[test]
