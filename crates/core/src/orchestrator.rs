@@ -18,11 +18,18 @@
 //!    metrics into the TSDB after each tick (the pyNVML probe) and
 //!    recording experiment metrics at the configured interval.
 //!
+//! Without a chaos engine, each tick steps and probes only the nodes that
+//! host work ([`Cluster::step_active`]). An idle node owes its ticks and
+//! settles them in closed form, bit for bit, when it next changes or
+//! before anything reads it: its TSDB node series (the forecast and the
+//! freshness gauges), `pause_state` and the report. Every exit from the
+//! loop settles everything.
+//!
 //! The one-tick-at-a-time loop survives as the A/B oracle behind
-//! [`OrchestratorConfig::naive_ticking`]; the two are bit-identical at
-//! matching grid points (the determinism suite and the pinned self-check
-//! digests gate this on every run). Either way the cluster steps its
-//! nodes serially, in node order.
+//! [`OrchestratorConfig::naive_ticking`]: it steps and probes every node
+//! every tick. The two are bit-identical at matching grid points (the
+//! determinism suite and the pinned self-check digests gate this on every
+//! run). Either way the cluster steps its nodes serially, in node order.
 
 use crate::calendar::{grid_at_or_after, AppliedEvent, CoreEvent, EventCalendar};
 use crate::config::OrchestratorConfig;
@@ -71,22 +78,12 @@ fn error_label(e: &SimError) -> &'static str {
 }
 
 /// Probe every live node into the TSDB through
-/// `probe::sample_cluster_with`: the one probe path of the single-tick
-/// step and of every in-span tick. Under chaos the engine may drop or
-/// corrupt each node's sample; the return value counts dropped nodes.
-/// Without chaos, nodes flagged in `quiet` are skipped (the span backfills
-/// their constant samples afterwards), and a skip is not a drop. A quiet
-/// mask exists only without chaos.
-fn probe_round(
-    cluster: &Cluster,
-    tsdb: &TimeSeriesDb,
-    chaos: Option<&mut ChaosEngine>,
-    quiet: &[bool],
-) -> u64 {
+/// `probe::sample_cluster_with`: the probe of a tick that stepped every
+/// node. Under chaos the engine may drop or corrupt each node's sample;
+/// the return value counts dropped nodes.
+fn probe_round(cluster: &Cluster, tsdb: &TimeSeriesDb, chaos: Option<&mut ChaosEngine>) -> u64 {
     let Some(engine) = chaos else {
-        probe::sample_cluster_with(cluster, tsdb, |node, s| {
-            (!quiet.get(node.0).copied().unwrap_or(false)).then_some(s)
-        });
+        probe::sample_cluster_with(cluster, tsdb, |_, s| Some(s));
         return 0;
     };
     let now = cluster.now();
@@ -179,6 +176,11 @@ struct LoopTally {
     /// Whether a probe burst ran under chaos, which publishes the TSDB's
     /// rejected-sample total (`knots_telemetry_rejected_samples_total`).
     chaos_probed: bool,
+    /// Node-ticks on nodes that host work and on idle ones (failed, or
+    /// hosting no pod), counted whether or not the tick skipped them
+    /// (`knots_node_ticks_total{state}`).
+    active_node_ticks: u64,
+    idle_node_ticks: u64,
 }
 
 /// The orchestrator.
@@ -202,8 +204,6 @@ pub struct KubeKnots {
     snapshot: ClusterSnapshot,
     pending: Vec<PendingPodView>,
     suspended: Vec<SuspendedPodView>,
-    /// Quiet-node mask of the current span, reused across spans.
-    quiet: Vec<bool>,
     util_series: Vec<Vec<f64>>,
     active_util: Vec<f64>,
     next_metric: Option<SimTime>,
@@ -307,7 +307,6 @@ impl KubeKnots {
             snapshot: ClusterSnapshot::default(),
             pending: Vec::new(),
             suspended: Vec::new(),
-            quiet: Vec::new(),
             util_series: vec![Vec::new(); nodes],
             active_util: Vec::new(),
             next_metric: None,
@@ -515,7 +514,6 @@ impl KubeKnots {
             snapshot: ClusterSnapshot::default(),
             pending: Vec::new(),
             suspended: Vec::new(),
-            quiet: Vec::new(),
             util_series: state.util_series,
             active_util: state.active_util,
             next_metric: state.next_metric,
@@ -670,6 +668,9 @@ impl KubeKnots {
                 break true;
             }
         };
+        // Whoever reads next — `pause_state`, a checkpoint, the report —
+        // reads the cluster and the TSDB directly.
+        probe::settle_idle(&mut self.cluster, &self.tsdb);
         self.loop_state = Some(st);
         done
     }
@@ -749,13 +750,11 @@ impl KubeKnots {
         self.hb_latency.observe(t0.elapsed().as_secs_f64() * 1e6);
     }
 
-    /// Advance one tick and probe every node into the TSDB — the unit
-    /// step every loop implementation shares (a jump of one tick and the
-    /// oracle's every-tick path are the same code).
+    /// Advance one tick and probe — the unit step every loop
+    /// implementation shares (a jump of one tick and the oracle's every-tick
+    /// path are the same code) — and mark it on the trace.
     fn step_and_probe(&mut self) {
-        self.cluster.step(self.cfg.tick);
-        let dropped = probe_round(&self.cluster, &self.tsdb, self.chaos.as_mut(), &[]);
-        self.note_probe_faults(dropped);
+        self.tick();
         if self.obs.tracer.enabled() {
             self.obs.tracer.record_instant(
                 Track::Control,
@@ -767,52 +766,48 @@ impl KubeKnots {
         }
     }
 
-    /// Tally a probe burst's chaos outcome: the dropped-node count, and
-    /// that the TSDB's rejected-sample total is to be published. A no-op
-    /// without a chaos engine, where no sample is dropped or corrupted.
-    fn note_probe_faults(&mut self, dropped: u64) {
+    /// Advance one tick and probe it. Without chaos (and off the
+    /// `naive_ticking` oracle) only the nodes that host work are stepped
+    /// and probed; idle ones owe the tick. Under chaos every node steps,
+    /// and the engine may drop or corrupt each probe sample.
+    fn tick(&mut self) {
+        let active = self.cluster.active_len() as u64;
+        self.tally.active_node_ticks += active;
+        self.tally.idle_node_ticks += self.cluster.nodes().len() as u64 - active;
+        if self.chaos.is_none() && !self.cfg.naive_ticking {
+            self.cluster.step_active(self.cfg.tick);
+            probe::sample_active(&mut self.cluster, &self.tsdb);
+            return;
+        }
+        self.cluster.step(self.cfg.tick);
+        let dropped = probe_round(&self.cluster, &self.tsdb, self.chaos.as_mut());
         if self.chaos.is_some() {
             self.tally.probe_dropped += dropped;
             self.tally.chaos_probed = true;
         }
     }
 
-    /// Advance `k` ticks in one cluster span, probing after every tick so
-    /// the TSDB ends up byte-identical to `k` single steps. Quiet nodes
-    /// (failed or hosting nothing) skip per-tick stepping and have their
-    /// constant samples backfilled through the ordinary push path after the
-    /// span; under a chaos plan probe behaviour can differ per node per
-    /// tick, so batching is disabled and every node steps normally. The
-    /// span stops on the exact tick the cluster drains (`on_tick` → false)
-    /// so the reported duration matches naive ticking.
+    /// Advance `k` ticks, probing after every one, so cluster and TSDB end
+    /// up byte-identical to `k` single steps. The span stops on the exact
+    /// tick the cluster drains, so the reported duration matches naive
+    /// ticking.
     fn advance_span(&mut self, k: u64, arrivals_done: bool) {
-        let tick = self.cfg.tick;
         let start = self.cluster.now();
-        let mut quiet = std::mem::take(&mut self.quiet);
-        quiet.clear();
-        if self.chaos.is_none() {
-            quiet.extend(
-                self.cluster.nodes().iter().map(|n| n.is_failed() || n.resident_count() == 0),
-            );
-        }
-        let mut dropped = 0u64;
-        let executed = {
-            let tsdb = &self.tsdb;
-            let mut engine = self.chaos.as_mut();
-            self.cluster.step_span(tick, k, &quiet, |c, activity| {
-                dropped += probe_round(c, tsdb, engine.as_deref_mut(), &quiet);
-                !(arrivals_done && activity && c.is_drained())
-            })
+        // Nodes the span skips while idle (none under chaos).
+        let idle = if self.chaos.is_none() {
+            (self.cluster.nodes().len() - self.cluster.active_len()) as u64
+        } else {
+            0
         };
-        if !quiet.is_empty() && executed > 0 {
-            let mut w = self.tsdb.writer();
-            for (i, node) in self.cluster.nodes().iter().enumerate() {
-                if quiet[i] && !node.is_failed() {
-                    w.push_node_span(node.id(), node.last_sample(), start, tick, executed);
-                }
+        let mut executed = 0;
+        while executed < k {
+            let events = self.cluster.events().len();
+            self.tick();
+            executed += 1;
+            if arrivals_done && self.cluster.events().len() > events && self.cluster.is_drained() {
+                break;
             }
         }
-        self.note_probe_faults(dropped);
         if self.obs.tracer.enabled() {
             self.obs.tracer.record_complete(
                 Track::Control,
@@ -820,13 +815,9 @@ impl KubeKnots {
                 start.as_micros(),
                 self.cluster.now().as_micros(),
                 None,
-                vec![
-                    ("ticks", FieldValue::U64(executed)),
-                    ("quiet", FieldValue::U64(quiet.iter().filter(|q| **q).count() as u64)),
-                ],
+                vec![("ticks", FieldValue::U64(executed)), ("quiet", FieldValue::U64(idle))],
             );
         }
-        self.quiet = quiet;
     }
 
     /// Replay every chaos action due at `now` against the cluster. Errors
@@ -889,6 +880,12 @@ impl KubeKnots {
         self.aggregator.query_into(&self.cluster, &mut self.snapshot);
         fill_views(&self.cluster, &mut self.pending, &mut self.suspended);
         self.tally.pending = Some(self.pending.len());
+        // Node series are read only to admit a placement (PP's forecast and
+        // its freshness check), so only a round with pending pods settles
+        // the idle nodes' owed samples first.
+        if !self.pending.is_empty() {
+            probe::settle_idle(&mut self.cluster, &self.tsdb);
+        }
 
         let actions = {
             let ctx = SchedContext {
@@ -1016,7 +1013,7 @@ impl KubeKnots {
         let iv_us = self.cfg.metric_interval.as_micros().max(1);
         self.next_metric = Some(SimTime::from_micros((now.as_micros() / iv_us + 1) * iv_us));
         for (i, node) in self.cluster.nodes().iter().enumerate() {
-            let util = node.last_sample().sm_util * 100.0;
+            let util = self.cluster.node_sample(node.id()).sm_util * 100.0;
             self.util_series[i].push(util);
             if node.resident_count() > 0 {
                 self.active_util.push(util);
@@ -1029,6 +1026,8 @@ impl KubeKnots {
         // can trigger, and the per-node gauge labels cost an allocation
         // per node per grid point.
         let Some(freshness) = self.cfg.freshness else { return };
+        // The ages read the node series' last sample times.
+        probe::settle_idle(&mut self.cluster, &self.tsdb);
         let now_us = now.as_micros();
         let mut stale = 0u64;
         for node in self.cluster.nodes() {
@@ -1108,6 +1107,10 @@ impl KubeKnots {
                 &[],
                 self.tsdb.rejected_total() as f64,
             );
+        }
+        if t.active_node_ticks + t.idle_node_ticks > 0 {
+            m.add("knots_node_ticks_total", &[("state", "active")], t.active_node_ticks);
+            m.add("knots_node_ticks_total", &[("state", "idle")], t.idle_node_ticks);
         }
     }
 
@@ -1670,6 +1673,7 @@ mod tests {
         let m = &obs.metrics;
         let place = || m.counter_value("knots_actions_applied_total", &[("kind", "Place")]);
         let last_pending = std::rc::Rc::new(std::cell::Cell::new(usize::MAX));
+        let last_end = std::cell::Cell::new(0u64);
         // One leg, paused halfway: placements have happened, but nothing
         // reaches the registry before the run reports. Returns the leg's
         // placement events.
@@ -1687,11 +1691,18 @@ mod tests {
             assert_eq!(place(), before, "applied actions reached the registry mid-run");
             assert!(k.drive(&schedule, None));
             k.report_now(schedule.len());
+            last_end.set(k.cluster().now().as_micros());
             placed(&k)
         };
         let placed = run();
         let applied = place();
         assert_eq!(applied, placed, "one Place per placement event");
+        // Every node-tick is counted once, as active or idle.
+        let ticks = |state| m.counter_value("knots_node_ticks_total", &[("state", state)]);
+        let (active, idle) = (ticks("active"), ticks("idle"));
+        assert!(active > 0 && idle > 0, "{active} active, {idle} idle node-ticks");
+        let (end, tick) = (last_end.get(), cfg.tick.as_micros());
+        assert_eq!(active + idle, 2 * end / tick, "two nodes, one count per tick each");
         assert_eq!(last_pending.get(), 1, "the unplaceable query is still queued");
         assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
         let requested = m.counter_value("knots_requested_mb_total", &[]);

@@ -102,24 +102,33 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
     }
     // Refresh one reference series per app from the longest-running pod we
     // can see (the first one seen wins a tie), read straight from the TSDB
-    // into the history's reused buffer.
-    let mut best: BTreeMap<&str, (usize, PodId)> = BTreeMap::new();
-    for node in &ctx.snapshot.nodes {
-        for pod in &node.pods {
-            let len = ctx.tsdb.pod_len(pod.id);
-            let e = best.entry(app_key_str(&pod.name)).or_insert((0, pod.id));
-            if len > e.0 {
-                *e = (len, pod.id);
+    // into the history's reused buffer. Each app's pick is kept in a reused
+    // list of `(node, pod, app key length, series length)` indexing the
+    // snapshot, one entry per app in first-seen order.
+    let nodes = &ctx.snapshot.nodes;
+    let app = |&(n, p, key, _): &(usize, usize, usize, usize)| &nodes[n].pods[p].name[..key];
+    let mut picks = std::mem::take(&mut history.picks);
+    picks.clear();
+    for (n, node) in nodes.iter().enumerate() {
+        for (p, pod) in node.pods.iter().enumerate() {
+            let key = app_key_str(&pod.name);
+            let pick = (n, p, key.len(), ctx.tsdb.pod_len(pod.id));
+            match picks.iter_mut().find(|c| app(c) == key) {
+                Some(best) if pick.3 > best.3 => *best = pick,
+                Some(_) => {}
+                None => picks.push(pick),
             }
         }
     }
-    for (app, (len, pod)) in best {
-        if len >= 8 {
-            history.refresh_reference(app, |buf| {
+    for best in &picks {
+        if best.3 >= 8 {
+            let pod = nodes[best.0].pods[best.1].id;
+            history.refresh_reference(app(best), |buf| {
                 ctx.tsdb.pod_mem_series_into(pod, ctx.now, ctx.window, buf);
             });
         }
     }
+    history.picks = picks;
 }
 
 /// `ConfigureGrowth` for every pending TF-greedy pod.

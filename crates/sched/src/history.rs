@@ -17,43 +17,132 @@ use std::collections::{BTreeMap, VecDeque};
 ///
 /// `learn` observes every resident pod every round, but quantiles are read
 /// only in rounds with pending pods, many times over (pending pod ×
-/// candidate node × resident). So a push only invalidates the sorted copy,
-/// and the first read after it sorts the reservoir once; every later read
-/// in the round is a lookup.
+/// candidate node × resident). So a push only notes what changed, and the
+/// first read after it patches the sorted copy; every later read in the
+/// round is a lookup.
 #[derive(Debug, Default, Clone)]
 struct Reservoir {
     /// Samples, oldest first.
     samples: VecDeque<f64>,
-    /// `samples` in `f64::total_cmp` order, or empty while stale. Derived
-    /// state: never serialized.
-    sorted: RefCell<Vec<f64>>,
+    /// Derived state: never serialized.
+    sorted: RefCell<SortedCopy>,
+}
+
+/// The samples of a [`Reservoir`] in `f64::total_cmp` order as of its last
+/// read, plus what changed since.
+#[derive(Debug, Default, Clone)]
+struct SortedCopy {
+    /// Sorted samples as of the last read.
+    values: Vec<f64>,
+    /// Samples evicted since the last read that `values` holds.
+    evicted: Vec<f64>,
+    /// How many of the newest samples arrived since the last read.
+    fresh: usize,
+    /// Reused buffers: the fresh samples, and the patched copy.
+    added: Vec<f64>,
+    merged: Vec<f64>,
+}
+
+impl SortedCopy {
+    /// Bring `values` up to `samples`: patch in the fresh samples and out
+    /// the evicted ones in one pass, or sort from scratch when they are
+    /// more than a sixteenth of the reservoir. Under `total_cmp`, equal
+    /// samples are equal bits, so either way `values` is exactly
+    /// `samples`, sorted.
+    fn refresh(&mut self, samples: &VecDeque<f64>) {
+        let delta = self.fresh + self.evicted.len();
+        if delta == 0 {
+            return;
+        }
+        if delta * 16 > samples.len() {
+            self.values.clear();
+            self.values.extend(samples.iter().copied());
+            self.values.sort_unstable_by(f64::total_cmp);
+        } else {
+            self.added.clear();
+            self.added.extend(samples.range(samples.len() - self.fresh..).copied());
+            self.added.sort_unstable_by(f64::total_cmp);
+            self.evicted.sort_unstable_by(f64::total_cmp);
+            self.patch();
+        }
+        self.evicted.clear();
+        self.fresh = 0;
+    }
+
+    /// One pass over `values` in sorted order of the changes: copy the
+    /// stretch before each change, then drop the evicted sample or insert
+    /// the added one.
+    fn patch(&mut self) {
+        let (values, out) = (&self.values, &mut self.merged);
+        out.clear();
+        let (mut from, mut e, mut a) = (0, 0, 0);
+        let below = |x: f64| move |v: &f64| v.total_cmp(&x).is_lt();
+        while e < self.evicted.len() || a < self.added.len() {
+            let evict = a == self.added.len()
+                || (e < self.evicted.len() && self.evicted[e].total_cmp(&self.added[a]).is_le());
+            if evict {
+                let x = self.evicted[e];
+                let at = from + values[from..].partition_point(below(x));
+                debug_assert_eq!(values.get(at).map(|v| v.to_bits()), Some(x.to_bits()));
+                out.extend_from_slice(&values[from..at]);
+                from = at + 1;
+                e += 1;
+            } else {
+                let x = self.added[a];
+                let at = from + values[from..].partition_point(below(x));
+                out.extend_from_slice(&values[from..at]);
+                out.push(x);
+                from = at;
+                a += 1;
+            }
+        }
+        out.extend_from_slice(&values[from..]);
+        std::mem::swap(&mut self.values, &mut self.merged);
+    }
 }
 
 impl Reservoir {
-    /// Append a sample, evicting the oldest at `cap`, and mark the sorted
-    /// copy stale.
+    /// Append a sample, evicting the oldest at `cap`, and note both for
+    /// the next read. Once the changes outgrow a patch, the next read sorts
+    /// from scratch and the evicted samples are no longer kept.
     fn push(&mut self, x: f64, cap: usize) {
+        let c = self.sorted.get_mut();
         if self.samples.len() == cap {
-            self.samples.pop_front();
+            if let Some(old) = self.samples.pop_front() {
+                if c.fresh > self.samples.len() {
+                    c.fresh -= 1; // it arrived after the last read
+                } else {
+                    c.evicted.push(old);
+                }
+            }
         }
         self.samples.push_back(x);
-        self.sorted.get_mut().clear();
+        c.fresh += 1;
+        if !c.evicted.is_empty() && (c.fresh + c.evicted.len()) * 16 > self.samples.len() {
+            c.evicted.clear();
+            c.fresh = self.samples.len();
+        }
+    }
+
+    /// A reservoir of `samples` whose sorted copy is yet to be built.
+    fn from_samples(samples: Vec<f64>) -> Self {
+        let fresh = samples.len();
+        Reservoir {
+            samples: samples.into(),
+            sorted: RefCell::new(SortedCopy { fresh, ..Default::default() }),
+        }
     }
 
     /// The q-quantile of the samples, bit-identical to
     /// `knots_forecast::stats::percentile` over them: the same
-    /// `total_cmp` order (under which equal elements are equal bits, so an
-    /// unstable sort yields the same slice) and the same interpolation.
+    /// `total_cmp` order and the same interpolation.
     fn quantile(&self, q: f64) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
         let mut sorted = self.sorted.borrow_mut();
-        if sorted.is_empty() {
-            sorted.extend(self.samples.iter().copied());
-            sorted.sort_unstable_by(f64::total_cmp);
-        }
-        Some(percentile_of_sorted(&sorted, q))
+        sorted.refresh(&self.samples);
+        Some(percentile_of_sorted(&sorted.values, q))
     }
 }
 
@@ -81,6 +170,8 @@ pub struct AppUsageHistory {
     /// Reused fill buffer for [`refresh_reference`](Self::refresh_reference);
     /// holds a retired reference's allocation between calls.
     scratch: Vec<f64>,
+    /// Reused per-app list of CBP's per-round reference-pod picks.
+    pub(crate) picks: Vec<(usize, usize, usize, usize)>,
 }
 
 impl Default for AppUsageHistory {
@@ -105,7 +196,7 @@ impl AppUsageHistory {
     /// Create with a per-app sample cap.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= MIN_CAP);
-        AppUsageHistory { cap, apps: BTreeMap::new(), scratch: Vec::new() }
+        AppUsageHistory { cap, apps: BTreeMap::new(), scratch: Vec::new(), picks: Vec::new() }
     }
 
     /// Record one memory observation for an app.
@@ -228,15 +319,15 @@ impl AppUsageHistory {
                 )));
             }
             let stats = AppStats {
-                mem: Reservoir { samples: a.mem_samples.into(), ..Default::default() },
-                sm: Reservoir { samples: a.sm_samples.into(), ..Default::default() },
+                mem: Reservoir::from_samples(a.mem_samples),
+                sm: Reservoir::from_samples(a.sm_samples),
                 reference: a.reference,
                 peak_mb: a.peak_mb,
                 count: a.count,
             };
             apps.insert(a.name, stats);
         }
-        Ok(AppUsageHistory { cap, apps, scratch: Vec::new() })
+        Ok(AppUsageHistory { cap, apps, scratch: Vec::new(), picks: Vec::new() })
     }
 }
 
@@ -313,6 +404,37 @@ mod tests {
         h.observe_mem("a", -5.0);
         assert!(h.mem_quantile("a", 0.5).is_none() || h.is_empty() || h.len() <= 1);
         assert!(!h.is_known("a"));
+    }
+
+    proptest::proptest! {
+        /// Random pushes through a small cap (so evictions land between
+        /// reads), with reads at random points: every quantile equals
+        /// `stats::percentile` over the same samples, bit for bit, whether
+        /// the read patched the sorted copy or sorted from scratch.
+        #[test]
+        fn patched_quantiles_match_a_full_sort(
+            cap in 8usize..300,
+            ops in proptest::collection::vec((0u8..6, 0u8..4, 0.0f64..1.0), 1..800),
+        ) {
+            let mut r = Reservoir::default();
+            for (kind, pick, x) in ops {
+                // A few repeated values, and ±0.0, exercise equal keys.
+                let v = match pick {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => (x * 4.0).floor(),
+                    _ => x,
+                };
+                r.push(v, cap);
+                if kind == 0 {
+                    let all: Vec<f64> = r.samples.iter().copied().collect();
+                    for q in [0.0, 0.5, 0.8, 1.0] {
+                        let want = knots_forecast::stats::percentile(&all, q);
+                        proptest::prop_assert_eq!(r.quantile(q).map(f64::to_bits), Some(want.to_bits()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Worker nodes: per-tick execution, contention, OOM detection, sampling.
 //!
-//! A node owns its resident pods while they are bound to it, which makes
-//! per-node stepping embarrassingly parallel (the cluster steps nodes on a
-//! scoped-thread fan-out when there are many of them).
+//! A node owns its resident pods while they are bound to it, so its tick
+//! depends on nothing outside it. An idle node's tick (failed, or no
+//! resident) is a constant sample and a fixed power draw, which the cluster
+//! replays in closed form instead of stepping.
 //!
 //! ## Execution model
 //!
@@ -115,12 +116,6 @@ impl Node {
     /// Free memory according to provisions.
     pub fn free_provision_mb(&self) -> f64 {
         (self.gpu.capacity_mb() - self.provisioned_mb()).max(0.0)
-    }
-
-    /// Free memory according to the last *measured* usage — what Knots'
-    /// real-time metrics expose and GPU-agnostic schedulers cannot see.
-    pub fn free_measured_mb(&self) -> f64 {
-        (self.gpu.capacity_mb() - self.last_sample.mem_used_mb).max(0.0)
     }
 
     /// The most recent metrics sample.
@@ -270,38 +265,29 @@ impl Node {
         matches!(self.waking_until, Some(u) if u > now)
     }
 
-    /// Replay `ticks` quiet ticks in closed form for a node that spent a
-    /// whole span failed or without residents: one constant sample moved
-    /// to the span end, and the per-tick energy accruals replicated
-    /// one-by-one so float rounding matches the naive path bit for bit.
+    /// The sample an idle node reports for a tick ending at `at`: zeros
+    /// from a failed machine, deep-sleep power from a live one without
+    /// residents (asleep or merely idle, the per-tick path draws the same).
+    pub(crate) fn idle_sample(&self, at: SimTime) -> GpuSample {
+        let power_watts = if self.failed { 0.0 } else { self.gpu.spec().sleep_watts };
+        GpuSample { at, sm_util: 0.0, mem_used_mb: 0.0, power_watts, tx_mbps: 0.0, rx_mbps: 0.0 }
+    }
+
+    /// Replay `ticks` idle ticks from `start` in closed form for a node
+    /// that spent them failed or without residents, in one p-state: one
+    /// constant sample moved to the span end, and the per-tick energy
+    /// accruals replicated one-by-one so float rounding matches the
+    /// per-tick path bit for bit.
     pub(crate) fn finish_quiet_span(&mut self, start: SimTime, dt: SimDuration, ticks: u64) {
         debug_assert!(self.residents.is_empty());
         let end = start + dt * ticks;
+        self.last_sample = self.idle_sample(end);
         if self.failed {
-            self.last_sample = GpuSample {
-                at: end,
-                sm_util: 0.0,
-                mem_used_mb: 0.0,
-                power_watts: 0.0,
-                tx_mbps: 0.0,
-                rx_mbps: 0.0,
-            };
             return;
         }
-        let spec = *self.gpu.spec();
-        // An empty node draws sleep power whether asleep or merely idle,
-        // so one closed form covers both p-states — and a mid-span
-        // auto-sleep transition changes neither samples nor energy.
-        self.last_sample = GpuSample {
-            at: end,
-            sm_util: 0.0,
-            mem_used_mb: 0.0,
-            power_watts: spec.sleep_watts,
-            tx_mbps: 0.0,
-            rx_mbps: 0.0,
-        };
+        let watts = self.last_sample.power_watts;
         for _ in 0..ticks {
-            self.energy.add(spec.sleep_watts, dt);
+            self.energy.add(watts, dt);
         }
         if !self.gpu.is_asleep() && ticks > 0 {
             if let Some(u) = self.waking_until {
@@ -322,25 +308,11 @@ impl Node {
         if self.failed {
             // A dead machine reports nothing and draws nothing from the GPU
             // power budget; residents were already crashed off at failure.
-            self.last_sample = GpuSample {
-                at: now + dt,
-                sm_util: 0.0,
-                mem_used_mb: 0.0,
-                power_watts: 0.0,
-                tx_mbps: 0.0,
-                rx_mbps: 0.0,
-            };
+            self.last_sample = self.idle_sample(now + dt);
             return out;
         }
         if self.gpu.is_asleep() {
-            self.last_sample = GpuSample {
-                at: now + dt,
-                sm_util: 0.0,
-                mem_used_mb: 0.0,
-                power_watts: spec.sleep_watts,
-                tx_mbps: 0.0,
-                rx_mbps: 0.0,
-            };
+            self.last_sample = self.idle_sample(now + dt);
             self.energy.add(spec.sleep_watts, dt);
             return out;
         }
@@ -716,7 +688,7 @@ mod tests {
         // Measured free differs from provisioned free.
         let mut now = SimTime::ZERO;
         tick(&mut n, &mut now, 10);
-        assert!(n.free_measured_mb() > n.free_provision_mb());
+        assert!(16_384.0 - n.last_sample().mem_used_mb > n.free_provision_mb());
     }
 
     #[test]
@@ -771,7 +743,7 @@ mod tests {
         n.set_degraded_frac(0.5);
         let out = tick(&mut n, &mut now, 10);
         assert_eq!(out.crashed.len(), 1);
-        assert!(n.free_measured_mb() <= 16_384.0 * 0.5);
+        assert!(n.gpu().capacity_mb() - n.last_sample().mem_used_mb <= 16_384.0 * 0.5);
     }
 
     #[test]

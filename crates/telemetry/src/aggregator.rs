@@ -98,11 +98,25 @@ impl UtilizationAggregator {
 /// Failed nodes are omitted entirely — exactly what a real head node sees
 /// when a worker stops answering. Schedulers therefore never place onto a
 /// dead node without needing any fault awareness of their own.
+///
+/// An idle node's view changes only in its sample time and waking flag
+/// until the node next changes ([`Cluster::quiet_since`]). When its slot
+/// already holds a view of it built after that change, only those two
+/// fields are rewritten. (A view's sample time is never later than the
+/// instant the view was built, so it bounds that instant from below.)
 fn fill_snapshot(cluster: &Cluster, snap: &mut ClusterSnapshot) {
     let now = cluster.now();
     snap.at = now;
     let mut live = 0;
     for n in cluster.nodes().iter().filter(|n| !n.is_failed()) {
+        if let (Some(since), Some(v)) = (cluster.quiet_since(n.id()), snap.nodes.get_mut(live)) {
+            if v.id == n.id() && v.sample.at > since {
+                v.sample.at = now;
+                v.waking = n.is_waking(now);
+                live += 1;
+                continue;
+            }
+        }
         let mut pods =
             snap.nodes.get_mut(live).map(|v| std::mem::take(&mut v.pods)).unwrap_or_default();
         let mut k = 0;
@@ -123,13 +137,17 @@ fn fill_snapshot(cluster: &Cluster, snap: &mut ClusterSnapshot) {
             k += 1;
         }
         pods.truncate(k);
+        // The sample counts the ticks the node owes; free memory by
+        // measured usage follows from it.
+        let sample = cluster.node_sample(n.id());
+        let capacity_mb = n.gpu().capacity_mb();
         let view = NodeView {
             id: n.id(),
             model: n.gpu().spec().model,
-            capacity_mb: n.gpu().capacity_mb(),
-            free_measured_mb: n.free_measured_mb(),
+            capacity_mb,
+            free_measured_mb: (capacity_mb - sample.mem_used_mb).max(0.0),
             free_provision_mb: n.free_provision_mb(),
-            sample: n.last_sample(),
+            sample,
             pods,
             asleep: n.gpu().is_asleep(),
             waking: n.is_waking(now),

@@ -5,10 +5,11 @@
 //! reads each simulated node's latest sample and each resident pod's usage
 //! vector, and appends them to the shared [`TimeSeriesDb`].
 
-use crate::tsdb::TimeSeriesDb;
-use knots_sim::cluster::Cluster;
+use crate::tsdb::{TimeSeriesDb, TsdbWriter};
+use knots_sim::cluster::{Cluster, IdleSpan};
 use knots_sim::ids::NodeId;
 use knots_sim::metrics::GpuSample;
+use knots_sim::node::Node;
 use knots_sim::pod::PodState;
 
 /// Sample every node (and resident pod) of the cluster into the store,
@@ -41,14 +42,50 @@ pub fn sample_cluster_with(
             dropped += 1;
             continue;
         };
-        w.push_node(node.id(), sample);
-        for (pod_id, pod) in node.residents() {
-            if matches!(pod.state(), PodState::Running) {
-                w.push_pod(pod_id, sample.at, pod.last_usage());
-            }
-        }
+        push_readings(&mut w, node, sample);
     }
     dropped
+}
+
+/// Record a node's sample and its running pods' usage at the sample time.
+fn push_readings(w: &mut TsdbWriter<'_>, node: &Node, sample: GpuSample) {
+    w.push_node(node.id(), sample);
+    for (pod_id, pod) in node.residents() {
+        if matches!(pod.state(), PodState::Running) {
+            w.push_pod(pod_id, sample.at, pod.last_usage());
+        }
+    }
+}
+
+/// The event loop's probe round under idle skipping: write the idle spans
+/// the cluster settled since the last round (O(1) each), then sample only
+/// the nodes the tick stepped, and their running pods. Run after every
+/// [`Cluster::step_active`], it leaves the store as [`sample_cluster_with`]
+/// with an identity hook leaves it after every [`Cluster::step`], up to the
+/// samples skipped nodes still owe ([`settle_idle`]).
+pub fn sample_active(cluster: &mut Cluster, db: &TimeSeriesDb) {
+    let mut w = db.writer();
+    push_idle_spans(cluster.drain_idle_spans(), &mut w);
+    for node in cluster.stepped_nodes() {
+        push_readings(&mut w, node, node.last_sample());
+    }
+}
+
+/// Settle every skipped idle node and write the samples it owes: the store
+/// then reads exactly as if every node had been probed every tick.
+pub fn settle_idle(cluster: &mut Cluster, db: &TimeSeriesDb) {
+    cluster.settle_idle();
+    let mut spans = cluster.drain_idle_spans().peekable();
+    if spans.peek().is_some() {
+        push_idle_spans(spans, &mut db.writer());
+    }
+}
+
+/// Write settled idle spans: the samples each node owes.
+fn push_idle_spans(spans: impl Iterator<Item = IdleSpan>, w: &mut TsdbWriter<'_>) {
+    for s in spans {
+        w.push_node_span(s.node, s.sample, s.start, s.dt, s.ticks);
+    }
 }
 
 #[cfg(test)]

@@ -14,10 +14,11 @@
 //! never merge and every materialized value is exactly the value pushed.
 //! Consequences that keep the hot paths cheap:
 //!
-//! * **A quiet-span backfill is O(1)**: [`TsdbWriter::push_node_span`]
-//!   extends the back run by `n` instead of appending `n` samples. The
-//!   event-driven loop leans on this — a multi-tick quiet span costs the
-//!   same as a single push.
+//! * **An idle-span backfill is O(1)**: [`TsdbWriter::push_node_span`]
+//!   extends the back run by `n` instead of appending `n` samples, and
+//!   leaves the ring exactly as `n` pushes would. The event loop leans on
+//!   this — the owed samples of an idle node cost one call however many
+//!   ticks it skipped.
 //! * **Pushes only touch the ring**: a push is a finite-value check plus a
 //!   run extend-or-append; the store keeps no per-series summary to update.
 //! * **Copy-into-scratch** queries (`*_series_into`) extend a caller-owned
@@ -121,39 +122,40 @@ impl<V: Copy> RleRing<V> {
     }
 
     /// Append `ticks` samples of one value at `start+dt, …, start+ticks·dt`
-    /// in O(1): extend the back run when it already carries the value at
-    /// spacing `dt` ending at `start`, else append one new run.
+    /// in O(1), the sample at `at` being `v_at(at)`. The ring ends exactly
+    /// as `ticks` calls of [`RleRing::push`] leave it — the same runs,
+    /// spacings and stored values: the first sample goes through `push`,
+    /// and the rest extend the run it landed in, or start one new run when
+    /// that run has another spacing.
     fn push_span(
         &mut self,
         cap: usize,
         start: SimTime,
         dt: SimDuration,
         ticks: u64,
-        v: V,
+        v_at: impl Fn(SimTime) -> V,
         eq: impl Fn(&V, &V) -> bool,
     ) {
-        if ticks == 0 {
+        debug_assert!(dt.0 > 0 && ticks > 0, "a span needs a positive tick and length");
+        let first = SimTime(start.0 + dt.0);
+        self.push(cap, first, v_at(first), &eq);
+        let more = ticks - 1;
+        if more == 0 {
             return;
         }
-        let extended = match self.runs.back_mut() {
-            Some(r) if dt.0 > 0 && eq(&r.v, &v) => {
-                if r.n == 1 && start.0 == r.at0.0 {
-                    r.dt = dt;
-                    r.n = 1 + ticks;
-                    true
-                } else if r.n > 1 && r.dt.0 == dt.0 && start.0 == r.last_at().0 {
-                    r.n += ticks;
-                    true
-                } else {
-                    false
-                }
+        match self.runs.back_mut() {
+            // A single-sample run takes its spacing from the second sample.
+            Some(r) if r.n == 1 || r.dt.0 == dt.0 => {
+                r.dt = dt;
+                r.n += more;
             }
-            _ => false,
-        };
-        if !extended {
-            self.runs.push_back(Run { at0: SimTime(start.0 + dt.0), dt, n: ticks, v });
+            _ => {
+                let at0 = SimTime(first.0 + dt.0);
+                let spacing = if more > 1 { dt } else { SimDuration(0) };
+                self.runs.push_back(Run { at0, dt: spacing, n: more, v: v_at(at0) });
+            }
         }
-        self.len += ticks as usize;
+        self.len += more as usize;
         self.evict_to(cap);
     }
 
@@ -334,13 +336,12 @@ impl TsdbWriter<'_> {
         self.inner.push_pod(&self.cfg, pod, at, usage)
     }
 
-    /// Backfill `ticks` constant samples for a quiet node: the same metric
-    /// values at `start + dt`, `start + 2·dt`, …, `start + ticks·dt`.
-    /// With run-length-encoded rings this is O(1) — the back run extends by
-    /// `ticks` when it already ends at `start` with the same value and
-    /// spacing (the steady state for a quiet node), so the series ends up
-    /// bit-identical to per-tick probing of an idle node at constant cost
-    /// per span. Returns accepted samples.
+    /// Backfill `ticks` constant samples for an idle node: `sample`'s
+    /// metric values at `start + dt`, `start + 2·dt`, …, `start + ticks·dt`
+    /// (its own `at` is ignored). O(1) on the run-length-encoded ring, and
+    /// the series — runs, spacings, stored samples, snapshot bytes — ends
+    /// up exactly as `ticks` per-tick [`TsdbWriter::push_node`] calls leave
+    /// it. Returns accepted samples.
     pub fn push_node_span(
         &mut self,
         node: NodeId,
@@ -349,6 +350,9 @@ impl TsdbWriter<'_> {
         dt: SimDuration,
         ticks: u64,
     ) -> u64 {
+        if ticks == 0 {
+            return 0;
+        }
         let cap = self.cfg.node_capacity;
         let g = &mut *self.inner;
         if Metric::ALL.iter().any(|m| !sample.get(*m).is_finite()) {
@@ -359,7 +363,8 @@ impl TsdbWriter<'_> {
             g.rejected_total += ticks;
             return 0;
         }
-        slot(&mut g.nodes, node.0).ring.push_span(cap, start, dt, ticks, sample, gpu_eq);
+        let v_at = |at| GpuSample { at, ..sample };
+        slot(&mut g.nodes, node.0).ring.push_span(cap, start, dt, ticks, v_at, gpu_eq);
         ticks
     }
 }
@@ -886,6 +891,44 @@ mod tests {
         assert_eq!(a.node_len(NodeId(3)), 8);
         assert_eq!(window_bits(&a, NodeId(3), now, w), window_bits(&b, NodeId(3), now, w));
         assert_eq!(a.node_last_at(NodeId(3)), b.node_last_at(NodeId(3)));
+        assert_eq!(a.snapshot_state(), b.snapshot_state());
+    }
+
+    #[test]
+    fn span_backfill_leaves_the_ring_of_per_tick_pushes() {
+        // Random interleavings of single pushes (two values, on and off
+        // the tick grid) and spans of 0-30 ticks over small capacities:
+        // the span path must leave exactly the runs — spacing, stored
+        // sample and all — that the same samples pushed one by one leave.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..400 {
+            let cfg = TsdbConfig { node_capacity: 1 + next(12) as usize, pod_capacity: 4 };
+            let (a, b) = (TimeSeriesDb::new(cfg), TimeSeriesDb::new(cfg));
+            let mut now = SimTime::ZERO;
+            for _ in 0..next(8) + 1 {
+                let v = sample(0, [0.0, 0.5][next(2) as usize]);
+                if next(3) == 0 {
+                    now += SimDuration::from_micros(1 + next(3) * 500);
+                    a.push_node(NodeId(0), GpuSample { at: now, ..v });
+                    b.push_node(NodeId(0), GpuSample { at: now, ..v });
+                } else {
+                    let dt = SimDuration::from_millis(1 + next(2));
+                    let ticks = next(31);
+                    a.writer().push_node_span(NodeId(0), v, now, dt, ticks);
+                    for i in 1..=ticks {
+                        b.push_node(NodeId(0), GpuSample { at: now + dt * i, ..v });
+                    }
+                    now += dt * ticks;
+                }
+                assert_eq!(a.snapshot_state(), b.snapshot_state());
+            }
+        }
     }
 
     #[test]

@@ -252,12 +252,15 @@ mod event_interleavings {
     //! Property: for *arbitrary* event interleavings — random seeds,
     //! off-grid heartbeat periods, durations and fault intensities — the
     //! event queue replays the oracle bit for bit, all the way down to
-    //! the raw telemetry: every retained TSDB node sample and the energy
-    //! total must be bitwise identical at the matching end-of-run grid
-    //! point, not just the digested report.
+    //! the raw telemetry: every retained TSDB node sample, every node's
+    //! energy and the whole cluster and TSDB state must be bitwise
+    //! identical at the matching end-of-run grid point, not just the
+    //! digested report. The oracle steps and probes every node every tick;
+    //! the event queue skips idle nodes and settles them lazily.
 
     use knots_chaos::{gen, ChaosEngine, GenConfig};
     use knots_core::config::OrchestratorConfig;
+    use knots_core::experiment::{scheduler_by_name, CLUSTER_SCHEDULERS};
     use knots_core::orchestrator::KubeKnots;
     use knots_sim::cluster::ClusterConfig;
     use knots_sim::ids::NodeId;
@@ -267,34 +270,52 @@ mod event_interleavings {
     use knots_workloads::AppMix;
     use proptest::prelude::*;
 
-    /// (report digest, energy bits, per-node `(at, metric bits)` samples).
-    type LegResult = (u64, u64, Vec<Vec<(u64, [u64; 5])>>);
+    /// One leg's inputs.
+    #[derive(Debug, Clone, Copy)]
+    struct Leg {
+        scheduler: &'static str,
+        mix: AppMix,
+        nodes: usize,
+        seed: u64,
+        hb_ms: u64,
+        secs: u64,
+        faults_per_minute: f64,
+        /// Idle time before an empty node auto-sleeps, where the scheduler
+        /// allows it.
+        auto_sleep: Option<SimDuration>,
+    }
+
+    /// Report digest, energy bits (total, then per node), per-node
+    /// `(at, metric bits)` samples, and the FNV digest of the serialized
+    /// cluster and TSDB state.
+    type LegResult = (u64, Vec<u64>, Vec<Vec<(u64, [u64; 5])>>, u64);
 
     /// Run one leg and return its [`LegResult`].
-    fn run_leg(naive: bool, seed: u64, hb_ms: u64, secs: u64, faults_per_minute: f64) -> LegResult {
-        let nodes = 4usize;
-        let duration = SimDuration::from_secs(secs);
-        let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, seed));
-        let cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
+    fn run_leg(naive: bool, leg: Leg) -> LegResult {
+        let duration = SimDuration::from_secs(leg.secs);
+        let schedule = LoadGenerator::generate(leg.mix, &LoadGenConfig::new(duration, leg.seed));
+        let mut cluster_cfg = ClusterConfig::homogeneous(leg.nodes, knots_sim::config::TESTBED_GPU);
+        cluster_cfg.auto_sleep_after = leg.auto_sleep;
         let orch = OrchestratorConfig {
-            heartbeat: SimDuration::from_millis(hb_ms),
+            heartbeat: SimDuration::from_millis(leg.hb_ms),
             naive_ticking: naive,
             ..Default::default()
         };
-        let mut k = KubeKnots::new(cluster_cfg, Box::new(knots_sched::pp::CbpPp::new()), orch);
-        if faults_per_minute > 0.0 {
+        let scheduler = scheduler_by_name(leg.scheduler).unwrap();
+        let mut k = KubeKnots::new(cluster_cfg, scheduler, orch);
+        if leg.faults_per_minute > 0.0 {
             let plan = gen::generate(&GenConfig {
-                seed: seed ^ 0x51ab,
-                nodes,
+                seed: leg.seed ^ 0x51ab,
+                nodes: leg.nodes,
                 duration,
-                faults_per_minute,
+                faults_per_minute: leg.faults_per_minute,
             });
             k = k.with_chaos(ChaosEngine::new(plan));
         }
         let report = k.run_schedule(&schedule);
         let now = k.cluster().now();
-        let window = SimDuration::from_secs(secs + 3600);
-        let samples = (0..nodes)
+        let window = SimDuration::from_secs(leg.secs + 3600);
+        let samples = (0..leg.nodes)
             .map(|n| {
                 k.tsdb()
                     .node_window(NodeId(n), now, window)
@@ -309,7 +330,22 @@ mod event_interleavings {
                     .collect()
             })
             .collect();
-        (knots_analyzer::report_digest(&report), report.energy_joules.to_bits(), samples)
+        let mut energy = vec![report.energy_joules.to_bits()];
+        energy.extend(k.cluster().nodes().iter().map(|n| n.energy().joules().to_bits()));
+        let c = serde_json::to_string(&k.cluster().snapshot_state()).unwrap();
+        let t = serde_json::to_string(&k.tsdb().snapshot_state()).unwrap();
+        let state = knots_recovery::fnv1a(c.as_bytes()) ^ knots_recovery::fnv1a(t.as_bytes());
+        (knots_analyzer::report_digest(&report), energy, samples, state)
+    }
+
+    fn assert_replays(leg: Leg) -> Result<(), TestCaseError> {
+        let naive = run_leg(true, leg);
+        let event = run_leg(false, leg);
+        prop_assert_eq!(naive.0, event.0, "report digest diverged: {:?}", leg);
+        prop_assert_eq!(&naive.1, &event.1, "energy diverged: {:?}", leg);
+        prop_assert_eq!(&naive.2, &event.2, "TSDB node samples diverged: {:?}", leg);
+        prop_assert_eq!(naive.3, event.3, "cluster or TSDB state diverged: {:?}", leg);
+        Ok(())
     }
 
     proptest! {
@@ -323,11 +359,42 @@ mod event_interleavings {
             faulty in proptest::bool::ANY,
         ) {
             let fpm = if faulty { 6.0 } else { 0.0 };
-            let naive = run_leg(true, seed, hb_ms, secs, fpm);
-            let event = run_leg(false, seed, hb_ms, secs, fpm);
-            prop_assert_eq!(naive.0, event.0, "report digest diverged");
-            prop_assert_eq!(naive.1, event.1, "energy total diverged");
-            prop_assert_eq!(naive.2, event.2, "TSDB node samples diverged");
+            assert_replays(Leg {
+                scheduler: "CBP+PP",
+                mix: AppMix::Mix2,
+                nodes: 4,
+                seed,
+                hb_ms,
+                secs,
+                faults_per_minute: fpm,
+                auto_sleep: None,
+            })?;
+        }
+
+        /// Mostly-idle clusters: 12-16 nodes under the light mixes, where
+        /// most node-ticks fall on nodes hosting nothing, for every cluster
+        /// scheduler. Uniform and Res-Ag let empty nodes auto-sleep after
+        /// half a second; CBP keeps every node awake, and PP sleeps and
+        /// wakes nodes itself.
+        #[test]
+        fn event_queue_replays_oracle_on_mostly_idle_clusters(
+            seed in 0u64..1_000_000,
+            scheduler in 0usize..4,
+            mix3 in proptest::bool::ANY,
+            nodes in 12usize..17,
+            hb_ms in prop_oneof![Just(10u64), 10u64..120],
+            secs in 5u64..15,
+        ) {
+            assert_replays(Leg {
+                scheduler: CLUSTER_SCHEDULERS[scheduler],
+                mix: if mix3 { AppMix::Mix3 } else { AppMix::Mix2 },
+                nodes,
+                seed,
+                hb_ms,
+                secs,
+                faults_per_minute: 0.0,
+                auto_sleep: Some(SimDuration::from_millis(500)),
+            })?;
         }
     }
 }

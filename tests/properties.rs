@@ -156,3 +156,121 @@ proptest! {
         prop_assert!(elapsed_ms <= work_ms + 10, "finished late: {elapsed_ms} vs {work_ms}");
     }
 }
+
+/// A cluster-level action for the idle-skipping equivalence property.
+#[derive(Debug, Clone)]
+enum NodeOp {
+    Pod(Op),
+    Migrate(usize, usize),
+    Sleep(usize),
+    Wake(usize),
+    Fail(usize),
+    Recover(usize),
+    Degrade(usize, f64),
+    Settle,
+}
+
+fn arb_node_op(pods: usize, nodes: usize) -> impl Strategy<Value = NodeOp> {
+    prop_oneof![
+        arb_op(pods, nodes).prop_map(NodeOp::Pod),
+        arb_op(pods, nodes).prop_map(NodeOp::Pod),
+        arb_op(pods, nodes).prop_map(NodeOp::Pod),
+        ((0..pods), (0..nodes)).prop_map(|(p, n)| NodeOp::Migrate(p, n)),
+        (0..nodes).prop_map(NodeOp::Sleep),
+        (0..nodes).prop_map(NodeOp::Wake),
+        (0..nodes).prop_map(NodeOp::Fail),
+        (0..nodes).prop_map(NodeOp::Recover),
+        ((0..nodes), 0.0f64..0.6).prop_map(|(n, f)| NodeOp::Degrade(n, f)),
+        Just(NodeOp::Settle),
+        Just(NodeOp::Pod(Op::Step)),
+        Just(NodeOp::Pod(Op::Step)),
+        Just(NodeOp::Pod(Op::Step)),
+        Just(NodeOp::Pod(Op::Step)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Idle skipping is invisible: a cluster stepped with
+    /// `Cluster::step_active` and probed with `probe::sample_active` shows
+    /// the same per-node samples as one that steps and probes every node
+    /// every tick, its refilled aggregator snapshot serializes like the
+    /// eager one's, and once settled its cluster and TSDB state serialize
+    /// byte-identically — under every action, node faults included, with
+    /// auto-sleep on.
+    #[test]
+    fn idle_skipping_matches_stepping_every_node(
+        specs in proptest::collection::vec(arb_spec(), 1..10),
+        ops in proptest::collection::vec(arb_node_op(10, 4), 1..200),
+    ) {
+        use kube_knots::telemetry::{probe, ClusterSnapshot, TimeSeriesDb, UtilizationAggregator};
+        let mut cfg = ClusterConfig::homogeneous(4, GpuModel::P100);
+        cfg.auto_sleep_after = Some(SimDuration::from_millis(50));
+        cfg.overheads.wake_delay = SimDuration::from_millis(30);
+        cfg.overheads.cold_start_pull = SimDuration::from_millis(20);
+        let (mut eager, mut lazy) = (Cluster::new(cfg.clone()), Cluster::new(cfg));
+        let (eager_db, lazy_db) = (TimeSeriesDb::default(), TimeSeriesDb::default());
+        let hb = SimDuration::from_millis(10);
+        let window = SimDuration::from_secs(5);
+        let mut agg = UtilizationAggregator::new(hb, window);
+        let mut reused = ClusterSnapshot::default();
+        let ids: Vec<PodId> = specs
+            .into_iter()
+            .map(|s| {
+                eager.submit(s.clone(), SimTime::ZERO);
+                lazy.submit(s, SimTime::ZERO)
+            })
+            .collect();
+        let pod = |p: usize| ids[p % ids.len()];
+        let state = |c: &Cluster, db: &TimeSeriesDb| {
+            (
+                serde_json::to_string(&c.snapshot_state()).unwrap(),
+                serde_json::to_string(&db.snapshot_state()).unwrap(),
+            )
+        };
+        for op in ops {
+            for c in [&mut eager, &mut lazy] {
+                // Errors are fine; both clusters must make the same ones.
+                let _ = match op {
+                    NodeOp::Pod(Op::Place(p, n)) => c.place(pod(p), NodeId(n)),
+                    NodeOp::Pod(Op::Resize(p, m)) => c.resize(pod(p), m),
+                    NodeOp::Pod(Op::Preempt(p)) => c.preempt(pod(p)),
+                    NodeOp::Pod(Op::Resume(p, n)) => c.resume(pod(p), NodeId(n)),
+                    NodeOp::Migrate(p, n) => c.migrate(pod(p), NodeId(n)),
+                    NodeOp::Sleep(n) => c.sleep_node(NodeId(n)),
+                    NodeOp::Wake(n) => c.wake_node(NodeId(n)),
+                    NodeOp::Fail(n) => c.fail_node(NodeId(n)).map(|_| ()),
+                    NodeOp::Recover(n) => c.recover_node(NodeId(n)),
+                    NodeOp::Degrade(n, f) => c.degrade_node(NodeId(n), f),
+                    NodeOp::Pod(Op::Step) | NodeOp::Settle => Ok(()),
+                };
+            }
+            match op {
+                NodeOp::Pod(Op::Step) => {
+                    eager.step(hb);
+                    probe::sample_cluster_with(&eager, &eager_db, |_, s| Some(s));
+                    lazy.step_active(hb);
+                    probe::sample_active(&mut lazy, &lazy_db);
+                }
+                NodeOp::Settle => {
+                    probe::settle_idle(&mut lazy, &lazy_db);
+                    prop_assert_eq!(state(&eager, &eager_db), state(&lazy, &lazy_db));
+                }
+                _ => {}
+            }
+            for n in eager.nodes() {
+                let (a, b) = (n.last_sample(), lazy.node_sample(n.id()));
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "node {} sample", n.id().0);
+            }
+            agg.query_into(&lazy, &mut reused);
+            let fresh = agg.query(&eager);
+            prop_assert_eq!(
+                serde_json::to_string(&reused).unwrap(),
+                serde_json::to_string(&fresh).unwrap()
+            );
+        }
+        probe::settle_idle(&mut lazy, &lazy_db);
+        prop_assert_eq!(state(&eager, &eager_db), state(&lazy, &lazy_db));
+    }
+}

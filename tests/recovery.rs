@@ -30,7 +30,7 @@ type LegResult = (u64, u64, Vec<Vec<(u64, [u64; 5])>>);
 fn leg_result(k: &KubeKnots, report: &knots_core::RunReport, secs: u64) -> LegResult {
     let now = k.cluster().now();
     let window = SimDuration::from_secs(secs + 3600);
-    let samples = (0..NODES)
+    let samples = (0..k.cluster().nodes().len())
         .map(|n| {
             k.tsdb()
                 .node_window(NodeId(n), now, window)
@@ -218,6 +218,52 @@ proptest! {
             prop_assert_eq!(oracle.0, rec.0, "{} report digest diverged", name);
             prop_assert_eq!(oracle.1, rec.1, "{} energy diverged", name);
         }
+    }
+}
+
+/// A fault-free run skips its idle nodes and settles them lazily. Pausing
+/// it while most nodes are idle settles them into the captured state; the
+/// resumed run must finish exactly like the run that never paused — report
+/// digest, total and per-node energy bits, TSDB node samples.
+#[test]
+fn pause_with_idle_nodes_owing_ticks_resumes_bit_identically() {
+    let (secs, nodes) = (20u64, 12usize);
+    let duration = SimDuration::from_secs(secs);
+    let schedule = LoadGenerator::generate(AppMix::Mix3, &LoadGenConfig::new(duration, 11));
+    let cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
+    let orch = OrchestratorConfig::default();
+    let energy = |k: &KubeKnots| -> Vec<u64> {
+        k.cluster().nodes().iter().map(|n| n.energy().joules().to_bits()).collect()
+    };
+    for name in ["CBP+PP", "Res-Ag"] {
+        let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name(name).unwrap(), orch);
+        let report = k.run_schedule(&schedule);
+        let oracle = (leg_result(&k, &report, secs), energy(&k));
+
+        let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name(name).unwrap(), orch);
+        k.begin(&schedule);
+        assert!(!k.drive(&schedule, Some(SimTime(9_000_000))), "run ended before the pause");
+        assert!(
+            k.cluster().active_len() < nodes / 2,
+            "{name}: most nodes must be idle (and owe ticks) at the pause"
+        );
+        let snap = Snapshot::capture(&k).unwrap();
+        drop(k);
+        let mut revived = KubeKnots::resume(
+            cluster_cfg.clone(),
+            scheduler_by_name(name).unwrap(),
+            orch,
+            None,
+            snap.state().unwrap(),
+        )
+        .unwrap();
+        assert!(revived.drive(&schedule, None), "resumed run must complete");
+        let report = revived.report_now(schedule.len());
+        let rec = (leg_result(&revived, &report, secs), energy(&revived));
+        assert_eq!(oracle.0 .0, rec.0 .0, "{name}: report digest diverged");
+        assert_eq!(oracle.0 .1, rec.0 .1, "{name}: energy total diverged");
+        assert_eq!(oracle.1, rec.1, "{name}: per-node energy diverged");
+        assert_eq!(oracle.0 .2, rec.0 .2, "{name}: TSDB node sample bits diverged");
     }
 }
 
