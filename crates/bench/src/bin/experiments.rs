@@ -13,6 +13,8 @@
 //!   cluster   the ten-node study: Figs. 6, 7, 8, 9, 10a, 11a, 11b
 //!   fig10b    prediction accuracy vs heartbeat interval
 //!   dnn       the 256-GPU DL study: Fig. 12a, Fig. 12b, Table IV
+//!   ablation  App-Mix-1 ablations: resize percentile, Spearman threshold,
+//!             window d, Res-Ag bin-packing strategy
 //!   trace     the DNN bake-off with causal tracing ± a seeded fault plan:
 //!             Chrome traces per leg + per-stage latency breakdown + digest
 //!   chaos     fault-intensity sweep: QoS / throughput / crashes (DESIGN.md §10)
@@ -39,14 +41,16 @@
 //! take them; any other command exits 2 rather than drop the sink.
 //!
 //! Unknown flags are an error: the run aborts with usage on stderr and a
-//! non-zero exit so a typo cannot silently fall back to defaults.
+//! non-zero exit so a typo cannot silently fall back to defaults. So is an
+//! output destination (`--json`, `--trace`, `--metrics`) that cannot be
+//! created: it is checked before any run starts, so a finished study is
+//! never lost to a bad path.
 
 use knots_bench::figures::*;
 use knots_bench::render::Table;
 use knots_core::experiment::ExperimentConfig;
 use knots_sim::time::SimDuration;
 use knots_workloads::dnn::DnnWorkloadConfig;
-use std::io::Write as _;
 
 const USAGE: &str =
     "usage: experiments <fig1|fig2|fig3|fig4|cluster|fig10b|dnn|trace|ablation|chaos|recovery|scale|all> \
@@ -132,16 +136,40 @@ fn check_sinks(cmd: &str, o: &Opts) -> Result<(), String> {
     ))
 }
 
+/// Create every requested output destination before any run starts: the
+/// `--json` directory, and the `--trace` / `--metrics` files (an existing
+/// file is opened for appending, not truncated; the run overwrites it).
+fn check_destinations(o: &Opts) -> Result<(), String> {
+    if let Some(dir) = &o.json_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("--json {dir}: {e}"))?;
+    }
+    for (flag, path) in [("--trace", &o.trace), ("--metrics", &o.metrics)] {
+        if let Some(path) = path {
+            let probe = std::fs::OpenOptions::new().append(true).create(true).open(path);
+            probe.map_err(|e| format!("{flag} {path}: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
+/// Unwrap the result of writing `path`, or exit 1 with the path and the OS
+/// error: a write can still fail after `check_destinations` (a full disk,
+/// a directory removed mid-run).
+fn written<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(1)
+    })
+}
+
 fn emit(opts: &Opts, name: &str, tables: &[Table]) {
     for t in tables {
         println!("{}", t.render());
     }
     if let Some(dir) = &opts.json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
         let path = format!("{dir}/{name}.json");
-        let mut f = std::fs::File::create(&path).expect("create json file");
         let payload = serde_json::to_string_pretty(tables).expect("serialize tables");
-        f.write_all(payload.as_bytes()).expect("write json");
+        written(&path, std::fs::write(&path, payload));
         eprintln!("[wrote {path}]");
     }
 }
@@ -194,11 +222,11 @@ fn run_cluster(opts: &Opts) {
     let study = fig06_09_cluster::ClusterStudy::run(&cfg, &obs, opts.threads);
     eprintln!("[cluster study done in {:.1?}]", t0.elapsed());
     if let Some(path) = &opts.trace {
-        obs.recorder.write_jsonl(std::path::Path::new(path)).expect("write trace jsonl");
+        written(path, obs.recorder.write_jsonl(std::path::Path::new(path)));
         eprintln!("[wrote {path}: {} events]", obs.recorder.len());
     }
     if let Some(path) = &opts.metrics {
-        std::fs::write(path, obs.metrics.to_prometheus()).expect("write metrics");
+        written(path, std::fs::write(path, obs.metrics.to_prometheus()));
         eprintln!("[wrote {path}]");
     }
 
@@ -269,10 +297,9 @@ fn run_trace(opts: &Opts) {
     let study = trace_study::TraceStudy::run(&workload, opts.seed, opts.threads);
     eprintln!("[trace study done in {:.1?}]", t0.elapsed());
     if let Some(dir) = &opts.json_dir {
-        std::fs::create_dir_all(dir).expect("create json dir");
         for leg in &study.legs {
             let path = format!("{dir}/{}.json", trace_study::leg_slug(leg));
-            std::fs::write(&path, &leg.chrome_json).expect("write chrome trace");
+            written(&path, std::fs::write(&path, &leg.chrome_json));
             eprintln!("[wrote {path}: {} spans]", leg.spans);
         }
     }
@@ -377,11 +404,45 @@ fn run_scale(opts: &Opts) {
     }
 }
 
+fn run_all(opts: &Opts) {
+    run_fig1(opts);
+    run_fig2(opts);
+    run_fig3(opts);
+    run_fig4(opts);
+    run_cluster(opts);
+    run_fig10b(opts);
+    run_dnn(opts);
+    run_ablations(opts);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
+    // Resolve the command first, so an unknown one creates no destination.
+    let run: fn(&Opts) = match cmd {
+        "fig1" => run_fig1,
+        "fig2" => run_fig2,
+        "fig3" => run_fig3,
+        "fig4" => run_fig4,
+        "cluster" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10a" | "fig11a" | "fig11b" => {
+            run_cluster
+        }
+        "fig10b" => run_fig10b,
+        "dnn" | "fig12a" | "fig12b" | "table4" => run_dnn,
+        "trace" => run_trace,
+        "ablation" | "ablations" => run_ablations,
+        "chaos" => run_chaos,
+        "recovery" => run_recovery,
+        "scale" => run_scale,
+        "all" => run_all,
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let opts = match parse_opts(args.get(1..).unwrap_or(&[])).and_then(|o| {
         check_sinks(cmd, &o)?;
+        check_destinations(&o)?;
         Ok(o)
     }) {
         Ok(o) => o,
@@ -391,36 +452,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match cmd {
-        "fig1" => run_fig1(&opts),
-        "fig2" => run_fig2(&opts),
-        "fig3" => run_fig3(&opts),
-        "fig4" => run_fig4(&opts),
-        "cluster" | "fig6" | "fig7" | "fig8" | "fig9" | "fig10a" | "fig11a" | "fig11b" => {
-            run_cluster(&opts)
-        }
-        "fig10b" => run_fig10b(&opts),
-        "dnn" | "fig12a" | "fig12b" | "table4" => run_dnn(&opts),
-        "trace" => run_trace(&opts),
-        "ablation" | "ablations" => run_ablations(&opts),
-        "chaos" => run_chaos(&opts),
-        "recovery" => run_recovery(&opts),
-        "scale" => run_scale(&opts),
-        "all" => {
-            run_fig1(&opts);
-            run_fig2(&opts);
-            run_fig3(&opts);
-            run_fig4(&opts);
-            run_cluster(&opts);
-            run_fig10b(&opts);
-            run_dnn(&opts);
-            run_ablations(&opts);
-        }
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
+    run(&opts);
 }
 
 #[cfg(test)]
@@ -484,6 +516,19 @@ mod tests {
             assert_eq!(check_sinks(cmd, &both), Ok(()), "{cmd} writes the sinks");
         }
         assert_eq!(check_sinks("dnn", &parse(&["--quick"]).expect("no sinks")), Ok(()));
+    }
+
+    #[test]
+    fn uncreatable_destinations_are_refused_before_any_run() {
+        // Nothing can be created under a regular file: refused before the
+        // run, not after it.
+        let under_file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+        for flag in ["--json", "--trace", "--metrics"] {
+            let o = parse(&[flag, under_file]).expect("valid flags");
+            let err = check_destinations(&o).expect_err("cannot be created");
+            assert!(err.starts_with(&format!("{flag} {under_file}: ")), "{err}");
+        }
+        assert_eq!(check_destinations(&parse(&["--quick"]).expect("no sinks")), Ok(()));
     }
 
     #[test]

@@ -48,20 +48,6 @@ fn acf_lag_num(ys: &[f64], mean: f64, k: usize) -> f64 {
     (0..ys.len() - k).map(|i| (ys[i] - mean) * (ys[i + k] - mean)).sum()
 }
 
-/// The full autocorrelation function for lags `1..=max_lag`.
-///
-/// One-pass: the series mean and the Eq. (2) denominator are hoisted out of
-/// the per-lag loop (they do not depend on `k`), turning the naive
-/// `O(max_lag · n)` mean/denominator recompute into a single prefix pass.
-/// Values are bit-identical to calling [`autocorrelation`] per lag.
-pub fn acf(ys: &[f64], max_lag: usize) -> Vec<f64> {
-    let n = ys.len();
-    let Some((mean, denom)) = acf_prefix(ys) else {
-        return vec![0.0; max_lag];
-    };
-    (1..=max_lag).map(|k| if n <= k { 0.0 } else { acf_lag_num(ys, mean, k) / denom }).collect()
-}
-
 /// The dominant period of a series: the lag `k ≥ min_lag` with the highest
 /// autocorrelation, when that correlation is positive. PP interprets this as
 /// the interval between consecutive resource-consumption peaks (§IV-D: "the
@@ -123,32 +109,34 @@ mod tests {
     }
 
     #[test]
-    fn acf_length() {
-        let ys: Vec<f64> = (0..30).map(|i| i as f64).collect();
-        assert_eq!(acf(&ys, 5).len(), 5);
-    }
-
-    #[test]
     fn one_pass_acf_is_bit_identical_to_naive_per_lag() {
-        // Seeded-LCG fuzz: the hoisted mean/denominator must reproduce the
-        // naive per-lag recompute exactly (same summation order → same
-        // bits), including lags past the series length.
+        // Seeded-LCG fuzz: the hoisted mean/denominator that
+        // `dominant_period` runs on must reproduce the naive per-lag
+        // recompute exactly (same summation order → same bits), including
+        // lags past the series length, where both forms read zero.
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut lcg = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
+        let one_pass = |ys: &[f64], k: usize| match acf_prefix(ys) {
+            Some((mean, denom)) if k < ys.len() => acf_lag_num(ys, mean, k) / denom,
+            _ => 0.0,
+        };
         for len in [0usize, 1, 2, 7, 33, 200] {
             let ys: Vec<f64> = (0..len).map(|_| lcg() * 500.0 - 100.0).collect();
-            let max_lag = len + 5;
-            let fast = acf(&ys, max_lag);
-            for (i, k) in (1..=max_lag).enumerate() {
+            for k in 1..=len + 5 {
                 let naive = autocorrelation(&ys, k);
-                assert_eq!(fast[i].to_bits(), naive.to_bits(), "len {len} lag {k}");
+                assert_eq!(one_pass(&ys, k).to_bits(), naive.to_bits(), "len {len} lag {k}");
             }
         }
         // Constant series: both forms short-circuit to zero.
-        assert_eq!(acf(&[3.0; 20], 4), vec![0.0; 4]);
+        let flat = [3.0; 20];
+        assert_eq!(acf_prefix(&flat), None);
+        for k in 1..=4 {
+            assert_eq!(one_pass(&flat, k).to_bits(), 0.0f64.to_bits());
+            assert_eq!(autocorrelation(&flat, k).to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl TimeSeriesDb {
         self.inner.read().pod(pod).map_or(0, |e| e.rejected)
     }
 
-    /// Total rejected samples across every series since creation/`clear`.
+    /// Total rejected samples across every series since creation.
     pub fn rejected_total(&self) -> u64 {
         self.inner.read().rejected_total
     }
@@ -542,14 +542,6 @@ impl TimeSeriesDb {
             });
         }
         out.len()
-    }
-
-    /// Clear everything (between experiment repetitions).
-    pub fn clear(&self) {
-        let mut g = self.inner.write();
-        g.nodes.clear();
-        g.pods.clear();
-        g.rejected_total = 0;
     }
 
     // ------------------------------------------------------------------
@@ -806,8 +798,6 @@ mod tests {
         assert_eq!(db.pod_rejected(PodId(1)), 2);
         assert_eq!(db.pod_last_at(PodId(1)), Some(SimTime::from_millis(5)));
         assert_eq!(db.rejected_total(), 4);
-        db.clear();
-        assert_eq!(db.rejected_total(), 0);
     }
 
     #[test]
@@ -827,17 +817,6 @@ mod tests {
             .is_empty());
         assert!(db.latest_node(NodeId(3)).is_none());
         assert!(db.pod_mem_series(PodId(1), SimTime::ZERO, SimDuration::from_secs(1)).is_empty());
-    }
-
-    #[test]
-    fn clear_resets() {
-        let db = TimeSeriesDb::default();
-        db.push_node(NodeId(0), sample(0, 0.1));
-        db.push_pod(PodId(0), SimTime::ZERO, Usage::ZERO);
-        db.clear();
-        assert_eq!(db.node_len(NodeId(0)), 0);
-        assert_eq!(db.pod_len(PodId(0)), 0);
-        assert!(db.latest_node(NodeId(0)).is_none());
     }
 
     #[test]
