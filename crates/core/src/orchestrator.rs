@@ -224,8 +224,9 @@ pub struct KubeKnots {
     journal: Option<Vec<AppliedEvent>>,
 }
 
-/// The event-queue loop's locals, lifted out of `run_events` so the loop
-/// can stop at an event boundary with its full state on the orchestrator.
+/// The event-queue loop's locals, kept on the orchestrator between
+/// [`KubeKnots::drive`] calls so the loop can stop at an event boundary
+/// with its full state on the orchestrator.
 struct EventLoopState {
     cal: EventCalendar,
     /// Cursor into the workload schedule: first arrival not yet submitted.
@@ -367,37 +368,125 @@ impl KubeKnots {
         if self.cfg.naive_ticking {
             self.run_ticked(schedule);
         } else {
-            self.run_events(schedule);
+            self.begin(schedule);
+            let done = self.drive(schedule, None);
+            debug_assert!(done, "an unbounded drive runs to completion");
         }
         if self.obs.tracer.enabled() {
             self.lifecycle.flush(self.cluster.now().as_micros(), &self.obs.tracer);
         }
-        self.report(schedule.len())
+        self.report_now(schedule.len())
     }
 
     /// Start an event-queue run without driving it: seed the calendar and
     /// park the loop at t=0. The recovery harness uses `begin` + [`drive`]
     /// instead of [`run_schedule`] so it can checkpoint between drives.
     ///
+    /// The calendar holds one self-rescheduling chain per producer — each
+    /// handler pops exactly one entry and schedules at most one successor,
+    /// so the heap never holds more than one event per class.
+    ///
     /// [`drive`]: KubeKnots::drive
     /// [`run_schedule`]: KubeKnots::run_schedule
     pub fn begin(&mut self, schedule: &[ScheduledPod]) {
         assert!(!self.cfg.naive_ticking, "pausable driving requires the event-queue loop");
         debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
-        self.begin_events(schedule);
+        let last_arrival = schedule.last().map(|s| s.at).unwrap_or(SimTime::ZERO);
+        let deadline = last_arrival + self.cfg.drain_grace;
+        let tick = self.cfg.tick;
+        let tick_us = tick.as_micros().max(1);
+        let start = self.cluster.now();
+
+        let mut cal = EventCalendar::new();
+        cal.schedule(
+            grid_at_or_after(self.aggregator.next_due().unwrap_or(start), tick_us),
+            CoreEvent::Heartbeat,
+        );
+        if let Some(first) = schedule.first() {
+            cal.schedule(grid_at_or_after(first.at, tick_us), CoreEvent::Arrival);
+        }
+        if let Some(t) = self.chaos.as_ref().and_then(|e| e.next_due()) {
+            cal.schedule(grid_at_or_after(t, tick_us), CoreEvent::Chaos);
+        }
+        // The oracle's unarmed metric grid first fires at the end of the
+        // first tick; collect_metrics then anchors it to the interval grid.
+        cal.schedule(start + tick, CoreEvent::MetricGrid);
+        cal.schedule(grid_at_or_after(deadline, tick_us), CoreEvent::DrainDeadline);
+        self.loop_state = Some(EventLoopState { cal, next: 0, deadline });
     }
 
     /// Drive a begun (or resumed) run until it completes (`true`) or until
-    /// the first event boundary at or past `stop` (`false`, paused).
+    /// the first event boundary at or past `stop` (`false`, paused), with
+    /// every loop local left on `self` so [`KubeKnots::pause_state`] can
+    /// capture it.
+    ///
+    /// The event-queue loop: producers schedule their next occurrence on
+    /// the calendar, the loop pops due events in `(time, priority, seq)`
+    /// order and jumps the cluster straight to the next instant anything
+    /// can happen. Every event time is snapped to the tick grid at enqueue
+    /// (`grid_at_or_after`), so each jump is an exact number of ticks and
+    /// the trajectory is bit-identical to the oracle's: within one instant
+    /// the oracle runs previous-iteration metric collection first, then
+    /// arrivals, chaos and the heartbeat — exactly the calendar's priority
+    /// order — and it only ever observes layers at grid points.
     pub fn drive(&mut self, schedule: &[ScheduledPod], stop: Option<SimTime>) -> bool {
-        self.drive_events(schedule, stop)
-    }
+        // knots-allow: P1 -- `begin` and `resume` establish loop_state, and `run_schedule` calls `begin` first; driving an un-begun loop is a caller bug worth aborting on
+        let mut st = self.loop_state.take().expect("begin (or resume) before drive");
+        let tick = self.cfg.tick;
+        let tick_us = tick.as_micros().max(1);
 
-    /// Build the run report for a run driven via [`KubeKnots::begin`] /
-    /// [`KubeKnots::drive`] (which bypass [`KubeKnots::run_schedule`]'s
-    /// reporting).
-    pub fn report_now(&self, submitted: usize) -> RunReport {
-        self.report(submitted)
+        let done = loop {
+            let now = self.cluster.now();
+            // The pause boundary: *before* popping this instant's events,
+            // so a resumed loop re-enters exactly here with the same
+            // calendar and processes the instant identically.
+            if stop.is_some_and(|s| now >= s) {
+                break false;
+            }
+            // Start-of-instant control events (arrivals, then chaos, then
+            // the heartbeat — `pop_due` yields priority order).
+            while let Some(kind) = st.cal.pop_due(now) {
+                self.handle_event(kind, now, schedule, &mut st.next, &mut st.cal);
+            }
+            // Jump to the next event: at least one tick, never past one.
+            // Nothing can fire strictly between grid-snapped events, so
+            // the span is closed-form; it still stops early on the exact
+            // tick the cluster drains.
+            let arrivals_done = st.next >= schedule.len();
+            let target = st.cal.peek_time().map_or(now + tick, |t| t.max(now + tick));
+            let k = (target.as_micros() - now.as_micros()) / tick_us;
+            if k <= 1 {
+                self.step_and_probe();
+            } else {
+                self.advance_span(k, arrivals_done);
+            }
+            // End-of-instant work where the jump landed: the metric grid
+            // fires before any control event due at the same instant
+            // (those pop at the top of the next iteration), matching the
+            // oracle's step → collect → break-check → next-tick order.
+            let now = self.cluster.now();
+            while let Some((t, CoreEvent::MetricGrid)) = st.cal.peek() {
+                if t > now {
+                    break;
+                }
+                st.cal.pop();
+                self.handle_event(CoreEvent::MetricGrid, now, schedule, &mut st.next, &mut st.cal);
+            }
+            self.garbage_collect();
+
+            if arrivals_done && self.cluster.is_drained() {
+                break true;
+            }
+            if now >= st.deadline {
+                self.event_counts[CoreEvent::DrainDeadline.priority() as usize] += 1;
+                break true;
+            }
+        };
+        // Whoever reads next — `pause_state`, a checkpoint, the report —
+        // reads the cluster and the TSDB directly.
+        probe::settle_idle(&mut self.cluster, &self.tsdb);
+        self.loop_state = Some(st);
+        done
     }
 
     /// Start recording every applied calendar event into an in-memory
@@ -421,9 +510,9 @@ impl KubeKnots {
     /// Configuration (cluster topology, orchestrator config, scheduler
     /// identity, workload schedule, fault plan) is *not* captured — it is
     /// re-supplied to [`KubeKnots::resume`], which keeps snapshots small.
-    /// A state with a chaos cursor needs its fault plan; the cluster config
-    /// is not checked against the state (a different node count resumes on
-    /// the state's nodes).
+    /// A state with a chaos cursor needs its fault plan, and `resume`
+    /// refuses a cluster config whose topology (node count, GPU model per
+    /// node) differs from the state's.
     /// There is no live RNG to capture: workload schedules and fault plans
     /// are pre-generated, so the loop itself is deterministic state
     /// machine + calendar.
@@ -564,115 +653,6 @@ impl KubeKnots {
                 break;
             }
         }
-    }
-
-    /// The event-queue loop: producers schedule their next occurrence on
-    /// the calendar, the loop pops due events in `(time, priority, seq)`
-    /// order and jumps the cluster straight to the next instant anything
-    /// can happen. Every event time is snapped to the tick grid at enqueue
-    /// (`grid_at_or_after`), so each jump is an exact number of ticks and
-    /// the trajectory is bit-identical to the oracle's: within one instant
-    /// the oracle runs previous-iteration metric collection first, then
-    /// arrivals, chaos and the heartbeat — exactly the calendar's priority
-    /// order — and it only ever observes layers at grid points.
-    fn run_events(&mut self, schedule: &[ScheduledPod]) {
-        self.begin_events(schedule);
-        let done = self.drive_events(schedule, None);
-        debug_assert!(done, "an unbounded drive runs to completion");
-    }
-
-    /// Seed the calendar and lift the loop locals onto `self`, without
-    /// driving: one self-rescheduling chain per producer — each handler
-    /// pops exactly one entry and schedules at most one successor, so the
-    /// heap never holds more than one event per class.
-    fn begin_events(&mut self, schedule: &[ScheduledPod]) {
-        let last_arrival = schedule.last().map(|s| s.at).unwrap_or(SimTime::ZERO);
-        let deadline = last_arrival + self.cfg.drain_grace;
-        let tick = self.cfg.tick;
-        let tick_us = tick.as_micros().max(1);
-        let start = self.cluster.now();
-
-        let mut cal = EventCalendar::new();
-        cal.schedule(
-            grid_at_or_after(self.aggregator.next_due().unwrap_or(start), tick_us),
-            CoreEvent::Heartbeat,
-        );
-        if let Some(first) = schedule.first() {
-            cal.schedule(grid_at_or_after(first.at, tick_us), CoreEvent::Arrival);
-        }
-        if let Some(t) = self.chaos.as_ref().and_then(|e| e.next_due()) {
-            cal.schedule(grid_at_or_after(t, tick_us), CoreEvent::Chaos);
-        }
-        // The oracle's unarmed metric grid first fires at the end of the
-        // first tick; collect_metrics then anchors it to the interval grid.
-        cal.schedule(start + tick, CoreEvent::MetricGrid);
-        cal.schedule(grid_at_or_after(deadline, tick_us), CoreEvent::DrainDeadline);
-        self.loop_state = Some(EventLoopState { cal, next: 0, deadline });
-    }
-
-    /// Drive a begun (or resumed) event loop. With `stop: None` runs to
-    /// completion and returns `true`; with a stop time, pauses at the
-    /// first event boundary at or past it and returns `false`, leaving
-    /// every loop local on `self` so [`KubeKnots::pause_state`] can
-    /// capture it.
-    fn drive_events(&mut self, schedule: &[ScheduledPod], stop: Option<SimTime>) -> bool {
-        // knots-allow: P1 -- both callers (run_events, drive) establish loop_state via begin_events first; driving an un-begun loop is a harness bug worth aborting on
-        let mut st = self.loop_state.take().expect("begin_events before drive_events");
-        let tick = self.cfg.tick;
-        let tick_us = tick.as_micros().max(1);
-
-        let done = loop {
-            let now = self.cluster.now();
-            // The pause boundary: *before* popping this instant's events,
-            // so a resumed loop re-enters exactly here with the same
-            // calendar and processes the instant identically.
-            if stop.is_some_and(|s| now >= s) {
-                break false;
-            }
-            // Start-of-instant control events (arrivals, then chaos, then
-            // the heartbeat — `pop_due` yields priority order).
-            while let Some(kind) = st.cal.pop_due(now) {
-                self.handle_event(kind, now, schedule, &mut st.next, &mut st.cal);
-            }
-            // Jump to the next event: at least one tick, never past one.
-            // Nothing can fire strictly between grid-snapped events, so
-            // the span is closed-form; it still stops early on the exact
-            // tick the cluster drains.
-            let arrivals_done = st.next >= schedule.len();
-            let target = st.cal.peek_time().map_or(now + tick, |t| t.max(now + tick));
-            let k = (target.as_micros() - now.as_micros()) / tick_us;
-            if k <= 1 {
-                self.step_and_probe();
-            } else {
-                self.advance_span(k, arrivals_done);
-            }
-            // End-of-instant work where the jump landed: the metric grid
-            // fires before any control event due at the same instant
-            // (those pop at the top of the next iteration), matching the
-            // oracle's step → collect → break-check → next-tick order.
-            let now = self.cluster.now();
-            while let Some((t, CoreEvent::MetricGrid)) = st.cal.peek() {
-                if t > now {
-                    break;
-                }
-                st.cal.pop();
-                self.handle_event(CoreEvent::MetricGrid, now, schedule, &mut st.next, &mut st.cal);
-            }
-            self.garbage_collect();
-
-            if arrivals_done && self.cluster.is_drained() {
-                break true;
-            }
-            if now >= st.deadline {
-                self.event_counts[CoreEvent::DrainDeadline.priority() as usize] += 1;
-                break true;
-            }
-        };
-        // Whoever reads next — `pause_state`, a checkpoint, the report —
-        // reads the cluster and the TSDB directly.
-        probe::settle_idle(&mut self.cluster, &self.tsdb);
-        self.loop_state = Some(st);
-        done
     }
 
     /// Apply one calendar event at `now` and schedule the producer's next
@@ -1114,8 +1094,10 @@ impl KubeKnots {
         }
     }
 
-    /// Build the final report.
-    fn report(&self, submitted: usize) -> RunReport {
+    /// Build the run report. [`KubeKnots::run_schedule`] returns it; a run
+    /// driven via [`KubeKnots::begin`] / [`KubeKnots::drive`] asks for it
+    /// here.
+    pub fn report_now(&self, submitted: usize) -> RunReport {
         let mut batch = Vec::new();
         let mut lc = Vec::new();
         let mut all = Vec::new();

@@ -9,15 +9,22 @@
 //! on every run. `knots_analyzer::report_digest` hashes every
 //! decision-derived field of a `RunReport`, so any relapse shows up as a
 //! digest mismatch here (and in `knots-analyzer -- --self-check`).
+//!
+//! The loop-mode tests drive each leg through the differential harness
+//! (`tests/harness/`): the event queue, with and without the recorder and
+//! tracer, must end where the per-tick `naive_ticking` oracle does.
+
+mod harness;
 
 use knots_chaos::{ChaosEngine, FaultPlan};
 use knots_core::experiment::{
     mix_inputs, run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
 };
-use knots_core::{KubeKnots, RunReport};
-use knots_obs::{Obs, Tracer, Track};
+use knots_core::KubeKnots;
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
+
+use harness::{check, Leg, Mode};
 
 fn cfg(seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -26,14 +33,6 @@ fn cfg(seed: u64) -> ExperimentConfig {
         seed,
         ..Default::default()
     }
-}
-
-/// One App-Mix-2 run of `scheduler` with `plan` replayed against it.
-fn run_mix2_with_plan(scheduler: &str, cfg: &ExperimentConfig, plan: FaultPlan) -> RunReport {
-    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, cfg);
-    KubeKnots::new(cluster_cfg, scheduler_by_name(scheduler).unwrap(), cfg.orch)
-        .with_chaos(ChaosEngine::new(plan))
-        .run_schedule(&schedule)
 }
 
 #[test]
@@ -93,7 +92,10 @@ fn empty_fault_plan_reproduces_the_pinned_digests() {
         ("Gandiva", 0x3528_4ac8_9ffc_37ac),
     ];
     for (name, want) in PINNED {
-        let r = run_mix2_with_plan(name, &cfg(42), FaultPlan::empty());
+        let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg(42));
+        let r = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), cfg(42).orch)
+            .with_chaos(ChaosEngine::new(FaultPlan::empty()))
+            .run_schedule(&schedule);
         assert_eq!(
             knots_analyzer::report_digest(&r),
             want,
@@ -141,48 +143,25 @@ fn chaos_sweep_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn every_loop_mode_matches_naive_ticking() {
-    // Heartbeat at 5× the tick: between scheduling rounds the event queue
-    // jumps straight to the next calendar entry. That may not move a
-    // single bit of the report relative to the per-tick oracle, for any
-    // scheduler — and the event queue must really skip: it runs fewer
-    // control-loop steps than the oracle's ticks and pops calendar events.
-    // Steps are read off the tracer's control track: one `probe.round` per
-    // single-tick step, one `pool.batch` per multi-tick span.
-    let traced_run = |name: &str, c: &ExperimentConfig| {
-        let obs = Obs { tracer: Tracer::bounded(1 << 20), ..Obs::disabled() };
-        let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, c);
-        let report = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), c.orch)
-            .with_obs(obs.clone())
-            .run_schedule(&schedule);
-        assert_eq!(obs.tracer.dropped(), 0, "{name}: the span ring evicted");
-        let steps = obs
-            .tracer
-            .spans()
-            .iter()
-            .filter(|s| s.track == Track::Control && matches!(s.name, "probe.round" | "pool.batch"))
-            .count();
-        (report, steps)
-    };
+    // Heartbeat at 5× the tick on the paper's 10 nodes: between scheduling
+    // rounds the event queue jumps straight to the next calendar entry.
+    // That may not move a single bit relative to the per-tick oracle, for
+    // any scheduler, with the recorder and tracer on — and the event queue
+    // must really skip: it runs fewer control-loop steps than the oracle's
+    // ticks and pops calendar events.
     for name in DNN_SCHEDULERS {
-        let mut c = cfg(42);
-        c.duration = SimDuration::from_secs(60);
-        c.orch.heartbeat = SimDuration::from_millis(50);
-        c.orch.naive_ticking = true;
-        let (naive, naive_steps) = traced_run(name, &c);
-        c.orch.naive_ticking = false;
-        let (fast, fast_steps) = traced_run(name, &c);
-        assert_eq!(
-            knots_analyzer::report_digest(&fast),
-            knots_analyzer::report_digest(&naive),
-            "{name}: the event queue diverged from naive ticking"
-        );
-        assert!(fast_steps > 0, "{name}: the event-queue leg ran no loop steps");
+        let leg = Leg { nodes: 10, secs: 60, ..Leg::new(name) };
+        let (oracle, runs) = check(&leg, &[Mode::Observed]);
+        let observed = &runs[0];
+        assert!(observed.steps > 0, "{leg:?}: the event queue ran no loop steps");
         assert!(
-            fast_steps < naive_steps,
-            "{name}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
-             ({fast_steps} steps over {naive_steps} ticks)"
+            observed.steps < oracle.steps,
+            "{leg:?}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
+             ({} steps over {} ticks)",
+            observed.steps,
+            oracle.steps
         );
-        assert!(fast.events_processed > 0, "{name}: the event-queue leg must pop calendar events");
+        assert!(observed.report.events_processed > 0, "{leg:?}: no calendar event popped");
     }
 }
 
@@ -192,23 +171,10 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
     // degradations, probe dropouts, sample corruption and heartbeat
     // delays all land on the same ticks whether the loop crawls or runs
     // on the event queue.
-    use knots_chaos::{gen, GenConfig};
-    let duration = SimDuration::from_secs(60);
-    let plan =
-        || gen::generate(&GenConfig { seed: 9, nodes: 10, duration, faults_per_minute: 6.0 });
     for name in DNN_SCHEDULERS {
-        let mut c = cfg(42);
-        c.duration = duration;
-        c.orch.heartbeat = SimDuration::from_millis(50);
-        c.orch.naive_ticking = true;
-        let naive = run_mix2_with_plan(name, &c, plan());
-        c.orch.naive_ticking = false;
-        let fast = run_mix2_with_plan(name, &c, plan());
-        assert_eq!(
-            knots_analyzer::report_digest(&fast),
-            knots_analyzer::report_digest(&naive),
-            "{name}: the event queue diverged from naive ticking under chaos"
-        );
+        let leg =
+            Leg { nodes: 10, secs: 60, faults_per_minute: 6.0, plan_seed: 9, ..Leg::new(name) };
+        check(&leg, &[Mode::Events]);
     }
 }
 
@@ -216,137 +182,31 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
 fn gave_up_terminal_path_is_identical_across_all_loop_modes() {
     // Pin the crash-loop cap's terminal `GaveUp` path across both loops:
     // with the cap at 1, every pod crashed by a node failure is abandoned,
-    // and the abandonment must land on the same tick — same digest, same
-    // `gave_up` count — whether the loop crawls or runs on the event
-    // queue.
-    use knots_chaos::{gen, ChaosEngine, GenConfig};
-    use knots_core::config::OrchestratorConfig;
-    use knots_core::orchestrator::KubeKnots;
-    use knots_sim::cluster::ClusterConfig;
-    use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator};
-
-    let nodes = 4usize;
-    let duration = SimDuration::from_secs(60);
-    let schedule = LoadGenerator::generate(AppMix::Mix2, &LoadGenConfig::new(duration, 42));
-    let plan = || gen::generate(&GenConfig { seed: 9, nodes, duration, faults_per_minute: 30.0 });
-    let run = |naive: bool| {
-        let mut cluster_cfg = ClusterConfig::homogeneous(nodes, knots_sim::config::TESTBED_GPU);
-        cluster_cfg.overheads.crash_loop_cap = 1;
-        let orch = OrchestratorConfig {
-            heartbeat: SimDuration::from_millis(50),
-            naive_ticking: naive,
-            ..Default::default()
-        };
-        let mut k = KubeKnots::new(cluster_cfg, Box::new(knots_sched::pp::CbpPp::new()), orch)
-            .with_chaos(ChaosEngine::new(plan()));
-        let report = k.run_schedule(&schedule);
-        (knots_analyzer::report_digest(&report), report.faults.gave_up)
-    };
-    let naive = run(true);
-    assert!(naive.1 > 0, "scenario must actually abandon crash-looping pods (gave_up = 0)");
-    let fast = run(false);
-    assert_eq!(fast, naive, "GaveUp terminal path diverged from naive ticking");
+    // and the abandonment must land on the same tick — same fingerprint,
+    // same `gave_up` count (fault counts are outside the digest) — whether
+    // the loop crawls or runs on the event queue.
+    let leg = Leg { secs: 60, faults_per_minute: 30.0, plan_seed: 9, ..Leg::new("CBP+PP") };
+    let leg = Leg { crash_loop_cap: 1, ..leg };
+    let (oracle, runs) = check(&leg, &[Mode::Events]);
+    let gave_up = oracle.report.faults.gave_up;
+    assert!(gave_up > 0, "{leg:?}: no crash-looping pod was abandoned");
+    assert_eq!(runs[0].report.faults.gave_up, gave_up, "{leg:?}: gave_up diverged");
 }
 
 mod event_interleavings {
     //! Property: for *arbitrary* event interleavings — random seeds,
     //! off-grid heartbeat periods, durations and fault intensities — the
-    //! event queue replays the oracle bit for bit, all the way down to
-    //! the raw telemetry: every retained TSDB node sample, every node's
-    //! energy and the whole cluster and TSDB state must be bitwise
-    //! identical at the matching end-of-run grid point, not just the
-    //! digested report. The oracle steps and probes every node every tick;
-    //! the event queue skips idle nodes and settles them lazily.
+    //! event queue replays the oracle bit for bit, with and without the
+    //! recorder and tracer, all the way down to the raw telemetry: the
+    //! harness compares the report digest, every node's energy and the
+    //! whole cluster and TSDB state (every retained TSDB node sample among
+    //! it) by float bits. The oracle steps and probes every node every
+    //! tick; the event queue skips idle nodes and settles them lazily.
 
-    use knots_chaos::{gen, ChaosEngine, GenConfig};
-    use knots_core::config::OrchestratorConfig;
-    use knots_core::experiment::{scheduler_by_name, CLUSTER_SCHEDULERS};
-    use knots_core::orchestrator::KubeKnots;
-    use knots_sim::cluster::ClusterConfig;
-    use knots_sim::ids::NodeId;
-    use knots_sim::metrics::{GpuSample, Metric};
+    use super::harness::{check, Leg, Mode, SCHEDULERS};
     use knots_sim::time::SimDuration;
-    use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator};
     use knots_workloads::AppMix;
     use proptest::prelude::*;
-
-    /// One leg's inputs.
-    #[derive(Debug, Clone, Copy)]
-    struct Leg {
-        scheduler: &'static str,
-        mix: AppMix,
-        nodes: usize,
-        seed: u64,
-        hb_ms: u64,
-        secs: u64,
-        faults_per_minute: f64,
-        /// Idle time before an empty node auto-sleeps, where the scheduler
-        /// allows it.
-        auto_sleep: Option<SimDuration>,
-    }
-
-    /// Report digest, energy bits (total, then per node), per-node
-    /// `(at, metric bits)` samples, and the FNV digest of the serialized
-    /// cluster and TSDB state.
-    type LegResult = (u64, Vec<u64>, Vec<Vec<(u64, [u64; 5])>>, u64);
-
-    /// Run one leg and return its [`LegResult`].
-    fn run_leg(naive: bool, leg: Leg) -> LegResult {
-        let duration = SimDuration::from_secs(leg.secs);
-        let schedule = LoadGenerator::generate(leg.mix, &LoadGenConfig::new(duration, leg.seed));
-        let mut cluster_cfg = ClusterConfig::homogeneous(leg.nodes, knots_sim::config::TESTBED_GPU);
-        cluster_cfg.auto_sleep_after = leg.auto_sleep;
-        let orch = OrchestratorConfig {
-            heartbeat: SimDuration::from_millis(leg.hb_ms),
-            naive_ticking: naive,
-            ..Default::default()
-        };
-        let scheduler = scheduler_by_name(leg.scheduler).unwrap();
-        let mut k = KubeKnots::new(cluster_cfg, scheduler, orch);
-        if leg.faults_per_minute > 0.0 {
-            let plan = gen::generate(&GenConfig {
-                seed: leg.seed ^ 0x51ab,
-                nodes: leg.nodes,
-                duration,
-                faults_per_minute: leg.faults_per_minute,
-            });
-            k = k.with_chaos(ChaosEngine::new(plan));
-        }
-        let report = k.run_schedule(&schedule);
-        let now = k.cluster().now();
-        let window = SimDuration::from_secs(leg.secs + 3600);
-        let samples = (0..leg.nodes)
-            .map(|n| {
-                k.tsdb()
-                    .node_window(NodeId(n), now, window)
-                    .iter()
-                    .map(|s: &GpuSample| {
-                        let mut vals = [0u64; 5];
-                        for (i, m) in Metric::ALL.iter().enumerate() {
-                            vals[i] = s.get(*m).to_bits();
-                        }
-                        (s.at.0, vals)
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut energy = vec![report.energy_joules.to_bits()];
-        energy.extend(k.cluster().nodes().iter().map(|n| n.energy().joules().to_bits()));
-        let c = serde_json::to_string(&k.cluster().snapshot_state()).unwrap();
-        let t = serde_json::to_string(&k.tsdb().snapshot_state()).unwrap();
-        let state = knots_recovery::fnv1a(c.as_bytes()) ^ knots_recovery::fnv1a(t.as_bytes());
-        (knots_analyzer::report_digest(&report), energy, samples, state)
-    }
-
-    fn assert_replays(leg: Leg) -> Result<(), TestCaseError> {
-        let naive = run_leg(true, leg);
-        let event = run_leg(false, leg);
-        prop_assert_eq!(naive.0, event.0, "report digest diverged: {:?}", leg);
-        prop_assert_eq!(&naive.1, &event.1, "energy diverged: {:?}", leg);
-        prop_assert_eq!(&naive.2, &event.2, "TSDB node samples diverged: {:?}", leg);
-        prop_assert_eq!(naive.3, event.3, "cluster or TSDB state diverged: {:?}", leg);
-        Ok(())
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -358,43 +218,42 @@ mod event_interleavings {
             secs in 5u64..15,
             faulty in proptest::bool::ANY,
         ) {
-            let fpm = if faulty { 6.0 } else { 0.0 };
-            assert_replays(Leg {
-                scheduler: "CBP+PP",
-                mix: AppMix::Mix2,
-                nodes: 4,
+            let leg = Leg {
                 seed,
+                plan_seed: seed ^ 0x51ab,
                 hb_ms,
                 secs,
-                faults_per_minute: fpm,
-                auto_sleep: None,
-            })?;
+                faults_per_minute: if faulty { 6.0 } else { 0.0 },
+                ..Leg::new("CBP+PP")
+            };
+            check(&leg, &[Mode::Events, Mode::Observed]);
         }
 
         /// Mostly-idle clusters: 12-16 nodes under the light mixes, where
-        /// most node-ticks fall on nodes hosting nothing, for every cluster
-        /// scheduler. Uniform and Res-Ag let empty nodes auto-sleep after
+        /// most node-ticks fall on nodes hosting nothing, for every
+        /// scheduler. Those that allow it let empty nodes auto-sleep after
         /// half a second; CBP keeps every node awake, and PP sleeps and
         /// wakes nodes itself.
         #[test]
         fn event_queue_replays_oracle_on_mostly_idle_clusters(
             seed in 0u64..1_000_000,
-            scheduler in 0usize..4,
+            scheduler in 0usize..SCHEDULERS.len(),
             mix3 in proptest::bool::ANY,
             nodes in 12usize..17,
             hb_ms in prop_oneof![Just(10u64), 10u64..120],
             secs in 5u64..15,
         ) {
-            assert_replays(Leg {
-                scheduler: CLUSTER_SCHEDULERS[scheduler],
+            let leg = Leg {
                 mix: if mix3 { AppMix::Mix3 } else { AppMix::Mix2 },
                 nodes,
                 seed,
+                plan_seed: seed ^ 0x51ab,
                 hb_ms,
                 secs,
-                faults_per_minute: 0.0,
                 auto_sleep: Some(SimDuration::from_millis(500)),
-            })?;
+                ..Leg::new(SCHEDULERS[scheduler])
+            };
+            check(&leg, &[Mode::Events, Mode::Observed]);
         }
     }
 }

@@ -105,19 +105,6 @@ fn pp_consolidation_raises_active_utilization() {
 }
 
 #[test]
-fn deterministic_runs_under_a_fixed_seed() {
-    let cfg = short_cfg(30);
-    let a = run_mix(scheduler_by_name("CBP+PP").unwrap(), AppMix::Mix2, &cfg);
-    let b = run_mix(scheduler_by_name("CBP+PP").unwrap(), AppMix::Mix2, &cfg);
-    assert_eq!(a.submitted, b.submitted);
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.lc_violations, b.lc_violations);
-    assert_eq!(a.crashes, b.crashes);
-    assert!((a.energy_joules - b.energy_joules).abs() < 1e-6);
-    assert!((a.all_jct.avg - b.all_jct.avg).abs() < 1e-9);
-}
-
-#[test]
 fn different_seeds_differ() {
     let a = run_mix(scheduler_by_name("Res-Ag").unwrap(), AppMix::Mix2, &short_cfg(30));
     let mut cfg2 = short_cfg(30);
