@@ -44,9 +44,6 @@ pub struct PpConfig {
     /// SM utilization above which a node is considered unsafe for a new
     /// latency-critical query.
     pub lc_sm_ceiling: f64,
-    /// Keep this many idle nodes awake as warm spares before sleeping the
-    /// rest.
-    pub warm_spares: usize,
 }
 
 impl Default for PpConfig {
@@ -56,7 +53,6 @@ impl Default for PpConfig {
             horizon_secs: 1.0,
             forecast_margin: 1.05,
             lc_sm_ceiling: 0.85,
-            warm_spares: 1,
         }
     }
 }
@@ -169,10 +165,6 @@ impl CbpPp {
 impl Scheduler for CbpPp {
     fn name(&self) -> &'static str {
         "CBP+PP"
-    }
-
-    fn consolidates(&self) -> bool {
-        true
     }
 
     fn wants_cluster_auto_sleep(&self) -> bool {
@@ -328,7 +320,6 @@ mod tests {
         let mut s = CbpPp::new();
         let acts = s.decide(&ctx(&s0, &[], &[], &db));
         assert!(!acts.iter().any(|a| matches!(a, Action::Sleep { .. })), "{acts:?}");
-        assert!(s.consolidates());
         assert!(!s.wants_cluster_auto_sleep());
     }
 

@@ -15,14 +15,6 @@ pub trait Scheduler {
     /// Decide this heartbeat's actions.
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action>;
 
-    /// Whether this policy wants idle nodes put to deep sleep when it has
-    /// consolidated load away from them. The orchestrator only auto-sleeps
-    /// for policies that opt in (PP does; the baselines rely on the
-    /// cluster-level idle timer).
-    fn consolidates(&self) -> bool {
-        false
-    }
-
     /// Whether the cluster-level idle auto-sleep timer should run under
     /// this policy. GPU-aware policies that manage p-states themselves
     /// (PP) or deliberately keep the fleet warm for latency (CBP) return
@@ -46,26 +38,5 @@ pub trait Scheduler {
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let _ = state;
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Nop;
-    impl Scheduler for Nop {
-        fn name(&self) -> &'static str {
-            "nop"
-        }
-        fn decide(&mut self, _ctx: &SchedContext<'_>) -> Vec<Action> {
-            vec![]
-        }
-    }
-
-    #[test]
-    fn default_consolidation_is_off() {
-        assert!(!Nop.consolidates());
-        assert_eq!(Nop.name(), "nop");
     }
 }

@@ -131,7 +131,6 @@ mod tests {
         let db = TimeSeriesDb::default();
         let mut s = Uniform::new();
         assert!(s.decide(&ctx(&s0, &[], &[], &db)).is_empty());
-        assert!(!s.consolidates());
         let mut r = crate::resag::ResAg::new();
         assert!(r.decide(&ctx(&s0, &[], &[], &db)).is_empty());
     }

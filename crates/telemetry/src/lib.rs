@@ -12,10 +12,11 @@
 //!   recent window and assembles a [`snapshot::ClusterSnapshot`], the view a
 //!   GPU-aware scheduler acts on ([`aggregator::UtilizationAggregator`]).
 //!
-//! The store is one set of rings behind one `parking_lot::RwLock`: the
+//! The store is one set of rings with one owner and no lock: the
 //! orchestrator's probe writes it between scheduling rounds and the
-//! schedulers read it during them, as the paper's single head node reads
-//! one InfluxDB. The aggregator builds its snapshot with one flat scan of
+//! schedulers read it during them, on the one thread that runs the control
+//! loop, as the paper's single head node reads one InfluxDB. The store is
+//! `!Sync`, so the compiler keeps it on that thread. The aggregator builds its snapshot with one flat scan of
 //! the nodes.
 
 #![warn(missing_docs)]

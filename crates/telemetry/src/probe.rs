@@ -30,8 +30,8 @@ pub fn sample_cluster_with(
     db: &TimeSeriesDb,
     mut hook: impl FnMut(NodeId, GpuSample) -> Option<GpuSample>,
 ) -> u64 {
-    // One batched writer per probe round: a single lock acquisition covers
-    // every node and pod push of this tick.
+    // One batched writer per probe round: a single borrow covers every
+    // node and pod push of this tick.
     let mut w = db.writer();
     let mut dropped = 0;
     for node in cluster.nodes() {

@@ -22,18 +22,17 @@
 //! * **Pushes only touch the ring**: a push is a finite-value check plus a
 //!   run extend-or-append; the store keeps no per-series summary to update.
 //! * **Copy-into-scratch** queries (`*_series_into`) extend a caller-owned
-//!   buffer under the read lock one run at a time, so hot callers reuse one
-//!   allocation across heartbeats and constant stretches decode as a
-//!   repeat-fill rather than a per-sample copy. The allocating `*_series`
-//!   forms remain as conveniences built on top and return bit-identical
-//!   values.
+//!   buffer one run at a time, so hot callers reuse one allocation across
+//!   heartbeats and constant stretches decode as a repeat-fill rather than
+//!   a per-sample copy. The allocating `*_series` forms remain as
+//!   conveniences built on top and return bit-identical values.
 
 use knots_sim::cluster::ShardLayout;
 use knots_sim::ids::{NodeId, PodId};
 use knots_sim::metrics::{GpuSample, Metric};
 use knots_sim::resources::Usage;
 use knots_sim::time::{SimDuration, SimTime};
-use parking_lot::RwLock;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 
 /// Store configuration.
@@ -311,17 +310,17 @@ impl Inner {
     }
 }
 
-/// A batched write handle holding the store's write lock.
+/// A batched write handle holding the store's one mutable borrow.
 ///
-/// Per-tick probing pushes one sample per node and one per running pod;
-/// taking the lock once per tick instead of once per push removes the
-/// dominant constant cost of the probe phase. Values written through the
+/// Per-tick probing pushes one sample per node and one per running pod
+/// through one borrow instead of one per push. Values written through the
 /// writer are bit-identical to the one-shot [`TimeSeriesDb::push_node`] /
-/// [`TimeSeriesDb::push_pod`] calls. Drop the writer to release the lock.
+/// [`TimeSeriesDb::push_pod`] calls. Drop the writer before reading the
+/// store again: a read while it is live panics.
 #[derive(Debug)]
 pub struct TsdbWriter<'a> {
     cfg: TsdbConfig,
-    inner: parking_lot::RwLockWriteGuard<'a, Inner>,
+    inner: RefMut<'a, Inner>,
 }
 
 impl TsdbWriter<'_> {
@@ -369,15 +368,22 @@ impl TsdbWriter<'_> {
     }
 }
 
-/// The time-series database: one store behind one lock.
+/// The time-series database: one store with one owner.
 ///
-/// The orchestrator is its only writer (the per-tick probe, through a
-/// [`TsdbWriter`]); schedulers read it between writes. The lock keeps the
-/// `&self` write API that the benchmark's loop copy still calls.
+/// The orchestrator owns it and is its only writer (the per-tick probe,
+/// through a [`TsdbWriter`]); schedulers read it between writes, on the
+/// same thread. A `RefCell` keeps the `&self` write API that the
+/// benchmark's loop copy still calls, and makes the store `!Sync`, so the
+/// compiler refuses to share it between threads:
+///
+/// ```compile_fail,E0277
+/// fn sync<T: Sync>() {}
+/// sync::<knots_telemetry::TimeSeriesDb>();
+/// ```
 #[derive(Debug)]
 pub struct TimeSeriesDb {
     cfg: TsdbConfig,
-    inner: RwLock<Inner>,
+    inner: RefCell<Inner>,
 }
 
 impl Default for TimeSeriesDb {
@@ -389,7 +395,7 @@ impl Default for TimeSeriesDb {
 impl TimeSeriesDb {
     /// Create an empty store.
     pub fn new(cfg: TsdbConfig) -> Self {
-        TimeSeriesDb { cfg, inner: RwLock::new(Inner::default()) }
+        TimeSeriesDb { cfg, inner: RefCell::new(Inner::default()) }
     }
 
     /// Append a node sample. A sample carrying any non-finite metric value
@@ -398,70 +404,70 @@ impl TimeSeriesDb {
     /// series. Returns whether the sample was accepted; rejections are
     /// counted per series and in total.
     pub fn push_node(&self, node: NodeId, sample: GpuSample) -> bool {
-        self.inner.write().push_node(&self.cfg, node, sample)
+        self.inner.borrow_mut().push_node(&self.cfg, node, sample)
     }
 
     /// Append a pod usage sample, with the same non-finite rejection rule
     /// as [`TimeSeriesDb::push_node`].
     pub fn push_pod(&self, pod: PodId, at: SimTime, usage: Usage) -> bool {
-        self.inner.write().push_pod(&self.cfg, pod, at, usage)
+        self.inner.borrow_mut().push_pod(&self.cfg, pod, at, usage)
     }
 
-    /// Open a batched write handle that holds the write lock until
-    /// dropped. Use for per-tick probe bursts: one acquisition per tick
+    /// Open a batched write handle that holds the store's mutable borrow
+    /// until dropped. Use for per-tick probe bursts: one borrow per tick
     /// instead of one per sample.
     pub fn writer(&self) -> TsdbWriter<'_> {
-        TsdbWriter { cfg: self.cfg, inner: self.inner.write() }
+        TsdbWriter { cfg: self.cfg, inner: self.inner.borrow_mut() }
     }
 
     /// Rejected (non-finite) samples for one node series.
     pub fn node_rejected(&self, node: NodeId) -> u64 {
-        self.inner.read().node(node).map_or(0, |e| e.rejected)
+        self.inner.borrow().node(node).map_or(0, |e| e.rejected)
     }
 
     /// Rejected (non-finite) samples for one pod series.
     pub fn pod_rejected(&self, pod: PodId) -> u64 {
-        self.inner.read().pod(pod).map_or(0, |e| e.rejected)
+        self.inner.borrow().pod(pod).map_or(0, |e| e.rejected)
     }
 
     /// Total rejected samples across every series since creation.
     pub fn rejected_total(&self) -> u64 {
-        self.inner.read().rejected_total
+        self.inner.borrow().rejected_total
     }
 
     /// Timestamp of the most recent *accepted* sample of a node series —
     /// the freshness signal consumers use to spot probe dropouts.
     pub fn node_last_at(&self, node: NodeId) -> Option<SimTime> {
-        self.inner.read().node(node).and_then(|e| e.ring.last().map(|(at, _)| at))
+        self.inner.borrow().node(node).and_then(|e| e.ring.last().map(|(at, _)| at))
     }
 
     /// Timestamp of the most recent *accepted* sample of a pod series.
     pub fn pod_last_at(&self, pod: PodId) -> Option<SimTime> {
-        self.inner.read().pod(pod).and_then(|e| e.ring.last().map(|(at, _)| at))
+        self.inner.borrow().pod(pod).and_then(|e| e.ring.last().map(|(at, _)| at))
     }
 
     /// Drop a pod's series (pod finished; keeps the store bounded over long
     /// experiments).
     pub fn forget_pod(&self, pod: PodId) {
-        if let Some(e) = self.inner.write().pods.get_mut(pod.0 as usize) {
+        if let Some(e) = self.inner.borrow_mut().pods.get_mut(pod.0 as usize) {
             *e = None;
         }
     }
 
     /// Number of samples currently retained for a node.
     pub fn node_len(&self, node: NodeId) -> usize {
-        self.inner.read().node(node).map_or(0, |e| e.ring.len)
+        self.inner.borrow().node(node).map_or(0, |e| e.ring.len)
     }
 
     /// Number of samples currently retained for a pod.
     pub fn pod_len(&self, pod: PodId) -> usize {
-        self.inner.read().pod(pod).map_or(0, |e| e.ring.len)
+        self.inner.borrow().pod(pod).map_or(0, |e| e.ring.len)
     }
 
     /// The most recent node sample, if any.
     pub fn latest_node(&self, node: NodeId) -> Option<GpuSample> {
         self.inner
-            .read()
+            .borrow()
             .node(node)
             .and_then(|e| e.ring.last().map(|(at, v)| GpuSample { at, ..*v }))
     }
@@ -471,7 +477,7 @@ impl TimeSeriesDb {
     pub fn node_window(&self, node: NodeId, now: SimTime, window: SimDuration) -> Vec<GpuSample> {
         let start = SimTime(now.0.saturating_sub(window.0));
         let mut out = Vec::new();
-        if let Some(e) = self.inner.read().node(node) {
+        if let Some(e) = self.inner.borrow().node(node) {
             e.ring.window_runs(start, now, |at0, dt, n, v| {
                 for i in 0..n {
                     out.push(GpuSample { at: SimTime(at0.0 + dt.0 * i), ..*v });
@@ -510,7 +516,7 @@ impl TimeSeriesDb {
     ) -> usize {
         out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
-        if let Some(e) = self.inner.read().node(node) {
+        if let Some(e) = self.inner.borrow().node(node) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.get(metric), n as usize));
             });
@@ -536,7 +542,7 @@ impl TimeSeriesDb {
     ) -> usize {
         out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
-        if let Some(e) = self.inner.read().pod(pod) {
+        if let Some(e) = self.inner.borrow().pod(pod) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.mem_mb, n as usize));
             });
@@ -549,10 +555,10 @@ impl TimeSeriesDb {
     // ------------------------------------------------------------------
 
     /// Serializable image of every retained series, run-exact, with the
-    /// slot tables in id order. Read-only under the read lock; taking a
-    /// snapshot never perturbs the store.
+    /// slot tables in id order. Read-only; taking a snapshot never perturbs
+    /// the store.
     pub fn snapshot_state(&self) -> TsdbState {
-        let g = self.inner.read();
+        let g = self.inner.borrow();
         TsdbState {
             rejected_total: g.rejected_total,
             nodes: g
@@ -602,7 +608,7 @@ impl TimeSeriesDb {
                 .map(|e| e.map(|e| PodEntry { ring: ring(e.runs), rejected: e.rejected }))
                 .collect(),
         };
-        TimeSeriesDb { cfg, inner: RwLock::new(inner) }
+        TimeSeriesDb { cfg, inner: RefCell::new(inner) }
     }
 }
 
@@ -977,25 +983,5 @@ mod tests {
         assert_eq!(re.pod_len(PodId(9)), 0);
         assert_eq!(re.node_len(NodeId(5)), db.node_len(NodeId(5)));
         assert_eq!(re.rejected_total(), 1);
-    }
-
-    #[test]
-    fn concurrent_writers_and_reader() {
-        let db = std::sync::Arc::new(TimeSeriesDb::default());
-        let mut handles = vec![];
-        for n in 0..4usize {
-            let db = db.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000 {
-                    db.push_node(NodeId(n), sample(i, 0.5));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        for n in 0..4usize {
-            assert_eq!(db.node_len(NodeId(n)), 1000);
-        }
     }
 }

@@ -1,245 +1,1 @@
-//! Offline shim of the `loom` model checker.
-//!
-//! Real loom instruments atomics and explores thread interleavings with
-//! state reduction. This shim implements the same *surface* — `model()`,
-//! `loom::thread`, `loom::sync` — over a hand-rolled cooperative scheduler:
-//! every model thread is a real OS thread, but only one runs at a time, and
-//! each operation on a shimmed primitive is a schedule point. [`model`]
-//! drives a depth-first search over all scheduling decisions (bounded by a
-//! preemption budget and an execution cap), so a test body runs once per
-//! distinct explored interleaving.
-//!
-//! What the search can find, deterministically and without `unsafe`:
-//!
-//! * **Deadlocks** — when every live thread is blocked the execution aborts
-//!   and `model()` panics with a `deadlock` message (use
-//!   `#[should_panic(expected = "deadlock")]` to pin one).
-//! * **Interleaving-dependent assertion failures** — a user panic in any
-//!   explored execution is re-raised from `model()`.
-//! * **Lost wakeups / ordering bugs** — blocked receivers and condvar
-//!   waiters that no one ever wakes surface as deadlocks.
-//!
-//! What it cannot find: data races on raw memory (there are no shimmed
-//! atomics/cells — the workspace's parallel core is lock-and-channel based)
-//! and races outside the shimmed primitives. The CI ThreadSanitizer leg
-//! covers that axis.
-//!
-//! Code under test opts in with `--cfg loom` (see `crates/sim/src/pool.rs`):
-//! outside a [`model`] call every primitive degrades to plain `std::sync`
-//! behavior, so a `--cfg loom` build still passes ordinary tests.
-
-pub mod sync;
-pub mod thread;
-
-mod rt;
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-/// Run `f` once per explored interleaving of its model threads.
-///
-/// Panics (re-raising the first failure) as soon as any execution fails;
-/// returns normally once the schedule space is exhausted (or the bounded
-/// exploration budget is spent).
-pub fn model<F>(f: F)
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let f = Arc::new(f);
-    let mut prefix: Vec<rt::Branch> = Vec::new();
-    for _ in 0..rt::MAX_EXECUTIONS {
-        let rtm = Arc::new(rt::Rt::new(std::mem::take(&mut prefix)));
-        let rt0 = Arc::clone(&rtm);
-        let f0 = Arc::clone(&f);
-        // The model closure itself is model thread 0.
-        let h0 = std::thread::spawn(move || {
-            rt::install(Arc::clone(&rt0), 0);
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                rt0.wait_first_schedule(0);
-                f0()
-            }));
-            rt0.retire(0, r.err());
-        });
-        let _ = h0.join();
-        // Spawned model threads park on the scheduler; once the execution
-        // is over (normally or via abort) they all exit and join cleanly.
-        loop {
-            let hs = rtm.take_os_handles();
-            if hs.is_empty() {
-                break;
-            }
-            for h in hs {
-                let _ = h.join();
-            }
-        }
-        let (payload, abort, mut schedule) = rtm.outcome();
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
-        }
-        if let Some(msg) = abort {
-            panic!("{msg}");
-        }
-        // Depth-first backtrack: flip the deepest decision with an untried
-        // alternative; done when none remains.
-        loop {
-            match schedule.last().copied() {
-                None => return,
-                Some(b) if b.chosen + 1 < b.total => {
-                    if let Some(last) = schedule.last_mut() {
-                        last.chosen += 1;
-                    }
-                    break;
-                }
-                Some(_) => {
-                    schedule.pop();
-                }
-            }
-        }
-        prefix = schedule;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::sync::{Arc, Condvar, Mutex};
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn mutex_works_outside_a_model() {
-        let m = Mutex::new(1);
-        *m.lock().unwrap() += 1;
-        assert_eq!(*m.lock().unwrap(), 2);
-        assert_eq!(m.into_inner().unwrap(), 2);
-    }
-
-    #[test]
-    fn spawn_and_join_return_values() {
-        model(|| {
-            let h = thread::spawn(|| 41 + 1);
-            assert_eq!(h.join().unwrap(), 42);
-        });
-    }
-
-    #[test]
-    fn locked_increments_never_lose_updates() {
-        model(|| {
-            let m = Arc::new(Mutex::new(0u32));
-            let m2 = Arc::clone(&m);
-            let h = thread::spawn(move || *m2.lock().unwrap() += 1);
-            *m.lock().unwrap() += 1;
-            h.join().unwrap();
-            assert_eq!(*m.lock().unwrap(), 2);
-        });
-    }
-
-    #[test]
-    fn exploration_finds_the_read_modify_write_race() {
-        // Classic lost update: read under one lock acquisition, write under
-        // another. Some interleaving must produce 1 and some 2 — proving
-        // the search actually explores distinct schedules.
-        let saw = Arc::new((AtomicUsize::new(0), AtomicUsize::new(0)));
-        let saw2 = Arc::clone(&saw);
-        model(move || {
-            let m = Arc::new(Mutex::new(0u32));
-            let m2 = Arc::clone(&m);
-            let h = thread::spawn(move || {
-                let v = *m2.lock().unwrap();
-                *m2.lock().unwrap() = v + 1;
-            });
-            let v = *m.lock().unwrap();
-            *m.lock().unwrap() = v + 1;
-            h.join().unwrap();
-            match *m.lock().unwrap() {
-                1 => saw2.0.fetch_add(1, Ordering::Relaxed),
-                2 => saw2.1.fetch_add(1, Ordering::Relaxed),
-                other => panic!("impossible count {other}"),
-            };
-        });
-        assert!(saw.0.load(Ordering::Relaxed) > 0, "lost-update interleaving never explored");
-        assert!(saw.1.load(Ordering::Relaxed) > 0, "serial interleaving never explored");
-    }
-
-    #[test]
-    #[should_panic(expected = "deadlock")]
-    fn abba_lock_order_deadlocks() {
-        // The dynamic counterpart of analyzer rule C2: opposite-order
-        // nested acquisition must deadlock in some explored schedule.
-        model(|| {
-            let a = Arc::new(Mutex::new(0u32));
-            let b = Arc::new(Mutex::new(0u32));
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            let h = thread::spawn(move || {
-                let _ga = a2.lock().unwrap();
-                let _gb = b2.lock().unwrap();
-            });
-            let _gb = b.lock().unwrap();
-            let _ga = a.lock().unwrap();
-            drop(_ga);
-            drop(_gb);
-            let _ = h.join();
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "interleaving-dependent")]
-    fn user_panics_propagate_out_of_model() {
-        model(|| {
-            let m = Arc::new(Mutex::new(0u32));
-            let m2 = Arc::clone(&m);
-            let h = thread::spawn(move || *m2.lock().unwrap() += 1);
-            let seen = *m.lock().unwrap();
-            h.join().unwrap();
-            // Fails only in schedules where the child ran first.
-            assert_eq!(seen, 0, "interleaving-dependent failure");
-        });
-    }
-
-    #[test]
-    fn mpsc_delivers_in_order_and_disconnects() {
-        model(|| {
-            let (tx, rx) = sync::mpsc::channel::<u32>();
-            let h = thread::spawn(move || {
-                tx.send(1).unwrap();
-                tx.send(2).unwrap();
-            });
-            assert_eq!(rx.recv(), Ok(1));
-            assert_eq!(rx.recv(), Ok(2));
-            h.join().unwrap();
-            assert_eq!(rx.recv(), Err(sync::mpsc::RecvError));
-        });
-    }
-
-    #[test]
-    fn condvar_wakes_the_waiter() {
-        model(|| {
-            let pair = Arc::new((Mutex::new(false), Condvar::new()));
-            let pair2 = Arc::clone(&pair);
-            let h = thread::spawn(move || {
-                let mut started = pair2.0.lock().unwrap();
-                *started = true;
-                pair2.1.notify_one();
-                drop(started);
-            });
-            let mut started = pair.0.lock().unwrap();
-            while !*started {
-                started = pair.1.wait(started).unwrap();
-            }
-            drop(started);
-            h.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn rwlock_readers_share_and_writers_exclude() {
-        model(|| {
-            let l = Arc::new(sync::RwLock::new(0u32));
-            let l2 = Arc::clone(&l);
-            let h = thread::spawn(move || *l2.write().unwrap() += 1);
-            let seen = *l.read().unwrap();
-            assert!(seen == 0 || seen == 1);
-            h.join().unwrap();
-            assert_eq!(*l.read().unwrap(), 1);
-        });
-    }
-}
+//! Empty placeholder: nothing uses loom; the crate stays only so `perfbench/Cargo.lock` keeps resolving.

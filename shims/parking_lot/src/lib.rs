@@ -4,39 +4,20 @@
 //! `lock()`/`read()`/`write()` return guards directly instead of
 //! `LockResult`s. A poisoned std lock (a writer panicked) is recovered
 //! rather than propagated — matching parking_lot, which has no poisoning.
-//!
-//! Under `--cfg loom` the same API wraps the `loom` shim's model-aware
-//! primitives instead, so types built on this crate (the telemetry TSDB's
-//! batched writer, for one) can be driven through exhaustive interleaving
-//! tests with `loom::model` unchanged. The exported guard type aliases
-//! (`MutexGuard`, `RwLockReadGuard`, `RwLockWriteGuard`) track the active
-//! backend; code that names a guard type must spell it through this crate.
 
 #![forbid(unsafe_code)]
 
-#[cfg(not(loom))]
-use std::sync as backend;
-
-#[cfg(loom)]
-use loom::sync as backend;
-
 use std::sync::PoisonError;
-
-/// Guard returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = backend::MutexGuard<'a, T>;
-/// Guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = backend::RwLockReadGuard<'a, T>;
-/// Guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = backend::RwLockWriteGuard<'a, T>;
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(backend::Mutex<T>);
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
     /// Create a new mutex.
     pub const fn new(value: T) -> Self {
-        Mutex(backend::Mutex::new(value))
+        Mutex(std::sync::Mutex::new(value))
     }
 
     /// Consume the mutex, returning the inner value.
@@ -59,12 +40,12 @@ impl<T: ?Sized> Mutex<T> {
 
 /// A reader-writer lock with parking_lot's panic-free API.
 #[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(backend::RwLock<T>);
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
 impl<T> RwLock<T> {
     /// Create a new reader-writer lock.
     pub const fn new(value: T) -> Self {
-        RwLock(backend::RwLock::new(value))
+        RwLock(std::sync::RwLock::new(value))
     }
 
     /// Consume the lock, returning the inner value.

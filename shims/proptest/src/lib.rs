@@ -90,6 +90,25 @@ pub mod test_runner {
             &mut self.rng
         }
     }
+
+    /// Run case `case` (1-based) of `cases`. A failed assertion and a
+    /// panicking body both panic with the case number and the original
+    /// message; a rejected input passes.
+    #[doc(hidden)]
+    pub fn run_case(case: u32, cases: u32, body: impl FnOnce() -> TestCaseResult) {
+        let msg = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+            Ok(Ok(())) | Ok(Err(TestCaseError::Reject(_))) => return,
+            Ok(Err(TestCaseError::Fail(msg))) => msg,
+            Err(payload) => match payload.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(payload) => match payload.downcast::<&'static str>() {
+                    Ok(msg) => (*msg).to_string(),
+                    Err(_) => "panicked with a non-string payload".to_string(),
+                },
+            },
+        };
+        panic!("proptest case {case}/{cases} failed: {msg}\n(offline shim: no shrinking)");
+    }
 }
 
 pub mod strategy {
@@ -490,26 +509,11 @@ macro_rules! __proptest_impl {
             let config: $crate::test_runner::Config = $config;
             let mut runner = $crate::test_runner::TestRunner::new(config.clone());
             for case in 0..config.cases {
-                let outcome = {
-                    $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut runner);)+
-                    let run = || -> $crate::test_runner::TestCaseResult {
-                        $body
-                        ::core::result::Result::Ok(())
-                    };
-                    run()
-                };
-                match outcome {
-                    ::core::result::Result::Ok(()) => {}
-                    ::core::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {}
-                    ::core::result::Result::Err($crate::test_runner::TestCaseError::Fail(msg)) => {
-                        ::std::panic!(
-                            "proptest case {}/{} failed: {}\n(offline shim: no shrinking)",
-                            case + 1,
-                            config.cases,
-                            msg
-                        );
-                    }
-                }
+                $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut runner);)+
+                $crate::test_runner::run_case(case + 1, config.cases, || {
+                    $body
+                    ::core::result::Result::Ok(())
+                });
             }
         }
         $crate::__proptest_impl! { config = ($config); $($rest)* }
@@ -544,6 +548,12 @@ mod tests {
             ],
         ) {
             prop_assert!(v == -1 || (0..10).contains(&v));
+        }
+
+        #[test]
+        #[should_panic(expected = "proptest case 1/32 failed: plain assert on 1")]
+        fn a_panicking_body_names_its_case(x in 1u64..2) {
+            assert!(x > 1, "plain assert on {x}");
         }
     }
 
