@@ -198,7 +198,7 @@ mod tests {
         assert!(s.contains("\\\"Instant\\\""));
         assert!(s.contains("\"startLine\":3"));
         // Rule metadata for every rule id, including the pragma meta-rules.
-        for id in ["C1", "C2", "C3", "C4", "A0", "A1"] {
+        for id in ["C1", "C2", "C3", "A0", "A1"] {
             assert!(s.contains(&format!("\"id\":\"{id}\"")), "{id} missing");
         }
         // Byte-stable across renders.

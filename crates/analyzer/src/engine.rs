@@ -217,19 +217,17 @@ struct Pragma {
 }
 
 /// Per-file analysis output, before suppression. [`check_root`] aggregates
-/// the lock edges workspace-wide (rule C2 is a whole-program property),
-/// then routes every diagnostic back through its file's pragma/config
-/// suppression via [`finish_file`].
+/// the type declarations workspace-wide (rule R1 is a whole-program
+/// property), then routes every diagnostic back through its file's
+/// pragma/config suppression via [`finish_file`].
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// Repo-relative path.
     pub rel: String,
-    /// Raw diagnostics from every per-file rule (D/P/H/M + C1/C3/C4 + E1).
+    /// Raw diagnostics from every per-file rule (D/P/H/M + C1–C3 + E1).
     raw: Vec<Diagnostic>,
-    /// Lock-acquisition edges for the workspace graph.
-    pub edges: Vec<crate::conc::LockEdge>,
-    /// Type declarations for the snapshot-reachability graph (rule R1 is a
-    /// whole-program property like C2: reachability crosses crates).
+    /// Type declarations for the snapshot-reachability graph (rule R1:
+    /// reachability crosses crates).
     pub types: Vec<crate::snapreach::TypeDecl>,
     pragmas: Vec<Pragma>,
     pragma_diags: Vec<Diagnostic>,
@@ -292,8 +290,8 @@ fn parse_pragmas(comments: &[LineComment], path: &str) -> (Vec<Pragma>, Vec<Diag
 }
 
 /// Phase one: lex, classify, and run every per-file rule (token rules plus
-/// the scope-aware C1/C3/C4 and E1), collecting lock edges for the
-/// workspace graph. No suppression happens here.
+/// the scope-aware C1–C3 and E1), collecting type declarations for the
+/// workspace R1 graph. No suppression happens here.
 pub fn analyze_source(rel: &str, src: &str) -> FileAnalysis {
     let lexed = lex(src);
     let ctx = classify(rel);
@@ -301,17 +299,17 @@ pub fn analyze_source(rel: &str, src: &str) -> FileAnalysis {
     let mut raw = Vec::new();
     rules::scan(&lexed.toks, &ctx, &regions, &mut raw);
     let tree = crate::parser::parse(&lexed.toks);
-    let edges = crate::conc::scan(&lexed.toks, &tree, &lexed.comments, &ctx, &regions, &mut raw);
+    crate::conc::scan(&lexed.toks, &tree, &lexed.comments, &ctx, &regions, &mut raw);
     crate::events::scan(&lexed.toks, &tree, &ctx, &regions, &mut raw);
     let types = crate::snapreach::collect(&ctx, &lexed.toks, &regions);
     let (pragmas, pragma_diags) = parse_pragmas(&lexed.comments, rel);
-    FileAnalysis { rel: rel.to_string(), raw, edges, types, pragmas, pragma_diags }
+    FileAnalysis { rel: rel.to_string(), raw, types, pragmas, pragma_diags }
 }
 
 /// Phase two: apply pragma suppression (tracking usage per rule id so a
 /// half-stale `P1,C1` pragma still draws an A1 for the dead half), config
 /// allowlisting, A1 staleness, and severity overrides. `extra` carries
-/// workspace-level diagnostics (C2 cycles) anchored in this file.
+/// workspace-level diagnostics (R1) anchored in this file.
 pub fn finish_file(a: FileAnalysis, extra: Vec<Diagnostic>, cfg: &Config) -> Vec<Diagnostic> {
     let FileAnalysis { rel, mut raw, pragmas, pragma_diags, .. } = a;
     raw.extend(extra);
@@ -375,15 +373,13 @@ pub fn finish_file(a: FileAnalysis, extra: Vec<Diagnostic>, cfg: &Config) -> Vec
 }
 
 /// Check one file's source text against every rule, applying pragma and
-/// config suppression and severity overrides. The whole-program rules C2
-/// and R1 are judged over this file's own edges/declarations (the
-/// workspace run in [`check_root`] judges the global graphs instead).
-/// Diagnostics come back in the stable reporting order.
+/// config suppression and severity overrides. The whole-program rule R1
+/// is judged over this file's own declarations (the workspace run in
+/// [`check_root`] judges the global graph instead). Diagnostics come back
+/// in the stable reporting order.
 pub fn check_source(rel: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
     let a = analyze_source(rel, src);
-    let graph = crate::lockgraph::build(&a.edges);
-    let mut extra = crate::lockgraph::cycles(&graph);
-    extra.extend(crate::snapreach::judge(&a.types));
+    let extra = crate::snapreach::judge(&a.types);
     finish_file(a, extra, cfg)
 }
 
@@ -411,22 +407,15 @@ pub fn analyze_root(root: &Path) -> Result<Vec<FileAnalysis>, String> {
 }
 
 /// Check the whole workspace under `root`, honoring `root/analyzer.toml`
-/// when present. The whole-program graphs — lock order (C2) and snapshot
-/// reachability (R1) — are aggregated across every file; each diagnostic
-/// is anchored at one site and flows through that file's suppression
-/// machinery. Diagnostics come back in the stable reporting order.
+/// when present. The snapshot-reachability graph (R1) is aggregated across
+/// every file; each of its diagnostics is anchored at one site and flows
+/// through that file's suppression machinery. Diagnostics come back in the
+/// stable reporting order.
 pub fn check_root(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let cfg = load_config(root)?;
     let analyses = analyze_root(root)?;
-    let mut all_edges = Vec::new();
-    let mut all_types = Vec::new();
-    for a in &analyses {
-        all_edges.extend(a.edges.iter().cloned());
-        all_types.extend(a.types.iter().cloned());
-    }
-    let graph = crate::lockgraph::build(&all_edges);
-    let mut ws = crate::lockgraph::cycles(&graph);
-    ws.extend(crate::snapreach::judge(&all_types));
+    let all_types: Vec<_> = analyses.iter().flat_map(|a| a.types.iter().cloned()).collect();
+    let mut ws = crate::snapreach::judge(&all_types);
     let mut diags = Vec::new();
     for a in analyses {
         let (mine, rest): (Vec<_>, Vec<_>) = ws.into_iter().partition(|d| d.path == a.rel);
@@ -513,32 +502,6 @@ mod tests {
         let src = "//! Suppress with `// knots-allow: D2 -- reason` pragmas.\nfn f() {}\n";
         let out = check_source("crates/sched/src/x.rs", src, &cfg);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn cross_file_lock_cycle_is_detected() {
-        // Each file is acyclic alone; only the workspace-level aggregation
-        // (mirroring `check_root`) sees the ABBA cycle between them.
-        let fwd = "fn f(a: &Mutex<u32>, b: &Mutex<u32>) {\n  let ga = a.lock();\n  let gb = b.lock();\n}\n";
-        let rev = "fn g(a: &Mutex<u32>, b: &Mutex<u32>) {\n  let gb = b.lock();\n  let ga = a.lock();\n}\n";
-        let x = analyze_source("crates/sched/src/x.rs", fwd);
-        let y = analyze_source("crates/sched/src/y.rs", rev);
-        assert!(check_source("crates/sched/src/x.rs", fwd, &Config::default()).is_empty());
-        let mut edges = x.edges.clone();
-        edges.extend(y.edges.clone());
-        let graph = crate::lockgraph::build(&edges);
-        let mut c2 = crate::lockgraph::cycles(&graph);
-        assert_eq!(c2.len(), 1, "{c2:?}");
-        let cfg = Config::default();
-        let mut diags = Vec::new();
-        for a in [x, y] {
-            let (mine, rest): (Vec<_>, Vec<_>) = c2.into_iter().partition(|d| d.path == a.rel);
-            c2 = rest;
-            diags.extend(finish_file(a, mine, &cfg));
-        }
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].rule, "C2");
-        assert!(diags[0].message.contains("sched::a -> sched::b -> sched::a"), "{diags:?}");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   rules;
 //! * [`rules`] holds the token-shaped rules (D1–D3, P1–P2, H1, M1);
 //! * [`conc`] holds the scope-aware concurrency rules: the guard-lifetime
-//!   tracker (C1), `unsafe` hygiene (C3), channel-drain determinism (C4),
-//!   and the lock-edge recorder feeding [`lockgraph`] (C2);
+//!   tracker behind C1 (no guard live across a fan-out) and C2 (no lock
+//!   acquired while another guard is live), and `unsafe` hygiene (C3);
+//! * [`events`] holds the event-handler purity rule (E1);
 //! * [`snapreach`] holds the snapshot-reachability rule (R1): no
 //!   `HashMap`/`HashSet`/`Instant` fields in types the durable
 //!   control-plane snapshot transitively embeds;
@@ -26,9 +27,9 @@
 //!   twice with the same seed must produce byte-identical reports, and
 //!   both output formats must render byte-identically across renders.
 //!
-//! Run it with `cargo run -p knots-analyzer -- --workspace` (or
-//! `check --format json|sarif` for CI), `--lock-graph` for the C2 graph,
-//! and `check --self-check` for the dynamic harness.
+//! Run it with `cargo run -p knots-analyzer -- check` (add
+//! `--format json|sarif` for CI), and `check --self-check` for the dynamic
+//! harness.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,7 +40,6 @@ pub mod diag;
 pub mod engine;
 pub mod events;
 pub mod lexer;
-pub mod lockgraph;
 pub mod parser;
 pub mod rules;
 pub mod selfcheck;

@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! knots-analyzer check [--root <dir>] [--format text|json|sarif] [--self-check]
-//! knots-analyzer --workspace          # alias for `check` on the repo root
-//! knots-analyzer --lock-graph [--root <dir>] [--format json]
 //! knots-analyzer --list-rules
 //! ```
 //!
@@ -16,7 +14,7 @@ use std::process::ExitCode;
 use knots_analyzer::diag::{to_json, to_sarif, Severity};
 use knots_analyzer::engine::PRAGMA_RULES;
 use knots_analyzer::rules::RULES;
-use knots_analyzer::{engine, lockgraph, selfcheck};
+use knots_analyzer::selfcheck;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -30,7 +28,6 @@ struct Opts {
     format: Format,
     self_check: bool,
     list_rules: bool,
-    lock_graph: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Opts, String> {
@@ -39,19 +36,14 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         format: Format::Text,
         self_check: false,
         list_rules: false,
-        lock_graph: false,
     };
     let mut saw_command = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "check" | "--workspace" => saw_command = true,
+            "check" => saw_command = true,
             "--list-rules" => {
                 opts.list_rules = true;
-                saw_command = true;
-            }
-            "--lock-graph" => {
-                opts.lock_graph = true;
                 saw_command = true;
             }
             "--format" => match it.next().map(String::as_str) {
@@ -75,7 +67,7 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     }
     if !saw_command && !opts.self_check {
         return Err("usage: knots-analyzer check [--root <dir>] [--format text|json|sarif] \
-                    [--self-check] | --workspace | --lock-graph | --list-rules"
+                    [--self-check] | --list-rules"
             .into());
     }
     Ok(opts)
@@ -110,28 +102,6 @@ fn run_self_check() -> bool {
     ok && fmt.ok()
 }
 
-/// Dump the workspace lock-acquisition graph. Text format prints edges;
-/// `--format json` emits the machine-readable graph.
-fn run_lock_graph(opts: &Opts) -> Result<(), String> {
-    let analyses = engine::analyze_root(&opts.root)?;
-    let mut edges = Vec::new();
-    for a in &analyses {
-        edges.extend(a.edges.iter().cloned());
-    }
-    let graph = lockgraph::build(&edges);
-    if opts.format == Format::Json {
-        print!("{}", lockgraph::to_json(&graph));
-    } else {
-        for ((held, acquired), sites) in &graph.sites {
-            for (path, line, col) in sites {
-                println!("{held} -> {acquired}  at {path}:{line}:{col}");
-            }
-        }
-        println!("lock-graph: {} locks, {} edges", graph.adj.len(), graph.sites.len());
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -145,16 +115,6 @@ fn main() -> ExitCode {
         list_rules();
         return ExitCode::SUCCESS;
     }
-    if opts.lock_graph {
-        return match run_lock_graph(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
     let diags = match knots_analyzer::check_root(&opts.root) {
         Ok(d) => d,
         Err(e) => {

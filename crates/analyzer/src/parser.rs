@@ -1,7 +1,7 @@
 //! A lightweight brace-tree / item parser layered on the lexer.
 //!
 //! The token rules (D1–M1) are shape-local: they look at a handful of
-//! neighboring tokens. The concurrency rules (C1–C4) are *scope*-local:
+//! neighboring tokens. The guard rules (C1, C2) are *scope*-local:
 //! "is this guard still live at that call?" needs to know where blocks
 //! open and close and which function a token belongs to. This module
 //! builds exactly that much structure — a tree of `{ … }` blocks plus the

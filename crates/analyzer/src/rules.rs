@@ -9,10 +9,9 @@
 //! | P2 | no `partial_cmp(..).unwrap()` comparators — `total_cmp` instead |
 //! | H1 | no `println!`-family output in library code (use `knots-obs`) |
 //! | M1 | metric/span name hygiene: metrics match `knots_[a-z0-9_]+` (counters end `_total`), span/event names are `dot.case` |
-//! | C1 | no lock guard live across a fan-out/wait call (`WorkerPool::run`, `run_jobs`, `thread::scope`, condvar wait) |
-//! | C2 | workspace lock-acquisition order is cycle-free |
+//! | C1 | no lock guard live across a fan-out (`run_jobs`, `thread::scope`) |
+//! | C2 | no lock acquired while another guard is live (per file) |
 //! | C3 | every `unsafe` / `static mut` / `UnsafeCell` has an adjacent `// SAFETY:` comment |
-//! | C4 | no `try_recv`/`recv_timeout`/`try_iter` channel drains in decision crates |
 //! | E1 | no tick quantization (div / `div_ceil` by the tick) or wall clock inside event handlers (`on_*`/`handle_*` fns in `sim`/`core`) |
 //! | R1 | no `HashMap`/`HashSet`/`Instant` fields in types reachable from the control-plane snapshot (`Snapshot`/`OrchestratorState`) |
 //!
@@ -20,7 +19,7 @@
 //! `#[cfg(test)]` regions were already stripped or marked by the
 //! lexer/engine, so rule text inside a string literal can never fire.
 //! The C rules additionally consult the scope tree built by
-//! [`crate::parser`] — see [`crate::conc`] and [`crate::lockgraph`];
+//! [`crate::parser`] — see [`crate::conc`];
 //! E1 consults it too, to resolve which `fn` owns a token
 //! (see [`crate::events`]).
 
@@ -45,7 +44,7 @@ pub struct Rule {
 }
 
 /// Every rule the engine knows, in reporting order.
-pub const RULES: [Rule; 13] = [
+pub const RULES: [Rule; 12] = [
     Rule {
         id: "D1",
         severity: Severity::Deny,
@@ -99,18 +98,19 @@ pub const RULES: [Rule; 13] = [
     Rule {
         id: "C1",
         severity: Severity::Deny,
-        summary: "no Mutex/RwLock guard live across WorkerPool::run/run_jobs/thread::scope/\
-                  condvar-wait (workers touching the same lock deadlock)",
+        summary: "no Mutex/RwLock guard live across run_jobs/thread::scope (workers touching \
+                  the same lock deadlock)",
         hint: "narrow the guard's scope (inner block or explicit `drop(guard)`) before the \
                fan-out, or copy the data out of the lock first",
     },
     Rule {
         id: "C2",
         severity: Severity::Deny,
-        summary: "workspace lock-acquisition order must be cycle-free (two sites nesting the \
-                  same locks in opposite orders can deadlock)",
-        hint: "pick one canonical acquisition order for the locks in the cycle and restructure \
-               the minority site; dump the graph with `--lock-graph --format json`",
+        summary: "no lock acquired while another guard is live (two sites nesting the same \
+                  locks in opposite orders deadlock)",
+        hint: "release the first guard (inner block or explicit `drop(guard)`) before taking \
+               the next lock, or suppress with `// knots-allow: C2 -- <the one order every \
+               site uses>`",
     },
     Rule {
         id: "C3",
@@ -119,14 +119,6 @@ pub const RULES: [Rule; 13] = [
                   adjacent `// SAFETY:` comment",
         hint: "write `// SAFETY: <why the invariants hold>` on the same line or the comment \
                run directly above",
-    },
-    Rule {
-        id: "C4",
-        severity: Severity::Deny,
-        summary: "no std::sync::mpsc try_recv/recv_timeout/try_iter drains in decision crates \
-                  (message order becomes scheduler-dependent)",
-        hint: "use blocking `recv()` with an explicit shutdown message, or collect into an \
-               index-ordered buffer before acting",
     },
     Rule {
         id: "E1",
@@ -148,14 +140,13 @@ pub const RULES: [Rule; 13] = [
 ];
 
 /// Direct references for the scope-aware passes in [`crate::conc`],
-/// [`crate::lockgraph`] and [`crate::events`] (no Option plumbing on a
+/// [`crate::events`] and [`crate::snapreach`] (no Option plumbing on a
 /// compile-time-known id).
 pub(crate) const C1: &Rule = &RULES[7];
 pub(crate) const C2: &Rule = &RULES[8];
 pub(crate) const C3: &Rule = &RULES[9];
-pub(crate) const C4: &Rule = &RULES[10];
-pub(crate) const E1: &Rule = &RULES[11];
-pub(crate) const R1: &Rule = &RULES[12];
+pub(crate) const E1: &Rule = &RULES[10];
+pub(crate) const R1: &Rule = &RULES[11];
 
 /// Look up a rule by id.
 pub fn rule(id: &str) -> Option<&'static Rule> {

@@ -130,24 +130,25 @@ fn tricky_constructs_stay_silent_except_cfg_not_test() {
 }
 
 #[test]
-fn c1_fires_on_guards_across_fanout_and_wait() {
+fn c1_fires_on_guards_across_fanout() {
     let out = check(include_str!("fixtures/c1_guard_across_fanout.rs"));
-    // run_jobs, pool.run, thread::scope, condvar wait with a foreign guard
-    // live — and nothing from the dropped/scoped/own-guard/suppressed fns.
-    assert_eq!(positions(&out, "C1"), vec![(6, 5), (11, 10), (16, 18), (22, 18)]);
+    // run_jobs and thread::scope with a guard live — and nothing from the
+    // dropped/scoped/suppressed fns.
+    assert_eq!(positions(&out, "C1"), vec![(6, 5), (11, 18)]);
     assert!(out.iter().all(|d| d.severity == Severity::Deny));
-    assert_eq!(out.len(), 4, "{out:?}");
+    assert_eq!(out.len(), 2, "{out:?}");
 }
 
 #[test]
-fn c2_fires_once_per_cycle_and_suppresses_at_anchor() {
+fn c2_fires_at_each_nested_acquisition_and_suppresses_at_anchor() {
     let out = check(include_str!("fixtures/c2_lock_order.rs"));
-    // One diagnostic for the alpha/beta ABBA cycle, anchored at the first
-    // witness of its smallest edge; the gamma1/gamma2 cycle is anchored on
-    // the pragma-covered line and suppressed.
-    assert_eq!(positions(&out, "C2"), vec![(6, 23)]);
-    assert!(out[0].message.contains("alpha") && out[0].message.contains("beta"), "{out:?}");
-    assert_eq!(out.len(), 1, "{out:?}");
+    // beta taken under alpha's guard and slots taken under beta's, each at
+    // its own line; guards ended by `drop()` or by their block are clean,
+    // and the pragma-covered gamma2 acquisition is suppressed.
+    assert_eq!(positions(&out, "C2"), vec![(6, 23), (11, 19)]);
+    assert!(out[0].message.contains("beta") && out[0].message.contains("alpha"), "{out:?}");
+    assert!(out[1].message.contains("slots") && out[1].message.contains("beta"), "{out:?}");
+    assert_eq!(out.len(), 2, "{out:?}");
 }
 
 #[test]
@@ -156,15 +157,6 @@ fn c3_fires_on_undocumented_unsafe_only() {
     // Bare unsafe block, bare static mut, UnsafeCell import — the
     // SAFETY-documented and pragma-suppressed uses stay silent.
     assert_eq!(positions(&out, "C3"), vec![(4, 5), (7, 1), (9, 17)]);
-    assert_eq!(out.len(), 3, "{out:?}");
-}
-
-#[test]
-fn c4_fires_on_select_shaped_drains() {
-    let out = check(include_str!("fixtures/c4_channel_drain.rs"));
-    // try_recv, recv_timeout, try_iter — blocking recv() and the
-    // suppressed drain stay silent.
-    assert_eq!(positions(&out, "C4"), vec![(5, 26), (11, 16), (15, 17)]);
     assert_eq!(out.len(), 3, "{out:?}");
 }
 

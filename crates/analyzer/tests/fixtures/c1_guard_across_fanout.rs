@@ -1,4 +1,4 @@
-//! C1 fixture: lock guards held across fan-out / wait boundaries.
+//! C1 fixture: lock guards held across fan-out boundaries.
 //! Checked as decision-crate library code; it does not need to compile.
 
 fn fires_run_jobs(m: &Mutex<u32>, xs: &[u32]) {
@@ -6,20 +6,9 @@ fn fires_run_jobs(m: &Mutex<u32>, xs: &[u32]) {
     run_jobs(4, xs, |x| x);
 }
 
-fn fires_pool_run(r: &RwLock<u32>, pool: &WorkerPool) {
-    let g = r.read();
-    pool.run(jobs, worker);
-}
-
 fn fires_thread_scope(m: &RwLock<u32>) {
     let held = m.write();
     std::thread::scope(|s| s.spawn(work));
-}
-
-fn fires_condvar_other_guard(a: &Mutex<u32>, b: &Mutex<u32>, cv: &Condvar) {
-    let ga = a.lock();
-    let gb = b.lock();
-    let gb2 = cv.wait(gb);
 }
 
 fn clean_dropped(m: &Mutex<u32>, xs: &[u32]) {
@@ -33,11 +22,6 @@ fn clean_scoped(m: &Mutex<u32>, xs: &[u32]) {
         let g = m.lock();
     }
     run_jobs(4, xs, |x| x);
-}
-
-fn clean_wait_own_guard(m: &Mutex<u32>, cv: &Condvar) {
-    let g = m.lock();
-    let g2 = cv.wait(g);
 }
 
 fn suppressed(m: &Mutex<u32>, xs: &[u32]) {

@@ -1,14 +1,14 @@
 //! Offline shim for the `parking_lot` crate.
 //!
-//! Wraps `std::sync` primitives behind parking_lot's non-poisoning API:
-//! `lock()`/`read()`/`write()` return guards directly instead of
-//! `LockResult`s. A poisoned std lock (a writer panicked) is recovered
-//! rather than propagated — matching parking_lot, which has no poisoning.
+//! Wraps `std::sync::Mutex` behind parking_lot's non-poisoning API:
+//! `lock()` returns the guard directly instead of a `LockResult`. A
+//! poisoned std lock (a holder panicked) is recovered rather than
+//! propagated — matching parking_lot, which has no poisoning.
 
 #![forbid(unsafe_code)]
 
+pub use std::sync::MutexGuard;
 use std::sync::PoisonError;
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock with parking_lot's panic-free API.
 #[derive(Debug, Default)]
@@ -38,39 +38,6 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
-/// A reader-writer lock with parking_lot's panic-free API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Create a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Acquire exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,13 +48,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        assert_eq!(l.read().len(), 2);
-        l.write().push(3);
-        assert_eq!(*l.read(), vec![1, 2, 3]);
     }
 }

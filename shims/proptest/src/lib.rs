@@ -3,9 +3,10 @@
 //! Covers the combinator surface this workspace uses — range and tuple
 //! strategies, `prop_map`, `Just`, `prop_oneof!`, `collection::vec`,
 //! `bool::ANY`, `any::<T>()`, `proptest!`/`prop_assert*!` macros, and a
-//! deterministic [`test_runner::TestRunner`]. Failing inputs are reported
-//! but **not shrunk**: upstream's minimization machinery is out of scope
-//! for an offline stand-in, so expect larger counterexamples.
+//! deterministic [`test_runner::TestRunner`]. A failing case prints its
+//! drawn inputs (so generated values must be `Debug`), but they are **not
+//! shrunk**: upstream's minimization machinery is out of scope for an
+//! offline stand-in, so expect larger counterexamples.
 
 #![forbid(unsafe_code)]
 
@@ -63,6 +64,7 @@ pub mod test_runner {
     pub type TestCaseResult = Result<(), TestCaseError>;
 
     /// Drives case generation. Only the RNG matters in this shim.
+    #[derive(Clone)]
     pub struct TestRunner {
         pub(crate) rng: StdRng,
         config: Config,
@@ -92,10 +94,16 @@ pub mod test_runner {
     }
 
     /// Run case `case` (1-based) of `cases`. A failed assertion and a
-    /// panicking body both panic with the case number and the original
-    /// message; a rejected input passes.
+    /// panicking body both panic with the case number, the original
+    /// message and the case's inputs, which `inputs` renders only then; a
+    /// rejected input passes.
     #[doc(hidden)]
-    pub fn run_case(case: u32, cases: u32, body: impl FnOnce() -> TestCaseResult) {
+    pub fn run_case(
+        case: u32,
+        cases: u32,
+        body: impl FnOnce() -> TestCaseResult,
+        inputs: impl FnOnce() -> String,
+    ) {
         let msg = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
             Ok(Ok(())) | Ok(Err(TestCaseError::Reject(_))) => return,
             Ok(Err(TestCaseError::Fail(msg))) => msg,
@@ -107,7 +115,10 @@ pub mod test_runner {
                 },
             },
         };
-        panic!("proptest case {case}/{cases} failed: {msg}\n(offline shim: no shrinking)");
+        panic!(
+            "proptest case {case}/{cases} failed: {msg}\ninputs: {}\n(offline shim: no shrinking)",
+            inputs()
+        );
     }
 }
 
@@ -477,7 +488,9 @@ macro_rules! prop_oneof {
 }
 
 /// Define property tests: each `fn name(x in strategy, ...) { body }` runs
-/// `cases` times with fresh random inputs. No shrinking on failure.
+/// `cases` times with fresh random inputs. A failing case prints its inputs
+/// by re-drawing them from a copy of the runner taken before the case, so
+/// passing cases format nothing. No shrinking on failure.
 #[macro_export]
 macro_rules! proptest {
     (
@@ -509,11 +522,26 @@ macro_rules! __proptest_impl {
             let config: $crate::test_runner::Config = $config;
             let mut runner = $crate::test_runner::TestRunner::new(config.clone());
             for case in 0..config.cases {
+                let mut replay = runner.clone();
                 $(let $arg = $crate::strategy::Strategy::generate(&($strat), &mut runner);)+
-                $crate::test_runner::run_case(case + 1, config.cases, || {
-                    $body
-                    ::core::result::Result::Ok(())
-                });
+                $crate::test_runner::run_case(
+                    case + 1,
+                    config.cases,
+                    || {
+                        $body
+                        ::core::result::Result::Ok(())
+                    },
+                    || {
+                        let inputs: ::std::vec::Vec<::std::string::String> = ::std::vec![$(
+                            ::std::format!(
+                                "{} = {:?}",
+                                stringify!($arg),
+                                $crate::strategy::Strategy::generate(&($strat), &mut replay),
+                            )
+                        ),+];
+                        inputs.join(", ")
+                    },
+                );
             }
         }
         $crate::__proptest_impl! { config = ($config); $($rest)* }
@@ -550,11 +578,17 @@ mod tests {
             prop_assert!(v == -1 || (0..10).contains(&v));
         }
 
-        #[test]
-        #[should_panic(expected = "proptest case 1/32 failed: plain assert on 1")]
-        fn a_panicking_body_names_its_case(x in 1u64..2) {
-            assert!(x > 1, "plain assert on {x}");
+        fn always_panics(x in 1u64..2, (a, b) in (Just(-3i32), Just("s"))) {
+            assert!(x > 1, "plain assert on {x} {a} {b}");
         }
+    }
+
+    #[test]
+    fn a_panicking_body_names_its_case() {
+        let payload = std::panic::catch_unwind(always_panics).unwrap_err();
+        let msg = payload.downcast::<String>().unwrap();
+        assert!(msg.contains("proptest case 1/32 failed: plain assert on 1 -3 s"), "{msg}");
+        assert!(msg.contains("inputs: x = 1, (a, b) = (-3, \"s\")"), "{msg}");
     }
 
     #[test]
