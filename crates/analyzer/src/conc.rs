@@ -293,36 +293,41 @@ fn liveness_end(toks: &[Tok], tree: &ScopeTree, semi: usize, name: &str) -> usiz
 /// Lock identity for the acquire call at token `i`: `crate::tail`, where
 /// `tail` is the last path/field segment of the receiver expression
 /// (`self.tsdb.write()` → `tsdb`, `slots[i].lock()` → `slots`,
-/// `self.inner().lock()` → `inner`).
+/// `self.inner().lock()` → `inner`). A receiver reached through `?` names
+/// the field the fallible accessor was called on
+/// (`self.inner.as_ref()?.lock()` → `inner`).
 fn lock_identity(toks: &[Tok], i: usize, ctx: &FileContext) -> String {
     let mut j = i.checked_sub(2); // skip the `.` before the method
-                                  // Skip back over one `[..]` index or `(..)` call group.
-    if let Some(mut k) = j {
-        if toks[k].is_punct(']') || toks[k].is_punct(')') {
-            let (close, open) = if toks[k].is_punct(']') { (']', '[') } else { (')', '(') };
-            let mut depth = 0i64;
-            loop {
-                if toks[k].is_punct(close) {
-                    depth += 1;
-                } else if toks[k].is_punct(open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        j = k.checked_sub(1);
-                        break;
-                    }
-                }
-                match k.checked_sub(1) {
-                    Some(p) => k = p,
-                    None => {
-                        j = None;
-                        break;
-                    }
-                }
+    if let Some(k) = j.filter(|&k| toks[k].is_punct('?')) {
+        // Step back over the `?`, the accessor's call group, its name and
+        // the `.` before it.
+        j = k.checked_sub(1).and_then(|k| before_group(toks, k)).and_then(|k| k.checked_sub(2));
+    }
+    let tail = j.and_then(|k| before_group(toks, k)).and_then(|k| toks[k].ident()).unwrap_or("?");
+    format!("{}::{}", ctx.crate_name, tail)
+}
+
+/// The token index before the `[..]` index or `(..)` call group that
+/// closes at `k`, or `k` itself when no group closes there. `None` when the
+/// group opens at the start of the file (or never opens).
+fn before_group(toks: &[Tok], k: usize) -> Option<usize> {
+    let (close, open) = match &toks[k].kind {
+        TokKind::Punct(']') => (']', '['),
+        TokKind::Punct(')') => (')', '('),
+        _ => return Some(k),
+    };
+    let mut depth = 0i64;
+    for j in (0..=k).rev() {
+        if toks[j].is_punct(close) {
+            depth += 1;
+        } else if toks[j].is_punct(open) {
+            depth -= 1;
+            if depth == 0 {
+                return j.checked_sub(1);
             }
         }
     }
-    let tail = j.and_then(|k| toks[k].ident()).unwrap_or("?");
-    format!("{}::{}", ctx.crate_name, tail)
+    None
 }
 
 /// C3: every `unsafe` token, `static mut`, and `UnsafeCell` use needs an
@@ -454,6 +459,21 @@ mod tests {
         // Taking the locks one at a time is clean.
         let src = "fn f(&self) {\n  self.alpha.lock().push(1);\n  let b = self.beta.lock();\n}\n";
         assert!(run(src).is_empty());
+    }
+
+    #[test]
+    fn a_lock_reached_through_try_is_named_by_its_field() {
+        // The `knots-obs` tracer shape: the guard is on `inner`, not `?`.
+        let src = "fn f(&self) -> Option<u64> {\n  let mut st = self.inner.as_ref()?.lock();\n  run_jobs(4, &xs, |x| x);\n}\n";
+        let out = run(src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("`st` on `sim::inner`"), "{out:?}");
+        // Through an indexed receiver, the index is skipped too.
+        let src =
+            "fn f(&self) {\n  let a = self.slots[i].as_ref()?.lock();\n  self.beta.lock();\n}\n";
+        let out = run(src);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("guard `a` on `sim::slots`"), "{out:?}");
     }
 
     #[test]

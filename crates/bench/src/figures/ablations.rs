@@ -9,7 +9,7 @@ use knots_core::experiment::{run_mix, ExperimentConfig};
 use knots_core::metrics::RunReport;
 use knots_sched::binpack::PackStrategy;
 use knots_sched::cbp::CbpConfig;
-use knots_sched::pp::{CbpPp, PpConfig};
+use knots_sched::pp::CbpPp;
 use knots_sched::resag::ResAg;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
@@ -43,8 +43,8 @@ fn row(setting: String, r: &RunReport) -> AblationRow {
     }
 }
 
-fn pp_with(cbp: CbpConfig) -> Box<CbpPp> {
-    Box::new(CbpPp::with_config(PpConfig { cbp, ..PpConfig::default() }))
+fn pp_with(cfg: CbpConfig) -> Box<CbpPp> {
+    Box::new(CbpPp::with_config(cfg))
 }
 
 /// The knob sweeps need contention to differentiate: run them at 1.5× the

@@ -13,7 +13,7 @@
 //! Event times are *processing* instants: producers snap a continuous due
 //! time to the first tick-grid point at or after it (see
 //! [`grid_at_or_after`]) before scheduling, because the oracle loop
-//! (`OrchestratorConfig::naive_ticking`) only observes the world at grid
+//! (`KubeKnots::run_ticked`) only observes the world at grid
 //! points. Handlers then advance the simulation in closed form between
 //! events; nothing in the hot path rescans layers for their next due
 //! instant.

@@ -10,10 +10,12 @@ pub struct OrchestratorConfig {
     /// against the 150 ms QoS deadline.
     pub tick: SimDuration,
     /// Scheduler heartbeat: how often the aggregator snapshots the cluster
-    /// and the scheduler runs. Clamped up to `tick` at runtime. (The
-    /// paper's 1 ms operating point is exercised by the Fig. 10b accuracy
-    /// harness, which uses sub-tick traces; full-cluster runs use
-    /// tick-rate heartbeats.)
+    /// and the scheduler runs. A heartbeat shorter than `tick` is raised
+    /// to `tick` when the orchestrator is built or resumed. Both presets
+    /// run one round per tick. The paper's sub-tick operating points
+    /// (1 ms down to 0.1 ms, Fig. 10b) never run through this loop: the
+    /// Fig. 10b harness samples a synthetic utilization signal at each
+    /// interval directly.
     pub heartbeat: SimDuration,
     /// The sliding telemetry window `d` handed to the scheduler (§IV-C,
     /// default 5 s).
@@ -30,11 +32,6 @@ pub struct OrchestratorConfig {
     /// which the pinned digests assume — trusts every series, correct for
     /// a fault-free cluster where probes never miss a tick.
     pub freshness: Option<SimDuration>,
-    /// Advance the control loop one tick at a time instead of jumping to
-    /// the next event. The event queue is bit-identical to naive ticking
-    /// by construction; this per-tick oracle exists so tests (and the
-    /// bench harness) can prove it on every run.
-    pub naive_ticking: bool,
 }
 
 impl Default for OrchestratorConfig {
@@ -46,7 +43,6 @@ impl Default for OrchestratorConfig {
             metric_interval: SimDuration::from_millis(100),
             drain_grace: SimDuration::from_secs(180),
             freshness: None,
-            naive_ticking: false,
         }
     }
 }
@@ -63,7 +59,6 @@ impl OrchestratorConfig {
             metric_interval: SimDuration::from_secs(1),
             drain_grace: SimDuration::from_secs(600),
             freshness: None,
-            naive_ticking: false,
         }
     }
 }

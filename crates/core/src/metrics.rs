@@ -149,9 +149,9 @@ pub struct RunReport {
     /// Fault-injection accounting (all-zero without a chaos engine).
     pub faults: FaultStats,
     /// Calendar events the event-queue loop processed (zero under the
-    /// `naive_ticking` oracle). Like `faults`, excluded from the
-    /// determinism digest: it describes the engine, not the simulated
-    /// outcome.
+    /// per-tick oracle, `KubeKnots::run_ticked`). Like `faults`, excluded
+    /// from the determinism digest: it describes the engine, not the
+    /// simulated outcome.
     pub events_processed: u64,
     /// `events_processed` per simulated second — the event core's
     /// throughput row.

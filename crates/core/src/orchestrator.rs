@@ -25,8 +25,8 @@
 //! freshness gauges), `pause_state` and the report. Every exit from the
 //! loop settles everything.
 //!
-//! The one-tick-at-a-time loop survives as the A/B oracle behind
-//! [`OrchestratorConfig::naive_ticking`]: it steps and probes every node
+//! The one-tick-at-a-time loop survives as the A/B oracle, a separate
+//! entry point ([`KubeKnots::run_ticked`]): it steps and probes every node
 //! every tick. The two are bit-identical at matching grid points (the
 //! determinism suite and the pinned self-check digests gate this on every
 //! run). Either way the cluster steps its nodes serially, in node order.
@@ -282,17 +282,35 @@ pub struct OrchestratorState {
 impl KubeKnots {
     /// Build an orchestrator over a fresh cluster.
     pub fn new(
+        cluster_cfg: ClusterConfig,
+        scheduler: Box<dyn Scheduler>,
+        cfg: OrchestratorConfig,
+    ) -> Self {
+        Self::build(cluster_cfg, scheduler, cfg, None)
+    }
+
+    /// The one constructor behind [`KubeKnots::new`] and
+    /// [`KubeKnots::resume`]: a fresh cluster and TSDB, or the ones `saved`
+    /// carries, with every loop counter at zero and the heartbeat raised to
+    /// at least one tick. `resume` then restores the rest of the state.
+    fn build(
         mut cluster_cfg: ClusterConfig,
         scheduler: Box<dyn Scheduler>,
         cfg: OrchestratorConfig,
+        saved: Option<(ClusterState, TsdbState)>,
     ) -> Self {
         if !scheduler.wants_cluster_auto_sleep() {
             cluster_cfg.auto_sleep_after = None;
         }
         let heartbeat = cfg.heartbeat.max(cfg.tick);
         let nodes = cluster_cfg.node_models.len();
-        let cluster = Cluster::new(cluster_cfg);
-        let tsdb = TimeSeriesDb::new(TsdbConfig::default());
+        let (cluster, tsdb) = match saved {
+            None => (Cluster::new(cluster_cfg), TimeSeriesDb::new(TsdbConfig::default())),
+            Some((cluster, tsdb)) => (
+                Cluster::from_state(cluster_cfg, cluster),
+                TimeSeriesDb::from_state(TsdbConfig::default(), tsdb),
+            ),
+        };
         KubeKnots {
             cluster,
             tsdb,
@@ -364,18 +382,20 @@ impl KubeKnots {
     /// going until the cluster drains or the drain grace expires. Returns
     /// the run report.
     pub fn run_schedule(&mut self, schedule: &[ScheduledPod]) -> RunReport {
-        debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
-        if self.cfg.naive_ticking {
-            self.run_ticked(schedule);
-        } else {
-            self.begin(schedule);
-            let done = self.drive(schedule, None);
-            debug_assert!(done, "an unbounded drive runs to completion");
-        }
+        self.begin(schedule);
+        let done = self.drive(schedule, None);
+        debug_assert!(done, "an unbounded drive runs to completion");
+        self.finish(schedule.len())
+    }
+
+    /// Flush the lifecycle tracker into the tracer and cut the report: the
+    /// tail both [`KubeKnots::run_schedule`] and [`KubeKnots::run_ticked`]
+    /// end with.
+    fn finish(&mut self, submitted: usize) -> RunReport {
         if self.obs.tracer.enabled() {
             self.lifecycle.flush(self.cluster.now().as_micros(), &self.obs.tracer);
         }
-        self.report_now(schedule.len())
+        self.report_now(submitted)
     }
 
     /// Start an event-queue run without driving it: seed the calendar and
@@ -389,7 +409,6 @@ impl KubeKnots {
     /// [`drive`]: KubeKnots::drive
     /// [`run_schedule`]: KubeKnots::run_schedule
     pub fn begin(&mut self, schedule: &[ScheduledPod]) {
-        assert!(!self.cfg.naive_ticking, "pausable driving requires the event-queue loop");
         debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
         let last_arrival = schedule.last().map(|s| s.at).unwrap_or(SimTime::ZERO);
         let deadline = last_arrival + self.cfg.drain_grace;
@@ -456,7 +475,7 @@ impl KubeKnots {
             let target = st.cal.peek_time().map_or(now + tick, |t| t.max(now + tick));
             let k = (target.as_micros() - now.as_micros()) / tick_us;
             if k <= 1 {
-                self.step_and_probe();
+                self.step_and_probe(false);
             } else {
                 self.advance_span(k, arrivals_done);
             }
@@ -551,7 +570,7 @@ impl KubeKnots {
     /// the process, not the simulation. The reused snapshot and pod views
     /// start empty and are derived state anyway.
     pub fn resume(
-        mut cluster_cfg: ClusterConfig,
+        cluster_cfg: ClusterConfig,
         mut scheduler: Box<dyn Scheduler>,
         cfg: OrchestratorConfig,
         chaos_plan: Option<FaultPlan>,
@@ -566,13 +585,7 @@ impl KubeKnots {
                 nodes.len()
             )));
         }
-        if !scheduler.wants_cluster_auto_sleep() {
-            cluster_cfg.auto_sleep_after = None;
-        }
         scheduler.restore_state(&state.scheduler)?;
-        let heartbeat = cfg.heartbeat.max(cfg.tick);
-        let mut aggregator = UtilizationAggregator::new(heartbeat, cfg.window);
-        aggregator.restore_next_due(state.aggregator_next_due);
         let chaos = match state.chaos {
             None => None,
             Some(cs) => {
@@ -582,47 +595,32 @@ impl KubeKnots {
                 Some(ChaosEngine::from_state(plan, cs))
             }
         };
-        let mut event_counts = [0u64; 5];
-        for (slot, v) in event_counts.iter_mut().zip(state.event_counts.iter()) {
+        let mut k = Self::build(cluster_cfg, scheduler, cfg, Some((state.cluster, state.tsdb)));
+        k.aggregator.restore_next_due(state.aggregator_next_due);
+        k.chaos = chaos;
+        k.skipped = state.skipped as usize;
+        k.util_series = state.util_series;
+        k.active_util = state.active_util;
+        k.next_metric = state.next_metric;
+        k.events_seen = state.events_seen as usize;
+        k.round = state.round;
+        for (slot, v) in k.event_counts.iter_mut().zip(state.event_counts.iter()) {
             *slot = *v;
         }
-        let cluster = Cluster::from_state(cluster_cfg, state.cluster);
-        let tsdb = TimeSeriesDb::from_state(TsdbConfig::default(), state.tsdb);
-        Ok(KubeKnots {
-            cluster,
-            tsdb,
-            aggregator,
-            scheduler,
-            cfg,
-            obs: Obs::disabled(),
-            chaos,
-            chaos_buf: Vec::new(),
-            skipped: state.skipped as usize,
-            skips: BTreeMap::new(),
-            tally: LoopTally::default(),
-            snapshot: ClusterSnapshot::default(),
-            pending: Vec::new(),
-            suspended: Vec::new(),
-            util_series: state.util_series,
-            active_util: state.active_util,
-            next_metric: state.next_metric,
-            events_seen: state.events_seen as usize,
-            lifecycle: LifecycleTracker::new(),
-            round: state.round,
-            event_counts,
-            hb_latency: Histogram::latency_us(),
-            loop_state: Some(EventLoopState {
-                cal: EventCalendar::from_entries(&state.calendar),
-                next: state.next_arrival as usize,
-                deadline: state.deadline,
-            }),
-            journal: None,
-        })
+        k.loop_state = Some(EventLoopState {
+            cal: EventCalendar::from_entries(&state.calendar),
+            next: state.next_arrival as usize,
+            deadline: state.deadline,
+        });
+        Ok(k)
     }
 
-    /// The `naive_ticking` oracle: one tick at a time. Kept as the A/B
-    /// reference the event core is digest-checked against.
-    fn run_ticked(&mut self, schedule: &[ScheduledPod]) {
+    /// The per-tick oracle: run `schedule` like [`KubeKnots::run_schedule`],
+    /// but one tick at a time, stepping and probing every node every tick.
+    /// Kept as the A/B reference the event core is digest-checked against.
+    /// It parks no loop state, so [`KubeKnots::pause_state`] stays `None`.
+    pub fn run_ticked(&mut self, schedule: &[ScheduledPod]) -> RunReport {
+        debug_assert!(schedule.windows(2).all(|w| w[0].at <= w[1].at), "schedule must be sorted");
         let mut next = 0usize;
         let last_arrival = schedule.last().map(|s| s.at).unwrap_or(SimTime::ZERO);
         let deadline = last_arrival + self.cfg.drain_grace;
@@ -644,7 +642,7 @@ impl KubeKnots {
                 self.heartbeat_round(now);
             }
             // 3+4. Advance one tick and probe.
-            self.step_and_probe();
+            self.step_and_probe(true);
             self.collect_metrics();
             self.garbage_collect();
 
@@ -653,6 +651,7 @@ impl KubeKnots {
                 break;
             }
         }
+        self.finish(schedule.len())
     }
 
     /// Apply one calendar event at `now` and schedule the producer's next
@@ -732,9 +731,10 @@ impl KubeKnots {
 
     /// Advance one tick and probe — the unit step every loop
     /// implementation shares (a jump of one tick and the oracle's every-tick
-    /// path are the same code) — and mark it on the trace.
-    fn step_and_probe(&mut self) {
-        self.tick();
+    /// path are the same code) — and mark it on the trace. `every_node` goes
+    /// to `tick`.
+    fn step_and_probe(&mut self, every_node: bool) {
+        self.tick(every_node);
         if self.obs.tracer.enabled() {
             self.obs.tracer.record_instant(
                 Track::Control,
@@ -746,15 +746,16 @@ impl KubeKnots {
         }
     }
 
-    /// Advance one tick and probe it. Without chaos (and off the
-    /// `naive_ticking` oracle) only the nodes that host work are stepped
-    /// and probed; idle ones owe the tick. Under chaos every node steps,
-    /// and the engine may drop or corrupt each probe sample.
-    fn tick(&mut self) {
+    /// Advance one tick and probe it. Without chaos, and unless the caller
+    /// asks for `every_node` (the per-tick oracle does), only the nodes
+    /// that host work are stepped and probed; idle ones owe the tick. Under
+    /// chaos every node steps, and the engine may drop or corrupt each
+    /// probe sample.
+    fn tick(&mut self, every_node: bool) {
         let active = self.cluster.active_len() as u64;
         self.tally.active_node_ticks += active;
         self.tally.idle_node_ticks += self.cluster.nodes().len() as u64 - active;
-        if self.chaos.is_none() && !self.cfg.naive_ticking {
+        if self.chaos.is_none() && !every_node {
             self.cluster.step_active(self.cfg.tick);
             probe::sample_active(&mut self.cluster, &self.tsdb);
             return;
@@ -769,8 +770,8 @@ impl KubeKnots {
 
     /// Advance `k` ticks, probing after every one, so cluster and TSDB end
     /// up byte-identical to `k` single steps. The span stops on the exact
-    /// tick the cluster drains, so the reported duration matches naive
-    /// ticking.
+    /// tick the cluster drains, so the reported duration matches the
+    /// per-tick oracle's.
     fn advance_span(&mut self, k: u64, arrivals_done: bool) {
         let start = self.cluster.now();
         // Nodes the span skips while idle (none under chaos).
@@ -782,7 +783,7 @@ impl KubeKnots {
         let mut executed = 0;
         while executed < k {
             let events = self.cluster.events().len();
-            self.tick();
+            self.tick(false);
             executed += 1;
             if arrivals_done && self.cluster.events().len() > events && self.cluster.is_drained() {
                 break;

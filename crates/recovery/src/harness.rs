@@ -18,7 +18,7 @@ use knots_core::orchestrator::KubeKnots;
 use knots_obs::Obs;
 use knots_sched::Scheduler;
 use knots_sim::cluster::ClusterConfig;
-use knots_sim::time::{SimDuration, SimTime};
+use knots_sim::time::SimDuration;
 use knots_workloads::loadgen::ScheduledPod;
 
 use crate::{RecoveryError, Snapshot, WriteAheadLog};
@@ -52,9 +52,6 @@ enum StopKind {
 /// call — one for the initial controller and one per restart (learned
 /// state is restored from the snapshot, so the policy must match).
 ///
-/// Fails with [`RecoveryError::NotPaused`] when `orch` selects the
-/// `naive_ticking` oracle, which cannot pause for a checkpoint.
-///
 /// Returns the run's [`RunReport`] with [`RunReport::recovery`] filled:
 /// crashes performed, checkpoints taken, WAL records replayed, and the
 /// wall-clock recovery latency. Everything the report digest covers is
@@ -69,11 +66,6 @@ pub fn run_with_recovery(
     rc: &RecoveryConfig,
     obs: &Obs,
 ) -> Result<RunReport, RecoveryError> {
-    // Crash recovery checkpoints a paused event-queue loop; the per-tick
-    // oracle has none to capture.
-    if orch.naive_ticking {
-        return Err(RecoveryError::NotPaused);
-    }
     let every = rc.checkpoint_every.max(orch.tick);
     let crashes = plan.controller_crashes();
     let mut crash_iter = crashes.into_iter().peekable();
@@ -165,38 +157,4 @@ pub fn run_with_recovery(
     let mut report = k.report_now(schedule.len());
     report.recovery = stats;
     Ok(report)
-}
-
-/// Convenience: the crash instants of `plan` restricted to `(0, horizon)`,
-/// exposed for experiment code that wants to report crash density.
-pub fn planned_crashes(plan: &FaultPlan, horizon: SimTime) -> Vec<SimTime> {
-    plan.controller_crashes().into_iter().filter(|c| *c < horizon).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use knots_sched::resag::ResAg;
-    use knots_sim::pod::PodSpec;
-    use knots_sim::profile::ResourceProfile;
-    use knots_sim::resources::GpuModel;
-
-    #[test]
-    fn naive_ticking_is_refused_with_a_typed_error() {
-        let orch = OrchestratorConfig { naive_ticking: true, ..OrchestratorConfig::default() };
-        let schedule = [ScheduledPod {
-            at: SimTime::ZERO,
-            spec: PodSpec::batch("b", ResourceProfile::constant(0.5, 1000.0, 1.0)),
-        }];
-        let out = run_with_recovery(
-            &ClusterConfig::homogeneous(2, GpuModel::P100),
-            &|| Box::new(ResAg::new()),
-            &orch,
-            &FaultPlan::empty(),
-            &schedule,
-            &RecoveryConfig::default(),
-            &Obs::disabled(),
-        );
-        assert_eq!(out.err(), Some(RecoveryError::NotPaused));
-    }
 }

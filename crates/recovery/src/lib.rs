@@ -33,7 +33,7 @@ pub mod harness;
 pub mod snapshot;
 pub mod wal;
 
-pub use harness::{planned_crashes, run_with_recovery, RecoveryConfig};
+pub use harness::{run_with_recovery, RecoveryConfig};
 pub use snapshot::{fnv1a, Snapshot, SNAPSHOT_VERSION};
 pub use wal::WriteAheadLog;
 
@@ -42,9 +42,9 @@ use knots_core::AppliedEvent;
 /// Everything that can go wrong between a capture and a verified resume.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryError {
-    /// The run cannot be paused for a snapshot: it was driven via
-    /// `run_schedule` instead of `begin`/`drive`, or its config selects the
-    /// `naive_ticking` oracle, which has no pausable loop state.
+    /// The orchestrator has no event-queue loop state to capture: it was
+    /// never begun (nor resumed), or it ran on the per-tick oracle
+    /// (`KubeKnots::run_ticked`), which parks none.
     NotPaused,
     /// A non-finite float was found in the state at capture. The serde
     /// layer round-trips non-finite floats through JSON `null` (read back
@@ -91,7 +91,7 @@ impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryError::NotPaused => {
-                write!(f, "snapshot capture requires a paused event-queue run (use begin/drive without naive ticking)")
+                write!(f, "snapshot capture requires an event-queue run (begun, resumed, or driven by run_schedule), not a fresh orchestrator or the per-tick oracle")
             }
             RecoveryError::NonFinite { path } => {
                 write!(f, "non-finite float at {path}: would corrupt silently through JSON null")

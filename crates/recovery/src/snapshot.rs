@@ -56,9 +56,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Capture a paused orchestrator (begun via [`KubeKnots::begin`] or
-    /// resumed). Fails with [`RecoveryError::NotPaused`] on a run driven
-    /// through `run_schedule`, which never parks its loop state.
+    /// Capture an orchestrator's event-queue loop state: one begun via
+    /// [`KubeKnots::begin`] (as [`KubeKnots::run_schedule`] does, which
+    /// leaves the finished loop's state in place) or resumed. Fails with
+    /// [`RecoveryError::NotPaused`] on a fresh orchestrator and after
+    /// [`KubeKnots::run_ticked`], which parks no loop state.
     pub fn capture(k: &KubeKnots) -> Result<Self, RecoveryError> {
         let state = k.pause_state().ok_or(RecoveryError::NotPaused)?;
         Self::from_state(&state, k.cluster().now())
@@ -133,6 +135,32 @@ fn check_finite(v: &serde::Value, path: &str) -> Result<(), RecoveryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knots_core::OrchestratorConfig;
+    use knots_sched::resag::ResAg;
+    use knots_sim::cluster::ClusterConfig;
+    use knots_sim::pod::PodSpec;
+    use knots_sim::profile::ResourceProfile;
+    use knots_sim::resources::GpuModel;
+    use knots_workloads::loadgen::ScheduledPod;
+
+    #[test]
+    fn capture_needs_event_queue_loop_state() {
+        let fresh = || {
+            let cluster = ClusterConfig::homogeneous(2, GpuModel::P100);
+            KubeKnots::new(cluster, Box::new(ResAg::new()), OrchestratorConfig::default())
+        };
+        let schedule = [ScheduledPod {
+            at: SimTime::ZERO,
+            spec: PodSpec::batch("b", ResourceProfile::constant(0.5, 1000.0, 1.0)),
+        }];
+        assert_eq!(Snapshot::capture(&fresh()).err(), Some(RecoveryError::NotPaused));
+        let mut k = fresh();
+        k.run_schedule(&schedule);
+        assert!(Snapshot::capture(&k).is_ok(), "run_schedule leaves its loop state");
+        let mut k = fresh();
+        k.run_ticked(&schedule);
+        assert_eq!(Snapshot::capture(&k).err(), Some(RecoveryError::NotPaused));
+    }
 
     #[test]
     fn fnv_matches_reference_vectors() {

@@ -32,38 +32,33 @@ use knots_sim::pod::QosClass;
 use knots_telemetry::NodeView;
 use std::collections::BTreeMap;
 
+/// Multiplicative headroom over the provisioning percentile.
+pub const RESIZE_HEADROOM: f64 = 1.10;
+
+/// Minimum overlapping samples required before a correlation is trusted.
+pub const MIN_CORR_SAMPLES: usize = 16;
+
 /// Tunables (ablated in `knots-bench`).
 #[derive(Debug, Clone, Copy)]
 pub struct CbpConfig {
     /// The provisioning percentile (paper: 0.80; 0.5/0.6 cause "constant
     /// resizing which affects the docker performance at scale").
     pub resize_percentile: f64,
-    /// Multiplicative headroom over the percentile.
-    pub resize_headroom: f64,
     /// Spearman threshold above which two pods must not share a GPU
     /// (Algorithm 1 uses 0.5).
     pub correlation_threshold: f64,
-    /// Minimum overlapping samples required before a correlation is
-    /// trusted.
-    pub min_corr_samples: usize,
 }
 
 impl Default for CbpConfig {
     fn default() -> Self {
-        CbpConfig {
-            resize_percentile: 0.80,
-            resize_headroom: 1.10,
-            correlation_threshold: 0.5,
-            min_corr_samples: 16,
-        }
+        CbpConfig { resize_percentile: 0.80, correlation_threshold: 0.5 }
     }
 }
 
-/// The CBP scheduler.
+/// The CBP scheduler, with the paper's configuration.
 #[derive(Debug, Default)]
 pub struct Cbp {
-    /// Configuration.
-    pub cfg: CbpConfig,
+    cfg: CbpConfig,
     history: AppUsageHistory,
 }
 
@@ -71,11 +66,6 @@ impl Cbp {
     /// Create with the paper's configuration.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create with explicit tunables.
-    pub fn with_config(cfg: CbpConfig) -> Self {
-        Cbp { cfg, history: AppUsageHistory::default() }
     }
 
     /// Read access to the learned history (used by PP and tests).
@@ -158,7 +148,7 @@ pub(crate) fn resize_actions(
             // common-case footprint; it never inflates a small job to the
             // app-wide quantile (per-job growth is handled at runtime by
             // the crash-free grow-back below).
-            let target = (q * cfg.resize_headroom).min(p.request_mb).clamp(64.0, 16_384.0);
+            let target = (q * RESIZE_HEADROOM).min(p.request_mb).clamp(64.0, 16_384.0);
             if target < p.limit_mb * 0.95 {
                 actions.push(Action::Resize { pod: p.id, limit_mb: target });
             }
@@ -241,7 +231,7 @@ pub(crate) fn correlation_ok(
         }
         let series = ctx.tsdb.pod_mem_series(pod.id, ctx.now, ctx.window);
         let n = reference.len().min(series.len());
-        if n < cfg.min_corr_samples {
+        if n < MIN_CORR_SAMPLES {
             continue;
         }
         let rho = spearman(reference, &series);

@@ -18,48 +18,28 @@ use knots_sim::ids::NodeId;
 use knots_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Gandiva tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct GandivaConfig {
-    /// Maximum concurrently *running* pods per node; extras are suspended
-    /// and rotated in.
-    pub slots_per_node: usize,
-    /// Time-slice rotation period.
-    pub quantum: SimDuration,
-    /// Interval between migration attempts.
-    pub migration_interval: SimDuration,
-}
+/// Maximum concurrently *running* pods per node; extras are suspended and
+/// rotated in. Gandiva runs one DL job per GPU and time-slices via
+/// suspend-and-resume (it does not co-execute on SMs).
+pub const SLOTS_PER_NODE: usize = 1;
 
-impl Default for GandivaConfig {
-    fn default() -> Self {
-        GandivaConfig {
-            // Gandiva runs one DL job per GPU and time-slices via
-            // suspend-and-resume (it does not co-execute on SMs).
-            slots_per_node: 1,
-            quantum: SimDuration::from_secs(30),
-            migration_interval: SimDuration::from_secs(60),
-        }
-    }
-}
+/// Time-slice rotation period.
+pub const QUANTUM: SimDuration = SimDuration::from_secs(30);
+
+/// Interval between migration attempts.
+pub const MIGRATION_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
 /// The Gandiva-style scheduler.
 #[derive(Debug, Default)]
 pub struct Gandiva {
-    /// Configuration.
-    pub cfg: GandivaConfig,
     last_rotation: Option<SimTime>,
     last_migration: Option<SimTime>,
 }
 
 impl Gandiva {
-    /// Create with default tunables.
+    /// Create with the baseline's tunables.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create with explicit tunables.
-    pub fn with_config(cfg: GandivaConfig) -> Self {
-        Gandiva { cfg, last_rotation: None, last_migration: None }
     }
 }
 
@@ -106,7 +86,7 @@ impl Scheduler for Gandiva {
         for s in ctx.suspended {
             if let Some((&node, entry)) = load
                 .iter_mut()
-                .filter(|(_, (cnt, free))| *cnt < self.cfg.slots_per_node && *free >= s.limit_mb)
+                .filter(|(_, (cnt, free))| *cnt < SLOTS_PER_NODE && *free >= s.limit_mb)
                 .min_by_key(|(_, (cnt, _))| *cnt)
             {
                 actions.push(Action::Resume { pod: s.id, node });
@@ -125,7 +105,7 @@ impl Scheduler for Gandiva {
             }
             let pick = load
                 .iter_mut()
-                .filter(|(_, (cnt, free))| *cnt < self.cfg.slots_per_node && *free >= pod.limit_mb)
+                .filter(|(_, (cnt, free))| *cnt < SLOTS_PER_NODE && *free >= pod.limit_mb)
                 .min_by_key(|(_, (cnt, _))| *cnt)
                 .map(|(n, e)| (*n, e));
             match pick {
@@ -152,17 +132,13 @@ impl Scheduler for Gandiva {
                 .filter(|a| matches!(a, Action::Resume { .. } | Action::Place { .. }))
                 .count()
                 .min(ctx.pending.len() + ctx.suspended.len());
-        let rotate_due =
-            self.last_rotation.is_none_or(|t| ctx.now.saturating_since(t) >= self.cfg.quantum);
+        let rotate_due = self.last_rotation.is_none_or(|t| ctx.now.saturating_since(t) >= QUANTUM);
         if rotate_due && waiting > 0 {
             self.last_rotation = Some(ctx.now);
             // Rotate only as many GPUs as there is waiting work: suspend
             // the longest-served resident on each chosen node.
-            let mut full: Vec<_> = ctx
-                .snapshot
-                .active_nodes()
-                .filter(|n| n.pods.len() >= self.cfg.slots_per_node)
-                .collect();
+            let mut full: Vec<_> =
+                ctx.snapshot.active_nodes().filter(|n| n.pods.len() >= SLOTS_PER_NODE).collect();
             full.sort_by(|a, b| {
                 let am = a.pods.iter().map(|p| p.attained_service_secs).fold(0.0, f64::max);
                 let bm = b.pods.iter().map(|p| p.attained_service_secs).fold(0.0, f64::max);
@@ -193,9 +169,8 @@ impl Scheduler for Gandiva {
 
         // 4. Trial-and-error migration: move one pod from the most- to the
         //    least-loaded node when the imbalance is ≥ 2 pods.
-        let migrate_due = self
-            .last_migration
-            .is_none_or(|t| ctx.now.saturating_since(t) >= self.cfg.migration_interval);
+        let migrate_due =
+            self.last_migration.is_none_or(|t| ctx.now.saturating_since(t) >= MIGRATION_INTERVAL);
         if migrate_due {
             self.last_migration = Some(ctx.now);
             let mut actives: Vec<_> = ctx.snapshot.active_nodes().collect();
@@ -235,7 +210,7 @@ mod tests {
 
     #[test]
     fn fcfs_blocks_behind_unplaceable_head() {
-        // Both slots taken on the only node.
+        // The only node is full.
         let s0 = snap(vec![node_view(0, 2, false)]);
         let pend = vec![pending(1, "dlt-0", 4_000.0), pending(2, "dli-1", 500.0)];
         let db = TimeSeriesDb::default();
@@ -284,7 +259,9 @@ mod tests {
 
     #[test]
     fn resumes_suspended_pods_first() {
-        let s0 = snap(vec![node_view(0, 0, false)]);
+        // Two free one-slot nodes: the suspended pod takes the first slot
+        // (node 0, the lowest id), the pending pod the second.
+        let s0 = snap(vec![node_view(0, 0, false), node_view(1, 0, false)]);
         let susp = vec![SuspendedPodView {
             id: PodId(9),
             app: "dlt".into(),
@@ -295,11 +272,13 @@ mod tests {
         }];
         let pend = vec![pending(1, "dlt-1", 3_000.0)];
         let db = TimeSeriesDb::default();
-        let mut g = Gandiva::with_config(GandivaConfig { slots_per_node: 2, ..Default::default() });
+        let mut g = Gandiva::new();
         let acts = g.decide(&ctx(&s0, &pend, &susp, &db));
-        let first_resume = acts.iter().position(|a| matches!(a, Action::Resume { .. }));
-        let first_place = acts.iter().position(|a| matches!(a, Action::Place { .. }));
-        assert!(first_resume.is_some());
+        let first_resume =
+            acts.iter().position(|a| *a == Action::Resume { pod: PodId(9), node: NodeId(0) });
+        let first_place =
+            acts.iter().position(|a| *a == Action::Place { pod: PodId(1), node: NodeId(1) });
+        assert!(first_resume.is_some() && first_place.is_some(), "{acts:?}");
         assert!(first_resume < first_place, "resume before place: {acts:?}");
     }
 

@@ -32,36 +32,20 @@ use knots_sim::metrics::Metric;
 use knots_sim::pod::QosClass;
 use std::collections::BTreeMap;
 
-/// PP-specific tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct PpConfig {
-    /// Shared CBP machinery configuration.
-    pub cbp: CbpConfig,
-    /// Forecast horizon in seconds (Eq. 3 forecasts "the next one second").
-    pub horizon_secs: f64,
-    /// Safety margin on the predicted free memory.
-    pub forecast_margin: f64,
-    /// SM utilization above which a node is considered unsafe for a new
-    /// latency-critical query.
-    pub lc_sm_ceiling: f64,
-}
+/// Forecast horizon in seconds (Eq. 3 forecasts "the next one second").
+pub const HORIZON_SECS: f64 = 1.0;
 
-impl Default for PpConfig {
-    fn default() -> Self {
-        PpConfig {
-            cbp: CbpConfig::default(),
-            horizon_secs: 1.0,
-            forecast_margin: 1.05,
-            lc_sm_ceiling: 0.85,
-        }
-    }
-}
+/// Safety margin on the predicted free memory.
+pub const FORECAST_MARGIN: f64 = 1.05;
+
+/// SM utilization above which a node is considered unsafe for a new
+/// latency-critical query.
+pub const LC_SM_CEILING: f64 = 0.85;
 
 /// The CBP+PP scheduler (the full Kube-Knots policy).
 #[derive(Debug, Default)]
 pub struct CbpPp {
-    /// Configuration.
-    pub cfg: PpConfig,
+    cfg: CbpConfig,
     history: AppUsageHistory,
 }
 
@@ -71,8 +55,8 @@ impl CbpPp {
         Self::default()
     }
 
-    /// Create with explicit tunables.
-    pub fn with_config(cfg: PpConfig) -> Self {
+    /// Create with explicit CBP tunables.
+    pub fn with_config(cfg: CbpConfig) -> Self {
         CbpPp { cfg, history: AppUsageHistory::default() }
     }
 
@@ -125,10 +109,10 @@ impl CbpPp {
         // Horizon in samples: infer the sampling interval from the window.
         let span = ctx.window.as_secs_f64();
         let dt = span / series.len() as f64;
-        let steps = (self.cfg.horizon_secs / dt.max(1e-6)).round().max(1.0) as usize;
+        let steps = (HORIZON_SECS / dt.max(1e-6)).round().max(1.0) as usize;
         let pred_used = model.forecast_h(series.last().copied().unwrap_or(0.0), steps.min(10_000));
         let pred_free = capacity_mb - pred_used.clamp(0.0, capacity_mb);
-        let admitted = pred_free >= limit * self.cfg.forecast_margin;
+        let admitted = pred_free >= limit * FORECAST_MARGIN;
         let branch = if admitted { "forecast_admit" } else { "forecast_reject" };
         self.audit_branch(ctx, node, branch, Some(pred_used), capacity_mb, series.len(), admitted);
         admitted
@@ -184,7 +168,7 @@ impl Scheduler for CbpPp {
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
         learn(&mut self.history, ctx);
         let mut actions = growth_actions(ctx);
-        actions.extend(resize_actions(&self.history, &self.cfg.cbp, ctx));
+        actions.extend(resize_actions(&self.history, &self.cfg, ctx));
         if ctx.pending.is_empty() {
             return actions; // nothing to place: skip the candidate order
         }
@@ -232,7 +216,7 @@ impl Scheduler for CbpPp {
                 }
                 // QoS guard: don't drop a latency-critical query onto a
                 // compute-saturated GPU.
-                if is_lc && node.sample.sm_util > self.cfg.lc_sm_ceiling {
+                if is_lc && node.sample.sm_util > LC_SM_CEILING {
                     continue;
                 }
                 // Compute-headroom guard for batch pods: memory is
@@ -244,7 +228,7 @@ impl Scheduler for CbpPp {
                     continue;
                 }
                 let corr_ok =
-                    correlation_ok(&self.history, &self.cfg.cbp, ctx, "CBP+PP", &pod.app, node);
+                    correlation_ok(&self.history, &self.cfg, ctx, "CBP+PP", &pod.app, node);
                 // Algorithm 1: correlated pods may still co-locate when the
                 // forecast says their peaks won't coincide.
                 let admitted =

@@ -17,46 +17,27 @@ use knots_sim::ids::{NodeId, PodId};
 use knots_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Tiresias tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct TiresiasConfig {
-    /// Attained-service boundary between the high- and low-priority queues
-    /// (the discretized LAS threshold).
-    pub queue_threshold_secs: f64,
-    /// Maximum concurrently running pods per node.
-    pub slots_per_node: usize,
-    /// Minimum spacing between preemptions issued for the same node.
-    pub preempt_cooldown: SimDuration,
-}
+/// Attained-service boundary between the high- and low-priority queues
+/// (the discretized LAS threshold).
+pub const QUEUE_THRESHOLD_SECS: f64 = 60.0;
 
-impl Default for TiresiasConfig {
-    fn default() -> Self {
-        TiresiasConfig {
-            queue_threshold_secs: 60.0,
-            // One DL job per GPU (Tiresias preempts rather than co-runs).
-            slots_per_node: 1,
-            preempt_cooldown: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Maximum concurrently running pods per node: one DL job per GPU
+/// (Tiresias preempts rather than co-runs).
+pub const SLOTS_PER_NODE: usize = 1;
+
+/// Minimum spacing between preemptions issued for the same node.
+pub const PREEMPT_COOLDOWN: SimDuration = SimDuration::from_secs(10);
 
 /// The Tiresias-style LAS scheduler.
 #[derive(Debug, Default)]
 pub struct Tiresias {
-    /// Configuration.
-    pub cfg: TiresiasConfig,
     last_preempt: BTreeMap<NodeId, SimTime>,
 }
 
 impl Tiresias {
-    /// Create with default tunables.
+    /// Create with the baseline's tunables.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create with explicit tunables.
-    pub fn with_config(cfg: TiresiasConfig) -> Self {
-        Tiresias { cfg, last_preempt: BTreeMap::new() }
     }
 }
 
@@ -129,7 +110,7 @@ impl Scheduler for Tiresias {
         for w in &waiting {
             let pick = load
                 .iter_mut()
-                .filter(|(_, (cnt, free))| *cnt < self.cfg.slots_per_node && *free >= w.limit_mb)
+                .filter(|(_, (cnt, free))| *cnt < SLOTS_PER_NODE && *free >= w.limit_mb)
                 .min_by_key(|(_, (cnt, _))| *cnt)
                 .map(|(n, e)| (*n, e));
             match pick {
@@ -142,7 +123,7 @@ impl Scheduler for Tiresias {
                     entry.0 += 1;
                     entry.1 -= w.limit_mb;
                 }
-                None if w.attained < self.cfg.queue_threshold_secs => {
+                None if w.attained < QUEUE_THRESHOLD_SECS => {
                     need_capacity = true;
                     // High-priority work is starving: preempt the running
                     // pod with the MOST attained service that already sits
@@ -151,13 +132,13 @@ impl Scheduler for Tiresias {
                         .snapshot
                         .active_nodes()
                         .filter(|n| {
-                            self.last_preempt.get(&n.id).is_none_or(|t| {
-                                ctx.now.saturating_since(*t) >= self.cfg.preempt_cooldown
-                            })
+                            self.last_preempt
+                                .get(&n.id)
+                                .is_none_or(|t| ctx.now.saturating_since(*t) >= PREEMPT_COOLDOWN)
                         })
                         .flat_map(|n| n.pods.iter().map(move |p| (n.id, p)))
                         .filter(|(_, p)| {
-                            !p.pulling && p.attained_service_secs > self.cfg.queue_threshold_secs
+                            !p.pulling && p.attained_service_secs > QUEUE_THRESHOLD_SECS
                         })
                         .max_by(|(_, a), (_, b)| {
                             a.attained_service_secs.total_cmp(&b.attained_service_secs)
@@ -212,16 +193,16 @@ mod tests {
 
     #[test]
     fn least_attained_service_goes_first() {
-        // One free slot; a fresh pending pod (attained 0) must beat a
-        // suspended pod with attained service.
-        let s0 = snap(vec![node_view(0, 1, false)]);
+        // One free slot (node 0 is full, node 1 free); a fresh pending pod
+        // (attained 0) must beat a suspended pod with attained service.
+        let s0 = snap(vec![node_view(0, 1, false), node_view(1, 0, false)]);
         let pend = vec![pending(1, "dli-5", 500.0)];
         let suspended = vec![susp(2, 500.0)];
         let db = TimeSeriesDb::default();
-        let mut t =
-            Tiresias::with_config(TiresiasConfig { slots_per_node: 2, ..Default::default() });
+        let mut t = Tiresias::new();
         let acts = t.decide(&ctx(&s0, &pend, &suspended, &db));
-        assert_eq!(acts.first(), Some(&Action::Place { pod: PodId(1), node: NodeId(0) }));
+        assert_eq!(acts.first(), Some(&Action::Place { pod: PodId(1), node: NodeId(1) }));
+        assert!(!acts.iter().any(|a| matches!(a, Action::Resume { .. })), "{acts:?}");
     }
 
     #[test]

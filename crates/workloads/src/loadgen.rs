@@ -36,28 +36,23 @@ pub struct LoadGenConfig {
     pub batch_scale: f64,
     /// Multiplies both arrival rates (load knob for sweeps).
     pub rate_scale: f64,
-    /// Whether inference pods use the TF greedy-memory default.
-    pub greedy_inference: bool,
-    /// Probability that a batch job *under*-requests its peak memory —
-    /// the §II-B mis-estimation tail that makes trusting requests unsafe
-    /// (Observation 2).
-    pub under_request_prob: f64,
-    /// Distribution of inference batch sizes (chosen uniformly).
-    pub inference_batches: [u32; 4],
 }
+
+/// Whether inference pods use the TF greedy-memory default.
+pub const GREEDY_INFERENCE: bool = true;
+
+/// Probability that a batch job *under*-requests its peak memory — the
+/// §II-B mis-estimation tail that makes trusting requests unsafe
+/// (Observation 2).
+pub const UNDER_REQUEST_PROB: f64 = 0.15;
+
+/// Distribution of inference batch sizes (chosen uniformly).
+pub const INFERENCE_BATCHES: [u32; 4] = [1, 1, 1, 2];
 
 impl LoadGenConfig {
     /// Defaults matching the paper's testbed experiments.
     pub fn new(duration: SimDuration, seed: u64) -> Self {
-        LoadGenConfig {
-            duration,
-            seed,
-            batch_scale: 1.0,
-            rate_scale: 1.0,
-            greedy_inference: true,
-            under_request_prob: 0.15,
-            inference_batches: [1, 1, 1, 2],
-        }
+        LoadGenConfig { duration, seed, batch_scale: 1.0, rate_scale: 1.0 }
     }
 }
 
@@ -86,8 +81,8 @@ impl LoadGenerator {
         let services = mix.lc_services();
         for at in lc_proc.generate(cfg.duration, &mut rng) {
             let svc = services[rng.gen_range(0..services.len())];
-            let batch = cfg.inference_batches[rng.gen_range(0..cfg.inference_batches.len())];
-            out.push(ScheduledPod { at, spec: svc.pod_spec(batch, cfg.greedy_inference) });
+            let batch = INFERENCE_BATCHES[rng.gen_range(0..INFERENCE_BATCHES.len())];
+            out.push(ScheduledPod { at, spec: svc.pod_spec(batch, GREEDY_INFERENCE) });
         }
 
         // Batch jobs.
@@ -98,7 +93,7 @@ impl LoadGenerator {
             let app = apps[rng.gen_range(0..apps.len())];
             // Job size jitter: ±40% around the mix's batch scale.
             let scale = cfg.batch_scale * rng.gen_range(0.6..1.4);
-            let mut spec = if rng.gen_bool(cfg.under_request_prob) {
+            let mut spec = if rng.gen_bool(UNDER_REQUEST_PROB) {
                 // Mis-estimated request below the real peak.
                 let profile = app.profile(scale);
                 let peak = profile.peak_demand().mem_mb;
@@ -174,13 +169,6 @@ mod tests {
             .iter()
             .filter(|p| p.spec.qos.is_latency_critical())
             .all(|p| p.spec.greedy_memory));
-        let mut cfg = LoadGenConfig::new(SimDuration::from_secs(60), 5);
-        cfg.greedy_inference = false;
-        let s = LoadGenerator::generate(AppMix::Mix1, &cfg);
-        assert!(s
-            .iter()
-            .filter(|p| p.spec.qos.is_latency_critical())
-            .all(|p| !p.spec.greedy_memory));
     }
 
     #[test]

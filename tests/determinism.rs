@@ -12,7 +12,8 @@
 //!
 //! The loop-mode tests drive each leg through the differential harness
 //! (`tests/harness/`): the event queue, with and without the recorder and
-//! tracer, must end where the per-tick `naive_ticking` oracle does.
+//! tracer, must end where the per-tick oracle (`KubeKnots::run_ticked`)
+//! does.
 
 mod harness;
 

@@ -102,18 +102,17 @@ pub struct Inputs {
 }
 
 impl Inputs {
-    /// A fresh orchestrator on the oracle loop (`naive`) or the event queue.
-    pub fn start(&self, naive: bool) -> KubeKnots {
-        let orch = OrchestratorConfig { naive_ticking: naive, ..self.orch };
+    /// A fresh orchestrator.
+    pub fn start(&self) -> KubeKnots {
         let scheduler = scheduler_by_name(self.leg.scheduler).unwrap();
-        KubeKnots::new(self.cluster.clone(), scheduler, orch)
+        KubeKnots::new(self.cluster.clone(), scheduler, self.orch)
             .with_chaos(ChaosEngine::new(self.plan.clone()))
     }
 
     /// An event-queue run begun and paused at the first boundary at or
     /// past `at`.
     pub fn paused_at(&self, at: SimTime) -> KubeKnots {
-        let mut k = self.start(false);
+        let mut k = self.start();
         k.begin(&self.schedule);
         assert!(!k.drive(&self.schedule, Some(at)), "{:?}: the run ended before {at:?}", self.leg);
         k
@@ -139,7 +138,7 @@ impl Inputs {
 /// How a leg is driven.
 #[derive(Debug, Clone, Copy)]
 pub enum Mode {
-    /// The per-tick `naive_ticking` loop: the reference.
+    /// The per-tick loop, `KubeKnots::run_ticked`: the reference.
     Oracle,
     /// The event-queue loop.
     Events,
@@ -202,8 +201,8 @@ pub fn run(leg: &Leg, mode: Mode) -> Fingerprint {
                 _ => Obs::disabled(),
             };
             let naive = matches!(mode, Mode::Oracle);
-            let mut k = inputs.start(naive).with_obs(obs.clone());
-            let report = k.run_schedule(schedule);
+            let mut k = inputs.start().with_obs(obs.clone());
+            let report = if naive { k.run_ticked(schedule) } else { k.run_schedule(schedule) };
             assert_eq!(obs.tracer.dropped(), 0, "{leg:?}: the span ring evicted");
             let spans = obs.tracer.spans();
             let traced = spans.iter().filter(|s| s.track == Track::Control);
