@@ -134,6 +134,16 @@ mod tests {
     }
 
     #[test]
+    fn only_cbp_pp_reads_node_series() {
+        // The round settles idle nodes' owed samples only for a policy that
+        // reads node series; every other label must skip that settle.
+        for name in CLUSTER_SCHEDULERS.iter().chain(DNN_SCHEDULERS.iter()) {
+            let reads = scheduler_by_name(name).unwrap().reads_node_series();
+            assert_eq!(reads, *name == "CBP+PP", "{name}");
+        }
+    }
+
+    #[test]
     fn short_mix_run_smoke() {
         let cfg = ExperimentConfig { duration: SimDuration::from_secs(30), ..Default::default() };
         let report = run_mix(scheduler_by_name("CBP+PP").unwrap(), AppMix::Mix3, &cfg);

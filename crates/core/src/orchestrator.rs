@@ -861,10 +861,11 @@ impl KubeKnots {
         self.aggregator.query_into(&self.cluster, &mut self.snapshot);
         fill_views(&self.cluster, &mut self.pending, &mut self.suspended);
         self.tally.pending = Some(self.pending.len());
-        // Node series are read only to admit a placement (PP's forecast and
-        // its freshness check), so only a round with pending pods settles
-        // the idle nodes' owed samples first.
-        if !self.pending.is_empty() {
+        // Node series are read only to admit a placement, and only by a
+        // policy that reads them (PP's forecast and its freshness check), so
+        // only its rounds with pending pods settle the idle nodes' owed
+        // samples first.
+        if !self.pending.is_empty() && self.scheduler.reads_node_series() {
             probe::settle_idle(&mut self.cluster, &self.tsdb);
         }
 

@@ -67,11 +67,6 @@ impl Cbp {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Read access to the learned history (used by PP and tests).
-    pub fn history(&self) -> &AppUsageHistory {
-        &self.history
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -85,13 +80,12 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
             if pod.pulling {
                 continue;
             }
-            let app = app_key_str(&pod.name);
-            history.observe_mem(app, pod.usage.mem_mb);
-            history.observe_sm(app, pod.usage.sm_frac.clamp(0.0, 1.0));
+            let sm = pod.usage.sm_frac.clamp(0.0, 1.0);
+            history.observe(app_key_str(&pod.name), pod.usage.mem_mb, sm);
         }
     }
     // Refresh one reference series per app from the longest-running pod we
-    // can see (the first one seen wins a tie), read straight from the TSDB
+    // can see (the first one seen wins a tie), copied from the TSDB as runs
     // into the history's reused buffer. Each app's pick is kept in a reused
     // list of `(node, pod, app key length, series length)` indexing the
     // snapshot, one entry per app in first-seen order.
@@ -114,11 +108,19 @@ pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
         if best.3 >= 8 {
             let pod = nodes[best.0].pods[best.1].id;
             history.refresh_reference(app(best), |buf| {
-                ctx.tsdb.pod_mem_series_into(pod, ctx.now, ctx.window, buf);
+                ctx.tsdb.pod_mem_runs_into(pod, ctx.now, ctx.window, buf);
             });
         }
     }
     history.picks = picks;
+}
+
+/// Decode the reference series of every pending pod's app: the ones
+/// [`correlation_ok`] reads this round.
+pub(crate) fn decode_pending_references(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
+    for p in ctx.pending {
+        history.decode_reference(&p.app);
+    }
 }
 
 /// `ConfigureGrowth` for every pending TF-greedy pod.
@@ -330,6 +332,7 @@ impl Scheduler for Cbp {
         if ctx.pending.is_empty() {
             return actions; // nothing to place: skip the candidate order
         }
+        decode_pending_references(&mut self.history, ctx);
 
         // Candidate nodes ordered by *measured* free memory, most free
         // first (the real-time signal Knots adds over Res-Ag).
@@ -409,9 +412,9 @@ mod tests {
     /// Feed the scheduler enough same-app telemetry that the app is known.
     fn teach(s: &mut Cbp, app: &str, samples: &[f64]) {
         for &m in samples {
-            s.history.observe_mem(app, m);
+            s.history.observe(app, m, f64::NAN); // memory only
         }
-        s.history.refresh_reference(app, |b| b.extend_from_slice(samples));
+        s.history.refresh_reference(app, |b| b.extend(samples.iter().map(|&m| (1, m))));
     }
 
     #[test]
@@ -667,7 +670,7 @@ mod tests {
         // refuse it, and a cap below the minimum, with a typed error.
         let mut h = AppUsageHistory::new(8);
         for i in 0..8 {
-            h.observe_mem("lud", i as f64);
+            h.observe("lud", i as f64, f64::NAN);
         }
         let good = h.snapshot_state();
         let mut oversize = good.clone();

@@ -74,12 +74,14 @@ impl Scheduler for Gandiva {
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
         let mut actions = Vec::new();
 
-        // Local bookkeeping: (running pods, free provisioned memory).
-        let mut load: BTreeMap<NodeId, (usize, f64)> = ctx
-            .snapshot
-            .active_nodes()
-            .map(|n| (n.id, (n.pods.len(), n.free_provision_mb)))
-            .collect();
+        // Local bookkeeping: (running pods, free provisioned memory). Only
+        // steps 1 and 2 read it, and only when work waits.
+        let mut load: BTreeMap<NodeId, (usize, f64)> = BTreeMap::new();
+        if !ctx.pending.is_empty() || !ctx.suspended.is_empty() {
+            load.extend(
+                ctx.snapshot.active_nodes().map(|n| (n.id, (n.pods.len(), n.free_provision_mb))),
+            );
+        }
 
         // 1. Resume suspended pods (longest-suspended first approximated by
         //    FIFO order) wherever a slot is free.

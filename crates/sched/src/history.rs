@@ -154,7 +154,11 @@ struct AppStats {
     /// Recent SM-share observations across all pods of this app.
     sm: Reservoir,
     /// The most recent contiguous memory series of a single pod (for
-    /// correlation checks).
+    /// correlation checks), as `(count, value)` runs. Empty after a
+    /// restore, which brings back only the decoded series.
+    runs: Vec<(u64, f64)>,
+    /// The series decoded, or empty from a refresh of `runs` until the
+    /// first read ([`AppUsageHistory::decode_reference`]).
     reference: Vec<f64>,
     /// Largest memory observation ever seen, MB.
     peak_mb: f64,
@@ -168,8 +172,8 @@ pub struct AppUsageHistory {
     cap: usize,
     apps: BTreeMap<String, AppStats>,
     /// Reused fill buffer for [`refresh_reference`](Self::refresh_reference);
-    /// holds a retired reference's allocation between calls.
-    scratch: Vec<f64>,
+    /// holds a retired reference's runs between calls.
+    scratch: Vec<(u64, f64)>,
     /// Reused per-app list of CBP's per-round reference-pod picks.
     pub(crate) picks: Vec<(usize, usize, usize, usize)>,
 }
@@ -182,6 +186,14 @@ impl Default for AppUsageHistory {
 
 /// Smallest per-app sample cap a history accepts.
 const MIN_CAP: usize = 8;
+
+/// Append `runs` to `out`, each `(count, value)` as `count` copies of
+/// `value`.
+fn decode(runs: &[(u64, f64)], out: &mut Vec<f64>) {
+    for &(n, v) in runs {
+        out.extend(std::iter::repeat_n(v, n as usize));
+    }
+}
 
 /// Run `f` on the app's entry, created on first sight. Looks up by `&str`
 /// first so the per-round observations of known apps allocate nothing.
@@ -199,24 +211,25 @@ impl AppUsageHistory {
         AppUsageHistory { cap, apps: BTreeMap::new(), scratch: Vec::new(), picks: Vec::new() }
     }
 
-    /// Record one memory observation for an app.
-    pub fn observe_mem(&mut self, app: &str, mem_mb: f64) {
-        if !mem_mb.is_finite() || mem_mb < 0.0 {
+    /// Record one observation of a resident pod: its memory in MB and its
+    /// SM share. Each is checked on its own, so an invalid memory sample
+    /// still records the SM sample and vice versa.
+    pub fn observe(&mut self, app: &str, mem_mb: f64, sm_frac: f64) {
+        let mem_ok = mem_mb.is_finite() && mem_mb >= 0.0;
+        let sm_ok = sm_frac.is_finite() && (0.0..=1.0).contains(&sm_frac);
+        if !mem_ok && !sm_ok {
             return;
         }
         update(&mut self.apps, app, |s| {
-            s.mem.push(mem_mb, self.cap);
-            s.peak_mb = s.peak_mb.max(mem_mb);
-            s.count += 1;
+            if mem_ok {
+                s.mem.push(mem_mb, self.cap);
+                s.peak_mb = s.peak_mb.max(mem_mb);
+                s.count += 1;
+            }
+            if sm_ok {
+                s.sm.push(sm_frac, self.cap);
+            }
         });
-    }
-
-    /// Record one SM-share observation for an app.
-    pub fn observe_sm(&mut self, app: &str, sm_frac: f64) {
-        if !sm_frac.is_finite() || !(0.0..=1.0).contains(&sm_frac) {
-            return;
-        }
-        update(&mut self.apps, app, |s| s.sm.push(sm_frac, self.cap));
     }
 
     /// The q-quantile of the app's observed SM share.
@@ -225,16 +238,30 @@ impl AppUsageHistory {
     }
 
     /// Replace the app's reference series (one pod's recent memory series)
-    /// in place: `fill` writes the new series into a reused buffer, which
-    /// is swapped into the app's slot. An empty series keeps the old
-    /// reference.
-    pub(crate) fn refresh_reference(&mut self, app: &str, fill: impl FnOnce(&mut Vec<f64>)) {
+    /// in place: `fill` writes the new series as `(count, value)` runs into
+    /// a reused buffer, which is swapped into the app's slot. O(runs): the
+    /// dense series is decoded only when read. An empty series keeps the
+    /// old reference.
+    pub(crate) fn refresh_reference(&mut self, app: &str, fill: impl FnOnce(&mut Vec<(u64, f64)>)) {
         self.scratch.clear();
         fill(&mut self.scratch);
         if self.scratch.is_empty() {
             return;
         }
-        update(&mut self.apps, app, |s| std::mem::swap(&mut s.reference, &mut self.scratch));
+        update(&mut self.apps, app, |s| {
+            std::mem::swap(&mut s.runs, &mut self.scratch);
+            s.reference.clear();
+        });
+    }
+
+    /// Decode the app's reference runs, unless this refresh's are decoded
+    /// already. [`reference`](Self::reference) reads only decoded runs.
+    pub(crate) fn decode_reference(&mut self, app: &str) {
+        if let Some(s) = self.apps.get_mut(app) {
+            if s.reference.is_empty() {
+                decode(&s.runs, &mut s.reference);
+            }
+        }
     }
 
     /// Whether enough history exists to trust a resize decision. The
@@ -253,14 +280,15 @@ impl AppUsageHistory {
         self.apps.get(app).map(|s| s.peak_mb)
     }
 
-    /// The app's reference memory series for correlation checks.
-    pub fn reference(&self, app: &str) -> Option<&[f64]> {
+    /// The app's reference memory series for correlation checks, as
+    /// decoded by [`decode_reference`](Self::decode_reference).
+    pub(crate) fn reference(&self, app: &str) -> Option<&[f64]> {
         let s = self.apps.get(app)?;
-        if s.reference.is_empty() {
-            None
-        } else {
-            Some(&s.reference)
-        }
+        debug_assert!(
+            s.runs.is_empty() || !s.reference.is_empty(),
+            "reference of {app:?} read before its decode"
+        );
+        (!s.reference.is_empty()).then_some(&s.reference[..])
     }
 
     /// Number of tracked applications.
@@ -286,7 +314,13 @@ impl AppUsageHistory {
                     name: name.clone(),
                     mem_samples: s.mem.samples.iter().copied().collect(),
                     sm_samples: s.sm.samples.iter().copied().collect(),
-                    reference: s.reference.clone(),
+                    reference: if s.reference.is_empty() {
+                        let mut dense = Vec::new();
+                        decode(&s.runs, &mut dense);
+                        dense
+                    } else {
+                        s.reference.clone()
+                    },
                     peak_mb: s.peak_mb,
                     count: s.count,
                 })
@@ -321,6 +355,7 @@ impl AppUsageHistory {
             let stats = AppStats {
                 mem: Reservoir::from_samples(a.mem_samples),
                 sm: Reservoir::from_samples(a.sm_samples),
+                runs: Vec::new(),
                 reference: a.reference,
                 peak_mb: a.peak_mb,
                 count: a.count,
@@ -365,7 +400,7 @@ mod tests {
     fn quantiles_from_observations() {
         let mut h = AppUsageHistory::new(64);
         for i in 0..100 {
-            h.observe_mem("lud", 100.0 + i as f64);
+            h.observe("lud", 100.0 + i as f64, 0.5);
         }
         // Cap keeps the most recent 64: values 136..=199.
         let p50 = h.mem_quantile("lud", 0.5).unwrap();
@@ -379,7 +414,7 @@ mod tests {
     fn few_samples_are_not_trusted() {
         let mut h = AppUsageHistory::default();
         for _ in 0..10 {
-            h.observe_mem("x", 50.0);
+            h.observe("x", 50.0, 0.5);
         }
         assert!(!h.is_known("x"));
         assert!(h.mem_quantile("x", 0.8).is_some());
@@ -389,20 +424,64 @@ mod tests {
     fn reference_series_round_trip() {
         let mut h = AppUsageHistory::default();
         assert!(h.reference("a").is_none());
-        h.refresh_reference("a", |b| b.extend([1.0, 2.0, 3.0]));
-        assert_eq!(h.reference("a").unwrap(), &[1.0, 2.0, 3.0]);
+        h.refresh_reference("a", |b| b.extend([(2, 1.0), (1, 3.0)]));
+        h.decode_reference("a");
+        assert_eq!(h.reference("a").unwrap(), &[1.0, 1.0, 3.0]);
         h.refresh_reference("a", |_| {});
-        assert_eq!(h.reference("a").unwrap(), &[1.0, 2.0, 3.0], "empty update ignored");
-        h.refresh_reference("a", |b| b.push(4.0));
-        assert_eq!(h.reference("a").unwrap(), &[4.0], "the reused buffer starts empty");
+        h.decode_reference("a");
+        assert_eq!(h.reference("a").unwrap(), &[1.0, 1.0, 3.0], "empty update ignored");
+        h.refresh_reference("a", |b| b.push((1, 4.0)));
+        h.decode_reference("a");
+        assert_eq!(h.reference("a").unwrap(), &[4.0], "the reused buffers start empty");
     }
 
     #[test]
-    fn invalid_observations_ignored() {
+    fn undecoded_reference_snapshots_as_the_decoded_series() {
+        // Two histories fed the same runs; one decodes before each
+        // snapshot, the other never does. Their snapshots match bit for
+        // bit, an empty refresh keeps the old reference in both, and a
+        // restored history reads the series without a decode.
+        let bits = |h: &AppUsageHistory| -> Vec<Vec<u64>> {
+            let state = h.snapshot_state();
+            state.apps.iter().map(|a| a.reference.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let (mut lazy, mut eager) = (AppUsageHistory::new(8), AppUsageHistory::new(8));
+        let refreshes: [&[(u64, f64)]; 3] =
+            [&[(3, -0.0), (2, 0.0), (1, 512.5)], &[], &[(4, 1.0), (1, f64::MIN_POSITIVE)]];
+        let mut last: &[(u64, f64)] = &[];
+        for runs in refreshes {
+            for h in [&mut lazy, &mut eager] {
+                h.observe("a", 1.0, 0.5);
+                h.refresh_reference("a", |b| b.extend_from_slice(runs));
+            }
+            eager.decode_reference("a");
+            if !runs.is_empty() {
+                last = runs;
+            }
+            let want: Vec<u64> = last
+                .iter()
+                .flat_map(|&(n, v)| std::iter::repeat_n(v.to_bits(), n as usize))
+                .collect();
+            assert_eq!(bits(&lazy), vec![want.clone()]);
+            assert_eq!(bits(&eager), vec![want]);
+        }
+        assert_eq!(eager.reference("a").unwrap(), &[1.0, 1.0, 1.0, 1.0, f64::MIN_POSITIVE]);
+        let restored = AppUsageHistory::from_state(lazy.snapshot_state()).unwrap();
+        assert_eq!(restored.reference("a"), eager.reference("a"));
+        assert_eq!(bits(&restored), bits(&eager));
+    }
+
+    #[test]
+    fn each_half_of_an_observation_is_checked_on_its_own() {
         let mut h = AppUsageHistory::default();
-        h.observe_mem("a", f64::NAN);
-        h.observe_mem("a", -5.0);
-        assert!(h.mem_quantile("a", 0.5).is_none() || h.is_empty() || h.len() <= 1);
+        h.observe("a", f64::NAN, f64::NAN);
+        h.observe("a", -5.0, 2.0);
+        assert!(h.is_empty(), "a wholly invalid observation creates no app");
+        h.observe("a", f64::NAN, 0.25);
+        h.observe("a", 128.0, f64::INFINITY);
+        assert_eq!(h.sm_quantile("a", 0.5), Some(0.25));
+        assert_eq!(h.mem_quantile("a", 0.5), Some(128.0));
+        assert_eq!(h.mem_peak("a"), Some(128.0));
         assert!(!h.is_known("a"));
     }
 
@@ -441,8 +520,8 @@ mod tests {
     fn len_counts_apps() {
         let mut h = AppUsageHistory::default();
         assert!(h.is_empty());
-        h.observe_mem("a", 1.0);
-        h.observe_mem("b", 2.0);
+        h.observe("a", 1.0, 0.5);
+        h.observe("b", 2.0, 0.5);
         assert_eq!(h.len(), 2);
     }
 }

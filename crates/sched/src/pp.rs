@@ -19,8 +19,8 @@
 
 use crate::action::Action;
 use crate::cbp::{
-    correlation_ok, effective_limit, growth_actions, learn, resize_actions, service_order,
-    CbpConfig,
+    correlation_ok, decode_pending_references, effective_limit, growth_actions, learn,
+    resize_actions, service_order, CbpConfig,
 };
 use crate::context::SchedContext;
 use crate::history::{AppHistoryState, AppUsageHistory};
@@ -155,6 +155,10 @@ impl Scheduler for CbpPp {
         false // PP issues its own Sleep/Wake actions (Algorithm 1 + §VI-C)
     }
 
+    fn reads_node_series(&self) -> bool {
+        true // the forecast reads each candidate node's memory series
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         serde::Serialize::to_value(&self.history.snapshot_state())
     }
@@ -172,6 +176,7 @@ impl Scheduler for CbpPp {
         if ctx.pending.is_empty() {
             return actions; // nothing to place: skip the candidate order
         }
+        decode_pending_references(&mut self.history, ctx);
 
         // Placement order adapts to load (§VI-B: "PP performs efficient
         // load balancing ... in high-load scenarios along with
@@ -293,6 +298,45 @@ mod tests {
         let mut s = CbpPp::new();
         let acts = s.decide(&ctx(&s0, &pend, &[], &db));
         assert!(acts.contains(&Action::Place { pod: PodId(1), node: NodeId(1) }), "acts: {acts:?}");
+    }
+
+    #[test]
+    fn correlation_threshold_moves_the_placement() {
+        // Node 0 (the packing pick) hosts a resident whose memory series
+        // has Spearman ρ ≈ 0.6 with the candidate app's reference, and no
+        // node series for the forecast to override a veto with. A 0.9
+        // threshold admits the resident and packs onto node 0; a 0.3
+        // threshold vetoes it and places on the empty node 1. So a
+        // `with_config` that dropped its threshold fails here.
+        let n0 = node_view(0, 1, false);
+        let resident = n0.pods[0].id;
+        let mut snapshot = snap(vec![n0, node_view(1, 0, false)]);
+        snapshot.at = SimTime::from_millis(400);
+        let db = TimeSeriesDb::default();
+        let reference: Vec<f64> = (0..40).map(|i| 100.0 + 10.0 * i as f64).collect();
+        for (i, &m) in reference.iter().enumerate() {
+            let bump = if i % 2 == 0 { 270.0 } else { 0.0 };
+            let at = SimTime::from_millis(i as u64 * 10);
+            db.push_pod(resident, at, knots_sim::resources::Usage::new(0.3, m + bump, 0.0, 0.0));
+        }
+        let series = db.pod_mem_series(resident, snapshot.at, SimDuration::from_secs(5));
+        let rho = knots_forecast::spearman::spearman(&reference, &series);
+        assert!((0.55..0.65).contains(&rho), "fixture rho {rho}");
+        let pend = [pending(1, "corr-1", 1_000.0)];
+        let place = |threshold: f64| {
+            let mut s = CbpPp::with_config(CbpConfig {
+                correlation_threshold: threshold,
+                ..CbpConfig::default()
+            });
+            s.history.refresh_reference("corr", |b| b.extend(reference.iter().map(|&m| (1, m))));
+            let acts = s.decide(&ctx(&snapshot, &pend, &[], &db));
+            acts.iter().find_map(|a| match a {
+                Action::Place { node, .. } => Some(*node),
+                _ => None,
+            })
+        };
+        assert_eq!(place(0.9), Some(NodeId(0)));
+        assert_eq!(place(0.3), Some(NodeId(1)));
     }
 
     #[test]

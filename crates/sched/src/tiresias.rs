@@ -98,6 +98,9 @@ impl Scheduler for Tiresias {
                 suspended: true,
             }))
             .collect();
+        if waiting.is_empty() {
+            return actions; // nothing to place, resume or preempt for
+        }
         waiting.sort_by(|a, b| a.attained.total_cmp(&b.attained).then(a.arrival.cmp(&b.arrival)));
 
         let mut load: BTreeMap<NodeId, (usize, f64)> = ctx

@@ -23,6 +23,14 @@ pub trait Scheduler {
         true
     }
 
+    /// Whether [`decide`](Self::decide) reads node series from the TSDB
+    /// (PP's forecast and its freshness check). Only such a policy has the
+    /// samples skipped idle nodes owe written before a round that can
+    /// place a pod.
+    fn reads_node_series(&self) -> bool {
+        false
+    }
+
     /// Export the policy's learned state for a control-plane snapshot
     /// (see crates/recovery). Stateless policies return
     /// [`serde::Value::Null`]; stateful policies must export everything

@@ -187,7 +187,7 @@ proptest! {
     fn history_quantiles_bounded(obs in proptest::collection::vec(0.0f64..16_384.0, 1..128), q in 0.0f64..1.0) {
         let mut h = AppUsageHistory::default();
         for &m in &obs {
-            h.observe_mem("a", m);
+            h.observe("a", m, f64::NAN);
         }
         let v = h.mem_quantile("a", q).unwrap();
         let min = obs.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -220,7 +220,7 @@ proptest! {
                 0 | 1 => {
                     // Coarse values so reservoirs hold ties.
                     let v = if kind == 0 { (x * 64.0).round() * 32.0 } else { (x * 16.0).round() / 16.0 };
-                    if kind == 0 { h.observe_mem(app, v) } else { h.observe_sm(app, v) }
+                    if kind == 0 { h.observe(app, v, f64::NAN) } else { h.observe(app, f64::NAN, v) }
                     let r = &mut samples[kind];
                     if r.len() == cap {
                         r.pop_front();

@@ -550,6 +550,33 @@ impl TimeSeriesDb {
         out.len()
     }
 
+    /// [`TimeSeriesDb::pod_mem_series_into`] as `(count, value)` runs:
+    /// decoding each run as `count` copies of `value` gives that series bit
+    /// for bit. Adjacent runs with bit-identical memory values merge (a
+    /// ring run changes when any usage field does), so the cost is
+    /// O(runs in the window). Clears `out`; returns the sample count.
+    pub fn pod_mem_runs_into(
+        &self,
+        pod: PodId,
+        now: SimTime,
+        window: SimDuration,
+        out: &mut Vec<(u64, f64)>,
+    ) -> usize {
+        out.clear();
+        let start = SimTime(now.0.saturating_sub(window.0));
+        let mut len = 0;
+        if let Some(e) = self.inner.borrow().pod(pod) {
+            e.ring.window_runs(start, now, |_, _, n, v| {
+                len += n as usize;
+                match out.last_mut() {
+                    Some((count, m)) if m.to_bits() == v.mem_mb.to_bits() => *count += n,
+                    _ => out.push((n, v.mem_mb)),
+                }
+            });
+        }
+        len
+    }
+
     // ------------------------------------------------------------------
     // Snapshot / restore (durable control plane; see crates/recovery).
     // ------------------------------------------------------------------
@@ -752,6 +779,62 @@ mod tests {
         // Missing keys leave the buffer cleared.
         assert_eq!(db.node_series_into(NodeId(9), Metric::SmUtil, now, w, &mut buf), 0);
         assert!(buf.is_empty());
+    }
+
+    proptest::proptest! {
+        // Few cases: this module also runs under Miri.
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 16, ..Default::default() })]
+
+        /// Random single pushes (on and off a 1 ms grid), span pushes, and
+        /// `forget_pod` over a small capacity (so eviction trims runs):
+        /// after every step, decoding `pod_mem_runs_into` gives exactly
+        /// `pod_mem_series_into`'s bits, for windows ending now and in the
+        /// past, with no empty run and no two adjacent runs of equal bits.
+        #[test]
+        fn pod_mem_runs_decode_to_the_series(
+            cap in 1usize..24,
+            ops in proptest::collection::vec((0u8..8, 0usize..3, 0usize..2, 1u64..20), 1..40),
+            window_ms in 1u64..40,
+            back_ms in 0u64..10,
+        ) {
+            let db = TimeSeriesDb::new(TsdbConfig { node_capacity: 4, pod_capacity: cap });
+            let pod = PodId(1);
+            let mut now = SimTime::ZERO;
+            let (mut runs, mut series) = (Vec::new(), Vec::new());
+            for (kind, mem, sm, n) in ops {
+                // Memory values include ±0.0; a changing SM share splits
+                // the ring's runs without changing the memory value.
+                let usage = Usage::new([0.1, 0.2][sm], [0.0, -0.0, 64.0][mem], 0.0, 0.0);
+                match kind {
+                    0 => db.forget_pod(pod),
+                    1 | 2 => {
+                        let dt = SimDuration::from_millis(u64::from(kind));
+                        let g = &mut *db.inner.borrow_mut();
+                        slot(&mut g.pods, 1).ring.push_span(cap, now, dt, n, |_| usage, usage_eq);
+                        now += dt * n;
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(500 * (1 + u64::from(kind % 2)));
+                        db.push_pod(pod, now, usage);
+                    }
+                }
+                for at in [now, SimTime(now.0.saturating_sub(back_ms * 1000))] {
+                    for w in [SimDuration::from_millis(window_ms), SimDuration::from_secs(5)] {
+                        let len = db.pod_mem_runs_into(pod, at, w, &mut runs);
+                        db.pod_mem_series_into(pod, at, w, &mut series);
+                        let decoded: Vec<u64> = runs
+                            .iter()
+                            .flat_map(|&(c, v)| std::iter::repeat_n(v.to_bits(), c as usize))
+                            .collect();
+                        let want: Vec<u64> = series.iter().map(|v| v.to_bits()).collect();
+                        proptest::prop_assert_eq!(decoded, want);
+                        proptest::prop_assert_eq!(len, series.len());
+                        proptest::prop_assert!(runs.iter().all(|&(c, _)| c > 0));
+                        proptest::prop_assert!(runs.windows(2).all(|p| p[0].1.to_bits() != p[1].1.to_bits()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@ use knots_core::config::OrchestratorConfig;
 use knots_core::experiment::{scheduler_by_name, DNN_SCHEDULERS};
 use knots_core::orchestrator::KubeKnots;
 use knots_recovery::{RecoveryError, Snapshot};
+use knots_sched::history::AppHistoryState;
 use knots_sim::cluster::ClusterConfig;
 use knots_sim::time::{SimDuration, SimTime};
 use knots_workloads::loadgen::{LoadGenConfig, LoadGenerator, ScheduledPod};
@@ -130,6 +131,24 @@ fn pause_with_idle_nodes_owing_ticks_resumes_bit_identically() {
             "{leg:?}: most nodes must be idle (and owe ticks) at the pause"
         );
     }
+}
+
+/// CBP+PP copies each app's reference series as runs every round and
+/// decodes it only in a round that can place a pod. A checkpoint taken
+/// while no pod is pending captures references not yet decoded; it must
+/// serialize them as the dense series, and the resumed run must finish
+/// exactly like the oracle.
+#[test]
+fn checkpoint_without_pending_pods_resumes_bit_identically() {
+    let leg = Leg::new("CBP+PP");
+    let checkpoint_at = secs(14);
+    let k = leg.inputs().paused_at(checkpoint_at);
+    assert_eq!(k.cluster().pending_len(), 0, "{leg:?}: a pod is pending at the checkpoint");
+    let state = Snapshot::capture(&k).unwrap().state().unwrap();
+    let history: AppHistoryState = serde::Deserialize::from_value(&state.scheduler).unwrap();
+    let captured = history.apps.iter().filter(|a| !a.reference.is_empty()).count();
+    assert!(captured > 0, "{leg:?}: no reference series to capture");
+    check(&leg, &[Mode::Resumed { checkpoint_at, crash_at: secs(20) }]);
 }
 
 #[test]
