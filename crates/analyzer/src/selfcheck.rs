@@ -6,95 +6,13 @@
 //! digest mismatch, then re-runs with observability attached to prove the
 //! obs layer is read-only with respect to simulation state.
 //!
-//! The digest deliberately covers only the simulated outcome in
-//! [`RunReport`]: engine throughput, fault and recovery accounting
-//! describe how the run was executed and are excluded.
+//! Runs are compared by [`knots_core::report_digest`], which covers only
+//! the simulated outcome.
 
 use knots_core::experiment::{mix_inputs, run_mix, scheduler_by_name, ExperimentConfig};
-use knots_core::metrics::RunReport;
-use knots_core::KubeKnots;
+use knots_core::{fnv1a, report_digest, KubeKnots};
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
-
-/// FNV-1a 64-bit — tiny, dependency-free, and stable across platforms.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Fold raw bytes into the digest.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        // to_bits gives every float (NaN payloads included) a stable image.
-        self.u64(v.to_bits());
-    }
-
-    /// Final digest value.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Digest every simulated-outcome field of a report (everything except
-/// the engine-throughput, fault and recovery accounting).
-pub fn report_digest(r: &RunReport) -> u64 {
-    let mut h = Fnv::new();
-    h.write(r.scheduler.as_bytes());
-    h.u64(r.duration.as_micros());
-    h.u64(r.node_util_series.len() as u64);
-    for series in &r.node_util_series {
-        h.u64(series.len() as u64);
-        for &v in series {
-            h.f64(v);
-        }
-    }
-    h.u64(r.active_util_samples.len() as u64);
-    for &v in &r.active_util_samples {
-        h.f64(v);
-    }
-    h.u64(r.submitted as u64);
-    h.u64(r.completed as u64);
-    h.u64(r.lc_completed as u64);
-    h.u64(r.lc_violations as u64);
-    for jct in [&r.batch_jct, &r.lc_latency, &r.all_jct] {
-        h.u64(jct.count as u64);
-        h.f64(jct.avg);
-        h.f64(jct.median);
-        h.f64(jct.p99);
-        h.f64(jct.max);
-    }
-    h.f64(r.energy_joules);
-    h.u64(r.crashes as u64);
-    h.u64(r.preemptions as u64);
-    h.u64(r.migrations as u64);
-    h.u64(r.skipped_actions as u64);
-    for s in &r.skipped_breakdown {
-        h.write(s.kind.as_bytes());
-        h.write(s.error.as_bytes());
-        h.u64(s.count);
-    }
-    h.finish()
-}
 
 /// Outcome of one self-check scheduler leg.
 #[derive(Debug)]
@@ -207,11 +125,7 @@ fn fixture_corpus() -> Vec<crate::diag::Diagnostic> {
 
 /// Render the fixture corpus twice in both formats and digest each render.
 pub fn format_digests() -> FormatDigests {
-    let digest = |s: &str| {
-        let mut h = Fnv::new();
-        h.write(s.as_bytes());
-        h.finish()
-    };
+    let digest = |s: &str| fnv1a(s.as_bytes());
     let diags_a = fixture_corpus();
     let diags_b = fixture_corpus();
     FormatDigests {
@@ -240,63 +154,5 @@ mod tests {
         for r in crate::rules::RULES {
             assert!(diags.iter().any(|d| d.rule == r.id), "rule {} has no corpus finding", r.id);
         }
-    }
-
-    #[test]
-    fn fnv_distinguishes_and_repeats() {
-        let mut a = Fnv::new();
-        a.write(b"hello");
-        let mut b = Fnv::new();
-        b.write(b"hello");
-        assert_eq!(a.finish(), b.finish());
-        let mut c = Fnv::new();
-        c.write(b"hellp");
-        assert_ne!(a.finish(), c.finish());
-    }
-
-    #[test]
-    fn digest_covers_decisions_but_not_engine_accounting() {
-        let base = RunReport {
-            scheduler: "X".into(),
-            duration: SimDuration::from_secs(1),
-            node_util_series: vec![vec![1.0, 2.0]],
-            active_util_samples: vec![0.5],
-            submitted: 3,
-            completed: 2,
-            lc_completed: 1,
-            lc_violations: 0,
-            batch_jct: knots_core::JctStats::from_secs(vec![1.0]),
-            lc_latency: knots_core::JctStats::from_secs(vec![]),
-            all_jct: knots_core::JctStats::from_secs(vec![1.0]),
-            energy_joules: 9.0,
-            crashes: 0,
-            preemptions: 1,
-            migrations: 0,
-            skipped_actions: 0,
-            skipped_breakdown: vec![],
-            faults: knots_core::FaultStats::default(),
-            events_processed: 0,
-            events_per_sim_second: 0.0,
-            recovery: knots_core::RecoveryStats::default(),
-        };
-        let d0 = report_digest(&base);
-
-        let mut evented = base.clone();
-        evented.events_processed = 1234;
-        evented.events_per_sim_second = 9.75;
-        assert_eq!(report_digest(&evented), d0, "engine throughput must not affect the digest");
-
-        let mut recovered = base.clone();
-        recovered.recovery = knots_core::RecoveryStats {
-            controller_crashes: 3,
-            checkpoints: 7,
-            replayed_events: 41,
-            recovery_wall_us: 812.5,
-        };
-        assert_eq!(report_digest(&recovered), d0, "recovery stats must not affect the digest");
-
-        let mut decided = base;
-        decided.preemptions = 2;
-        assert_ne!(report_digest(&decided), d0);
     }
 }

@@ -101,8 +101,8 @@ fn row(scheduler: &str, cpm: f64, baseline: &RunReport, r: &RunReport) -> Recove
         } else {
             r.completed as f64 * 100.0 / r.submitted as f64
         },
-        digest: knots_analyzer::report_digest(r),
-        digest_match: knots_analyzer::report_digest(r) == knots_analyzer::report_digest(baseline),
+        digest: knots_core::report_digest(r),
+        digest_match: knots_core::report_digest(r) == knots_core::report_digest(baseline),
     }
 }
 

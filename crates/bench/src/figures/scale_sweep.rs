@@ -6,9 +6,8 @@
 //! report digest. `experiments scale --json DIR` writes the table as JSON.
 
 use crate::render::{f, Table};
-use knots_analyzer::report_digest;
 use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
-use knots_core::KubeKnots;
+use knots_core::{report_digest, KubeKnots};
 use knots_obs::Obs;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;

@@ -156,7 +156,7 @@ pub fn spans_table(study: &TraceStudy) -> Table {
 /// A stable digest over every leg's breakdown rows and Chrome trace bytes.
 /// Two same-seed runs — at any thread count — must print the same value.
 pub fn digest(study: &TraceStudy) -> String {
-    let mut h = knots_analyzer::selfcheck::Fnv::new();
+    let mut h = knots_core::digest::Fnv::new();
     for leg in &study.legs {
         h.write(leg.scheduler.as_bytes());
         h.write(&[u8::from(leg.faulted)]);

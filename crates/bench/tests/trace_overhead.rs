@@ -45,15 +45,15 @@ fn run_traced_disabled() -> knots_core::metrics::RunReport {
 
 #[test]
 fn disabled_tracer_is_behaviorally_free() {
-    let plain = knots_analyzer::report_digest(&run_plain());
-    let traced = knots_analyzer::report_digest(&run_traced_disabled());
+    let plain = knots_core::report_digest(&run_plain());
+    let traced = knots_core::report_digest(&run_traced_disabled());
     assert_eq!(plain, traced, "a disabled tracer changed the run");
     let enabled = Obs {
         recorder: Recorder::bounded(1 << 16),
         tracer: Tracer::bounded(1 << 16),
         ..Obs::disabled()
     };
-    let observed = knots_analyzer::report_digest(&run_observed(enabled));
+    let observed = knots_core::report_digest(&run_observed(enabled));
     assert_eq!(plain, observed, "recording events and spans changed the run");
 }
 

@@ -1,14 +1,14 @@
 //! The continuous-time event calendar at the heart of the orchestrator.
 //!
-//! A deterministic binary-heap calendar of typed control events — aggregator
+//! A deterministic calendar of typed control events — aggregator
 //! heartbeats, metric-grid points, workload arrivals, chaos actions, the
-//! drain deadline — ordered by the total key `(SimTime, priority, seq)`.
-//! The key mirrors the `BTreeMap<(SimTime, seq)>` relaunch-queue convention
-//! in `knots-sim`: simultaneous events pop in a fixed class order (the order
-//! the naive tick loop processes them within one tick), and events of the
-//! same class at the same instant pop in insertion order. Pop order is
-//! therefore a pure function of the push sequence — never of heap layout,
-//! hash state, or allocation addresses.
+//! drain deadline. Each producer runs one self-rescheduling chain (a
+//! handler pops its class's entry and schedules at most one successor), so
+//! the calendar holds at most one due instant per event class, in five
+//! slots. The next event is the earliest slot; simultaneous events pop
+//! in a fixed class order (the order the naive tick loop processes them
+//! within one tick). Pop order is therefore a pure function of the due
+//! times — never of insertion order, hash state, or allocation addresses.
 //!
 //! Event times are *processing* instants: producers snap a continuous due
 //! time to the first tick-grid point at or after it (see
@@ -17,9 +17,6 @@
 //! points. Handlers then advance the simulation in closed form between
 //! events; nothing in the hot path rescans layers for their next due
 //! instant.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use knots_sim::time::SimTime;
 
@@ -45,15 +42,10 @@ pub enum CoreEvent {
 }
 
 impl CoreEvent {
-    /// Priority class within one instant (lower pops first).
+    /// Priority class within one instant (lower pops first): the
+    /// declaration index, which also indexes the calendar's slots.
     pub fn priority(self) -> u8 {
-        match self {
-            CoreEvent::MetricGrid => 0,
-            CoreEvent::Arrival => 1,
-            CoreEvent::Chaos => 2,
-            CoreEvent::Heartbeat => 3,
-            CoreEvent::DrainDeadline => 4,
-        }
+        self as u8
     }
 
     /// Stable label for metrics (`knots_core_events_total{kind=...}`).
@@ -77,26 +69,20 @@ impl CoreEvent {
     ];
 }
 
-/// Heap entry: the total order is `(time, priority, seq)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry {
-    at: SimTime,
-    priority: u8,
-    seq: u64,
-    kind: CoreEvent,
-}
-
-/// The deterministic event calendar.
+/// The deterministic event calendar: one optional due instant per
+/// [`CoreEvent`] class, indexed by [`CoreEvent::priority`].
 ///
-/// A thin wrapper over `BinaryHeap<Reverse<Entry>>`: O(log n) push and pop,
-/// O(1) peek of the earliest instant. Stale entries (a chaos heartbeat
-/// delay moved the aggregator's due time after its event was enqueued) are
-/// handled by the consumer re-validating against the producing layer on
-/// pop and re-scheduling — lazy invalidation, never in-heap mutation.
+/// The earliest entry is kept beside the slots, so schedule and peek are
+/// O(1) and a pop rescans the five slots once. Stale entries (a chaos
+/// heartbeat delay moved the aggregator's due time after its event was
+/// scheduled) are handled by the consumer re-validating against the
+/// producing layer on pop and re-scheduling — lazy invalidation, so the
+/// stale instant still pops.
 #[derive(Debug, Default)]
 pub struct EventCalendar {
-    heap: BinaryHeap<Reverse<Entry>>,
-    seq: u64,
+    due: [Option<SimTime>; 5],
+    /// The earliest occupied slot, in `(time, priority)` order.
+    next: Option<(SimTime, CoreEvent)>,
 }
 
 impl EventCalendar {
@@ -105,60 +91,63 @@ impl EventCalendar {
         Self::default()
     }
 
-    /// Schedule `kind` at `at`. Ties at the same instant break by the
-    /// event's priority class, then by insertion order.
+    /// Schedule `kind` at `at`. Its class must have no entry yet: every
+    /// producer keeps one chain, scheduling its successor only after its
+    /// entry popped.
     pub fn schedule(&mut self, at: SimTime, kind: CoreEvent) {
-        let entry = Entry { at, priority: kind.priority(), seq: self.seq, kind };
-        self.seq += 1;
-        self.heap.push(Reverse(entry));
+        let slot = &mut self.due[kind.priority() as usize];
+        debug_assert!(slot.is_none(), "{kind:?} is already scheduled at {slot:?}");
+        *slot = Some(at);
+        if self.next.is_none_or(|next| (at, kind) < next) {
+            self.next = Some((at, kind));
+        }
     }
 
     /// The earliest scheduled instant, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        self.peek().map(|(at, _)| at)
     }
 
-    /// The next event's `(time, kind)` without popping it.
+    /// The next event's `(time, kind)` without popping it: the earliest
+    /// instant, and at equal instants the lowest priority class.
     pub fn peek(&self) -> Option<(SimTime, CoreEvent)> {
-        self.heap.peek().map(|Reverse(e)| (e.at, e.kind))
+        self.next
     }
 
-    /// Pop the next event due at or before `now`, in `(time, priority,
-    /// seq)` order. Returns `None` once every remaining event is in the
-    /// future.
+    /// Pop the next event due at or before `now`, in `(time, priority)`
+    /// order. Returns `None` once every remaining event is in the future.
     pub fn pop_due(&mut self, now: SimTime) -> Option<CoreEvent> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.at <= now => self.heap.pop().map(|Reverse(e)| e.kind),
+        match self.next {
+            Some((at, _)) if at <= now => self.pop().map(|(_, kind)| kind),
             _ => None,
         }
     }
 
     /// Pop the next event unconditionally.
     pub fn pop(&mut self) -> Option<(SimTime, CoreEvent)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.kind))
+        let popped = self.next?;
+        self.due[popped.1.priority() as usize] = None;
+        self.next = None;
+        for (slot, kind) in self.due.iter().zip(CoreEvent::ALL) {
+            // Slots run in priority order, so a later class wins only when
+            // strictly earlier.
+            if let Some(at) = *slot {
+                if self.next.is_none_or(|(t, _)| at < t) {
+                    self.next = Some((at, kind));
+                }
+            }
+        }
+        Some(popped)
     }
 
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the calendar is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Every scheduled entry in pop order — `(time, priority, seq)` — for a
-    /// control-plane snapshot (see crates/recovery). Heap iteration order is
-    /// layout-dependent, so the export sorts; rebuilding via
-    /// [`EventCalendar::from_entries`] re-pushes in this order, which
-    /// preserves all tie-breaks (restored entries receive fresh ascending
-    /// sequence numbers, and any entry scheduled after a restore is younger
-    /// than every restored one — exactly as in the uninterrupted run).
+    /// Every scheduled entry in pop order — `(time, priority)` — for a
+    /// control-plane snapshot (see crates/recovery).
+    /// [`EventCalendar::from_entries`] rebuilds the same calendar.
     pub fn entries(&self) -> Vec<(SimTime, CoreEvent)> {
-        let mut v: Vec<Entry> = self.heap.iter().map(|Reverse(e)| *e).collect();
+        let slots = self.due.iter().zip(CoreEvent::ALL);
+        let mut v: Vec<_> = slots.filter_map(|(at, kind)| Some(((*at)?, kind))).collect();
         v.sort();
-        v.into_iter().map(|e| (e.at, e.kind)).collect()
+        v
     }
 
     /// Rebuild a calendar from entries exported by
@@ -201,70 +190,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn simultaneous_events_pop_in_priority_then_insertion_order() {
-        // Enqueue every class at the same instant in shuffled order, twice
-        // (two different shuffles), plus same-class duplicates: the pop
-        // sequence must be identical — priority class first, then seq.
+    fn simultaneous_events_pop_in_priority_order() {
+        // Enqueue every class at the same instant in five different orders:
+        // the pop sequence is always the priority-class order.
         let t = SimTime::from_millis(40);
-        let shuffles: [&[CoreEvent]; 3] = [
-            &[
-                CoreEvent::Heartbeat,
-                CoreEvent::Arrival,
-                CoreEvent::DrainDeadline,
-                CoreEvent::Chaos,
-                CoreEvent::MetricGrid,
-            ],
-            &[
-                CoreEvent::DrainDeadline,
-                CoreEvent::MetricGrid,
-                CoreEvent::Chaos,
-                CoreEvent::Heartbeat,
-                CoreEvent::Arrival,
-            ],
-            &[
-                CoreEvent::Arrival,
-                CoreEvent::Chaos,
-                CoreEvent::MetricGrid,
-                CoreEvent::DrainDeadline,
-                CoreEvent::Heartbeat,
-            ],
-        ];
-        for order in shuffles {
+        for r in 0..5 {
+            let mut order = CoreEvent::ALL;
+            order.reverse();
+            order.rotate_left(r);
             let mut cal = EventCalendar::new();
-            for &kind in order {
+            for kind in order {
                 cal.schedule(t, kind);
             }
-            let mut popped = Vec::new();
-            while let Some(k) = cal.pop_due(t) {
-                popped.push(k);
-            }
-            assert_eq!(
-                popped,
-                vec![
-                    CoreEvent::MetricGrid,
-                    CoreEvent::Arrival,
-                    CoreEvent::Chaos,
-                    CoreEvent::Heartbeat,
-                    CoreEvent::DrainDeadline,
-                ],
-                "pop order must not depend on push order"
-            );
+            let popped: Vec<_> = std::iter::from_fn(|| cal.pop_due(t)).collect();
+            assert_eq!(popped, CoreEvent::ALL, "pop order must not depend on push order");
         }
-    }
-
-    #[test]
-    fn same_class_ties_break_by_insertion_seq() {
-        // The relaunch-queue convention: equal (time, priority) resolves by
-        // monotone sequence number, i.e. FIFO.
-        let mut cal = EventCalendar::new();
-        let t = SimTime::from_millis(10);
-        cal.schedule(t, CoreEvent::Arrival);
-        cal.schedule(t, CoreEvent::Heartbeat);
-        cal.schedule(t, CoreEvent::Arrival);
-        assert_eq!(cal.pop(), Some((t, CoreEvent::Arrival)));
-        assert_eq!(cal.pop(), Some((t, CoreEvent::Arrival)));
-        assert_eq!(cal.pop(), Some((t, CoreEvent::Heartbeat)));
-        assert_eq!(cal.pop(), None);
     }
 
     #[test]
@@ -284,30 +224,49 @@ mod tests {
         cal.schedule(SimTime::from_millis(30), CoreEvent::Heartbeat);
         assert_eq!(cal.pop_due(SimTime::from_millis(10)), Some(CoreEvent::Arrival));
         assert_eq!(cal.pop_due(SimTime::from_millis(10)), None);
-        assert_eq!(cal.len(), 1);
-        assert!(!cal.is_empty());
+        assert_eq!(cal.peek(), Some((SimTime::from_millis(30), CoreEvent::Heartbeat)));
     }
 
     #[test]
     fn entries_export_rebuilds_an_identical_calendar() {
+        // One entry per class, scheduled out of order, two of them tied.
+        let ms = SimTime::from_millis;
         let mut cal = EventCalendar::new();
-        let t = SimTime::from_millis(10);
-        cal.schedule(SimTime::from_millis(30), CoreEvent::Heartbeat);
-        cal.schedule(t, CoreEvent::Arrival);
-        cal.schedule(t, CoreEvent::MetricGrid);
-        cal.schedule(t, CoreEvent::Arrival); // same-class tie, FIFO
+        for (at, class) in [(30, 3), (10, 1), (50, 4), (10, 0), (20, 2)] {
+            cal.schedule(ms(at), CoreEvent::ALL[class]);
+        }
         let entries = cal.entries();
-        assert_eq!(entries.len(), 4);
+        let in_pop_order: Vec<_> =
+            [10, 10, 20, 30, 50].map(ms).into_iter().zip(CoreEvent::ALL).collect();
+        assert_eq!(entries, in_pop_order);
         let mut rebuilt = EventCalendar::from_entries(&entries);
-        // Exhaustive pop comparison, including a post-restore schedule that
-        // must tie-break younger than every restored entry.
-        cal.schedule(t, CoreEvent::Arrival);
-        rebuilt.schedule(t, CoreEvent::Arrival);
-        loop {
-            let (a, b) = (cal.pop(), rebuilt.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        // Re-schedule a popped class to tie with a restored entry, then pop
+        // both calendars dry.
+        for c in [&mut cal, &mut rebuilt] {
+            assert_eq!(c.pop(), Some((ms(10), CoreEvent::MetricGrid)));
+            c.schedule(ms(30), CoreEvent::MetricGrid);
+        }
+        let drain = |c: &mut EventCalendar| std::iter::from_fn(|| c.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut cal), drain(&mut rebuilt));
+    }
+
+    proptest::proptest! {
+        /// Random schedules and pops against a sorted list of the occupied
+        /// slots: the cached earliest entry is always the list's head.
+        #[test]
+        fn cached_next_is_the_earliest_entry(
+            ops in proptest::collection::vec((0usize..5, 0u64..6, proptest::bool::ANY), 1..60),
+        ) {
+            let mut cal = EventCalendar::new();
+            for (class, ms, pop) in ops {
+                let kind = CoreEvent::ALL[class];
+                if pop {
+                    let want = cal.entries().first().copied();
+                    proptest::prop_assert_eq!(cal.pop(), want);
+                } else if cal.entries().iter().all(|&(_, k)| k != kind) {
+                    cal.schedule(SimTime::from_millis(ms), kind);
+                }
+                proptest::prop_assert_eq!(cal.peek(), cal.entries().first().copied());
             }
         }
     }

@@ -11,19 +11,23 @@
 //!   (Figs. 7, 11b), QoS violations (Figs. 10a, 12b), JCT statistics
 //!   (Fig. 12a, Table IV) and energy (Fig. 11a);
 //! * [`experiment`] packages the standard runs: the ten-node app-mix
-//!   experiments and the 256-GPU DNN-scheduler comparison.
+//!   experiments and the 256-GPU DNN-scheduler comparison;
+//! * [`digest`] gives a run its identity: the report digest that shows two
+//!   runs made the same decisions, and the FNV-1a hash behind it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod calendar;
 pub mod config;
+pub mod digest;
 pub mod experiment;
 pub mod metrics;
 pub mod orchestrator;
 
 pub use calendar::{AppliedEvent, CoreEvent, EventCalendar};
 pub use config::OrchestratorConfig;
+pub use digest::{fnv1a, report_digest};
 pub use metrics::{FaultStats, JctStats, RecoveryStats, RunReport};
 pub use orchestrator::{KubeKnots, OrchestratorState};
 

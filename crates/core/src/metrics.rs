@@ -59,7 +59,7 @@ pub struct SkippedAction {
 /// chaos engine was attached or its plan was empty.
 ///
 /// Deliberately *excluded* from the determinism digest
-/// (`knots_analyzer::selfcheck::report_digest`): the pinned digests predate
+/// ([`crate::digest::report_digest`]): the pinned digests predate
 /// fault injection, and a fault-free run must keep producing them.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultStats {

@@ -2,9 +2,10 @@
 //!
 //! The default loop is a continuous-time event core: every layer schedules
 //! typed events — workload arrivals, chaos actions, aggregator heartbeats,
-//! metric-grid points, the drain deadline — on a deterministic binary-heap
-//! [`EventCalendar`], and the loop jumps straight from one event to the
-//! next, advancing the cluster in closed form across the gap. At each
+//! metric-grid points, the drain deadline — on a deterministic
+//! [`EventCalendar`] with one slot per event class, and the loop jumps
+//! straight from one event to the next, advancing the cluster in closed
+//! form across the gap. At each
 //! event instant the orchestrator:
 //!
 //! 1. submits any workload arrivals that have come due;
@@ -156,8 +157,8 @@ fn fill_views(
 }
 
 /// Loop metrics counted in plain fields while the run goes and published to
-/// the metrics registry once, by `report` — no registry lock or series-key
-/// allocation per heartbeat or probe. Each `Option` is `Some` exactly when
+/// the metrics registry once, by [`KubeKnots::finish`] — no registry lock or
+/// series-key allocation per heartbeat or probe. Each `Option` is `Some` exactly when
 /// the per-event write would have created its series. Like the skip
 /// breakdown, the tally describes this process and restarts empty on resume.
 #[derive(Debug, Default)]
@@ -388,14 +389,19 @@ impl KubeKnots {
         self.finish(schedule.len())
     }
 
-    /// Flush the lifecycle tracker into the tracer and cut the report: the
-    /// tail both [`KubeKnots::run_schedule`] and [`KubeKnots::run_ticked`]
-    /// end with.
-    fn finish(&mut self, submitted: usize) -> RunReport {
+    /// End a run: flush the lifecycle tracker into the tracer, publish the
+    /// run's loop metrics to the registry, and cut the report. Call it once
+    /// per run — [`KubeKnots::run_schedule`] and [`KubeKnots::run_ticked`]
+    /// end with it, and a run driven via [`KubeKnots::begin`] /
+    /// [`KubeKnots::drive`] calls it after its last drive. Counters add to
+    /// whatever the (possibly shared) registry holds.
+    pub fn finish(&mut self, submitted: usize) -> RunReport {
         if self.obs.tracer.enabled() {
             self.lifecycle.flush(self.cluster.now().as_micros(), &self.obs.tracer);
         }
-        self.report_now(submitted)
+        let report = self.report_now(submitted);
+        self.publish_run_metrics();
+        report
     }
 
     /// Start an event-queue run without driving it: seed the calendar and
@@ -404,7 +410,7 @@ impl KubeKnots {
     ///
     /// The calendar holds one self-rescheduling chain per producer — each
     /// handler pops exactly one entry and schedules at most one successor,
-    /// so the heap never holds more than one event per class.
+    /// so the calendar holds at most one event per class.
     ///
     /// [`drive`]: KubeKnots::drive
     /// [`run_schedule`]: KubeKnots::run_schedule
@@ -440,7 +446,7 @@ impl KubeKnots {
     /// capture it.
     ///
     /// The event-queue loop: producers schedule their next occurrence on
-    /// the calendar, the loop pops due events in `(time, priority, seq)`
+    /// the calendar, the loop pops due events in `(time, priority)`
     /// order and jumps the cluster straight to the next instant anything
     /// can happen. Every event time is snapped to the tick grid at enqueue
     /// (`grid_at_or_after`), so each jump is an exact number of ticks and
@@ -563,7 +569,8 @@ impl KubeKnots {
     /// [`Scheduler::restore_state`]); `chaos_plan` must be the original
     /// plan when the state carries a chaos cursor, and `cluster_cfg` must
     /// describe the state's topology (same node count, same GPU model per
-    /// node). The observability bundle (recorder, registry, tracer), the
+    /// node), and a calendar with two entries of one event class is
+    /// refused. The observability bundle (recorder, registry, tracer), the
     /// heartbeat-latency histogram, the loop-metric tally and the per-kind
     /// skip breakdown restart empty (the skip total carries over), and the
     /// lifecycle tracker starts at the resumed event cursor — they describe
@@ -584,6 +591,14 @@ impl KubeKnots {
                 cluster_cfg.node_models.len(),
                 nodes.len()
             )));
+        }
+        let mut seen = [false; 5];
+        for &(_, kind) in &state.calendar {
+            if std::mem::replace(&mut seen[kind.priority() as usize], true) {
+                return Err(serde::Error::custom(format!(
+                    "the state's calendar holds two {kind:?} entries: each class has one chain"
+                )));
+            }
         }
         scheduler.restore_state(&state.scheduler)?;
         let chaos = match state.chaos {
@@ -1061,10 +1076,20 @@ impl KubeKnots {
         self.events_seen = events.len();
     }
 
-    /// Publish the run's loop tallies to the metrics registry: counters add
-    /// to whatever the (possibly shared) registry holds, gauges overwrite.
-    fn publish_tally(&self) {
+    /// Publish the run's event counts, heartbeat latencies and loop tallies
+    /// to the metrics registry: counters add to whatever the (possibly
+    /// shared) registry holds, gauges overwrite.
+    fn publish_run_metrics(&self) {
         let (m, t) = (&self.obs.metrics, &self.tally);
+        for kind in CoreEvent::ALL {
+            let n = self.event_counts[kind.priority() as usize];
+            if n > 0 {
+                m.add("knots_core_events_total", &[("kind", kind.label())], n);
+            }
+        }
+        if self.hb_latency.count() > 0 {
+            m.merge_histogram("knots_heartbeat_latency_us", &[], &self.hb_latency);
+        }
         if let Some(pending) = t.pending {
             m.set_gauge("knots_pending_pods", &[], pending as f64);
         }
@@ -1096,9 +1121,9 @@ impl KubeKnots {
         }
     }
 
-    /// Build the run report. [`KubeKnots::run_schedule`] returns it; a run
-    /// driven via [`KubeKnots::begin`] / [`KubeKnots::drive`] asks for it
-    /// here.
+    /// Build the report of the run so far without touching the run or the
+    /// registry, so a paused run may be read mid-way. [`KubeKnots::finish`]
+    /// returns the same report at the end of a run.
     pub fn report_now(&self, submitted: usize) -> RunReport {
         let mut batch = Vec::new();
         let mut lc = Vec::new();
@@ -1148,21 +1173,9 @@ impl KubeKnots {
             }
         }
         // Event-core throughput (digest-excluded, like fault counts): how
-        // many calendar events the run processed, per kind and per
-        // simulated second. Zero under the oracle and calendar legs, which
-        // don't pop events.
-        let mut events_processed = 0u64;
-        for kind in CoreEvent::ALL {
-            let n = self.event_counts[kind.priority() as usize];
-            if n > 0 {
-                self.obs.metrics.add("knots_core_events_total", &[("kind", kind.label())], n);
-                events_processed += n;
-            }
-        }
-        if self.hb_latency.count() > 0 {
-            self.obs.metrics.merge_histogram("knots_heartbeat_latency_us", &[], &self.hb_latency);
-        }
-        self.publish_tally();
+        // many calendar events the run processed, in total and per
+        // simulated second. Zero under the per-tick oracle, which pops none.
+        let events_processed: u64 = self.event_counts.iter().sum();
         let duration = now.saturating_since(SimTime::ZERO);
         let events_per_sim_second = if duration.as_micros() > 0 {
             events_processed as f64 / duration.as_secs_f64()
@@ -1674,7 +1687,7 @@ mod tests {
             assert!(placed(&k) > 0);
             assert_eq!(place(), before, "applied actions reached the registry mid-run");
             assert!(k.drive(&schedule, None));
-            k.report_now(schedule.len());
+            k.finish(schedule.len());
             last_end.set(k.cluster().now().as_micros());
             placed(&k)
         };
@@ -1698,5 +1711,34 @@ mod tests {
         assert_eq!(place(), 2 * applied);
         assert_eq!(m.counter_value("knots_requested_mb_total", &[]), 2 * requested);
         assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
+    }
+
+    #[test]
+    fn reading_a_paused_report_publishes_nothing() {
+        // Two identical runs, each on its own registry; one reads its report
+        // while paused. Both publish the same metrics, once, at `finish`.
+        let schedule = tiny_schedule();
+        let run = |peek: bool| {
+            let obs = Obs::disabled();
+            let mut k =
+                KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default())
+                    .with_obs(obs.clone());
+            k.begin(&schedule);
+            assert!(!k.drive(&schedule, Some(SimTime::from_millis(1500))), "run must pause");
+            if peek {
+                let mid = k.report_now(schedule.len());
+                assert!(mid.completed < schedule.len(), "the pause falls mid-run");
+            }
+            assert!(k.drive(&schedule, None));
+            let digest = crate::digest::report_digest(&k.finish(schedule.len()));
+            // Latency buckets and sums are wall-clock; their count is not.
+            let wall = ["knots_heartbeat_latency_us_bucket", "knots_heartbeat_latency_us_sum"];
+            let text = obs.metrics.to_prometheus();
+            let lines = text.lines().filter(|l| !wall.iter().any(|w| l.starts_with(w)));
+            (digest, lines.map(|l| format!("{l}\n")).collect::<String>())
+        };
+        let (read, unread) = (run(true), run(false));
+        assert!(unread.1.contains("knots_core_events_total"), "{}", unread.1);
+        assert_eq!(read, unread);
     }
 }

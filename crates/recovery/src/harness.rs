@@ -154,7 +154,7 @@ pub fn run_with_recovery(
         }
     }
 
-    let mut report = k.report_now(schedule.len());
+    let mut report = k.finish(schedule.len());
     report.recovery = stats;
     Ok(report)
 }

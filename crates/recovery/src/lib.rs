@@ -34,7 +34,9 @@ pub mod snapshot;
 pub mod wal;
 
 pub use harness::{run_with_recovery, RecoveryConfig};
-pub use snapshot::{fnv1a, Snapshot, SNAPSHOT_VERSION};
+/// Re-exported for the benchmark harness, which names it here.
+pub use knots_core::fnv1a;
+pub use snapshot::{Snapshot, SNAPSHOT_VERSION};
 pub use wal::WriteAheadLog;
 
 use knots_core::AppliedEvent;

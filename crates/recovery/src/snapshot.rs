@@ -14,7 +14,7 @@
 //! float with the offending path ([`RecoveryError::NonFinite`]) before the
 //! state ever reaches disk shape.
 
-use knots_core::{KubeKnots, OrchestratorState};
+use knots_core::{fnv1a, KubeKnots, OrchestratorState};
 use knots_sim::time::SimTime;
 
 use crate::RecoveryError;
@@ -27,20 +27,6 @@ use crate::RecoveryError;
 /// with any shard count still resumes; it goes, with a version bump, in
 /// the change to the benchmark that deletes the loop copy that writes it.
 pub const SNAPSHOT_VERSION: u32 = 2;
-
-/// FNV-1a 64-bit over a byte slice — the integrity digest of the payload.
-/// Hand-rolled (15 lines) rather than depending on the analyzer's hasher:
-/// the recovery crate must stay loadable without dev tooling.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// A versioned, digest-protected snapshot of the paused control plane.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -160,14 +146,6 @@ mod tests {
         let mut k = fresh();
         k.run_ticked(&schedule);
         assert_eq!(Snapshot::capture(&k).err(), Some(RecoveryError::NotPaused));
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   ticks it skipped.
 //! * **Pushes only touch the ring**: a push is a finite-value check plus a
 //!   run extend-or-append; the store keeps no per-series summary to update.
-//! * **Copy-into-scratch** queries (`*_series_into`) extend a caller-owned
-//!   buffer one run at a time, so hot callers reuse one allocation across
-//!   heartbeats and constant stretches decode as a repeat-fill rather than
-//!   a per-sample copy. The allocating `*_series` forms remain as
-//!   conveniences built on top and return bit-identical values.
+//! * **Queries decode run by run**: the `*_series` queries decode each
+//!   constant run in the window as one repeat-fill rather than a
+//!   per-sample copy, and [`TimeSeriesDb::pod_mem_runs_into`] hands the
+//!   runs themselves to a caller-owned buffer, so the scheduler's per-round
+//!   reference refresh costs O(runs) and decodes only when it is read.
 
 use knots_sim::cluster::ShardLayout;
 use knots_sim::ids::{NodeId, PodId};
@@ -488,6 +488,7 @@ impl TimeSeriesDb {
     }
 
     /// One metric of a node over the trailing window, as a plain series.
+    /// Each constant run in the window decodes as a single repeat-fill.
     pub fn node_series(
         &self,
         node: NodeId,
@@ -496,61 +497,28 @@ impl TimeSeriesDb {
         window: SimDuration,
     ) -> Vec<f64> {
         let mut out = Vec::new();
-        self.node_series_into(node, metric, now, window, &mut out);
-        out
-    }
-
-    /// [`TimeSeriesDb::node_series`] into a caller-owned scratch buffer.
-    ///
-    /// Clears `out` and appends the window's values; returns the sample
-    /// count. Reusing one buffer across heartbeats keeps the decision loop
-    /// allocation-free once the buffer has grown to the window size, and
-    /// each constant run in the window decodes as a single repeat-fill.
-    pub fn node_series_into(
-        &self,
-        node: NodeId,
-        metric: Metric,
-        now: SimTime,
-        window: SimDuration,
-        out: &mut Vec<f64>,
-    ) -> usize {
-        out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
         if let Some(e) = self.inner.borrow().node(node) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.get(metric), n as usize));
             });
         }
-        out.len()
+        out
     }
 
     /// A pod's memory series over the trailing window.
     pub fn pod_mem_series(&self, pod: PodId, now: SimTime, window: SimDuration) -> Vec<f64> {
         let mut out = Vec::new();
-        self.pod_mem_series_into(pod, now, window, &mut out);
-        out
-    }
-
-    /// [`TimeSeriesDb::pod_mem_series`] into a caller-owned scratch buffer.
-    /// Clears `out`; returns the sample count.
-    pub fn pod_mem_series_into(
-        &self,
-        pod: PodId,
-        now: SimTime,
-        window: SimDuration,
-        out: &mut Vec<f64>,
-    ) -> usize {
-        out.clear();
         let start = SimTime(now.0.saturating_sub(window.0));
         if let Some(e) = self.inner.borrow().pod(pod) {
             e.ring.window_runs(start, now, |_, _, n, v| {
                 out.extend(std::iter::repeat_n(v.mem_mb, n as usize));
             });
         }
-        out.len()
+        out
     }
 
-    /// [`TimeSeriesDb::pod_mem_series_into`] as `(count, value)` runs:
+    /// [`TimeSeriesDb::pod_mem_series`] as `(count, value)` runs:
     /// decoding each run as `count` copies of `value` gives that series bit
     /// for bit. Adjacent runs with bit-identical memory values merge (a
     /// ring run changes when any usage field does), so the cost is
@@ -753,34 +721,6 @@ mod tests {
         assert_eq!(s, vec![0.0, 0.1, 0.2, 0.3, 0.4]);
     }
 
-    #[test]
-    fn series_into_matches_allocating_form_and_reuses_buffer() {
-        let db = TimeSeriesDb::default();
-        for i in 0..64 {
-            db.push_node(NodeId(0), sample(i * 10, (i as f64).sin()));
-            db.push_pod(
-                PodId(3),
-                SimTime::from_millis(i * 10),
-                Usage::new(0.1, 50.0 + i as f64, 1.0, 1.0),
-            );
-        }
-        let now = SimTime::from_millis(630);
-        let w = SimDuration::from_millis(300);
-        let mut buf = vec![99.0; 4]; // stale contents must be cleared
-        let n = db.node_series_into(NodeId(0), Metric::SmUtil, now, w, &mut buf);
-        assert_eq!(buf, db.node_series(NodeId(0), Metric::SmUtil, now, w));
-        assert_eq!(n, buf.len());
-        let cap_before = buf.capacity();
-        db.node_series_into(NodeId(0), Metric::SmUtil, now, w, &mut buf);
-        assert_eq!(buf.capacity(), cap_before, "steady state must not reallocate");
-        let mut pbuf = Vec::new();
-        db.pod_mem_series_into(PodId(3), now, w, &mut pbuf);
-        assert_eq!(pbuf, db.pod_mem_series(PodId(3), now, w));
-        // Missing keys leave the buffer cleared.
-        assert_eq!(db.node_series_into(NodeId(9), Metric::SmUtil, now, w, &mut buf), 0);
-        assert!(buf.is_empty());
-    }
-
     proptest::proptest! {
         // Few cases: this module also runs under Miri.
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 16, ..Default::default() })]
@@ -788,7 +728,7 @@ mod tests {
         /// Random single pushes (on and off a 1 ms grid), span pushes, and
         /// `forget_pod` over a small capacity (so eviction trims runs):
         /// after every step, decoding `pod_mem_runs_into` gives exactly
-        /// `pod_mem_series_into`'s bits, for windows ending now and in the
+        /// `pod_mem_series`'s bits, for windows ending now and in the
         /// past, with no empty run and no two adjacent runs of equal bits.
         #[test]
         fn pod_mem_runs_decode_to_the_series(
@@ -800,7 +740,7 @@ mod tests {
             let db = TimeSeriesDb::new(TsdbConfig { node_capacity: 4, pod_capacity: cap });
             let pod = PodId(1);
             let mut now = SimTime::ZERO;
-            let (mut runs, mut series) = (Vec::new(), Vec::new());
+            let mut runs = Vec::new();
             for (kind, mem, sm, n) in ops {
                 // Memory values include ±0.0; a changing SM share splits
                 // the ring's runs without changing the memory value.
@@ -821,7 +761,7 @@ mod tests {
                 for at in [now, SimTime(now.0.saturating_sub(back_ms * 1000))] {
                     for w in [SimDuration::from_millis(window_ms), SimDuration::from_secs(5)] {
                         let len = db.pod_mem_runs_into(pod, at, w, &mut runs);
-                        db.pod_mem_series_into(pod, at, w, &mut series);
+                        let series = db.pod_mem_series(pod, at, w);
                         let decoded: Vec<u64> = runs
                             .iter()
                             .flat_map(|&(c, v)| std::iter::repeat_n(v.to_bits(), c as usize))
@@ -906,6 +846,14 @@ mod tests {
             .is_empty());
         assert!(db.latest_node(NodeId(3)).is_none());
         assert!(db.pod_mem_series(PodId(1), SimTime::ZERO, SimDuration::from_secs(1)).is_empty());
+        assert!(db
+            .node_series(
+                NodeId(9),
+                Metric::SmUtil,
+                SimTime::from_secs(1),
+                SimDuration::from_secs(1)
+            )
+            .is_empty());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! This pins the tie-break fix in the Tiresias/Gandiva placement path:
 //! their per-node load maps used to be `HashMap`s, whose per-instance
 //! random iteration order silently broke `min_by_key` ties differently
-//! on every run. `knots_analyzer::report_digest` hashes every
-//! decision-derived field of a `RunReport`, so any relapse shows up as a
-//! digest mismatch here (and in `knots-analyzer -- --self-check`).
+//! on every run. `knots_core::report_digest`, beside `RunReport`, hashes
+//! every decision-derived field of the report (a new field does not compile
+//! until the digest hashes or excludes it), so any relapse shows up as a
+//! digest mismatch here (and in `knots-analyzer check --self-check`).
 //!
 //! The loop-mode tests drive each leg through the differential harness
 //! (`tests/harness/`): the event queue, with and without the recorder and
@@ -21,7 +22,7 @@ use knots_chaos::{ChaosEngine, FaultPlan};
 use knots_core::experiment::{
     mix_inputs, run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
 };
-use knots_core::KubeKnots;
+use knots_core::{report_digest, KubeKnots};
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
 
@@ -41,11 +42,7 @@ fn same_seed_replays_bit_identically() {
     for name in DNN_SCHEDULERS {
         let a = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &cfg(42));
         let b = run_mix(scheduler_by_name(name).unwrap(), AppMix::Mix2, &cfg(42));
-        assert_eq!(
-            knots_analyzer::report_digest(&a),
-            knots_analyzer::report_digest(&b),
-            "{name}: same-seed replay diverged"
-        );
+        assert_eq!(report_digest(&a), report_digest(&b), "{name}: same-seed replay diverged");
     }
 }
 
@@ -67,17 +64,14 @@ fn parallel_sweep_matches_serial_sweep() {
     };
     let serial = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 1);
     let parallel = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 4);
-    let digests = |s: &ClusterStudy| -> Vec<u64> {
-        s.reports.iter().flatten().map(knots_analyzer::report_digest).collect()
-    };
+    let digests =
+        |s: &ClusterStudy| -> Vec<u64> { s.reports.iter().flatten().map(report_digest).collect() };
     assert_eq!(digests(&serial), digests(&parallel), "cluster sweep diverged across thread counts");
 
     let workload = DnnWorkloadConfig::smoke();
     let serial = DnnStudy::run(&workload, 1);
     let parallel = DnnStudy::run(&workload, 4);
-    let digests = |s: &DnnStudy| -> Vec<u64> {
-        s.reports.iter().map(knots_analyzer::report_digest).collect()
-    };
+    let digests = |s: &DnnStudy| -> Vec<u64> { s.reports.iter().map(report_digest).collect() };
     assert_eq!(digests(&serial), digests(&parallel), "dnn sweep diverged across thread counts");
 }
 
@@ -97,11 +91,7 @@ fn empty_fault_plan_reproduces_the_pinned_digests() {
         let r = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), cfg(42).orch)
             .with_chaos(ChaosEngine::new(FaultPlan::empty()))
             .run_schedule(&schedule);
-        assert_eq!(
-            knots_analyzer::report_digest(&r),
-            want,
-            "{name}: zero-fault digest moved off the pinned value"
-        );
+        assert_eq!(report_digest(&r), want, "{name}: zero-fault digest moved off the pinned value");
     }
 }
 
@@ -113,11 +103,7 @@ fn cbp_mix1_chaotic_seed_keeps_its_digest() {
     // per-app sorted memo; this pins that the memo moved no decision.
     let cfg = ExperimentConfig { duration: SimDuration::from_secs(60), ..cfg(3) };
     let r = run_mix(scheduler_by_name("CBP").unwrap(), AppMix::Mix1, &cfg);
-    assert_eq!(
-        knots_analyzer::report_digest(&r),
-        0xcced_07b7_fda1_0865,
-        "CBP/App-Mix-1 seed-3 digest moved"
-    );
+    assert_eq!(report_digest(&r), 0xcced_07b7_fda1_0865, "CBP/App-Mix-1 seed-3 digest moved");
 }
 
 #[test]
@@ -265,9 +251,5 @@ fn different_seeds_diverge() {
     // test above would be vacuous.
     let a = run_mix(scheduler_by_name("CBP+PP").unwrap(), AppMix::Mix2, &cfg(42));
     let b = run_mix(scheduler_by_name("CBP+PP").unwrap(), AppMix::Mix2, &cfg(43));
-    assert_ne!(
-        knots_analyzer::report_digest(&a),
-        knots_analyzer::report_digest(&b),
-        "different seeds should not collide"
-    );
+    assert_ne!(report_digest(&a), report_digest(&b), "different seeds should not collide");
 }

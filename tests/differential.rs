@@ -60,6 +60,17 @@ fn resume_refuses_a_config_of_another_topology() {
     assert_same(&run(&leg, Mode::Oracle), &inputs.finish(resumed), &label);
 }
 
+#[test]
+fn resume_refuses_a_calendar_with_two_entries_of_one_class() {
+    let inputs = Leg::new("CBP+PP").inputs();
+    let mut state = inputs.paused_at(secs(5)).pause_state().unwrap();
+    state.calendar.push(state.calendar[0]);
+    let Err(e) = inputs.resume(inputs.cluster.clone(), state) else {
+        panic!("a calendar with a doubled class was accepted")
+    };
+    assert!(e.to_string().contains("calendar holds two"), "{e}");
+}
+
 mod field_path {
     use super::harness::first_diff;
     use serde::Value;

@@ -131,7 +131,7 @@ impl Inputs {
     /// Drive a begun or resumed run to the end and fingerprint it.
     pub fn finish(&self, mut k: KubeKnots) -> Fingerprint {
         assert!(k.drive(&self.schedule, None), "{:?}: a resumed run must complete", self.leg);
-        fingerprint(k.report_now(self.schedule.len()), Some(&k))
+        fingerprint(k.finish(self.schedule.len()), Some(&k))
     }
 }
 
@@ -184,7 +184,7 @@ pub fn fingerprint(report: RunReport, k: Option<&KubeKnots>) -> Fingerprint {
             ("tsdb".into(), serde_json::to_value(&k.tsdb().snapshot_state()).unwrap()),
         ])
     });
-    let digest = knots_analyzer::report_digest(&report);
+    let digest = knots_core::report_digest(&report);
     Fingerprint { digest, energy, state, report, steps: 0, active_at_checkpoint: 0 }
 }
 

@@ -185,13 +185,13 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
     // Truncated payload with a "fixed up" digest: malformed JSON, no panic.
     let mut truncated = snap.clone();
     truncated.payload.truncate(truncated.payload.len() / 3);
-    truncated.digest = knots_recovery::fnv1a(truncated.payload.as_bytes());
+    truncated.digest = knots_core::fnv1a(truncated.payload.as_bytes());
     assert!(matches!(truncated.state(), Err(RecoveryError::Malformed(_))));
 
     // Valid JSON, wrong shape: malformed, no panic.
     let mut wrong_shape = snap.clone();
     wrong_shape.payload = "{\"not\": \"an orchestrator state\"}".to_string();
-    wrong_shape.digest = knots_recovery::fnv1a(wrong_shape.payload.as_bytes());
+    wrong_shape.digest = knots_core::fnv1a(wrong_shape.payload.as_bytes());
     assert!(matches!(wrong_shape.state(), Err(RecoveryError::Malformed(_))));
 
     // A mangled envelope fails to parse cleanly too.
