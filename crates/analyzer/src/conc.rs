@@ -463,7 +463,7 @@ mod tests {
 
     #[test]
     fn a_lock_reached_through_try_is_named_by_its_field() {
-        // The `knots-obs` tracer shape: the guard is on `inner`, not `?`.
+        // The shape of `crates/obs/src/tracer.rs`: the guard is on `inner`, not `?`.
         let src = "fn f(&self) -> Option<u64> {\n  let mut st = self.inner.as_ref()?.lock();\n  run_jobs(4, &xs, |x| x);\n}\n";
         let out = run(src);
         assert_eq!(out.len(), 1, "{out:?}");

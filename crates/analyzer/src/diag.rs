@@ -107,51 +107,6 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Render diagnostics as a minimal SARIF 2.1.0 log (single run, one
-/// result per diagnostic, rule metadata inlined) so CI can annotate PRs.
-/// Field order is fixed and the input is pre-sorted by [`sort`], so the
-/// output is byte-stable for a given diagnostic set.
-pub fn to_sarif(diags: &[Diagnostic]) -> String {
-    use crate::engine::PRAGMA_RULES;
-    use crate::rules::RULES;
-    let level = |s: Severity| match s {
-        Severity::Warn => "warning",
-        Severity::Deny => "error",
-    };
-    let mut out = String::from(
-        "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \"name\": \"knots-analyzer\",\n          \"informationUri\": \"https://github.com/kube-knots\",\n          \"rules\": [",
-    );
-    for (i, r) in RULES.iter().chain(PRAGMA_RULES.iter()).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n            {{\"id\":\"{}\",\"shortDescription\":{{\"text\":\"{}\"}},\"help\":{{\"text\":\"{}\"}},\"defaultConfiguration\":{{\"level\":\"{}\"}}}}",
-            r.id,
-            json_escape(r.summary),
-            json_escape(r.hint),
-            level(r.severity),
-        ));
-    }
-    out.push_str("\n          ]\n        }\n      },\n      \"results\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n        {{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}},\"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            d.rule,
-            level(d.severity),
-            json_escape(&d.message),
-            json_escape(&d.path),
-            d.line,
-            d.col,
-        ));
-    }
-    out.push_str("\n      ]\n    }\n  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,26 +140,5 @@ mod tests {
         assert!(j.starts_with('['));
         assert!(j.trim_end().ends_with(']'));
         assert_eq!(to_json(&[]), "[\n]\n");
-    }
-
-    #[test]
-    fn sarif_shape_and_stability() {
-        let mut bad = d("D1", "crates/sim/src/x.rs", 3);
-        bad.message = "uses \"Instant\"".into();
-        let s = to_sarif(&[bad.clone()]);
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"ruleId\":\"D1\""));
-        assert!(s.contains("\"level\":\"error\""));
-        assert!(s.contains("\\\"Instant\\\""));
-        assert!(s.contains("\"startLine\":3"));
-        // Rule metadata for every rule id, including the pragma meta-rules.
-        for id in ["C1", "C2", "C3", "A0", "A1"] {
-            assert!(s.contains(&format!("\"id\":\"{id}\"")), "{id} missing");
-        }
-        // Byte-stable across renders.
-        assert_eq!(s, to_sarif(&[bad]));
-        // Empty set still renders a complete, parseable log.
-        let empty = to_sarif(&[]);
-        assert!(empty.contains("\"results\": [\n      ]"));
     }
 }

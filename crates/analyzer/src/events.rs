@@ -1,7 +1,7 @@
 //! Rule E1: event handlers run in continuous time.
 //!
 //! The event-queue loop (DESIGN.md §14) promises that handlers — `fn
-//! on_*` / `fn handle_*` in `knots-sim` and `knots-core` — advance
+//! on_*` / `fn handle_*` in `crates/sim` and `crates/core` — advance
 //! bookkeeping in closed form. Due times are snapped to the tick grid
 //! exactly once, at enqueue (`grid_at_or_after`); a handler that divides
 //! by the tick re-derives grid indices and quietly reintroduces the tick

@@ -1,4 +1,4 @@
-//! # knots-analyzer — the workspace lint engine
+//! # knots-analyzer — the workspace source linter
 //!
 //! Kube-Knots' headline claim is reproducibility: a run is a pure function
 //! of `(scheduler, workload, seed)`. That property is easy to assert and
@@ -23,13 +23,12 @@
 //!   `#[cfg(test)]` regions, and applies pragma/config suppression;
 //! * [`config`] parses `analyzer.toml` (file-level allowlist, severity
 //!   overrides);
-//! * [`selfcheck`] is the dynamic counterpart: a pinned experiment run
-//!   twice with the same seed must produce byte-identical reports, and
-//!   both output formats must render byte-identically across renders.
+//! * [`diag`] renders findings as text or JSON.
 //!
-//! Run it with `cargo run -p knots-analyzer -- check` (add
-//! `--format json|sarif` for CI), and `check --self-check` for the dynamic
-//! harness.
+//! Run it with `cargo run -p knots-analyzer -- check` (add `--format json`
+//! for CI). The crate only reads source; that a seeded run really replays
+//! bit for bit is checked by the pinned report digests in the root
+//! `tests/determinism.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,11 +41,10 @@ pub mod events;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod selfcheck;
 pub mod snapreach;
 
 pub use diag::{Diagnostic, Severity};
 pub use engine::{check_root, check_source, classify, FileContext, FileKind};
-/// Re-exported for the benchmark harness, which names it here; the digest
-/// itself lives beside `RunReport` in `knots-core`.
+/// Re-exported only because the benchmark harness names it here; the
+/// digest itself lives beside `RunReport`.
 pub use knots_core::report_digest;

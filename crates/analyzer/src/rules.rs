@@ -7,7 +7,7 @@
 //! | D3 | no ambient RNG (`thread_rng`/`from_entropy`/`OsRng`) anywhere |
 //! | P1 | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
 //! | P2 | no `partial_cmp(..).unwrap()` comparators — `total_cmp` instead |
-//! | H1 | no `println!`-family output in library code (use `knots-obs`) |
+//! | H1 | no `println!`-family output in library code (record through `crates/obs`) |
 //! | M1 | metric/span name hygiene: metrics match `knots_[a-z0-9_]+` (counters end `_total`), span/event names are `dot.case` |
 //! | C1 | no lock guard live across a fan-out (`run_jobs`, `thread::scope`) |
 //! | C2 | no lock acquired while another guard is live (per file) |
@@ -84,7 +84,7 @@ pub const RULES: [Rule; 12] = [
         id: "H1",
         severity: Severity::Deny,
         summary: "no println!/eprintln!/print!/eprint!/dbg! in library code",
-        hint: "record through knots-obs (Recorder events or the metrics registry) so output \
+        hint: "record through crates/obs (Recorder events or the metrics registry) so output \
                is capturable and bounded",
     },
     Rule {
@@ -124,7 +124,7 @@ pub const RULES: [Rule; 12] = [
         id: "E1",
         severity: Severity::Deny,
         summary: "no tick quantization (division/div_ceil by the tick) or wall clock inside \
-                  event handlers (`on_*`/`handle_*` fns in knots-sim/knots-core)",
+                  event handlers (`on_*`/`handle_*` fns in crates/sim and crates/core)",
         hint: "snap due times to the tick grid once, at enqueue (`grid_at_or_after`); handlers \
                must be pure functions of (simulation state, event time)",
     },

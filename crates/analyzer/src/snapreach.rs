@@ -2,8 +2,9 @@
 //! fields in types reachable from the durable control-plane snapshot.
 //!
 //! `crates/recovery` checkpoints the paused control plane by serializing
-//! [`OrchestratorState`] into a [`Snapshot`] envelope and later resumes it
-//! bit-identically. That contract dies quietly if a hash collection
+//! `OrchestratorState` (`crates/core/src/orchestrator.rs`) into a
+//! `Snapshot` envelope (`crates/recovery/src/snapshot.rs`) and later
+//! resumes it bit-identically. That contract dies quietly if a hash collection
 //! (iteration order random per process) or a wall-clock `Instant`
 //! (meaningless after a restart) sneaks into any type the snapshot
 //! transitively embeds — the serializer would either leak per-process
@@ -22,9 +23,6 @@
 //! exists in the format, not in a field type). Same-name types in
 //! different crates are merged — a false edge costs at worst a pragma
 //! with a written reason, while a missed edge costs a corrupted resume.
-//!
-//! [`OrchestratorState`]: ../../knots_core/orchestrator/struct.OrchestratorState.html
-//! [`Snapshot`]: ../../knots_recovery/snapshot/struct.Snapshot.html
 
 use std::collections::BTreeMap;
 

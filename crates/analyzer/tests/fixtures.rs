@@ -9,7 +9,7 @@
 //! so `check_root` on the workspace stays clean.
 
 use knots_analyzer::config::Config;
-use knots_analyzer::diag::{Diagnostic, Severity};
+use knots_analyzer::diag::{self, Diagnostic, Severity};
 use knots_analyzer::engine::check_source;
 
 /// Run a fixture under a pretend decision-crate library path.
@@ -227,6 +227,44 @@ fn fixtures_outside_library_paths_mostly_relax() {
         &Config::default(),
     );
     assert!(out.is_empty(), "{out:?}");
+}
+
+/// Every per-rule fixture, checked as `crates/sim/src/<name>.rs` library
+/// code so each rule contributes findings, in reporting order.
+fn fixture_corpus() -> Vec<Diagnostic> {
+    const FIXTURES: [(&str, &str); 14] = [
+        ("d1", include_str!("fixtures/d1_wall_clock.rs")),
+        ("d2", include_str!("fixtures/d2_hash_collections.rs")),
+        ("d3", include_str!("fixtures/d3_ambient_entropy.rs")),
+        ("p1", include_str!("fixtures/p1_panics.rs")),
+        ("p2", include_str!("fixtures/p2_partial_cmp.rs")),
+        ("h1", include_str!("fixtures/h1_prints.rs")),
+        ("m1", include_str!("fixtures/m1_names.rs")),
+        ("c1", include_str!("fixtures/c1_guard_across_fanout.rs")),
+        ("c2", include_str!("fixtures/c2_lock_order.rs")),
+        ("c3", include_str!("fixtures/c3_unsafe_hygiene.rs")),
+        ("e1", include_str!("fixtures/e1_event_handlers.rs")),
+        ("r1", include_str!("fixtures/r1_snapshot_reach.rs")),
+        ("pragmas", include_str!("fixtures/pragmas.rs")),
+        ("tricky", include_str!("fixtures/tricky.rs")),
+    ];
+    let cfg = Config::default();
+    let mut diags = Vec::new();
+    for (name, src) in FIXTURES {
+        diags.extend(check_source(&format!("crates/sim/src/{name}.rs"), src, &cfg));
+    }
+    diag::sort(&mut diags);
+    diags
+}
+
+#[test]
+fn every_rule_fires_in_the_fixture_corpus() {
+    let diags = fixture_corpus();
+    for r in knots_analyzer::rules::RULES {
+        assert!(diags.iter().any(|d| d.rule == r.id), "rule {} has no corpus finding", r.id);
+    }
+    // Checking and rendering are deterministic: two renders are byte-equal.
+    assert_eq!(diag::to_json(&diags), diag::to_json(&fixture_corpus()));
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! row reports the replay length, the wall-clock recovery latency and
 //! whether the two report digests agree. The zero-crash legs double as a
 //! regression guard: they take the plain code path and must keep the
-//! pinned self-check digests.
+//! pinned digests (`tests/determinism.rs`).
 
 use crate::render::{f, Table};
 use knots_chaos::{gen, ChaosEngine, FaultPlan};

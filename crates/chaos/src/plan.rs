@@ -70,7 +70,8 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// The no-fault plan. Running with it is bit-identical to not running
-    /// chaos at all — the pinned self-check digests depend on this.
+    /// chaos at all — the pinned digests in `tests/determinism.rs` depend
+    /// on this.
     pub fn empty() -> Self {
         FaultPlan { events: Vec::new() }
     }

@@ -29,8 +29,9 @@
 //! The one-tick-at-a-time loop survives as the A/B oracle, a separate
 //! entry point ([`KubeKnots::run_ticked`]): it steps and probes every node
 //! every tick. The two are bit-identical at matching grid points (the
-//! determinism suite and the pinned self-check digests gate this on every
-//! run). Either way the cluster steps its nodes serially, in node order.
+//! determinism suite, `tests/determinism.rs`, and its pinned digests gate
+//! this on every run). Either way the cluster steps its nodes serially, in
+//! node order.
 
 use crate::calendar::{grid_at_or_after, AppliedEvent, CoreEvent, EventCalendar};
 use crate::config::OrchestratorConfig;

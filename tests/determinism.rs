@@ -9,7 +9,8 @@
 //! on every run. `knots_core::report_digest`, beside `RunReport`, hashes
 //! every decision-derived field of the report (a new field does not compile
 //! until the digest hashes or excludes it), so any relapse shows up as a
-//! digest mismatch here (and in `knots-analyzer check --self-check`).
+//! digest mismatch here. `empty_fault_plan_reproduces_the_pinned_digests`
+//! holds the pinned values every change must keep.
 //!
 //! The loop-mode tests drive each leg through the differential harness
 //! (`tests/harness/`): the event queue, with and without the recorder and
@@ -23,6 +24,7 @@ use knots_core::experiment::{
     mix_inputs, run_mix, scheduler_by_name, ExperimentConfig, DNN_SCHEDULERS,
 };
 use knots_core::{report_digest, KubeKnots};
+use knots_obs::Obs;
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
 
@@ -62,8 +64,8 @@ fn parallel_sweep_matches_serial_sweep() {
         seed: 42,
         ..Default::default()
     };
-    let serial = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 1);
-    let parallel = ClusterStudy::run(&cfg, &knots_obs::Obs::disabled(), 4);
+    let serial = ClusterStudy::run(&cfg, &Obs::disabled(), 1);
+    let parallel = ClusterStudy::run(&cfg, &Obs::disabled(), 4);
     let digests =
         |s: &ClusterStudy| -> Vec<u64> { s.reports.iter().flatten().map(report_digest).collect() };
     assert_eq!(digests(&serial), digests(&parallel), "cluster sweep diverged across thread counts");
@@ -77,21 +79,34 @@ fn parallel_sweep_matches_serial_sweep() {
 
 #[test]
 fn empty_fault_plan_reproduces_the_pinned_digests() {
-    // The analyzer self-check pins these digests (BENCH_3.json). A run
-    // carrying an *empty* fault plan must drop its inert chaos engine and
-    // take the fault-free code path bit for bit — chaos support may not
-    // move a single decision in a run with no faults.
+    // The contract every change keeps: these three digests of the pinned
+    // Mix-2 config (10 nodes, 120 s, seed 42) cover queue-, packing- and
+    // load-driven placement. Each is reached twice. A run carrying an
+    // *empty* fault plan must drop its inert chaos engine and take the
+    // fault-free code path bit for bit, and a run with the event recorder
+    // on must decide exactly as one without it: neither chaos support nor
+    // observability may move a decision.
     const PINNED: [(&str, u64); 3] = [
         ("CBP+PP", 0x3dd6_2b08_c803_b70c),
         ("Tiresias", 0x3f35_b90a_739d_908c),
         ("Gandiva", 0x3528_4ac8_9ffc_37ac),
     ];
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg(42));
     for (name, want) in PINNED {
-        let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg(42));
-        let r = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), cfg(42).orch)
-            .with_chaos(ChaosEngine::new(FaultPlan::empty()))
-            .run_schedule(&schedule);
-        assert_eq!(report_digest(&r), want, "{name}: zero-fault digest moved off the pinned value");
+        let start =
+            || KubeKnots::new(cluster_cfg.clone(), scheduler_by_name(name).unwrap(), cfg(42).orch);
+        let runs = [
+            ("empty fault plan", start().with_chaos(ChaosEngine::new(FaultPlan::empty()))),
+            ("recorder on", start().with_obs(Obs::with_trace_capacity(4096))),
+        ];
+        for (how, mut run) in runs {
+            let r = run.run_schedule(&schedule);
+            assert_eq!(
+                report_digest(&r),
+                want,
+                "{name} ({how}): digest moved off the pinned value"
+            );
+        }
     }
 }
 
