@@ -22,7 +22,8 @@ pub struct ScalePoint {
     pub wall_ms: f64,
     /// Heartbeat-round tail: the p99 of the loop's
     /// `knots_heartbeat_latency_us` histogram (snapshot + decide + apply of
-    /// one scheduling round), microseconds.
+    /// one built scheduling round), microseconds. CBP+PP builds every
+    /// round, so this counts every heartbeat of the run.
     pub round_p99_us: f64,
     /// Report digest of the run.
     pub digest: u64,

@@ -14,7 +14,9 @@
 //!    aggregator, assembles the scheduler context (pending and suspended
 //!    pod views + telemetry handle) and applies the scheduler's actions —
 //!    skipping, never crashing on, actions that race with same-instant
-//!    state changes;
+//!    state changes. A round with no pod pending or suspended, under a
+//!    policy that then does nothing
+//!    ([`Scheduler::idle_without_waiting_pods`]), is counted, not built;
 //! 4. advances the cluster to the next event, sampling every node's five
 //!    metrics into the TSDB after each tick (the pyNVML probe) and
 //!    recording experiment metrics at the configured interval.
@@ -111,8 +113,7 @@ fn fill_views(
     suspended: &mut Vec<SuspendedPodView>,
 ) {
     let mut n = 0;
-    for id in cluster.pending_queue() {
-        let Some(pod) = cluster.pod(id) else { continue };
+    for (id, pod) in cluster.pending_pods() {
         let spec = pod.spec();
         let (mut name, mut app) = pending
             .get_mut(n)
@@ -213,8 +214,11 @@ pub struct KubeKnots {
     lifecycle: LifecycleTracker,
     round: u64,
     event_counts: [u64; 5],
-    /// Per-round heartbeat latency, accumulated locally and merged into
-    /// the metrics registry once per run (`knots_heartbeat_latency_us`).
+    /// Heartbeat latency of each built round, accumulated locally and
+    /// merged into the metrics registry once per run
+    /// (`knots_heartbeat_latency_us`). A round skipped for having nothing
+    /// to decide is not timed; `knots_core_events_total{kind="heartbeat"}`
+    /// counts every heartbeat.
     hb_latency: Histogram,
     /// Live state of a begun event-queue loop, present between
     /// [`KubeKnots::begin`] (or a resume) and completion. Lifting the
@@ -715,7 +719,7 @@ impl KubeKnots {
                 // pushed the due time past this entry after it was
                 // enqueued. Skip the stale entry and chase the new time.
                 if self.aggregator.due(now) {
-                    self.heartbeat_round(now);
+                    self.heartbeat(now);
                 }
                 if let Some(t) = self.aggregator.next_due() {
                     cal.schedule(grid_at_or_after(t, tick_us), CoreEvent::Heartbeat);
@@ -725,24 +729,69 @@ impl KubeKnots {
         }
     }
 
-    /// One heartbeat: trace the instant, run the scheduling round, record
-    /// the round's wall-clock latency.
+    /// One heartbeat of the event loop. When the policy declares that
+    /// [`decide`](Scheduler::decide) does nothing with no pod waiting
+    /// ([`Scheduler::idle_without_waiting_pods`]) and none is pending or
+    /// suspended, the round is counted, not built: it arms the next
+    /// heartbeat and leaves the same trace and tally a built round with no
+    /// action would, and it reads no wall clock. The per-tick oracle builds
+    /// every round, so the determinism suite checks the skip against it.
+    fn heartbeat(&mut self, now: SimTime) {
+        let idle = self.scheduler.idle_without_waiting_pods()
+            && self.cluster.pending_len() == 0
+            && self.cluster.suspended_pods().next().is_none();
+        if !idle {
+            return self.heartbeat_round(now);
+        }
+        self.aggregator.arm(self.cluster.now());
+        self.tally.pending = Some(0);
+        self.round += 1;
+        let heartbeat_span = self.trace_heartbeat(now);
+        self.trace_round(heartbeat_span, 0, 0);
+    }
+
+    /// One built heartbeat: trace the instant, run the scheduling round,
+    /// record the round's wall-clock latency.
     fn heartbeat_round(&mut self, now: SimTime) {
         // knots-allow: D1 -- wall-clock heartbeat latency is an observability metric only; it never feeds back into simulation state
         let t0 = std::time::Instant::now();
-        let heartbeat_span = if self.obs.tracer.enabled() {
-            self.obs.tracer.record_instant(
-                Track::Control,
-                "agg.heartbeat",
-                now.as_micros(),
-                None,
-                vec![],
-            )
-        } else {
-            None
-        };
+        let heartbeat_span = self.trace_heartbeat(now);
         self.schedule_round(heartbeat_span);
         self.hb_latency.observe(t0.elapsed().as_secs_f64() * 1e6);
+    }
+
+    /// Mark a heartbeat at `now` on the trace; the span id, when tracing.
+    fn trace_heartbeat(&self, now: SimTime) -> Option<u64> {
+        if !self.obs.tracer.enabled() {
+            return None;
+        }
+        self.obs.tracer.record_instant(
+            Track::Control,
+            "agg.heartbeat",
+            now.as_micros(),
+            None,
+            vec![],
+        )
+    }
+
+    /// Mark the round just counted on the trace, under its heartbeat
+    /// `parent`; the span id, when tracing.
+    fn trace_round(&self, parent: Option<u64>, pending: usize, actions: usize) -> Option<u64> {
+        if !self.obs.tracer.enabled() {
+            return None;
+        }
+        self.obs.tracer.record_instant(
+            Track::Control,
+            "sched.round",
+            self.cluster.now().as_micros(),
+            parent,
+            vec![
+                ("round", FieldValue::U64(self.round)),
+                ("scheduler", FieldValue::Str(self.scheduler.name().to_string())),
+                ("pending", FieldValue::U64(pending as u64)),
+                ("actions", FieldValue::U64(actions as u64)),
+            ],
+        )
     }
 
     /// Advance one tick and probe — the unit step every loop
@@ -901,22 +950,7 @@ impl KubeKnots {
             self.scheduler.decide(&ctx)
         };
         self.round += 1;
-        let round_span = if self.obs.tracer.enabled() {
-            self.obs.tracer.record_instant(
-                Track::Control,
-                "sched.round",
-                self.cluster.now().as_micros(),
-                trace_parent,
-                vec![
-                    ("round", FieldValue::U64(self.round)),
-                    ("scheduler", FieldValue::Str(self.scheduler.name().to_string())),
-                    ("pending", FieldValue::U64(self.pending.len() as u64)),
-                    ("actions", FieldValue::U64(actions.len() as u64)),
-                ],
-            )
-        } else {
-            None
-        };
+        let round_span = self.trace_round(trace_parent, self.pending.len(), actions.len());
         let now_us = self.cluster.now().as_micros();
         for action in actions {
             let kind = action_kind(&action);
@@ -1462,13 +1496,79 @@ mod tests {
             k.obs().metrics.counter_value("knots_actions_applied_total", &[("kind", "Place")]);
         assert!(placed >= 6, "every pod placement should be counted, got {placed}");
         let hist = k.obs().metrics.histogram("knots_heartbeat_latency_us", &[]).expect("histogram");
-        assert!(hist.count() > 0, "heartbeat latency must be observed every round");
+        let heartbeats =
+            k.obs().metrics.counter_value("knots_core_events_total", &[("kind", "heartbeat")]);
+        assert_eq!(
+            hist.count(),
+            heartbeats,
+            "heartbeat latency must be observed on every built round, and CBP+PP builds \
+             every round of a fault-free run"
+        );
         // The scheduler audit trail flows through the shared recorder.
         let trace = k.obs().recorder.export_jsonl();
         assert!(trace.contains("\"sched."), "scheduler decisions should be audited: {trace}");
         // Skipped breakdown is consistent with the aggregate counter.
         let sum: u64 = report.skipped_breakdown.iter().map(|s| s.count).sum();
         assert_eq!(sum as usize, report.skipped_actions);
+    }
+
+    #[test]
+    fn heartbeat_latency_counts_built_rounds_only() {
+        // Uniform skips the rounds with no pod waiting, so it observes
+        // fewer latencies than it has heartbeats; the heartbeat counter
+        // still counts every one.
+        let obs = knots_obs::Obs::with_trace_capacity(16);
+        let mut k =
+            KubeKnots::new(quiet(2), Box::new(Uniform::new()), OrchestratorConfig::default())
+                .with_obs(obs);
+        k.run_schedule(&tiny_schedule());
+        let hist = k.obs().metrics.histogram("knots_heartbeat_latency_us", &[]).expect("histogram");
+        let heartbeats =
+            k.obs().metrics.counter_value("knots_core_events_total", &[("kind", "heartbeat")]);
+        assert!(hist.count() > 0, "rounds with pending pods are built and timed");
+        assert!(
+            hist.count() < heartbeats,
+            "{} latencies over {heartbeats} heartbeats: idle rounds must not be timed",
+            hist.count()
+        );
+        assert_eq!(k.round, heartbeats, "every heartbeat still counts a round");
+    }
+
+    /// Uniform with the trait's default `idle_without_waiting_pods`
+    /// (`false`), counting its `decide` calls.
+    struct CountingUniform {
+        inner: Uniform,
+        calls: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl Scheduler for CountingUniform {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.decide(ctx)
+        }
+    }
+
+    #[test]
+    fn a_policy_keeping_the_default_decides_every_round() {
+        // A policy that keeps the default is asked every round, idle or
+        // not; Uniform, which declares its idle rounds, skips them and
+        // still ends in the same report after the same number of rounds.
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let counting = CountingUniform { inner: Uniform::new(), calls: calls.clone() };
+        assert!(!counting.idle_without_waiting_pods());
+        let mut built = KubeKnots::new(quiet(3), Box::new(counting), OrchestratorConfig::default());
+        let a = built.run_schedule(&tiny_schedule());
+        assert!(built.round > 0);
+        assert_eq!(calls.get(), built.round, "one decide per round");
+        let mut skipping =
+            KubeKnots::new(quiet(3), Box::new(Uniform::new()), OrchestratorConfig::default());
+        let b = skipping.run_schedule(&tiny_schedule());
+        assert_eq!(skipping.round, built.round);
+        assert_eq!(crate::report_digest(&a), crate::report_digest(&b));
     }
 
     #[test]

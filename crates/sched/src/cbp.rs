@@ -73,43 +73,38 @@ impl Cbp {
 // Shared machinery (also driven by the PP scheduler).
 // ---------------------------------------------------------------------
 
-/// Update per-app statistics from the current snapshot + telemetry.
+/// Update per-app statistics from the current snapshot + telemetry, in one
+/// pass over the residents that resolves each one's app to its history
+/// slot once. A resident that is not pulling is observed. Each app's
+/// reference series is then refreshed from the longest-running pod we can
+/// see, pulling ones included (the first one seen wins a tie), copied from
+/// the TSDB as runs into the history's reused buffer. The picks are kept
+/// in a reused per-slot list of `(pod, series length)`.
 pub(crate) fn learn(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
-    for node in &ctx.snapshot.nodes {
-        for pod in &node.pods {
-            if pod.pulling {
-                continue;
-            }
-            let sm = pod.usage.sm_frac.clamp(0.0, 1.0);
-            history.observe(app_key_str(&pod.name), pod.usage.mem_mb, sm);
-        }
-    }
-    // Refresh one reference series per app from the longest-running pod we
-    // can see (the first one seen wins a tie), copied from the TSDB as runs
-    // into the history's reused buffer. Each app's pick is kept in a reused
-    // list of `(node, pod, app key length, series length)` indexing the
-    // snapshot, one entry per app in first-seen order.
-    let nodes = &ctx.snapshot.nodes;
-    let app = |&(n, p, key, _): &(usize, usize, usize, usize)| &nodes[n].pods[p].name[..key];
     let mut picks = std::mem::take(&mut history.picks);
     picks.clear();
-    for (n, node) in nodes.iter().enumerate() {
-        for (p, pod) in node.pods.iter().enumerate() {
-            let key = app_key_str(&pod.name);
-            let pick = (n, p, key.len(), ctx.tsdb.pod_len(pod.id));
-            match picks.iter_mut().find(|c| app(c) == key) {
-                Some(best) if pick.3 > best.3 => *best = pick,
-                Some(_) => {}
-                None => picks.push(pick),
-            }
+    for pod in ctx.snapshot.nodes.iter().flat_map(|n| &n.pods) {
+        let slot = history.slot(app_key_str(&pod.name));
+        if !pod.pulling {
+            history.observe_at(slot, pod.usage.mem_mb, pod.usage.sm_frac.clamp(0.0, 1.0));
+        }
+        if picks.len() <= slot {
+            picks.resize(slot + 1, None);
+        }
+        let len = ctx.tsdb.pod_len(pod.id);
+        match &mut picks[slot] {
+            Some(best) if len > best.1 => *best = (pod.id, len),
+            Some(_) => {}
+            none => *none = Some((pod.id, len)),
         }
     }
-    for best in &picks {
-        if best.3 >= 8 {
-            let pod = nodes[best.0].pods[best.1].id;
-            history.refresh_reference(app(best), |buf| {
-                ctx.tsdb.pod_mem_runs_into(pod, ctx.now, ctx.window, buf);
-            });
+    for (slot, pick) in picks.iter().enumerate() {
+        if let Some((pod, len)) = *pick {
+            if len >= 8 {
+                history.refresh_at(slot, |buf| {
+                    ctx.tsdb.pod_mem_runs_into(pod, ctx.now, ctx.window, buf);
+                });
+            }
         }
     }
     history.picks = picks;
@@ -687,6 +682,179 @@ mod tests {
                 assert!(err.is_err(), "{}: accepted {bad:?}", s.name());
             }
         }
+    }
+
+    /// `learn` as it was before apps were interned, kept as the reference
+    /// the slot-based pass is checked against: observe every resident that
+    /// is not pulling by app name, then pick each app's longest-running
+    /// resident (pulling ones included, the first seen winning a tie) by a
+    /// linear search over the picks, and refresh its reference by name.
+    fn learn_by_name(history: &mut AppUsageHistory, ctx: &SchedContext<'_>) {
+        for node in &ctx.snapshot.nodes {
+            for pod in &node.pods {
+                if pod.pulling {
+                    continue;
+                }
+                let sm = pod.usage.sm_frac.clamp(0.0, 1.0);
+                history.observe(app_key_str(&pod.name), pod.usage.mem_mb, sm);
+            }
+        }
+        let nodes = &ctx.snapshot.nodes;
+        let app = |&(n, p, key, _): &(usize, usize, usize, usize)| &nodes[n].pods[p].name[..key];
+        let mut picks: Vec<(usize, usize, usize, usize)> = Vec::new();
+        for (n, node) in nodes.iter().enumerate() {
+            for (p, pod) in node.pods.iter().enumerate() {
+                let key = app_key_str(&pod.name);
+                let pick = (n, p, key.len(), ctx.tsdb.pod_len(pod.id));
+                match picks.iter_mut().find(|c| app(c) == key) {
+                    Some(best) if pick.3 > best.3 => *best = pick,
+                    Some(_) => {}
+                    None => picks.push(pick),
+                }
+            }
+        }
+        for best in &picks {
+            if best.3 >= 8 {
+                let pod = nodes[best.0].pods[best.1].id;
+                history.refresh_reference(app(best), |buf| {
+                    ctx.tsdb.pod_mem_runs_into(pod, ctx.now, ctx.window, buf);
+                });
+            }
+        }
+    }
+
+    /// Pod names the learning proptest draws from: bare names, instance
+    /// counters, and a name whose non-numeric suffix is part of the key.
+    const NAMES: [&str; 7] = ["lud", "lud-1", "lud-22", "face-3", "x-y", "cold-1", "cold-2"];
+
+    /// Every app key among [`NAMES`].
+    const APPS: [&str; 4] = ["lud", "face", "x-y", "cold"];
+
+    /// Everything a history exposes about `app`, floats as bits.
+    fn queries(h: &mut AppUsageHistory, app: &str) -> Vec<Option<u64>> {
+        h.decode_reference(app);
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        let mut out = vec![
+            Some(h.is_known(app) as u64),
+            bits(h.mem_peak(app)),
+            bits(h.mem_quantile(app, 0.8)),
+            bits(h.sm_quantile(app, 0.8)),
+            h.reference(app).map(|r| r.len() as u64),
+        ];
+        out.extend(h.reference(app).unwrap_or(&[]).iter().map(|v| Some(v.to_bits())));
+        out
+    }
+
+    /// One app of a history's snapshot, every float as its bits: name,
+    /// memory samples, SM samples, reference, peak and count.
+    type AppBits = (String, Vec<u64>, Vec<u64>, Vec<u64>, u64, u64);
+
+    /// A history's snapshot with every float as its bits.
+    fn state_bits(h: &AppUsageHistory) -> Vec<AppBits> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state = h.snapshot_state();
+        state
+            .apps
+            .iter()
+            .map(|a| {
+                let (mem, sm, reference) =
+                    (bits(&a.mem_samples), bits(&a.sm_samples), bits(&a.reference));
+                (a.name.clone(), mem, sm, reference, a.peak_mb.to_bits(), a.count)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random rounds of residents (repeated apps, pulling pods, NaN,
+        /// negative and out-of-range observations, equal series lengths,
+        /// series partly or wholly outside the window) fed to the slot-based
+        /// `learn` and to the string-keyed reference: both histories end in
+        /// the same snapshot bits, the same decoded references and answers,
+        /// and the same number of apps, round after round. Each run opens
+        /// with an app whose only resident is pulling with 8 samples.
+        #[test]
+        fn learn_matches_the_string_keyed_reference(
+            cap in 8usize..40,
+            rounds in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0usize..3, 0usize..7, 0u8..6, 0u8..6, 0u8..6, 0u64..12),
+                    0..10,
+                ),
+                1..8,
+            ),
+        ) {
+            let db = TimeSeriesDb::default();
+            let (mut slots, mut names) = (AppUsageHistory::new(cap), AppUsageHistory::new(cap));
+            let window = SimDuration::from_secs(5);
+            for (r, residents) in rounds.iter().enumerate() {
+                let now = SimTime::from_secs(3 * (r as u64 + 1));
+                let mut nodes: Vec<NodeView> = (0..3).map(|n| node_view(n, 0, false)).collect();
+                // A pulling first resident of "cold" with 8 fresh samples,
+                // ahead of everything else, in the first round.
+                let opener = (r == 0).then_some((0, 5, 0, 0, 0, 8));
+                for (i, &(node, name, pull, mem, sm, fresh)) in opener.iter().chain(residents).enumerate() {
+                    let id = PodId(name as u64 + 1);
+                    for j in 0..fresh {
+                        let at = SimTime::from_millis(3_000 * (r as u64 + 1) - 100 * (fresh - j));
+                        db.push_pod(id, at, Usage::new(0.2, (j % 3) as f64 * 50.0, 0.0, 0.0));
+                    }
+                    let mem_mb = [f64::NAN, -5.0, -0.0, 100.0, 64.0 * i as f64, f64::INFINITY][mem as usize];
+                    let sm_frac = [f64::NAN, -0.1, 0.5, 1.5, 0.25, 1.0][sm as usize];
+                    nodes[node].pods.push(knots_telemetry::PodView {
+                        id,
+                        name: NAMES[name].to_string(),
+                        qos: QosClass::Batch,
+                        limit_mb: 1000.0,
+                        request_mb: 1000.0,
+                        usage: Usage::new(sm_frac, mem_mb, 0.0, 0.0),
+                        pulling: pull == 0,
+                        attained_service_secs: 0.0,
+                    });
+                }
+                let mut snapshot = snap(nodes);
+                snapshot.at = now;
+                let c = SchedContext { window, ..ctx(&snapshot, &[], &[], &db) };
+                learn(&mut slots, &c);
+                learn_by_name(&mut names, &c);
+                proptest::prop_assert_eq!(slots.len(), names.len());
+                proptest::prop_assert_eq!(state_bits(&slots), state_bits(&names));
+                for app in APPS {
+                    proptest::prop_assert_eq!(queries(&mut slots, app), queries(&mut names, app));
+                }
+                proptest::prop_assert_eq!(state_bits(&slots), state_bits(&names));
+            }
+        }
+    }
+
+    #[test]
+    fn an_app_seen_only_pulling_exists_once_its_reference_lands() {
+        // A pulling resident is not observed, so its app does not exist
+        // until a refresh of its reference brings in a non-empty series.
+        let db = TimeSeriesDb::default();
+        let mut nv = node_view(0, 1, false);
+        nv.pods[0].name = "cold-1".into();
+        nv.pods[0].pulling = true;
+        let id = nv.pods[0].id;
+        let mut snapshot = snap(vec![nv]);
+        snapshot.at = SimTime::from_secs(1);
+        let mut h = AppUsageHistory::default();
+        learn(&mut h, &ctx(&snapshot, &[], &[], &db));
+        assert!(h.is_empty(), "no sample yet: no app");
+        assert!(h.snapshot_state().apps.is_empty());
+        for i in 0..8 {
+            db.push_pod(id, SimTime::from_millis(100 * i), Usage::new(0.2, 10.0, 0.0, 0.0));
+        }
+        learn(&mut h, &ctx(&snapshot, &[], &[], &db));
+        assert_eq!(h.len(), 1);
+        assert_eq!(h.mem_peak("cold"), Some(0.0), "the app exists, with no observation");
+        assert!(!h.is_known("cold"));
+        h.decode_reference("cold");
+        assert_eq!(h.reference("cold"), Some(&[10.0; 8][..]));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! series to correlate against).
 
 use knots_forecast::stats::percentile_of_sorted;
+use knots_sim::ids::PodId;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -149,6 +150,10 @@ impl Reservoir {
 /// Bounded history for one application.
 #[derive(Debug, Default, Clone)]
 struct AppStats {
+    /// Whether the app exists: a valid observation or a non-empty
+    /// reference refresh has landed in it. A slot interned for a name seen
+    /// only on a pulling pod stays dead, and no query or snapshot sees it.
+    live: bool,
     /// Recent memory observations across all pods of this app, MB.
     mem: Reservoir,
     /// Recent SM-share observations across all pods of this app.
@@ -167,15 +172,22 @@ struct AppStats {
 }
 
 /// Per-application usage history learned online from telemetry.
+///
+/// Each app name is interned once into a slot: `index` maps names to
+/// slots of `apps`, so a round's learning resolves each resident's app
+/// with one lookup and then works by slot.
 #[derive(Debug)]
 pub struct AppUsageHistory {
     cap: usize,
-    apps: BTreeMap<String, AppStats>,
-    /// Reused fill buffer for [`refresh_reference`](Self::refresh_reference);
-    /// holds a retired reference's runs between calls.
+    /// Interned app names, each to its slot in `apps`; name order is the
+    /// snapshot order.
+    index: BTreeMap<String, usize>,
+    apps: Vec<AppStats>,
+    /// Reused fill buffer for [`refresh_at`](Self::refresh_at); holds a
+    /// retired reference's runs between calls.
     scratch: Vec<(u64, f64)>,
-    /// Reused per-app list of CBP's per-round reference-pod picks.
-    pub(crate) picks: Vec<(usize, usize, usize, usize)>,
+    /// Reused per-slot list of CBP's per-round reference-pod picks.
+    pub(crate) picks: Vec<Option<(PodId, usize)>>,
 }
 
 impl Default for AppUsageHistory {
@@ -195,69 +207,106 @@ fn decode(runs: &[(u64, f64)], out: &mut Vec<f64>) {
     }
 }
 
-/// Run `f` on the app's entry, created on first sight. Looks up by `&str`
-/// first so the per-round observations of known apps allocate nothing.
-fn update(apps: &mut BTreeMap<String, AppStats>, app: &str, f: impl FnOnce(&mut AppStats)) {
-    if let Some(s) = apps.get_mut(app) {
-        return f(s);
-    }
-    f(apps.entry(app.to_string()).or_default());
-}
-
 impl AppUsageHistory {
     /// Create with a per-app sample cap.
     pub fn new(cap: usize) -> Self {
         assert!(cap >= MIN_CAP);
-        AppUsageHistory { cap, apps: BTreeMap::new(), scratch: Vec::new(), picks: Vec::new() }
+        AppUsageHistory {
+            cap,
+            index: BTreeMap::new(),
+            apps: Vec::new(),
+            scratch: Vec::new(),
+            picks: Vec::new(),
+        }
+    }
+
+    /// The app's slot, interned on first sight. Looks up by `&str` first,
+    /// so known apps allocate nothing. Interning does not create the app
+    /// ([`len`](Self::len) counts live apps only).
+    pub(crate) fn slot(&mut self, app: &str) -> usize {
+        if let Some(&i) = self.index.get(app) {
+            return i;
+        }
+        self.index.insert(app.to_string(), self.apps.len());
+        self.apps.push(AppStats::default());
+        self.apps.len() - 1
+    }
+
+    /// The live app's stats.
+    fn get(&self, app: &str) -> Option<&AppStats> {
+        self.apps.get(*self.index.get(app)?).filter(|s| s.live)
+    }
+
+    /// The stats in `slot`, made live.
+    fn live_at(&mut self, slot: usize) -> &mut AppStats {
+        let s = &mut self.apps[slot];
+        s.live = true;
+        s
     }
 
     /// Record one observation of a resident pod: its memory in MB and its
     /// SM share. Each is checked on its own, so an invalid memory sample
     /// still records the SM sample and vice versa.
     pub fn observe(&mut self, app: &str, mem_mb: f64, sm_frac: f64) {
+        let slot = self.slot(app);
+        self.observe_at(slot, mem_mb, sm_frac);
+    }
+
+    /// [`observe`](Self::observe) into an interned slot.
+    pub(crate) fn observe_at(&mut self, slot: usize, mem_mb: f64, sm_frac: f64) {
         let mem_ok = mem_mb.is_finite() && mem_mb >= 0.0;
         let sm_ok = sm_frac.is_finite() && (0.0..=1.0).contains(&sm_frac);
         if !mem_ok && !sm_ok {
             return;
         }
-        update(&mut self.apps, app, |s| {
-            if mem_ok {
-                s.mem.push(mem_mb, self.cap);
-                s.peak_mb = s.peak_mb.max(mem_mb);
-                s.count += 1;
-            }
-            if sm_ok {
-                s.sm.push(sm_frac, self.cap);
-            }
-        });
+        let cap = self.cap;
+        let s = self.live_at(slot);
+        if mem_ok {
+            s.mem.push(mem_mb, cap);
+            s.peak_mb = s.peak_mb.max(mem_mb);
+            s.count += 1;
+        }
+        if sm_ok {
+            s.sm.push(sm_frac, cap);
+        }
     }
 
     /// The q-quantile of the app's observed SM share.
     pub fn sm_quantile(&self, app: &str, q: f64) -> Option<f64> {
-        self.apps.get(app)?.sm.quantile(q)
+        self.get(app)?.sm.quantile(q)
     }
 
     /// Replace the app's reference series (one pod's recent memory series)
     /// in place: `fill` writes the new series as `(count, value)` runs into
     /// a reused buffer, which is swapped into the app's slot. O(runs): the
     /// dense series is decoded only when read. An empty series keeps the
-    /// old reference.
+    /// old reference. Tests seed references through it; `learn` refreshes
+    /// by slot ([`refresh_at`](Self::refresh_at)).
+    #[cfg(test)]
     pub(crate) fn refresh_reference(&mut self, app: &str, fill: impl FnOnce(&mut Vec<(u64, f64)>)) {
+        let slot = self.slot(app);
+        self.refresh_at(slot, fill);
+    }
+
+    /// [`refresh_reference`](Self::refresh_reference) of an interned slot.
+    pub(crate) fn refresh_at(&mut self, slot: usize, fill: impl FnOnce(&mut Vec<(u64, f64)>)) {
         self.scratch.clear();
         fill(&mut self.scratch);
         if self.scratch.is_empty() {
             return;
         }
-        update(&mut self.apps, app, |s| {
-            std::mem::swap(&mut s.runs, &mut self.scratch);
-            s.reference.clear();
-        });
+        let mut runs = std::mem::take(&mut self.scratch);
+        let s = self.live_at(slot);
+        std::mem::swap(&mut s.runs, &mut runs);
+        s.reference.clear();
+        self.scratch = runs;
     }
 
     /// Decode the app's reference runs, unless this refresh's are decoded
     /// already. [`reference`](Self::reference) reads only decoded runs.
     pub(crate) fn decode_reference(&mut self, app: &str) {
-        if let Some(s) = self.apps.get_mut(app) {
+        if let Some(&i) = self.index.get(app) {
+            let s = &mut self.apps[i];
             if s.reference.is_empty() {
                 decode(&s.runs, &mut s.reference);
             }
@@ -267,23 +316,23 @@ impl AppUsageHistory {
     /// Whether enough history exists to trust a resize decision. The
     /// threshold guards against resizing on a handful of startup samples.
     pub fn is_known(&self, app: &str) -> bool {
-        self.apps.get(app).is_some_and(|s| s.count >= 32)
+        self.get(app).is_some_and(|s| s.count >= 32)
     }
 
     /// The q-quantile of the app's observed memory, MB.
     pub fn mem_quantile(&self, app: &str, q: f64) -> Option<f64> {
-        self.apps.get(app)?.mem.quantile(q)
+        self.get(app)?.mem.quantile(q)
     }
 
     /// Largest memory observation, MB.
     pub fn mem_peak(&self, app: &str) -> Option<f64> {
-        self.apps.get(app).map(|s| s.peak_mb)
+        self.get(app).map(|s| s.peak_mb)
     }
 
     /// The app's reference memory series for correlation checks, as
     /// decoded by [`decode_reference`](Self::decode_reference).
     pub(crate) fn reference(&self, app: &str) -> Option<&[f64]> {
-        let s = self.apps.get(app)?;
+        let s = self.get(app)?;
         debug_assert!(
             s.runs.is_empty() || !s.reference.is_empty(),
             "reference of {app:?} read before its decode"
@@ -293,23 +342,25 @@ impl AppUsageHistory {
 
     /// Number of tracked applications.
     pub fn len(&self) -> usize {
-        self.apps.len()
+        self.apps.iter().filter(|s| s.live).count()
     }
 
     /// True when no app has been observed.
     pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
+        !self.apps.iter().any(|s| s.live)
     }
 
     /// Export the learned statistics for a control-plane snapshot
-    /// (see crates/recovery). Apps are emitted in BTreeMap (name) order so
-    /// the serialized form is deterministic.
+    /// (see crates/recovery). Live apps are emitted in name order so the
+    /// serialized form is deterministic.
     pub fn snapshot_state(&self) -> AppHistoryState {
         AppHistoryState {
             cap: self.cap as u64,
             apps: self
-                .apps
+                .index
                 .iter()
+                .map(|(name, &i)| (name, &self.apps[i]))
+                .filter(|(_, s)| s.live)
                 .map(|(name, s)| AppStatsState {
                     name: name.clone(),
                     mem_samples: s.mem.samples.iter().copied().collect(),
@@ -343,7 +394,7 @@ impl AppUsageHistory {
                 "app history cap {cap} is below the minimum {MIN_CAP}"
             )));
         }
-        let mut apps = BTreeMap::new();
+        let mut h = AppUsageHistory::new(cap);
         for a in state.apps {
             let (mem, sm) = (a.mem_samples.len(), a.sm_samples.len());
             if mem > cap || sm > cap {
@@ -352,7 +403,9 @@ impl AppUsageHistory {
                     a.name
                 )));
             }
-            let stats = AppStats {
+            let slot = h.slot(&a.name);
+            h.apps[slot] = AppStats {
+                live: true,
                 mem: Reservoir::from_samples(a.mem_samples),
                 sm: Reservoir::from_samples(a.sm_samples),
                 runs: Vec::new(),
@@ -360,9 +413,8 @@ impl AppUsageHistory {
                 peak_mb: a.peak_mb,
                 count: a.count,
             };
-            apps.insert(a.name, stats);
         }
-        Ok(AppUsageHistory { cap, apps, scratch: Vec::new(), picks: Vec::new() })
+        Ok(h)
     }
 }
 

@@ -49,6 +49,10 @@ impl Scheduler for ResAg {
         "Res-Ag"
     }
 
+    fn idle_without_waiting_pods(&self) -> bool {
+        true
+    }
+
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
         if ctx.pending.is_empty() {
             return Vec::new(); // nothing to place: skip collecting the bins

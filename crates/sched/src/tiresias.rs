@@ -63,6 +63,10 @@ impl Scheduler for Tiresias {
         "Tiresias"
     }
 
+    fn idle_without_waiting_pods(&self) -> bool {
+        true
+    }
+
     fn snapshot_state(&self) -> serde::Value {
         serde::Serialize::to_value(&TiresiasState {
             last_preempt: self.last_preempt.iter().map(|(&n, &t)| (n, t)).collect(),

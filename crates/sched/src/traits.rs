@@ -31,6 +31,16 @@ pub trait Scheduler {
         false
     }
 
+    /// Whether [`decide`](Self::decide) returns no action and changes no
+    /// state of its own when no pod is pending or suspended. The
+    /// orchestrator then skips building such a round: it arms the next
+    /// heartbeat and counts the round, nothing else. A policy that acts on
+    /// running pods or learns from every round (timed rotation, migration,
+    /// per-round observation) keeps the default `false`.
+    fn idle_without_waiting_pods(&self) -> bool {
+        false
+    }
+
     /// Export the policy's learned state for a control-plane snapshot
     /// (see crates/recovery). Stateless policies return
     /// [`serde::Value::Null`]; stateful policies must export everything

@@ -30,6 +30,10 @@ impl Scheduler for Uniform {
         "Uniform"
     }
 
+    fn idle_without_waiting_pods(&self) -> bool {
+        true
+    }
+
     fn decide(&mut self, ctx: &SchedContext<'_>) -> Vec<Action> {
         if ctx.pending.is_empty() {
             return Vec::new(); // nothing to place: skip collecting the nodes
@@ -125,13 +129,24 @@ mod tests {
 
     #[test]
     fn no_pending_no_actions() {
-        // A free node and a sleeper: with nothing pending, neither Uniform
-        // nor Res-Ag places or wakes anything.
+        // A free node and a sleeper: with nothing pending or suspended, no
+        // policy that declares its idle rounds places, wakes or preempts
+        // anything, or changes its own state (Tiresias carries a recent
+        // preemption into the round).
         let s0 = snap(vec![node_view(0, 0, false), node_view(1, 0, true)]);
         let db = TimeSeriesDb::default();
-        let mut s = Uniform::new();
-        assert!(s.decide(&ctx(&s0, &[], &[], &db)).is_empty());
-        let mut r = crate::resag::ResAg::new();
-        assert!(r.decide(&ctx(&s0, &[], &[], &db)).is_empty());
+        let mut tiresias = crate::tiresias::Tiresias::new();
+        let state = crate::tiresias::TiresiasState {
+            last_preempt: vec![(NodeId(0), knots_sim::time::SimTime::ZERO)],
+        };
+        tiresias.restore_state(&serde::Serialize::to_value(&state)).unwrap();
+        let policies: [Box<dyn Scheduler>; 3] =
+            [Box::new(Uniform::new()), Box::new(crate::resag::ResAg::new()), Box::new(tiresias)];
+        for mut s in policies {
+            assert!(s.idle_without_waiting_pods(), "{}", s.name());
+            let before = s.snapshot_state();
+            assert!(s.decide(&ctx(&s0, &[], &[], &db)).is_empty(), "{}", s.name());
+            assert_eq!(s.snapshot_state(), before, "{}", s.name());
+        }
     }
 }

@@ -230,6 +230,12 @@ impl Cluster {
         self.queue.iter().copied()
     }
 
+    /// Pending pods in queue order, each read straight from the pending
+    /// map (no [`Cluster::pod`] location lookup).
+    pub fn pending_pods(&self) -> impl Iterator<Item = (PodId, &Pod)> + '_ {
+        self.queue.iter().filter_map(|&id| self.pending.get(&id).map(|p| (id, p)))
+    }
+
     /// Number of pending pods.
     pub fn pending_len(&self) -> usize {
         self.queue.len()

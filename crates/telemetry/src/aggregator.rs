@@ -53,16 +53,22 @@ impl UtilizationAggregator {
         self.next_due
     }
 
-    /// Refill `snap` (unconditionally) and schedule the next due time.
-    /// The next due time snaps to the heartbeat grid (anchored at t=0)
-    /// instead of `now + heartbeat`: when the simulation tick doesn't divide
-    /// the heartbeat, measuring from the (late) fire time would stretch
-    /// every interval to `ceil(heartbeat / tick) * tick` and the cadence
-    /// would drift ever further behind the configured rate.
-    pub fn query_into(&mut self, cluster: &Cluster, snap: &mut ClusterSnapshot) {
-        let now = cluster.now();
+    /// Schedule the next due time after a heartbeat at `now`, without
+    /// querying: [`Self::query_into`] minus the fill. The next due time
+    /// snaps to the heartbeat grid (anchored at t=0) instead of
+    /// `now + heartbeat`: when the simulation tick doesn't divide the
+    /// heartbeat, measuring from the (late) fire time would stretch every
+    /// interval to `ceil(heartbeat / tick) * tick` and the cadence would
+    /// drift ever further behind the configured rate.
+    pub fn arm(&mut self, now: SimTime) {
         let hb_us = self.heartbeat.as_micros().max(1);
         self.next_due = Some(SimTime::from_micros((now.as_micros() / hb_us + 1) * hb_us));
+    }
+
+    /// Refill `snap` (unconditionally) and schedule the next due time
+    /// ([`Self::arm`]).
+    pub fn query_into(&mut self, cluster: &Cluster, snap: &mut ClusterSnapshot) {
+        self.arm(cluster.now());
         fill_snapshot(cluster, snap);
     }
 

@@ -28,7 +28,7 @@ use knots_obs::Obs;
 use knots_sim::time::SimDuration;
 use knots_workloads::appmix::AppMix;
 
-use harness::{check, Leg, Mode};
+use harness::{check, Leg, Mode, SCHEDULERS};
 
 fn cfg(seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -150,21 +150,35 @@ fn every_loop_mode_matches_naive_ticking() {
     // That may not move a single bit relative to the per-tick oracle, for
     // any scheduler, with the recorder and tracer on — and the event queue
     // must really skip: it runs fewer control-loop steps than the oracle's
-    // ticks and pops calendar events.
-    for name in DNN_SCHEDULERS {
-        let leg = Leg { nodes: 10, secs: 60, ..Leg::new(name) };
-        let (oracle, runs) = check(&leg, &[Mode::Observed]);
-        let observed = &runs[0];
-        assert!(observed.steps > 0, "{leg:?}: the event queue ran no loop steps");
-        assert!(
-            observed.steps < oracle.steps,
-            "{leg:?}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
-             ({} steps over {} ticks)",
-            observed.steps,
-            oracle.steps
-        );
-        assert!(observed.report.events_processed > 0, "{leg:?}: no calendar event popped");
+    // ticks and pops calendar events. The oracle builds every scheduling
+    // round, while the event queue only counts a round with no pod waiting
+    // under a policy that declares such rounds idle (Uniform, Res-Ag,
+    // Tiresias), so all six policies run here, on an app mix and on a DNN
+    // trace, where Tiresias suspends pods and must still resume them in
+    // rounds with nothing pending.
+    for name in SCHEDULERS {
+        for leg in [Leg { nodes: 10, secs: 60, ..Leg::new(name) }, dnn_leg(name)] {
+            let (oracle, runs) = check(&leg, &[Mode::Observed]);
+            let observed = &runs[0];
+            assert!(observed.steps > 0, "{leg:?}: the event queue ran no loop steps");
+            assert!(
+                observed.steps < oracle.steps,
+                "{leg:?}: a 50 ms heartbeat over a 10 ms tick must skip dead iterations \
+                 ({} steps over {} ticks)",
+                observed.steps,
+                oracle.steps
+            );
+            assert!(observed.report.events_processed > 0, "{leg:?}: no calendar event popped");
+            if name == "Tiresias" && leg.dnn {
+                assert!(oracle.report.preemptions > 0, "{leg:?}: nothing was ever suspended");
+            }
+        }
     }
+}
+
+/// The DNN leg of the loop-mode tests: 8 nodes, 60 s.
+fn dnn_leg(name: &'static str) -> Leg {
+    Leg { nodes: 8, secs: 60, dnn: true, ..Leg::new(name) }
 }
 
 #[test]
@@ -172,11 +186,11 @@ fn every_loop_mode_matches_naive_ticking_under_chaos() {
     // Same A/B with a seeded 6-faults/min plan: node failures,
     // degradations, probe dropouts, sample corruption and heartbeat
     // delays all land on the same ticks whether the loop crawls or runs
-    // on the event queue.
-    for name in DNN_SCHEDULERS {
-        let leg =
-            Leg { nodes: 10, secs: 60, faults_per_minute: 6.0, plan_seed: 9, ..Leg::new(name) };
-        check(&leg, &[Mode::Events]);
+    // on the event queue, for all six policies.
+    for name in SCHEDULERS {
+        for leg in [Leg { nodes: 10, secs: 60, ..Leg::new(name) }, dnn_leg(name)] {
+            check(&Leg { faults_per_minute: 6.0, plan_seed: 9, ..leg }, &[Mode::Events]);
+        }
     }
 }
 

@@ -20,10 +20,19 @@ use knots_core::{KubeKnots, OrchestratorState, RunReport};
 use knots_obs::{Obs, Tracer, Track};
 use knots_recovery::{run_with_recovery, RecoveryConfig, Snapshot, WriteAheadLog};
 use knots_sim::cluster::ClusterConfig;
+use knots_sim::resources::GpuModel;
 use knots_sim::time::{SimDuration, SimTime};
+use knots_workloads::djinn::InferenceService;
+use knots_workloads::dnn::{self, DnnWorkloadConfig};
 use knots_workloads::loadgen::ScheduledPod;
 use knots_workloads::AppMix;
 use serde::Value;
+
+/// Training jobs of a [`Leg::dnn`] trace.
+pub const DNN_TRAINING_JOBS: usize = 16;
+
+/// Inference tasks of a [`Leg::dnn`] trace.
+pub const DNN_INFERENCE_TASKS: usize = 40;
 
 /// Every scheduler the experiments run.
 pub const SCHEDULERS: [&str; 6] = ["Uniform", "Res-Ag", "CBP", "CBP+PP", "Gandiva", "Tiresias"];
@@ -33,6 +42,13 @@ pub const SCHEDULERS: [&str; 6] = ["Uniform", "Res-Ag", "CBP", "CBP+PP", "Gandiv
 pub struct Leg {
     pub scheduler: &'static str,
     pub mix: AppMix,
+    /// Run a small §V-C DNN trace instead of `mix` ([`DNN_TRAINING_JOBS`]
+    /// training jobs and [`DNN_INFERENCE_TASKS`] inference tasks over
+    /// `secs`, seeded by `seed`, on P100s with the serving images
+    /// pre-pulled): its training jobs outlive Tiresias's 60 s queue
+    /// threshold, so Tiresias preempts and suspends, which no app mix makes
+    /// it do.
+    pub dnn: bool,
     pub nodes: usize,
     /// Seed of the load generator.
     pub seed: u64,
@@ -55,6 +71,7 @@ impl Leg {
         Leg {
             scheduler,
             mix: AppMix::Mix2,
+            dnn: false,
             nodes: 4,
             seed: 42,
             plan_seed: 42 ^ 0x51ab,
@@ -73,7 +90,24 @@ impl Leg {
         let duration = SimDuration::from_secs(self.secs);
         let exp =
             ExperimentConfig { nodes: self.nodes, duration, seed: self.seed, ..Default::default() };
-        let (schedule, mut cluster) = mix_inputs(self.mix, &exp);
+        let (schedule, mut cluster) = if self.dnn {
+            let workload = DnnWorkloadConfig {
+                dlt_jobs: DNN_TRAINING_JOBS,
+                dli_tasks: DNN_INFERENCE_TASKS,
+                duration,
+                time_scale: 1.0 / 120.0,
+                seed: self.seed,
+            };
+            let schedule = dnn::generate(&workload)
+                .into_iter()
+                .map(|t| ScheduledPod { at: t.at, spec: t.spec })
+                .collect();
+            let mut cluster = ClusterConfig::homogeneous(self.nodes, GpuModel::P100);
+            cluster.prewarm_images = InferenceService::ALL.iter().map(|s| s.image()).collect();
+            (schedule, cluster)
+        } else {
+            mix_inputs(self.mix, &exp)
+        };
         cluster.auto_sleep_after = self.auto_sleep;
         cluster.overheads.crash_loop_cap = self.crash_loop_cap;
         let (seed, nodes, faults_per_minute) = (self.plan_seed, self.nodes, self.faults_per_minute);
