@@ -53,7 +53,8 @@ impl Snapshot {
     }
 
     /// Build the envelope around an already-captured state: validate
-    /// finiteness, serialize, digest.
+    /// finiteness, serialize, digest. The state's tree is built once; the
+    /// finite walk and the writer both borrow it.
     pub fn from_state(state: &OrchestratorState, at: SimTime) -> Result<Self, RecoveryError> {
         let value = serde::Serialize::to_value(state);
         check_finite(&value, "state")?;
@@ -77,9 +78,7 @@ impl Snapshot {
         if found != self.digest {
             return Err(RecoveryError::DigestMismatch { expected: self.digest, found });
         }
-        let value: serde::Value = serde_json::from_str(&self.payload)
-            .map_err(|e| RecoveryError::Malformed(e.to_string()))?;
-        serde::Deserialize::from_value(&value).map_err(|e| RecoveryError::Malformed(e.to_string()))
+        serde_json::from_str(&self.payload).map_err(|e| RecoveryError::Malformed(e.to_string()))
     }
 
     /// Serialize the whole envelope (what a durable store would write).
@@ -96,25 +95,28 @@ impl Snapshot {
 }
 
 /// Reject non-finite floats anywhere in the value tree, reporting the path
-/// (e.g. `state.cluster.nodes[3].energy_joules`).
+/// of the first in document order (e.g. `state.cluster.nodes[3].energy_joules`).
 fn check_finite(v: &serde::Value, path: &str) -> Result<(), RecoveryError> {
+    match non_finite_suffix(v) {
+        Some(suffix) => Err(RecoveryError::NonFinite { path: format!("{path}{suffix}") }),
+        None => Ok(()),
+    }
+}
+
+/// The path below `v` (e.g. `.nodes[3].energy_joules`) of its first
+/// non-finite float. The walk allocates nothing; the path is built only on
+/// the way back from a non-finite float.
+fn non_finite_suffix(v: &serde::Value) -> Option<String> {
     match v {
-        serde::Value::F64(x) if !x.is_finite() => {
-            Err(RecoveryError::NonFinite { path: path.to_string() })
-        }
-        serde::Value::Array(items) => {
-            for (i, item) in items.iter().enumerate() {
-                check_finite(item, &format!("{path}[{i}]"))?;
-            }
-            Ok(())
-        }
-        serde::Value::Object(fields) => {
-            for (name, field) in fields {
-                check_finite(field, &format!("{path}.{name}"))?;
-            }
-            Ok(())
-        }
-        _ => Ok(()),
+        serde::Value::F64(x) if !x.is_finite() => Some(String::new()),
+        serde::Value::Array(items) => items
+            .iter()
+            .enumerate()
+            .find_map(|(i, item)| Some(format!("[{i}]{}", non_finite_suffix(item)?))),
+        serde::Value::Object(fields) => fields
+            .iter()
+            .find_map(|(name, field)| Some(format!(".{name}{}", non_finite_suffix(field)?))),
+        _ => None,
     }
 }
 
@@ -159,5 +161,52 @@ mod tests {
             RecoveryError::NonFinite { path } => assert_eq!(path, "state.nodes[1]"),
             other => panic!("wrong error: {other:?}"),
         }
+
+        // An object in an array in an object, holding two non-finite
+        // floats: the first in document order is reported.
+        let f = serde::Value::F64;
+        let pod = |fields: Vec<(&str, serde::Value)>| {
+            serde::Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let v = pod(vec![
+            ("now", f(1.0)),
+            (
+                "pods",
+                serde::Value::Array(vec![
+                    pod(vec![("cpu", f(0.5))]),
+                    pod(vec![
+                        ("cpu", f(0.25)),
+                        ("mem", f(f64::NEG_INFINITY)),
+                        ("gpu", f(f64::NAN)),
+                    ]),
+                ]),
+            ),
+            ("energy", f(f64::INFINITY)),
+        ]);
+        assert_eq!(
+            check_finite(&v, "state"),
+            Err(RecoveryError::NonFinite { path: "state.pods[1].mem".into() })
+        );
+        assert_eq!(check_finite(&v.as_object().unwrap()[0].1, "state"), Ok(()));
+    }
+
+    #[test]
+    fn from_state_rejects_a_nan_planted_in_a_real_state() {
+        let cluster = ClusterConfig::homogeneous(2, GpuModel::P100);
+        let mut k = KubeKnots::new(cluster, Box::new(ResAg::new()), OrchestratorConfig::default());
+        let schedule = [ScheduledPod {
+            at: SimTime::ZERO,
+            spec: PodSpec::batch("b", ResourceProfile::constant(0.5, 1000.0, 1.0)),
+        }];
+        k.run_schedule(&schedule);
+        let mut state = k.pause_state().unwrap();
+        assert!(Snapshot::from_state(&state, SimTime::ZERO).is_ok());
+        let at = state.util_series[1].len();
+        state.util_series[1].push(f64::NAN);
+        state.active_util.push(f64::INFINITY);
+        assert_eq!(
+            Snapshot::from_state(&state, SimTime::ZERO),
+            Err(RecoveryError::NonFinite { path: format!("state.util_series[1][{at}]") })
+        );
     }
 }

@@ -132,12 +132,30 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// This value as a document tree.
     fn to_value(&self) -> Value;
+
+    /// Borrow hook for writers: a value that already is a document tree
+    /// ([`Value`], and references to one) lends it instead of being copied
+    /// by [`Serialize::to_value`]. Not part of serde's API; no call site
+    /// names it.
+    #[doc(hidden)]
+    fn borrow_value(&self) -> Option<&Value> {
+        None
+    }
 }
 
 /// A value that can be lifted back out of the data model.
 pub trait Deserialize: Sized {
     /// Rebuild from a document tree.
     fn from_value(v: &Value) -> Result<Self, Error>;
+
+    /// Move hook for parsers: rebuild from a tree the caller no longer
+    /// needs. [`Value`] takes the tree as it is instead of copying it
+    /// through [`Deserialize::from_value`]. Not part of serde's API; no
+    /// call site names it.
+    #[doc(hidden)]
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Self::from_value(&v)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -147,6 +165,10 @@ pub trait Deserialize: Sized {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn borrow_value(&self) -> Option<&Value> {
+        Some(self)
     }
 }
 
@@ -207,6 +229,10 @@ impl Serialize for char {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn borrow_value(&self) -> Option<&Value> {
+        (**self).borrow_value()
     }
 }
 
@@ -289,6 +315,10 @@ ser_tuple! {
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, Error> {
         Ok(v.clone())
+    }
+
+    fn from_owned_value(v: Value) -> Result<Self, Error> {
+        Ok(v)
     }
 }
 
@@ -452,5 +482,19 @@ mod tests {
         let obj = vec![("a".to_string(), Value::U64(1))];
         assert_eq!(field(&obj, "a"), &Value::U64(1));
         assert_eq!(field(&obj, "missing"), &Value::Null);
+    }
+
+    #[test]
+    fn only_a_tree_lends_itself_and_moves_out_whole() {
+        let tree = Value::Array(vec![Value::U64(1), Value::Str("x".into())]);
+        assert!(std::ptr::eq(tree.borrow_value().unwrap(), &tree));
+        let by_ref = &tree;
+        assert!(std::ptr::eq(Serialize::borrow_value(&by_ref).unwrap(), &tree));
+        assert!(7u64.borrow_value().is_none());
+        assert!(vec![tree.clone()].borrow_value().is_none());
+        assert_eq!(Value::from_owned_value(tree.clone()).unwrap(), tree);
+        // The default hook is `from_value` on the moved tree.
+        assert_eq!(Vec::<Value>::from_owned_value(tree.clone()).unwrap(), tree.as_array().unwrap());
+        assert!(u64::from_owned_value(tree).is_err());
     }
 }

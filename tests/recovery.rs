@@ -249,3 +249,34 @@ fn snapshot_capture_is_byte_stable() {
     // And the envelope itself round-trips.
     assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
 }
+
+/// Checkpoint bytes, pinned: CBP+PP and Gandiva under the seed-42 chaos
+/// plan, captured at two fixed boundaries. Each capture's payload digest,
+/// payload length and the FNV-1a of the encoded envelope must equal the
+/// values below, so a change to the writer's number or string text (or to
+/// the state's shape) fails here even when it round-trips.
+#[test]
+fn checkpoint_payloads_are_pinned() {
+    // (scheduler, boundary µs, payload digest, payload bytes, envelope FNV-1a)
+    const PINNED: [(&str, u64, u64, usize, u64); 4] = [
+        ("CBP+PP", 9_000_000, 0x7a6f04dff1167d65, 61_752, 0xe57f5c935bcd761c),
+        ("CBP+PP", 21_000_000, 0x980e8030ce788cf8, 158_626, 0x067de17841e50485),
+        ("Gandiva", 9_000_000, 0x850c9e3f8a4c460d, 61_784, 0x3476ce94f793b580),
+        ("Gandiva", 21_000_000, 0x920a36aa8c6fa807, 148_741, 0xf5b4d120f015a106),
+    ];
+    let mut got = Vec::new();
+    for name in ["CBP+PP", "Gandiva"] {
+        let (schedule, cluster_cfg, orch) = setup(42, 50, 30);
+        let p = plan(42, SimDuration::from_secs(30));
+        let mut k = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), orch)
+            .with_chaos(ChaosEngine::new(p));
+        k.begin(&schedule);
+        for at in [9_000_000, 21_000_000] {
+            k.drive(&schedule, Some(SimTime(at)));
+            let snap = Snapshot::capture(&k).unwrap();
+            let envelope = knots_core::fnv1a(snap.encode().as_bytes());
+            got.push((name, at, snap.digest, snap.payload.len(), envelope));
+        }
+    }
+    assert_eq!(got, PINNED);
+}
