@@ -7,12 +7,14 @@
 //! digest turns silent bit-rot into a typed [`RecoveryError::DigestMismatch`]
 //! instead of a bogus resume.
 //!
-//! Capture validates **finiteness up front**: the serde shim writes
+//! Capture validates **finiteness as it writes**: the serde shim writes
 //! non-finite floats as JSON `null` and reads `null` back as `NaN`, so a
 //! `NaN` smuggled into a snapshot would round-trip as silent corruption.
-//! [`Snapshot::from_state`] walks the value tree and rejects any non-finite
-//! float with the offending path ([`RecoveryError::NonFinite`]) before the
-//! state ever reaches disk shape.
+//! [`Snapshot::from_state`] streams the state straight into its payload
+//! with a writer that refuses any non-finite float, reporting the offending
+//! path ([`RecoveryError::NonFinite`]); no document tree is built on the
+//! way. [`Snapshot::state`] likewise reads the state straight from the
+//! payload text.
 
 use knots_core::{fnv1a, KubeKnots, OrchestratorState};
 use knots_sim::time::SimTime;
@@ -52,14 +54,12 @@ impl Snapshot {
         Self::from_state(&state, k.cluster().now())
     }
 
-    /// Build the envelope around an already-captured state: validate
-    /// finiteness, serialize, digest. The state's tree is built once; the
-    /// finite walk and the writer both borrow it.
+    /// Build the envelope around an already-captured state: serialize
+    /// straight into the payload, digest. The write itself validates
+    /// finiteness, failing at the first non-finite float in document order.
     pub fn from_state(state: &OrchestratorState, at: SimTime) -> Result<Self, RecoveryError> {
-        let value = serde::Serialize::to_value(state);
-        check_finite(&value, "state")?;
-        let payload =
-            serde_json::to_string(&value).map_err(|e| RecoveryError::Malformed(e.to_string()))?;
+        let payload = serde_json::to_string_finite(state)
+            .map_err(|e| RecoveryError::NonFinite { path: format!("state{}", e.path) })?;
         let digest = fnv1a(payload.as_bytes());
         Ok(Snapshot { version: SNAPSHOT_VERSION, digest, at, payload })
     }
@@ -94,32 +94,6 @@ impl Snapshot {
     }
 }
 
-/// Reject non-finite floats anywhere in the value tree, reporting the path
-/// of the first in document order (e.g. `state.cluster.nodes[3].energy_joules`).
-fn check_finite(v: &serde::Value, path: &str) -> Result<(), RecoveryError> {
-    match non_finite_suffix(v) {
-        Some(suffix) => Err(RecoveryError::NonFinite { path: format!("{path}{suffix}") }),
-        None => Ok(()),
-    }
-}
-
-/// The path below `v` (e.g. `.nodes[3].energy_joules`) of its first
-/// non-finite float. The walk allocates nothing; the path is built only on
-/// the way back from a non-finite float.
-fn non_finite_suffix(v: &serde::Value) -> Option<String> {
-    match v {
-        serde::Value::F64(x) if !x.is_finite() => Some(String::new()),
-        serde::Value::Array(items) => items
-            .iter()
-            .enumerate()
-            .find_map(|(i, item)| Some(format!("[{i}]{}", non_finite_suffix(item)?))),
-        serde::Value::Object(fields) => fields
-            .iter()
-            .find_map(|(name, field)| Some(format!(".{name}{}", non_finite_suffix(field)?))),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,46 +122,6 @@ mod tests {
         let mut k = fresh();
         k.run_ticked(&schedule);
         assert_eq!(Snapshot::capture(&k).err(), Some(RecoveryError::NotPaused));
-    }
-
-    #[test]
-    fn finiteness_walk_reports_the_offending_path() {
-        let v = serde::Value::Object(vec![(
-            "nodes".into(),
-            serde::Value::Array(vec![serde::Value::F64(1.0), serde::Value::F64(f64::NAN)]),
-        )]);
-        let err = check_finite(&v, "state").unwrap_err();
-        match err {
-            RecoveryError::NonFinite { path } => assert_eq!(path, "state.nodes[1]"),
-            other => panic!("wrong error: {other:?}"),
-        }
-
-        // An object in an array in an object, holding two non-finite
-        // floats: the first in document order is reported.
-        let f = serde::Value::F64;
-        let pod = |fields: Vec<(&str, serde::Value)>| {
-            serde::Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-        };
-        let v = pod(vec![
-            ("now", f(1.0)),
-            (
-                "pods",
-                serde::Value::Array(vec![
-                    pod(vec![("cpu", f(0.5))]),
-                    pod(vec![
-                        ("cpu", f(0.25)),
-                        ("mem", f(f64::NEG_INFINITY)),
-                        ("gpu", f(f64::NAN)),
-                    ]),
-                ]),
-            ),
-            ("energy", f(f64::INFINITY)),
-        ]);
-        assert_eq!(
-            check_finite(&v, "state"),
-            Err(RecoveryError::NonFinite { path: "state.pods[1].mem".into() })
-        );
-        assert_eq!(check_finite(&v.as_object().unwrap()[0].1, "state"), Ok(()));
     }
 
     #[test]

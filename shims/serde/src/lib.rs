@@ -1,12 +1,16 @@
 //! Offline shim for the `serde` crate.
 //!
 //! Real serde is a zero-allocation visitor framework; this shim trades that
-//! for a tiny tree-based model: [`Serialize`] lowers a value into a JSON
-//! [`Value`], [`Deserialize`] lifts one back. The derive macros (feature
-//! `derive`, from the sibling `serde_derive` shim) generate those two impls
-//! for plain structs and enums, mirroring serde's default externally-tagged
-//! representation so the JSON written by this workspace looks exactly like
-//! what upstream serde_json would emit.
+//! for a JSON-only model with two paths. The tree path: [`Serialize`]
+//! lowers a value into a JSON [`Value`], [`Deserialize`] lifts one back.
+//! The streaming path: `Serialize::write_json` writes JSON text straight
+//! into the output and `Deserialize::read_json` reads straight from the
+//! parser, so no tree is built between a value and its text. The derive
+//! macros (feature `derive`, from the sibling `serde_derive` shim) generate
+//! all four methods for plain structs and enums, mirroring serde's default
+//! externally-tagged representation so the JSON written by this workspace
+//! looks exactly like what upstream serde_json would emit. A hand-written
+//! impl supplies the tree methods and streams through them by default.
 //!
 //! Supported surface (all this workspace uses): `#[derive(Serialize,
 //! Deserialize)]` on non-generic, attribute-free structs and enums, and the
@@ -19,6 +23,11 @@ use std::fmt;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
+
+#[doc(hidden)]
+pub mod json;
+
+use json::{Parser, WriteResult, Writer};
 
 /// The serialized form: a JSON document tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,13 +142,12 @@ pub trait Serialize {
     /// This value as a document tree.
     fn to_value(&self) -> Value;
 
-    /// Borrow hook for writers: a value that already is a document tree
-    /// ([`Value`], and references to one) lends it instead of being copied
-    /// by [`Serialize::to_value`]. Not part of serde's API; no call site
-    /// names it.
+    /// Write this value as JSON text. Defaults to writing the tree
+    /// [`Serialize::to_value`] builds. Not part of serde's API; call sites
+    /// go through the `serde_json` shim.
     #[doc(hidden)]
-    fn borrow_value(&self) -> Option<&Value> {
-        None
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        self.to_value().write_json(w)
     }
 }
 
@@ -148,13 +156,12 @@ pub trait Deserialize: Sized {
     /// Rebuild from a document tree.
     fn from_value(v: &Value) -> Result<Self, Error>;
 
-    /// Move hook for parsers: rebuild from a tree the caller no longer
-    /// needs. [`Value`] takes the tree as it is instead of copying it
-    /// through [`Deserialize::from_value`]. Not part of serde's API; no
-    /// call site names it.
+    /// Read this value from JSON text. Defaults to parsing a tree and
+    /// lifting it with [`Deserialize::from_value`]. Not part of serde's
+    /// API; call sites go through the `serde_json` shim.
     #[doc(hidden)]
-    fn from_owned_value(v: Value) -> Result<Self, Error> {
-        Self::from_value(&v)
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        Self::from_value(&p.value()?)
     }
 }
 
@@ -167,8 +174,8 @@ impl Serialize for Value {
         self.clone()
     }
 
-    fn borrow_value(&self) -> Option<&Value> {
-        Some(self)
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        json::write_value(self, w)
     }
 }
 
@@ -176,12 +183,22 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.bool(*self);
+        Ok(())
+    }
 }
 
 macro_rules! ser_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::U64(*self as u64) }
+
+            fn write_json(&self, w: &mut Writer) -> WriteResult {
+                w.u64(*self as u64);
+                Ok(())
+            }
         }
     )*};
 }
@@ -191,6 +208,11 @@ macro_rules! ser_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::I64(*self as i64) }
+
+            fn write_json(&self, w: &mut Writer) -> WriteResult {
+                w.i64(*self as i64);
+                Ok(())
+            }
         }
     )*};
 }
@@ -200,11 +222,19 @@ impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(*self as f64)
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.f64(*self as f64)
+    }
 }
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
+    }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.f64(*self)
     }
 }
 
@@ -212,17 +242,32 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.str(self);
+        Ok(())
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.str(self);
+        Ok(())
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.str(self.encode_utf8(&mut [0; 4]));
+        Ok(())
     }
 }
 
@@ -231,8 +276,8 @@ impl<T: Serialize + ?Sized> Serialize for &T {
         (**self).to_value()
     }
 
-    fn borrow_value(&self) -> Option<&Value> {
-        (**self).borrow_value()
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        (**self).write_json(w)
     }
 }
 
@@ -243,11 +288,25 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        match self {
+            Some(v) => v.write_json(w),
+            None => {
+                w.null();
+                Ok(())
+            }
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.array(self)
     }
 }
 
@@ -255,11 +314,19 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.array(self)
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         self.as_slice().to_value()
+    }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.array(self)
     }
 }
 
@@ -271,11 +338,21 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         Value::Object(entries)
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        w.object(entries)
+    }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+    }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.object(self)
     }
 }
 
@@ -283,33 +360,49 @@ impl<T: Serialize> Serialize for std::collections::HashSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.array(self)
+    }
 }
 
 impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn write_json(&self, w: &mut Writer) -> WriteResult {
+        w.array(self)
+    }
 }
 
 macro_rules! ser_tuple {
-    ($(($($n:tt $t:ident),+))*) => {$(
+    ($(($len:literal; $($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
+            }
+
+            fn write_json(&self, w: &mut Writer) -> WriteResult {
+                w.begin('[');
+                $(w.item($n, &self.$n)?;)+
+                w.end(']', $len);
+                Ok(())
             }
         }
     )*};
 }
 ser_tuple! {
-    (0 A)
-    (0 A, 1 B)
-    (0 A, 1 B, 2 C)
-    (0 A, 1 B, 2 C, 3 D)
-    (0 A, 1 B, 2 C, 3 D, 4 E)
+    (1; 0 A)
+    (2; 0 A, 1 B)
+    (3; 0 A, 1 B, 2 C)
+    (4; 0 A, 1 B, 2 C, 3 D)
+    (5; 0 A, 1 B, 2 C, 3 D, 4 E)
 }
 
 // ---------------------------------------------------------------------
-// Deserialize impls.
+// Deserialize impls. Scalars read through the default (`from_value` on
+// the parsed scalar, which allocates nothing); containers stream.
 // ---------------------------------------------------------------------
 
 impl Deserialize for Value {
@@ -317,8 +410,8 @@ impl Deserialize for Value {
         Ok(v.clone())
     }
 
-    fn from_owned_value(v: Value) -> Result<Self, Error> {
-        Ok(v)
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        p.value()
     }
 }
 
@@ -380,6 +473,13 @@ impl Deserialize for String {
             .map(str::to_string)
             .ok_or_else(|| Error::custom(format!("expected string, got {v:?}")))
     }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        match p.peek() {
+            Some(b'"') => Ok(p.string()?.into_owned()),
+            _ => Self::from_value(&p.value()?),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -389,6 +489,25 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        if p.null()? {
+            return Ok(None);
+        }
+        T::read_json(p).map(Some)
+    }
+}
+
+/// Read a JSON array element by element into any collection.
+fn read_array<T: Deserialize, C: FromIterator<T>>(p: &mut Parser<'_>) -> Result<C, Error> {
+    p.begin(b'[')?;
+    let mut first = true;
+    std::iter::from_fn(|| match p.next_elem(&mut first) {
+        Ok(true) => Some(T::read_json(p)),
+        Ok(false) => None,
+        Err(e) => Some(Err(e)),
+    })
+    .collect()
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -399,6 +518,10 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .map(T::from_value)
             .collect()
     }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        read_array(p)
+    }
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
@@ -408,6 +531,16 @@ impl<V: Deserialize> Deserialize for HashMap<String, V> {
             .iter()
             .map(|(k, val)| Ok((k.clone(), V::from_value(val)?)))
             .collect()
+    }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        p.begin(b'{')?;
+        let (mut map, mut first) = (HashMap::new(), true);
+        while let Some(key) = p.next_key(&mut first)? {
+            let value = V::read_json(p)?;
+            map.insert(key.into_owned(), value);
+        }
+        Ok(map)
     }
 }
 
@@ -424,6 +557,17 @@ macro_rules! de_tuple {
                     )));
                 }
                 Ok(($($t::from_value(&items[$n])?,)+))
+            }
+
+            fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+                p.begin(b'[')?;
+                let mut first = true;
+                let tuple = ($({
+                    p.tuple_elem(&mut first)?;
+                    $t::read_json(p)?
+                },)+);
+                p.tuple_end(&mut first)?;
+                Ok(tuple)
             }
         }
     )*};
@@ -442,6 +586,10 @@ impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for std::collections::Ha
             v.as_array().ok_or_else(|| Error::custom(format!("expected array, got {v:?}")))?;
         items.iter().map(T::from_value).collect()
     }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        read_array(p)
+    }
 }
 
 impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
@@ -449,6 +597,10 @@ impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
         let items =
             v.as_array().ok_or_else(|| Error::custom(format!("expected array, got {v:?}")))?;
         items.iter().map(T::from_value).collect()
+    }
+
+    fn read_json(p: &mut Parser<'_>) -> Result<Self, Error> {
+        read_array(p)
     }
 }
 
@@ -482,19 +634,5 @@ mod tests {
         let obj = vec![("a".to_string(), Value::U64(1))];
         assert_eq!(field(&obj, "a"), &Value::U64(1));
         assert_eq!(field(&obj, "missing"), &Value::Null);
-    }
-
-    #[test]
-    fn only_a_tree_lends_itself_and_moves_out_whole() {
-        let tree = Value::Array(vec![Value::U64(1), Value::Str("x".into())]);
-        assert!(std::ptr::eq(tree.borrow_value().unwrap(), &tree));
-        let by_ref = &tree;
-        assert!(std::ptr::eq(Serialize::borrow_value(&by_ref).unwrap(), &tree));
-        assert!(7u64.borrow_value().is_none());
-        assert!(vec![tree.clone()].borrow_value().is_none());
-        assert_eq!(Value::from_owned_value(tree.clone()).unwrap(), tree);
-        // The default hook is `from_value` on the moved tree.
-        assert_eq!(Vec::<Value>::from_owned_value(tree.clone()).unwrap(), tree.as_array().unwrap());
-        assert!(u64::from_owned_value(tree).is_err());
     }
 }

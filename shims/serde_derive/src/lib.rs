@@ -1,10 +1,12 @@
 //! Offline shim for `serde_derive`.
 //!
-//! Generates `Serialize`/`Deserialize` impls for the serde *shim*'s
-//! tree-based data model (`to_value`/`from_value`), mirroring upstream
-//! serde's default externally-tagged representation. Since the usual
-//! helper crates (`syn`, `quote`) are unavailable offline, the item is
-//! parsed directly from the raw `proc_macro::TokenStream`.
+//! Generates `Serialize`/`Deserialize` impls for the serde *shim*, both of
+//! its paths: the tree methods (`to_value`/`from_value`) and the streaming
+//! ones (`write_json`/`read_json`, which go straight between a value and
+//! JSON text), mirroring upstream serde's default externally-tagged
+//! representation. Since the usual helper crates (`syn`, `quote`) are
+//! unavailable offline, the item is parsed directly from the raw
+//! `proc_macro::TokenStream`.
 //!
 //! Supported input — exactly what this workspace derives on:
 //! non-generic structs (named, tuple, unit) and enums (unit, tuple and
@@ -283,11 +285,82 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{ {arms} }}")
         }
     };
+    let write = gen_write_json(item);
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_json(&self, __w: &mut ::serde::json::Writer) -> \
+                 ::serde::json::WriteResult {{ {write} }}\n\
          }}"
     )
+}
+
+/// The streaming writer: the same document as `to_value`'s tree, written
+/// straight into `__w`. A refused non-finite float gains one path segment
+/// per level on the way out (`Writer::field`/`Writer::item`).
+fn gen_write_json(item: &Item) -> String {
+    let name = &item.name;
+    let fields_of = |fields: &[String], access: &dyn Fn(&str) -> String, outer: &str| {
+        let mut s = String::from("__w.begin('{');");
+        for (i, f) in fields.iter().enumerate() {
+            s.push_str(&format!("__w.field({i}, \"{f}\", {}){outer}?;", access(f)));
+        }
+        s.push_str(&format!("__w.end('}}', {});", fields.len()));
+        s
+    };
+    let items_of = |n: usize, access: &dyn Fn(usize) -> String, outer: &str| {
+        let mut s = String::from("__w.begin('[');");
+        for i in 0..n {
+            s.push_str(&format!("__w.item({i}, {}){outer}?;", access(i)));
+        }
+        s.push_str(&format!("__w.end(']', {n});"));
+        s
+    };
+    let ok = "::std::result::Result::Ok(())";
+    match &item.body {
+        Body::NamedStruct(fields) => {
+            format!("{} {ok}", fields_of(fields, &|f| format!("&self.{f}"), ""))
+        }
+        Body::TupleStruct(1) => "::serde::Serialize::write_json(&self.0, __w)".to_string(),
+        Body::TupleStruct(n) => {
+            format!("{} {ok}", items_of(*n, &|i| format!("&self.{i}"), ""))
+        }
+        Body::UnitStruct => format!("__w.null(); {ok}"),
+        Body::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                // A variant with a payload is the one-entry object
+                // `{"Variant": payload}`.
+                let tagged = |payload: String| {
+                    format!("__w.begin('{{'); __w.key(0, \"{vname}\"); {payload} __w.end('}}', 1); {ok}")
+                };
+                let outer = format!(".map_err(|e| e.field(\"{vname}\"))");
+                match &v.kind {
+                    VariantKind::Unit => arms
+                        .push_str(&format!("{name}::{vname} => {{ __w.str(\"{vname}\"); {ok} }},")),
+                    VariantKind::Tuple(1) => arms.push_str(&format!(
+                        "{name}::{vname}(f0) => {{ {} }},",
+                        tagged(format!("::serde::Serialize::write_json(f0, __w){outer}?;"))
+                    )),
+                    VariantKind::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                        arms.push_str(&format!(
+                            "{name}::{vname}({}) => {{ {} }},",
+                            binds.join(","),
+                            tagged(items_of(*n, &|i| format!("f{i}"), &outer))
+                        ));
+                    }
+                    VariantKind::Named(fields) => arms.push_str(&format!(
+                        "{name}::{vname} {{ {} }} => {{ {} }},",
+                        fields.join(","),
+                        tagged(fields_of(fields, &|f| f.to_string(), &outer))
+                    )),
+                }
+            }
+            format!("match self {{ {arms} }}")
+        }
+    }
 }
 
 fn named_fields_constructor(path: &str, fields: &[String], source: &str) -> String {
@@ -390,10 +463,111 @@ fn gen_deserialize(item: &Item) -> String {
             )
         }
     };
+    let read = gen_read_json(item);
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
              fn from_value(v: &::serde::Value) -> \
                  ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
+             fn read_json(__p: &mut ::serde::json::Parser<'_>) -> \
+                 ::std::result::Result<Self, ::serde::Error> {{ {read} }}\n\
          }}"
     )
+}
+
+/// Read `{ "field": value, ... }` into the constructor `path { .. }`.
+/// Like the tree path's `::serde::field` lookup, the first entry of a key
+/// wins, unknown and repeated keys are skipped (but still parsed), and a
+/// missing field reads as `null`.
+fn named_fields_reader(path: &str, fields: &[String]) -> String {
+    let mut s = String::from("{ __p.begin(b'{')?; let mut __first = true;");
+    for f in fields {
+        s.push_str(&format!("let mut __f_{f} = ::std::option::Option::None;"));
+    }
+    s.push_str(
+        "while let ::std::option::Option::Some(__key) = __p.next_key(&mut __first)? { \
+         match &*__key {",
+    );
+    for f in fields {
+        s.push_str(&format!(
+            "\"{f}\" if __f_{f}.is_none() => __f_{f} = \
+             ::std::option::Option::Some(::serde::Deserialize::read_json(__p)?),"
+        ));
+    }
+    s.push_str(&format!("_ => __p.skip()?, }} }} {path} {{"));
+    for f in fields {
+        s.push_str(&format!("{f}: ::serde::json::or_missing(__f_{f})?,"));
+    }
+    s.push_str("} }");
+    s
+}
+
+/// Read a `[a, b, ...]` of exactly `n` elements into `path(a, b, ...)`.
+fn tuple_reader(path: &str, n: usize) -> String {
+    let items: Vec<String> = (0..n)
+        .map(|_| "{ __p.tuple_elem(&mut __first)?; ::serde::Deserialize::read_json(__p)? }".into())
+        .collect();
+    format!(
+        "{{ __p.begin(b'[')?; let mut __first = true; let __v = {path}({}); \
+         __p.tuple_end(&mut __first)?; __v }}",
+        items.join(",")
+    )
+}
+
+/// The streaming reader: accepts exactly the documents `from_value`
+/// accepts (on the parsed tree) and builds the same value, reading
+/// straight from `__p`.
+fn gen_read_json(item: &Item) -> String {
+    let name = &item.name;
+    let ok = |v: String| format!("::std::result::Result::Ok({v})");
+    match &item.body {
+        Body::NamedStruct(fields) => ok(named_fields_reader(name, fields)),
+        Body::TupleStruct(1) => ok(format!("{name}(::serde::Deserialize::read_json(__p)?)")),
+        Body::TupleStruct(n) => ok(tuple_reader(name, *n)),
+        Body::UnitStruct => format!("__p.skip()?; {}", ok(name.clone())),
+        Body::Enum(variants) => {
+            let err = |what: &str| {
+                format!(
+                    "::std::result::Result::Err(::serde::Error::custom(\
+                     ::std::format!(\"{name}: {what}\")))"
+                )
+            };
+            let mut unit_arms = String::new();
+            let mut tagged_arms = String::new();
+            for v in variants {
+                let vname = &v.name;
+                let path = format!("{name}::{vname}");
+                match &v.kind {
+                    VariantKind::Unit => {
+                        unit_arms.push_str(&format!("\"{vname}\" => {},", ok(path)))
+                    }
+                    VariantKind::Tuple(1) => tagged_arms.push_str(&format!(
+                        "\"{vname}\" => {path}(::serde::Deserialize::read_json(__p)?),"
+                    )),
+                    VariantKind::Tuple(n) => tagged_arms
+                        .push_str(&format!("\"{vname}\" => {},", tuple_reader(&path, *n))),
+                    VariantKind::Named(fields) => tagged_arms.push_str(&format!(
+                        "\"{vname}\" => {},",
+                        named_fields_reader(&path, fields)
+                    )),
+                }
+            }
+            let unknown = err("unknown variant {__other}");
+            let unit = format!("match &*__p.string()? {{ {unit_arms} __other => {unknown} }}");
+            if tagged_arms.is_empty() {
+                return unit;
+            }
+            // `"Unit"` or the one-entry object `{"Variant": payload}`.
+            format!(
+                "if __p.peek() == ::std::option::Option::Some(b'\"') {{ return {unit}; }}\n\
+                 __p.begin(b'{{')?; let mut __first = true;\n\
+                 let ::std::option::Option::Some(__tag) = __p.next_key(&mut __first)? else {{ \
+                     return {one}; }};\n\
+                 let __v = match &*__tag {{ {tagged_arms} __other => return {unknown}, }};\n\
+                 if __p.next_key(&mut __first)?.is_some() {{ return {one}; }}\n\
+                 {}",
+                ok("__v".into()),
+                one = err("expected one variant"),
+            )
+        }
+    }
 }

@@ -1,15 +1,15 @@
 //! Offline shim for `serde_json`.
 //!
-//! Serializes the serde shim's [`Value`] tree to JSON text (compact and
-//! pretty) and parses JSON text back into it. Matches serde_json's visible
+//! The public face of the serde shim's streaming JSON path: derived types
+//! are written straight into the output text and read straight from the
+//! parser, with no [`Value`] tree in between. Matches serde_json's visible
 //! conventions: object keys in struct-field order, non-finite floats become
 //! `null`, integers print without a decimal point, pretty output indents by
-//! two spaces.
+//! two spaces, and input nested deeper than 128 arrays/objects is an error.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
-
+pub use serde::json::NonFinite;
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
 
@@ -38,22 +38,21 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize `value` to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(write_document(value, None))
+    Ok(serde::json::to_string(value, false))
 }
 
 /// Serialize `value` to a two-space-indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(write_document(value, Some(2)))
+    Ok(serde::json::to_string(value, true))
 }
 
-/// Write `value`'s tree, borrowing it when `value` already is one.
-fn write_document<T: Serialize + ?Sized>(value: &T, indent: Option<usize>) -> String {
-    let mut out = String::new();
-    match value.borrow_value() {
-        Some(tree) => write_value(&mut out, tree, indent, 0),
-        None => write_value(&mut out, &value.to_value(), indent, 0),
-    }
-    out
+/// Serialize `value` to a compact JSON string, refusing non-finite floats
+/// instead of writing them as `null`: the error names the path of the
+/// first in document order. Not part of upstream serde_json.
+pub fn to_string_finite<T: Serialize + ?Sized>(
+    value: &T,
+) -> std::result::Result<String, NonFinite> {
+    serde::json::to_string_finite(value)
 }
 
 /// Serialize `value` to a [`Value`] tree.
@@ -63,325 +62,12 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
 
 /// Deserialize a `T` from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    Ok(T::from_owned_value(parse(s)?)?)
+    Ok(serde::json::from_str(s)?)
 }
 
 /// Deserialize a `T` from a [`Value`] tree.
 pub fn from_value<T: Deserialize>(value: Value) -> Result<T> {
-    Ok(T::from_owned_value(value)?)
-}
-
-// ---------------------------------------------------------------------
-// Writer. Numbers are formatted straight into the output; `write!` into
-// a `String` cannot fail, so its `Result` is dropped.
-// ---------------------------------------------------------------------
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_string(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
-}
-
-/// serde_json's float text: `null` when non-finite; an integral float
-/// below 1e15 in magnitude as its integer digits plus `.0`, the sign of
-/// `-0.0` kept (byte for byte what `{x:.1}` prints); anything else in
-/// Rust's shortest round-trip form (`{x}`).
-fn write_f64(out: &mut String, x: f64) {
-    if !x.is_finite() {
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 1e15 {
-        if x.is_sign_negative() {
-            out.push('-');
-        }
-        // Exact: |x| < 1e15 < 2^53.
-        let _ = write!(out, "{}.0", x.abs() as u64);
-    } else {
-        let _ = write!(out, "{x}");
-    }
-}
-
-/// A JSON string literal. The runs between escapes are copied whole, so a
-/// string that needs none costs one `push_str`. Every byte that needs an
-/// escape is ASCII, so each run ends on a char boundary.
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------
-// Parser.
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    src: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(s: &str) -> Result<Value> {
-    let mut p = Parser { src: s, bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error { msg: format!("{msg} at byte {}", self.pos) }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(c) = self.peek() {
-                if c == b'"' || c == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            // `start` and `pos` sit next to ASCII delimiters, so this slice
-            // of the (already valid) input needs no UTF-8 check.
-            s.push_str(self.src.get(start..self.pos).ok_or_else(|| self.err("invalid utf-8"))?);
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = self.src.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
-        text.parse::<f64>().map(Value::F64).map_err(|_| self.err("invalid number"))
-    }
+    Ok(T::from_value(&value)?)
 }
 
 #[cfg(test)]
@@ -575,6 +261,54 @@ mod tests {
             ),
         ]);
         assert_matches_reference(&doc);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nest(128)).is_ok());
+        let err = from_str::<Value>(&nest(129)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(from_str::<Value>(&objects(128)).is_ok());
+        assert!(from_str::<Value>(&objects(129)).is_err());
+        // A streaming read counts its own levels against the same cap.
+        assert!(from_str::<Vec<Value>>(&nest(128)).is_ok());
+        assert!(from_str::<Vec<Value>>(&nest(129)).is_err());
+    }
+
+    #[test]
+    fn finite_write_reports_the_first_non_finite_path() {
+        let f = Value::F64;
+        let nodes = Value::Object(vec![("nodes".into(), Value::Array(vec![f(1.0), f(f64::NAN)]))]);
+        assert_eq!(to_string_finite(&nodes).unwrap_err().path, ".nodes[1]");
+        assert_eq!(to_string(&nodes).unwrap(), "{\"nodes\":[1.0,null]}");
+        assert_eq!(to_string_finite(&f(f64::INFINITY)).unwrap_err().path, "");
+
+        // An object in an array in an object, holding two non-finite
+        // floats: the first in document order is reported.
+        let obj = |fields: Vec<(&str, Value)>| {
+            Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let v = obj(vec![
+            ("now", f(1.0)),
+            (
+                "pods",
+                Value::Array(vec![
+                    obj(vec![("cpu", f(0.5))]),
+                    obj(vec![
+                        ("cpu", f(0.25)),
+                        ("mem", f(f64::NEG_INFINITY)),
+                        ("gpu", f(f64::NAN)),
+                    ]),
+                ]),
+            ),
+            ("energy", f(f64::INFINITY)),
+        ]);
+        assert_eq!(to_string_finite(&v).unwrap_err().path, ".pods[1].mem");
+        let finite = v.as_object().unwrap()[0].1.clone();
+        assert_eq!(to_string_finite(&finite).unwrap(), "1.0");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use knots_chaos::{gen, ChaosEngine, FaultPlan, GenConfig};
 use knots_core::config::OrchestratorConfig;
 use knots_core::experiment::{scheduler_by_name, DNN_SCHEDULERS};
 use knots_core::orchestrator::KubeKnots;
-use knots_recovery::{RecoveryError, Snapshot};
+use knots_recovery::{RecoveryError, Snapshot, WriteAheadLog};
 use knots_sched::history::AppHistoryState;
 use knots_sim::cluster::ClusterConfig;
 use knots_sim::time::{SimDuration, SimTime};
@@ -199,6 +199,30 @@ fn corrupted_snapshots_fail_with_typed_errors_not_panics() {
 }
 
 #[test]
+fn deeply_nested_input_fails_with_a_typed_error() {
+    // A megabyte of openers nests far past the parser's cap; each decoder
+    // must return `Malformed` instead of exhausting the stack. Unknown keys
+    // are skipped by parsing them, so `{"a":` reaches the cap through the
+    // envelope and the log, and a payload's `scheduler` tree reaches it on
+    // resume.
+    let mib = 1 << 20;
+    let arrays = "[".repeat(mib);
+    let objects = "{\"a\":".repeat(mib / 5);
+    for text in [&arrays, &objects] {
+        assert!(matches!(Snapshot::decode(text), Err(RecoveryError::Malformed(_))));
+        assert!(matches!(WriteAheadLog::decode(text), Err(RecoveryError::Malformed(_))));
+        let payload = format!("{{\"scheduler\":{text}");
+        let snap = Snapshot {
+            version: knots_recovery::SNAPSHOT_VERSION,
+            digest: knots_core::fnv1a(payload.as_bytes()),
+            at: SimTime::ZERO,
+            payload,
+        };
+        assert!(matches!(snap.state(), Err(RecoveryError::Malformed(_))));
+    }
+}
+
+#[test]
 fn every_state_struct_round_trips_byte_stably() {
     // Each component of `OrchestratorState` — cluster, TSDB, chaos cursor,
     // scheduler state, calendar entries — must survive serialize → parse →
@@ -250,22 +274,27 @@ fn snapshot_capture_is_byte_stable() {
     assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
 }
 
-/// Checkpoint bytes, pinned: CBP+PP and Gandiva under the seed-42 chaos
+/// Checkpoint bytes, pinned: every DNN scheduler under the seed-42 chaos
 /// plan, captured at two fixed boundaries. Each capture's payload digest,
 /// payload length and the FNV-1a of the encoded envelope must equal the
 /// values below, so a change to the writer's number or string text (or to
-/// the state's shape) fails here even when it round-trips.
+/// the state's shape) fails here even when it round-trips. Each pinned
+/// payload must also come back byte for byte from its own decoded state.
 #[test]
 fn checkpoint_payloads_are_pinned() {
     // (scheduler, boundary µs, payload digest, payload bytes, envelope FNV-1a)
-    const PINNED: [(&str, u64, u64, usize, u64); 4] = [
-        ("CBP+PP", 9_000_000, 0x7a6f04dff1167d65, 61_752, 0xe57f5c935bcd761c),
-        ("CBP+PP", 21_000_000, 0x980e8030ce788cf8, 158_626, 0x067de17841e50485),
+    const PINNED: [(&str, u64, u64, usize, u64); 8] = [
+        ("Res-Ag", 9_000_000, 0x285a1dd03f7385bb, 62_900, 0x514c014f1bdbf680),
+        ("Res-Ag", 21_000_000, 0x8f0b662f441ea246, 157_757, 0x2cae947660b3e081),
         ("Gandiva", 9_000_000, 0x850c9e3f8a4c460d, 61_784, 0x3476ce94f793b580),
         ("Gandiva", 21_000_000, 0x920a36aa8c6fa807, 148_741, 0xf5b4d120f015a106),
+        ("Tiresias", 9_000_000, 0xdf24d19871b1034c, 61_759, 0x7ea10e96e8b0a9c2),
+        ("Tiresias", 21_000_000, 0xdd21b4913f721952, 148_716, 0x175b26e31116b967),
+        ("CBP+PP", 9_000_000, 0x7a6f04dff1167d65, 61_752, 0xe57f5c935bcd761c),
+        ("CBP+PP", 21_000_000, 0x980e8030ce788cf8, 158_626, 0x067de17841e50485),
     ];
     let mut got = Vec::new();
-    for name in ["CBP+PP", "Gandiva"] {
+    for name in DNN_SCHEDULERS {
         let (schedule, cluster_cfg, orch) = setup(42, 50, 30);
         let p = plan(42, SimDuration::from_secs(30));
         let mut k = KubeKnots::new(cluster_cfg, scheduler_by_name(name).unwrap(), orch)
@@ -273,7 +302,12 @@ fn checkpoint_payloads_are_pinned() {
         k.begin(&schedule);
         for at in [9_000_000, 21_000_000] {
             k.drive(&schedule, Some(SimTime(at)));
+            if (name, at) == ("Res-Ag", 21_000_000) {
+                assert!(k.cluster().relaunching_len() > 0, "the row covers a relaunch queue");
+            }
             let snap = Snapshot::capture(&k).unwrap();
+            let again = Snapshot::from_state(&snap.state().unwrap(), snap.at).unwrap();
+            assert!(again.payload == snap.payload, "{name} at {at} µs: payload drifted on resume");
             let envelope = knots_core::fnv1a(snap.encode().as_bytes());
             got.push((name, at, snap.digest, snap.payload.len(), envelope));
         }
