@@ -67,7 +67,6 @@ pub fn scan(
     let guards = collect_guards(toks, tree, ctx);
     let diag = |r: &'static rules::Rule, t: &Tok, message: String| Diagnostic {
         rule: r.id,
-        severity: r.severity,
         path: ctx.path.clone(),
         line: t.line,
         col: t.col,
@@ -375,7 +374,6 @@ fn c3_unsafe_needs_safety_comment(
             let r = rules::C3;
             out.push(Diagnostic {
                 rule: r.id,
-                severity: r.severity,
                 path: ctx.path.clone(),
                 line: t.line,
                 col: t.col,

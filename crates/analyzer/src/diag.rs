@@ -1,33 +1,13 @@
 //! Diagnostics: what a rule violation looks like and how it is printed.
+//! Every rule denies: any diagnostic fails the run.
 
 use std::fmt;
-
-/// How severe a diagnostic is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Reported but never fails the run.
-    Warn,
-    /// Fails the run (non-zero exit).
-    Deny,
-}
-
-impl Severity {
-    /// Lowercase label used in both output formats.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-}
 
 /// One rule violation at one source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`D1`, `P2`, `A0`, ...).
+    /// Rule id (`C3`, `M1`, ...).
     pub rule: &'static str,
-    /// Effective severity (after any `analyzer.toml` downgrade).
-    pub severity: Severity,
     /// Repo-relative path with forward slashes.
     pub path: String,
     /// 1-based line.
@@ -44,14 +24,8 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}[{}] {}:{}:{}: {}\n    hint: {}",
-            self.severity.label(),
-            self.rule,
-            self.path,
-            self.line,
-            self.col,
-            self.message,
-            self.hint
+            "deny[{}] {}:{}:{}: {}\n    hint: {}",
+            self.rule, self.path, self.line, self.col, self.message, self.hint
         )
     }
 }
@@ -93,9 +67,8 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"severity\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"hint\":\"{}\"}}",
+            "\n  {{\"rule\":\"{}\",\"severity\":\"deny\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\",\"hint\":\"{}\"}}",
             d.rule,
-            d.severity.label(),
             json_escape(&d.path),
             d.line,
             d.col,
@@ -112,20 +85,12 @@ mod tests {
     use super::*;
 
     fn d(rule: &'static str, path: &str, line: u32) -> Diagnostic {
-        Diagnostic {
-            rule,
-            severity: Severity::Deny,
-            path: path.into(),
-            line,
-            col: 1,
-            message: "m".into(),
-            hint: "h",
-        }
+        Diagnostic { rule, path: path.into(), line, col: 1, message: "m".into(), hint: "h" }
     }
 
     #[test]
     fn stable_sort_order() {
-        let mut v = vec![d("P1", "b.rs", 1), d("D1", "a.rs", 9), d("D2", "a.rs", 2)];
+        let mut v = vec![d("M1", "b.rs", 1), d("C3", "a.rs", 9), d("E1", "a.rs", 2)];
         sort(&mut v);
         let order: Vec<_> = v.iter().map(|x| (x.path.clone(), x.line)).collect();
         assert_eq!(order, vec![("a.rs".into(), 2), ("a.rs".into(), 9), ("b.rs".into(), 1)]);
@@ -133,7 +98,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_shapes() {
-        let mut bad = d("D1", "a.rs", 1);
+        let mut bad = d("C3", "a.rs", 1);
         bad.message = "say \"hi\"\\n".into();
         let j = to_json(&[bad]);
         assert!(j.contains("\\\"hi\\\""));

@@ -5,9 +5,9 @@
 //! bookkeeping in closed form. Due times are snapped to the tick grid
 //! exactly once, at enqueue (`grid_at_or_after`); a handler that divides
 //! by the tick re-derives grid indices and quietly reintroduces the tick
-//! loop the calendar exists to skip, and one that reads the wall clock
-//! (`Instant`/`SystemTime`) breaks seed replay. Both are denied at the
-//! source.
+//! loop the calendar exists to skip, so it is denied at the source. (A
+//! handler that reads the wall clock is already refused by clippy's
+//! `disallowed_types`, DESIGN.md §8.)
 //!
 //! Like the C rules, E1 is scope-aware: it consults the
 //! [`crate::parser::ScopeTree`] to resolve which `fn` owns a token, and
@@ -20,9 +20,8 @@ use crate::parser::ScopeTree;
 use crate::rules::E1;
 
 /// Crates whose `on_*`/`handle_*` fns are event handlers under the
-/// continuous-time contract. Deliberately narrower than
-/// [`crate::rules::DECISION_CRATES`]: `sched` and `telemetry` never see
-/// calendar events.
+/// continuous-time contract: `sched` and `telemetry` never see calendar
+/// events.
 pub const HANDLER_CRATES: [&str; 2] = ["sim", "core"];
 
 /// True when `name` follows the event-handler naming convention.
@@ -96,7 +95,6 @@ pub fn scan(
     let in_test = |line: u32| test_lines.iter().any(|&(a, b)| line >= a && line <= b);
     let diag = |t: &Tok, msg: String| Diagnostic {
         rule: E1.id,
-        severity: E1.severity,
         path: ctx.path.clone(),
         line: t.line,
         col: t.col,
@@ -109,16 +107,6 @@ pub fn scan(
         }
         let Some(f) = tree.enclosing_fn(i).filter(|f| is_handler_name(&f.name)) else { continue };
         match &t.kind {
-            TokKind::Ident(name) if matches!(name.as_str(), "Instant" | "SystemTime") => {
-                out.push(diag(
-                    t,
-                    format!(
-                        "`{name}` inside event handler `{}`: handlers must be pure functions \
-                         of (simulation state, event time)",
-                        f.name
-                    ),
-                ));
-            }
             TokKind::Ident(name) if name == "div_ceil" && div_ceil_touches_tick(toks, i) => {
                 out.push(diag(
                     t,

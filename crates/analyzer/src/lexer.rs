@@ -7,8 +7,8 @@
 //! lifetimes. Everything else is emitted as identifier, number, or
 //! single-character punctuation tokens carrying `line:col` positions.
 //!
-//! `// knots-allow:` suppression pragmas live in line comments, so the
-//! lexer also returns every line comment it skipped.
+//! `// SAFETY:` comments (rule C3) live in line comments, so the lexer also
+//! returns every line comment it skipped.
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl Tok {
     }
 }
 
-/// A line comment the lexer skipped (pragmas are mined from these).
+/// A line comment the lexer skipped (rule C3 reads `// SAFETY:` from these).
 #[derive(Debug, Clone)]
 pub struct LineComment {
     /// Comment text including the leading `//`.
@@ -394,10 +394,10 @@ mod tests {
 
     #[test]
     fn line_comments_collected_with_lines() {
-        let l = lex("x(); // knots-allow: D2 -- reason\ny();");
+        let l = lex("x(); // SAFETY: reason\ny();");
         assert_eq!(l.comments.len(), 1);
         assert_eq!(l.comments[0].line, 1);
-        assert!(l.comments[0].text.contains("knots-allow"));
+        assert!(l.comments[0].text.contains("SAFETY:"));
     }
 
     #[test]

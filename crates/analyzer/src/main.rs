@@ -5,13 +5,18 @@
 //! knots-analyzer --list-rules
 //! ```
 //!
-//! Exit codes: 0 clean, 1 deny-level findings, 2 usage/config error.
+//! Exit codes: 0 clean, 1 findings, 2 usage error.
+
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a command-line tool reports on its own streams"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use knots_analyzer::diag::{to_json, Severity};
-use knots_analyzer::engine::PRAGMA_RULES;
+use knots_analyzer::diag::to_json;
 use knots_analyzer::rules::RULES;
 
 #[derive(Clone, Copy, PartialEq)]
@@ -63,9 +68,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 }
 
 fn list_rules() {
-    println!("{:<4} {:<5} summary", "id", "sev");
-    for r in RULES.iter().chain(PRAGMA_RULES.iter()) {
-        println!("{:<4} {:<5} {}", r.id, r.severity.label(), r.summary);
+    println!("{:<4} summary", "id");
+    for r in RULES {
+        println!("{:<4} {}", r.id, r.summary);
     }
 }
 
@@ -89,18 +94,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let denies = diags.iter().filter(|d| d.severity == Severity::Deny).count();
-    let warns = diags.len() - denies;
     match opts.format {
         Format::Json => print!("{}", to_json(&diags)),
         Format::Text => {
             for d in &diags {
                 println!("{d}");
             }
-            println!("knots-analyzer: {denies} deny, {warns} warn");
+            println!("knots-analyzer: {} deny", diags.len());
         }
     }
-    if denies > 0 {
+    if !diags.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -1,6 +1,6 @@
 //! A lightweight brace-tree / item parser layered on the lexer.
 //!
-//! The token rules (D1–M1) are shape-local: they look at a handful of
+//! The token rule (M1) is shape-local: it looks at a handful of
 //! neighboring tokens. The guard rules (C1, C2) are *scope*-local:
 //! "is this guard still live at that call?" needs to know where blocks
 //! open and close and which function a token belongs to. This module

@@ -23,9 +23,3 @@ fn clean_scoped(m: &Mutex<u32>, xs: &[u32]) {
     }
     run_jobs(4, xs, |x| x);
 }
-
-fn suppressed(m: &Mutex<u32>, xs: &[u32]) {
-    let g = m.lock();
-    // knots-allow: C1 -- fixture: demonstrates suppression; workers never touch this lock
-    run_jobs(4, xs, |x| x);
-}

@@ -23,9 +23,3 @@ fn clean_scoped(&self) {
     }
     let a = self.alpha.lock();
 }
-
-fn suppressed(&self) {
-    let g = self.gamma1.lock();
-    // knots-allow: C2 -- fixture: a nested acquisition can be pragma-suppressed at its anchor
-    let h = self.gamma2.lock();
-}

@@ -20,6 +20,3 @@ static mut DOCUMENTED: u32 = 0;
 fn same_line() {
     let x = unsafe { read() }; // SAFETY: bounds checked by the caller
 }
-
-// knots-allow: C3 -- fixture: demonstrates suppressing an undocumented unsafe
-fn suppressed() { unsafe { poke(); } }

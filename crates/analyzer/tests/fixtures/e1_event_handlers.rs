@@ -1,9 +1,6 @@
-// Fixture: E1 — tick re-quantization and wall clocks inside event handlers.
-use std::time::Instant;
-
+// Fixture: E1 — tick re-quantization inside event handlers.
 impl Handlers {
     fn on_heartbeat(&mut self, at: u64) -> u64 {
-        let _t0 = Instant::now();
         (at + self.cfg.tick - 1) / self.cfg.tick
     }
 

@@ -4,7 +4,6 @@
 //! round — a panic on weird-but-valid (or plain invalid) source would take
 //! the whole gate down.
 
-use knots_analyzer::config::Config;
 use knots_analyzer::engine::check_source;
 use knots_analyzer::lexer::lex;
 use knots_analyzer::parser::parse;
@@ -19,9 +18,8 @@ fn full_pipeline(src: &str) {
     }
     // Both a decision-crate library path (all rules bind) and a harness
     // path (classification differs) must be total.
-    let cfg = Config::default();
-    let _ = check_source("crates/sim/src/fuzz.rs", src, &cfg);
-    let _ = check_source("crates/bench/src/bin/fuzz.rs", src, &cfg);
+    let _ = check_source("crates/sim/src/fuzz.rs", src);
+    let _ = check_source("crates/bench/src/bin/fuzz.rs", src);
 }
 
 proptest! {
@@ -44,7 +42,7 @@ proptest! {
         const WORDS: [&str; 24] = [
             "fn", "let", "mut", "unsafe", "static", "drop", "{", "}", "(", ")", ";", "=",
             ".", "lock", "unwrap", "run_jobs", "wait", "r#\"", "\"#", "//", "/*", "*/",
-            "knots-allow:", "r##\"x\"##",
+            "SAFETY:", "r##\"x\"##",
         ];
         let mut src = String::new();
         for p in picks {
@@ -70,8 +68,8 @@ fn unterminated_and_nested_raw_strings_are_total() {
         "fn f() { let g = m.lock();",
         "}}}}{{{{",
         "fn f() { let g = m.lock(); drop(",
-        "// knots-allow: P1 --",
-        "// knots-allow:",
+        "// SAFETY:",
+        "unsafe { // SAFETY: x",
         "b\"bytes\" b'x' 'c' '\\'' r#x",
         "\u{0}\u{1}\u{7f}fn f(){}",
     ];

@@ -243,8 +243,8 @@ struct EventLoopState {
 /// The complete dynamic state of a paused event-queue run — the payload of
 /// the recovery crate's snapshots. Only dynamic state travels here; static
 /// configuration is re-supplied to [`KubeKnots::resume`]. Every field uses
-/// vec/tuple shapes the serde shim deserializes (analyzer rule R1 keeps
-/// `HashMap`/`HashSet`/`Instant` out of this reachability closure).
+/// vec/tuple shapes the serde shim deserializes (clippy's `disallowed_types`
+/// keeps `HashMap`/`HashSet`/`Instant` out of every library crate).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct OrchestratorState {
     /// Cluster state (nodes, pods, queues, relaunch schedule, energy).
@@ -460,7 +460,10 @@ impl KubeKnots {
     /// arrivals, chaos and the heartbeat — exactly the calendar's priority
     /// order — and it only ever observes layers at grid points.
     pub fn drive(&mut self, schedule: &[ScheduledPod], stop: Option<SimTime>) -> bool {
-        // knots-allow: P1 -- `begin` and `resume` establish loop_state, and `run_schedule` calls `begin` first; driving an un-begun loop is a caller bug worth aborting on
+        #[expect(
+            clippy::expect_used,
+            reason = "`begin` and `resume` establish loop_state, and `run_schedule` calls `begin` first; driving an un-begun loop is a caller bug worth aborting on"
+        )]
         let mut st = self.loop_state.take().expect("begin (or resume) before drive");
         let tick = self.cfg.tick;
         let tick_us = tick.as_micros().max(1);
@@ -753,7 +756,10 @@ impl KubeKnots {
     /// One built heartbeat: trace the instant, run the scheduling round,
     /// record the round's wall-clock latency.
     fn heartbeat_round(&mut self, now: SimTime) {
-        // knots-allow: D1 -- wall-clock heartbeat latency is an observability metric only; it never feeds back into simulation state
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock heartbeat latency is an observability metric only; it never feeds back into simulation state"
+        )]
         let t0 = std::time::Instant::now();
         let heartbeat_span = self.trace_heartbeat(now);
         self.schedule_round(heartbeat_span);

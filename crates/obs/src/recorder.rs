@@ -85,7 +85,10 @@ impl Recorder {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for e in self.events() {
-            // knots-allow: P1 -- Event is a plain struct with string keys; its Serialize impl cannot fail
+            #[expect(
+                clippy::expect_used,
+                reason = "Event is a plain struct with string keys; its Serialize impl cannot fail"
+            )]
             out.push_str(&serde_json::to_string(&e).expect("event serializes"));
             out.push('\n');
         }

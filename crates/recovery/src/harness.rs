@@ -122,7 +122,10 @@ pub fn run_with_recovery(
                 // Kill the controller: every in-memory structure is gone.
                 drop(k);
 
-                // knots-allow: D1 -- wall-clock recovery latency is an observability stat (RecoveryStats is digest-excluded); it never feeds back into simulation state
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "wall-clock recovery latency is an observability stat (RecoveryStats is digest-excluded); it never feeds back into simulation state"
+                )]
                 let t0 = std::time::Instant::now();
                 let state = latest.state()?;
                 let mut revived = KubeKnots::resume(

@@ -82,8 +82,11 @@ impl Snapshot {
     }
 
     /// Serialize the whole envelope (what a durable store would write).
+    #[expect(
+        clippy::expect_used,
+        reason = "the envelope is four plain fields (ints and a string); its Serialize impl cannot fail"
+    )]
     pub fn encode(&self) -> String {
-        // knots-allow: P1 -- the envelope is four plain fields (ints and a string); its Serialize impl cannot fail
         serde_json::to_string(self).expect("snapshot envelope always serializes")
     }
 

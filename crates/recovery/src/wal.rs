@@ -78,8 +78,11 @@ impl WriteAheadLog {
 
     /// Serialize the log (what a durable store would write alongside the
     /// latest snapshot).
+    #[expect(
+        clippy::expect_used,
+        reason = "records are Copy structs of ints and unit-ish enums; their Serialize impl cannot fail"
+    )]
     pub fn encode(&self) -> String {
-        // knots-allow: P1 -- records are Copy structs of ints and unit-ish enums; their Serialize impl cannot fail
         serde_json::to_string(self).expect("WAL always serializes")
     }
 
@@ -109,6 +112,16 @@ mod tests {
         wal.truncate();
         assert!(wal.is_empty());
         assert_eq!(wal.truncated(), 2);
+    }
+
+    #[test]
+    fn an_out_of_range_number_is_malformed() {
+        let mut wal = WriteAheadLog::new();
+        wal.append(&[ev(7, CoreEvent::Arrival)]);
+        let text = wal.encode();
+        let corrupted = text.replacen('7', "1e300", 1);
+        assert_ne!(corrupted, text);
+        assert!(matches!(WriteAheadLog::decode(&corrupted), Err(RecoveryError::Malformed(_))));
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn check_actions(
                 prop_assert!(pending_ids.contains(pod), "{name}: placed unknown pod {pod:?}");
                 let nv = snapshot.node(*node);
                 prop_assert!(nv.is_some(), "{name}: placed on unknown node {node:?}");
-                prop_assert!(!nv.unwrap().asleep, "{name}: placed on sleeping node");
+                prop_assert!(nv.is_some_and(|n| !n.asleep), "{name}: placed on sleeping node");
                 prop_assert!(!placed.contains(pod), "{name}: pod placed twice");
                 placed.push(*pod);
             }

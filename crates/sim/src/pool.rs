@@ -23,6 +23,10 @@ pub fn default_threads() -> usize {
 /// a plain serial loop on the calling thread. Jobs may borrow from the
 /// caller's stack — the threads are scoped — and a panicking job propagates
 /// out of the scope.
+#[expect(
+    clippy::expect_used,
+    reason = "every queue entry is popped exactly once, so each slot is filled unless a job panicked (which already propagated)"
+)]
 pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,
@@ -52,10 +56,7 @@ where
     });
     slots
         .into_iter()
-        .map(|s| {
-            // knots-allow: P1 -- every queue entry is popped exactly once, so each slot is filled unless a job panicked (which already propagated)
-            s.into_inner().unwrap_or_else(PoisonError::into_inner).expect("job completed")
-        })
+        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner).expect("job completed"))
         .collect()
 }
 

@@ -137,8 +137,11 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
-        // knots-allow: P1 -- time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric
         SimDuration(self.0.checked_sub(rhs.0).expect("SimTime subtraction underflow"))
     }
 }
@@ -158,15 +161,21 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
-        // knots-allow: P1 -- time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric
         SimDuration(self.0.checked_sub(rhs.0).expect("SimDuration subtraction underflow"))
     }
 }
 
 impl SubAssign for SimDuration {
+    #[expect(
+        clippy::expect_used,
+        reason = "time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric"
+    )]
     fn sub_assign(&mut self, rhs: SimDuration) {
-        // knots-allow: P1 -- time-arithmetic underflow is a simulator bug; wrapping silently would corrupt every downstream metric
         self.0 = self.0.checked_sub(rhs.0).expect("SimDuration subtraction underflow");
     }
 }

@@ -77,6 +77,7 @@ fn process_name(pid: u64, name: &str) -> Value {
 }
 
 /// Render `spans` as a Chrome trace JSON string.
+#[expect(clippy::expect_used, reason = "a Value tree always serializes")]
 pub fn export(spans: &[Span]) -> String {
     let mut events =
         vec![process_name(PID_CONTROL, "control-loop"), process_name(PID_PODS, "pods")];
@@ -85,7 +86,6 @@ pub fn export(spans: &[Span]) -> String {
         ("traceEvents".to_string(), Value::Array(events)),
         ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
     ]);
-    // knots-allow: P1 -- a Value tree always serializes
     serde_json::to_string(&root).expect("chrome trace serializes")
 }
 

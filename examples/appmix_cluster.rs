@@ -7,6 +7,14 @@
 //! cargo run --release --example appmix_cluster [duration_secs] [mix]
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "an example is a program, not library code"
+)]
+
 use kube_knots::core::experiment::{
     run_mix, scheduler_by_name, ExperimentConfig, CLUSTER_SCHEDULERS,
 };

@@ -7,6 +7,14 @@
 //! cargo run --release --example dnn_schedulers [--smoke]
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "an example is a program, not library code"
+)]
+
 use kube_knots::core::experiment::{run_dnn, scheduler_by_name, DNN_SCHEDULERS};
 use kube_knots::core::metrics::RunReport;
 use kube_knots::workloads::dnn::DnnWorkloadConfig;

@@ -10,6 +10,8 @@
 //! cargo run --release --example harvest_demo
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example is a program, not library code")]
+
 use kube_knots::core::prelude::*;
 use kube_knots::sim::events::EventKind;
 use kube_knots::workloads::djinn::InferenceService;

@@ -7,6 +7,13 @@
 //! cargo run --release --example heterogeneous
 //! ```
 
+#![allow(
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    clippy::disallowed_types,
+    reason = "an example is a program, not library code"
+)]
+
 use kube_knots::core::prelude::*;
 use kube_knots::workloads::loadgen::{LoadGenConfig, LoadGenerator};
 use std::collections::HashMap;

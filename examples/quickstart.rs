@@ -6,6 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, reason = "an example is a program, not library code")]
+
 use kube_knots::core::prelude::*;
 
 fn main() {

@@ -439,12 +439,11 @@ impl<'a> Parser<'a> {
         let mut s = String::new();
         loop {
             let start = self.pos;
-            while let Some(&c) = self.bytes.get(self.pos) {
-                if c == b'"' || c == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
+            let rest = self.bytes.get(start..).unwrap_or_default();
+            self.pos += rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(rest.len());
             // `start` and `pos` sit next to ASCII delimiters, so this slice
             // of the (already valid) input needs no UTF-8 check.
             let run = self.src.get(start..self.pos).ok_or_else(|| self.err("invalid utf-8"))?;
@@ -462,7 +461,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.escape(&mut s)?;
                 }
-                _ => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.err("control character in a string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
@@ -497,32 +497,65 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
+    /// A number, as JSON spells one: an optional `-`, `0` or digits not
+    /// starting with `0`, then an optional fraction and exponent, each with
+    /// at least one digit. An integer is read as it is scanned.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
+        let negative = self.bytes.get(self.pos) == Some(&b'-');
+        if negative {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(&c) = self.bytes.get(self.pos) {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        // The integer part's magnitude; `None` once it overflows a u64.
+        let int_start = self.pos;
+        let mut int = Some(0u64);
+        while let Some(&c) = self.bytes.get(self.pos).filter(|c| c.is_ascii_digit()) {
+            int = int.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(c - b'0')));
+            self.pos += 1;
+        }
+        match self.pos - int_start {
+            0 => return Err(self.err("expected a digit")),
+            1 => {}
+            _ if self.bytes.get(int_start) == Some(&b'0') => {
+                return Err(self.err("leading zero in a number"))
             }
+            _ => {}
+        }
+        let is_float = matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E'));
+        match (is_float, negative, int) {
+            (false, false, Some(u)) => return Ok(Value::U64(u)),
+            (false, true, Some(u)) => {
+                if let Ok(i) = i64::try_from(-i128::from(u)) {
+                    return Ok(Value::I64(i));
+                }
+            }
+            _ => {}
+        }
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.bytes.get(self.pos), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.bytes.get(self.pos), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
         }
         let text = self.src.get(start..self.pos).ok_or_else(|| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::U64(u));
-            }
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::I64(i));
-            }
-        }
         text.parse::<f64>().map(Value::F64).map_err(|_| self.err("invalid number"))
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), Error> {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
     }
 }
 

@@ -85,22 +85,28 @@ impl Value {
         }
     }
 
-    /// Numeric coercion to `u64` (rejects negatives and non-integers).
+    /// Numeric coercion to `u64` (rejects negatives, non-integers, and
+    /// integral floats past `u64::MAX`).
     pub fn as_u64(&self) -> Option<u64> {
+        // 2^64, exact as an f64.
+        const END: f64 = 18_446_744_073_709_551_616.0;
         match self {
             Value::U64(v) => Some(*v),
             Value::I64(v) if *v >= 0 => Some(*v as u64),
-            Value::F64(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
+            Value::F64(v) if (0.0..END).contains(v) && v.fract() == 0.0 => Some(*v as u64),
             _ => None,
         }
     }
 
-    /// Numeric coercion to `i64`.
+    /// Numeric coercion to `i64` (rejects non-integers and integral floats
+    /// outside `i64`'s range).
     pub fn as_i64(&self) -> Option<i64> {
+        // 2^63, exact as an f64.
+        const END: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::I64(v) => Some(*v),
             Value::U64(v) if *v <= i64::MAX as u64 => Some(*v as i64),
-            Value::F64(v) if v.fract() == 0.0 => Some(*v as i64),
+            Value::F64(v) if (-END..END).contains(v) && v.fract() == 0.0 => Some(*v as i64),
             _ => None,
         }
     }

@@ -317,4 +317,54 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("12 34").is_err());
     }
+
+    #[test]
+    fn integral_floats_outside_the_target_range_are_refused() {
+        // Both the tree and the streaming read, which share the coercion.
+        assert!(from_str::<u64>("1e300").is_err());
+        assert!(from_str::<i64>("-1e300").is_err());
+        assert!(from_str::<u64>("18446744073709551616").is_err()); // 2^64
+        assert!(from_str::<i64>("9.223372036854775808e18").is_err()); // 2^63
+        assert!(u64::from_value(&from_str::<Value>("1e300").unwrap()).is_err());
+        assert_eq!(from_str::<u64>("3.0").unwrap(), 3);
+        assert_eq!(from_str::<i64>("-3e0").unwrap(), -3);
+        assert_eq!(from_str::<u64>("1.8446744073709550e19").unwrap(), 18446744073709549568);
+        // Integer text keeps its exact kind up to each edge.
+        assert_eq!(from_str::<Value>("18446744073709551615").unwrap(), Value::U64(u64::MAX));
+        assert_eq!(from_str::<Value>("-9223372036854775808").unwrap(), Value::I64(i64::MIN));
+        assert_eq!(from_str::<Value>("-0").unwrap(), Value::I64(0));
+        assert!(matches!(from_str::<Value>("-9223372036854775809").unwrap(), Value::F64(_)));
+    }
+
+    #[test]
+    fn parse_rejects_leading_zeros() {
+        for text in ["01", "00", "-01.5", "[01]"] {
+            assert!(from_str::<Value>(text).is_err(), "{text}");
+        }
+        assert!(from_str::<f64>("-01.5").is_err());
+        assert_eq!(
+            from_str::<Value>("[0, -0, 0.5, 10]").unwrap(),
+            from_str("[0,-0,0.5,10]").unwrap()
+        );
+    }
+
+    #[test]
+    fn parse_rejects_a_fraction_or_exponent_without_digits() {
+        for text in ["1.", "1.e5", "1e", "1e+", "-", "-.5", "[1.]"] {
+            assert!(from_str::<Value>(text).is_err(), "{text}");
+            assert!(from_str::<f64>(text).is_err(), "{text}");
+        }
+        assert_eq!(from_str::<f64>("-0.5e-3").unwrap(), -0.0005);
+        assert_eq!(from_str::<f64>("1E+2").unwrap(), 100.0);
+    }
+
+    #[test]
+    fn parse_rejects_raw_control_bytes_in_strings() {
+        for text in ["\"a\u{1}b\"", "\"tab\there\"", "\"line\nbreak\"", "[\"\u{1f}\"]"] {
+            assert!(from_str::<Value>(text).is_err(), "{text:?}");
+        }
+        assert!(from_str::<String>("\"a\u{1}b\"").is_err());
+        // The escaped spellings still read.
+        assert_eq!(from_str::<String>("\"a\\u0001b\\t\"").unwrap(), "a\u{1}b\t");
+    }
 }

@@ -5,6 +5,8 @@
 //! the TSDB door, and the schedulers' stale-series fallbacks leave visible
 //! tracks in the decision audit log.
 
+#![allow(clippy::unwrap_used, reason = "test helpers fail like the tests they serve")]
+
 use knots_chaos::{gen, ChaosEngine, CorruptionMode, FaultEvent, FaultKind, FaultPlan, GenConfig};
 use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
 use knots_core::{KubeKnots, OrchestratorConfig, RunReport};

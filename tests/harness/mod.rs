@@ -12,6 +12,11 @@
 
 // Each test binary uses its own part of the harness.
 #![allow(dead_code)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    reason = "test helpers fail like the tests they serve"
+)]
 
 use knots_chaos::{gen, ChaosEngine, FaultPlan, GenConfig};
 use knots_core::config::OrchestratorConfig;

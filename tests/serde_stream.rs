@@ -9,6 +9,13 @@
 //! with keys repeated or missing — read the same value or both fail,
 //! without a panic.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::disallowed_types,
+    reason = "test helpers fail like the tests they serve; the HashMap impls are under test"
+)]
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
