@@ -194,7 +194,7 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Diagnostic> {
     let tree = crate::parser::parse(&lexed.toks);
     let mut out = Vec::new();
     crate::rules::scan(&lexed.toks, &ctx, &regions, &mut out);
-    crate::conc::scan(&lexed.toks, &tree, &lexed.comments, &ctx, &regions, &mut out);
+    crate::rules::scan_unsafe(&lexed.toks, &lexed.comments, &ctx, &mut out);
     crate::events::scan(&lexed.toks, &tree, &ctx, &regions, &mut out);
     sort(&mut out);
     out

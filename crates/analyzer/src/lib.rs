@@ -3,19 +3,16 @@
 //! Kube-Knots' headline claim is reproducibility: a run is a pure function
 //! of `(scheduler, workload, seed)`. Most of what guards it is clippy,
 //! configured in the workspace manifest and `clippy.toml`: no wall clock,
-//! no hash collection, no panicking call and no process-stream write in
-//! library code (DESIGN.md §8). This crate enforces the rules clippy cannot
+//! no hash collection, no lock, no panicking call and no process-stream
+//! write in library code (DESIGN.md §8). This crate enforces the rules clippy cannot
 //! say:
 //!
 //! * [`lexer`] tokenizes Rust source with enough fidelity that rule text
 //!   inside strings, comments and raw strings can never fire;
 //! * [`parser`] layers a brace-tree/item scope parser on the token stream
-//!   (fn boundaries, block nesting, statement ends) for the scope-aware
-//!   rules;
-//! * [`rules`] holds the rule table and the token-shaped name rule (M1);
-//! * [`conc`] holds the scope-aware concurrency rules: the guard-lifetime
-//!   tracker behind C1 (no guard live across a fan-out) and C2 (no lock
-//!   acquired while another guard is live), and `unsafe` hygiene (C3);
+//!   (fn boundaries, block nesting) for the event-handler rule;
+//! * [`rules`] holds the rule table and the token-shaped rules: metric and
+//!   span names (M1) and `unsafe` hygiene (C3);
 //! * [`events`] holds the event-handler rule (E1: no tick quantization);
 //! * [`engine`] walks the workspace, classifies files, carves out
 //!   `#[cfg(test)]` regions and skips the vendored shims and the fixtures;
@@ -29,7 +26,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod conc;
 pub mod diag;
 pub mod engine;
 pub mod events;

@@ -1,18 +1,14 @@
 //! A lightweight brace-tree / item parser layered on the lexer.
 //!
-//! The token rule (M1) is shape-local: it looks at a handful of
-//! neighboring tokens. The guard rules (C1, C2) are *scope*-local:
-//! "is this guard still live at that call?" needs to know where blocks
-//! open and close and which function a token belongs to. This module
-//! builds exactly that much structure — a tree of `{ … }` blocks plus the
-//! list of `fn` items with their body blocks — and nothing more. It is not
-//! a Rust parser; it never fails, and on unbalanced input it degrades to
+//! The token rules (M1, C3) are shape-local: they look at a handful of
+//! neighboring tokens. The event-handler rule (E1) is *scope*-local: "is
+//! this token inside an `on_*` handler?" needs to know where blocks open
+//! and close and which function a token belongs to. This module builds
+//! exactly that much structure — a list of `{ … }` blocks plus the list of
+//! `fn` items with their body blocks — and nothing more. It is not a Rust
+//! parser; it never fails, and on unbalanced input it degrades to
 //! "everything to EOF is one scope", which keeps the analyzer total on
 //! arbitrary byte streams (fuzz contract).
-//!
-//! Statement boundaries are approximated by `;` tokens at the block's own
-//! nesting depth, which is all the guard tracker needs to delimit `let`
-//! initializer expressions and `drop(..)` statements.
 
 use crate::lexer::{Tok, TokKind};
 
@@ -23,10 +19,6 @@ pub struct Block {
     pub open: usize,
     /// Token index of the matching `}`, or `toks.len()` when unterminated.
     pub close: usize,
-    /// Arena index of the enclosing block, if any.
-    pub parent: Option<usize>,
-    /// Nesting depth (0 for top-level blocks).
-    pub depth: u32,
 }
 
 /// One `fn` item: name, position, and body block (when it has one).
@@ -50,20 +42,6 @@ pub struct ScopeTree {
 }
 
 impl ScopeTree {
-    /// Arena index of the innermost block containing token `idx`, if any.
-    pub fn enclosing_block(&self, idx: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (bi, b) in self.blocks.iter().enumerate() {
-            if b.open < idx && idx < b.close {
-                match best {
-                    Some(prev) if self.blocks[prev].depth >= b.depth => {}
-                    _ => best = Some(bi),
-                }
-            }
-        }
-        best
-    }
-
     /// The `fn` item whose body contains token `idx`, if any. Nested fns
     /// resolve to the innermost one.
     pub fn enclosing_fn(&self, idx: usize) -> Option<&FnItem> {
@@ -101,14 +79,8 @@ pub fn parse(toks: &[Tok]) -> ScopeTree {
                 }
             }
             TokKind::Punct('{') => {
-                let parent = stack.last().copied();
                 let bi = tree.blocks.len();
-                tree.blocks.push(Block {
-                    open: i,
-                    close: toks.len(),
-                    parent,
-                    depth: stack.len() as u32,
-                });
+                tree.blocks.push(Block { open: i, close: toks.len() });
                 // A pending fn at this depth claims the block as its body.
                 if let Some((name, line, depth)) = pending_fn.take() {
                     if depth == stack.len() {
@@ -161,19 +133,16 @@ mod tests {
         let inner = tree.fns.iter().find(|f| f.name == "inner").unwrap();
         let (ob, ib) = (&tree.blocks[outer.body.unwrap()], &tree.blocks[inner.body.unwrap()]);
         assert!(ob.open < ib.open && ib.close < ob.close);
-        assert_eq!(tree.blocks[inner.body.unwrap()].depth, 1);
     }
 
     #[test]
-    fn enclosing_lookups_resolve_innermost() {
+    fn enclosing_fn_resolves_innermost() {
         let src = "fn a() { fn b() { drop(1); } }";
         let lexed = lex(src);
         let tree = parse(&lexed.toks);
         // Find the `drop` token.
         let di = lexed.toks.iter().position(|t| t.ident() == Some("drop")).unwrap();
         assert_eq!(tree.enclosing_fn(di).unwrap().name, "b");
-        let bi = tree.enclosing_block(di).unwrap();
-        assert_eq!(tree.blocks[bi].depth, 1);
     }
 
     #[test]

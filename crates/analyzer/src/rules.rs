@@ -3,26 +3,23 @@
 //! | id | invariant it protects |
 //! |----|----------------------|
 //! | M1 | metric/span name hygiene: metrics match `knots_[a-z0-9_]+` (counters end `_total`), span/event names are `dot.case` |
-//! | C1 | no lock guard live across a fan-out (`run_jobs`, `thread::scope`) |
-//! | C2 | no lock acquired while another guard is live (per file) |
 //! | C3 | every `unsafe` / `static mut` / `UnsafeCell` has an adjacent `// SAFETY:` comment |
 //! | E1 | no tick quantization (div / `div_ceil` by the tick) inside event handlers (`on_*`/`handle_*` fns in `sim`/`core`) |
 //!
-//! The determinism and no-panic rules (wall clock, hash collections,
-//! panicking calls, process-stream writes) are clippy lints configured in
-//! the workspace manifest and `clippy.toml` (DESIGN.md §8).
+//! The determinism, no-panic and no-lock rules (wall clock, hash
+//! collections, panicking calls, process-stream writes, lock types) are
+//! clippy lints configured in the workspace manifest and `clippy.toml`
+//! (DESIGN.md §8).
 //!
-//! M1 matching is purely token-shaped: strings, comments and
-//! `#[cfg(test)]` regions were already stripped or marked by the
-//! lexer/engine, so rule text inside a string literal can never fire.
-//! The C rules additionally consult the scope tree built by
-//! [`crate::parser`] — see [`crate::conc`];
-//! E1 consults it too, to resolve which `fn` owns a token
-//! (see [`crate::events`]).
+//! M1 and C3 are purely token-shaped: strings, comments and `#[cfg(test)]`
+//! regions were already stripped or marked by the lexer/engine, so rule
+//! text inside a string literal can never fire. E1 consults the scope tree
+//! built by [`crate::parser`] to resolve which `fn` owns a token (see
+//! [`crate::events`]).
 
 use crate::diag::Diagnostic;
 use crate::engine::FileContext;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{LineComment, Tok, TokKind};
 
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
@@ -36,27 +33,13 @@ pub struct Rule {
 }
 
 /// Every rule the engine knows, in reporting order.
-pub const RULES: [Rule; 5] = [
+pub const RULES: [Rule; 3] = [
     Rule {
         id: "M1",
         summary: "metric/span name hygiene: literal metric names must match `knots_[a-z0-9_]+` \
                   (counters additionally end `_total`), span/event names must be `dot.case`",
         hint: "rename the metric to `knots_<subsystem>_<what>[_total]`, or the span/event \
                name to lowercase dot.case (`probe.round`, `sched.place`)",
-    },
-    Rule {
-        id: "C1",
-        summary: "no Mutex/RwLock guard live across run_jobs/thread::scope (workers touching \
-                  the same lock deadlock)",
-        hint: "narrow the guard's scope (inner block or explicit `drop(guard)`) before the \
-               fan-out, or copy the data out of the lock first",
-    },
-    Rule {
-        id: "C2",
-        summary: "no lock acquired while another guard is live (two sites nesting the same \
-                  locks in opposite orders deadlock)",
-        hint: "release the first guard (inner block or explicit `drop(guard)`) before taking \
-               the next lock",
     },
     Rule {
         id: "C3",
@@ -74,13 +57,11 @@ pub const RULES: [Rule; 5] = [
     },
 ];
 
-/// Direct references for the scope-aware passes in [`crate::conc`] and
-/// [`crate::events`] (no Option plumbing on a compile-time-known id).
+/// Direct references for the passes here and in [`crate::events`] (no
+/// Option plumbing on a compile-time-known id).
 const M1: &Rule = &RULES[0];
-pub(crate) const C1: &Rule = &RULES[1];
-pub(crate) const C2: &Rule = &RULES[2];
-pub(crate) const C3: &Rule = &RULES[3];
-pub(crate) const E1: &Rule = &RULES[4];
+const C3: &Rule = &RULES[1];
+pub(crate) const E1: &Rule = &RULES[2];
 
 /// Run rule M1 over one file's token stream: metric and span names in
 /// non-test library code. Series identity is part of the dashboards'
@@ -165,6 +146,63 @@ pub fn scan(toks: &[Tok], ctx: &FileContext, test_lines: &[(u32, u32)], out: &mu
     }
 }
 
+/// C3: every `unsafe` token, `static mut`, and `UnsafeCell` use needs an
+/// adjacent `// SAFETY:` comment (same line, or the contiguous comment run
+/// directly above). Applies to every file kind — tests included: an
+/// undocumented escape hatch is a review hazard wherever it sits.
+pub fn scan_unsafe(
+    toks: &[Tok],
+    comments: &[LineComment],
+    ctx: &FileContext,
+    out: &mut Vec<Diagnostic>,
+) {
+    let comment_on = |line: u32| comments.iter().find(|c| c.line == line);
+    let has_safety = |line: u32| -> bool {
+        let is_safety = |c: &LineComment| {
+            c.text
+                .trim_start_matches('/')
+                .trim_start_matches(['!', '/'])
+                .trim_start()
+                .starts_with("SAFETY:")
+        };
+        if comment_on(line).is_some_and(is_safety) {
+            return true;
+        }
+        // Walk the contiguous comment run directly above.
+        let mut l = line.saturating_sub(1);
+        while l > 0 {
+            match comment_on(l) {
+                Some(c) if is_safety(c) => return true,
+                Some(_) => l -= 1,
+                None => return false,
+            }
+        }
+        false
+    };
+    for (i, t) in toks.iter().enumerate() {
+        let Some(name) = t.ident() else { continue };
+        let flagged = match name {
+            "unsafe" => true,
+            "static" => toks.get(i + 1).and_then(|n| n.ident()) == Some("mut"),
+            "UnsafeCell" => true,
+            _ => false,
+        };
+        if flagged && !has_safety(t.line) {
+            out.push(Diagnostic {
+                rule: C3.id,
+                path: ctx.path.clone(),
+                line: t.line,
+                col: t.col,
+                message: format!(
+                    "`{name}` without an adjacent `// SAFETY:` comment documenting why the \
+                     invariants hold"
+                ),
+                hint: C3.hint,
+            });
+        }
+    }
+}
+
 /// `knots_` prefix, then lowercase/digit/underscore only.
 fn is_metric_name(s: &str) -> bool {
     s.starts_with("knots_")
@@ -215,6 +253,13 @@ mod tests {
         out
     }
 
+    fn run_c3(src: &str) -> Vec<Diagnostic> {
+        let lexed = lex(src);
+        let mut out = Vec::new();
+        scan_unsafe(&lexed.toks, &lexed.comments, &lib_ctx(), &mut out);
+        out
+    }
+
     #[test]
     fn m1_checks_metric_prefix_and_counter_suffix() {
         let hits = run(r#"m.inc("requests", &[]);"#);
@@ -255,5 +300,19 @@ mod tests {
         };
         scan(&lex(src).toks, &ctx, &[], &mut out);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn c3_unsafe_needs_safety() {
+        let out = run_c3("fn f() { unsafe { go(); } }");
+        assert_eq!(out.iter().filter(|d| d.rule == "C3").count(), 1, "{out:?}");
+        let out = run_c3("// SAFETY: the pointer outlives the call\nfn f() { unsafe { go(); } }");
+        assert!(out.is_empty(), "{out:?}");
+        // Comment run with the SAFETY line on top still counts.
+        let src =
+            "// SAFETY: single-threaded init\n// (checked by the ctor)\nstatic mut X: u32 = 0;\n";
+        assert!(run_c3(src).is_empty());
+        assert_eq!(run_c3("static mut X: u32 = 0;\n").len(), 1);
+        assert_eq!(run_c3("use core::cell::UnsafeCell;\n").len(), 1);
     }
 }

@@ -40,8 +40,8 @@ proptest! {
         // Random sentences over the analyzer's own trigger vocabulary —
         // far denser in rule-relevant shapes than raw bytes.
         const WORDS: [&str; 24] = [
-            "fn", "let", "mut", "unsafe", "static", "drop", "{", "}", "(", ")", ";", "=",
-            ".", "lock", "unwrap", "run_jobs", "wait", "r#\"", "\"#", "//", "/*", "*/",
+            "fn", "let", "mut", "unsafe", "static", "on_tick", "{", "}", "(", ")", ";", "=",
+            ".", "tick", "/", "div_ceil", "inc", "r#\"", "\"#", "//", "/*", "*/",
             "SAFETY:", "r##\"x\"##",
         ];
         let mut src = String::new();
@@ -57,17 +57,17 @@ proptest! {
 fn unterminated_and_nested_raw_strings_are_total() {
     // Hand-picked nasties: unterminated raw strings, mismatched hash
     // counts, raw strings containing quote-hash runs, unclosed comments,
-    // unbalanced braces around guard-shaped code.
+    // unbalanced braces around handler-shaped code.
     let cases = [
         "r\"unterminated",
         "r#\"unterminated",
         "r##\"still open\"#",
         "r##\"nested \"# quote\"##",
-        "let s = r#\"let g = m.lock(); run_jobs(\"#;",
+        "let s = r#\"fn on_tick() { t / tick }\"#;",
         "/* unclosed block /* nested",
-        "fn f() { let g = m.lock();",
+        "fn on_tick() { let n = t / tick;",
         "}}}}{{{{",
-        "fn f() { let g = m.lock(); drop(",
+        "fn handle_x() { t.div_ceil(",
         "// SAFETY:",
         "unsafe { // SAFETY: x",
         "b\"bytes\" b'x' 'c' '\\'' r#x",

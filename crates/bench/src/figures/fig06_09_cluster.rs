@@ -24,32 +24,35 @@ impl ClusterStudy {
     /// Run the full 3×4 grid, one scheduler/mix leg per job on `threads`
     /// workers (`1` runs the grid on the calling thread).
     ///
-    /// Every leg records into the shared observability bundle `obs` (its
-    /// clones are `Arc` handles, so concurrent legs interleave safely).
-    /// Every leg is deterministic from the config seed and results are
-    /// reassembled in grid order, so the study is byte-identical at every
-    /// thread count.
+    /// Every leg records into its own bundle, made by `obs.empty_like()`.
+    /// After the join the legs fold into `obs` in grid order, each event
+    /// and series labelled with its `scheduler` and `mix`. Every leg is
+    /// deterministic from the config seed, so the study, its JSONL trace
+    /// and its counters are byte-identical at every thread count.
     pub fn run(cfg: &ExperimentConfig, obs: &Obs, threads: usize) -> ClusterStudy {
-        let jobs: Vec<_> = AppMix::ALL
+        let grid: Vec<(AppMix, &str)> = AppMix::ALL
             .iter()
             .flat_map(|m| CLUSTER_SCHEDULERS.iter().map(move |s| (*m, *s)))
-            .map(|(mix, name)| {
+            .collect();
+        let jobs: Vec<_> = grid
+            .iter()
+            .map(|&(mix, name)| {
                 let cfg = *cfg;
-                let obs = obs.clone();
+                let leg_obs = obs.empty_like();
                 move || {
                     let (schedule, cluster_cfg) = mix_inputs(mix, &cfg);
                     let sched = scheduler_by_name(name).expect("known scheduler");
-                    KubeKnots::new(cluster_cfg, sched, cfg.orch)
-                        .with_obs(obs)
-                        .run_schedule(&schedule)
+                    let mut k = KubeKnots::new(cluster_cfg, sched, cfg.orch).with_obs(leg_obs);
+                    let report = k.run_schedule(&schedule);
+                    (report, k.take_obs())
                 }
             })
             .collect();
-        let results: Vec<RunReport> = knots_sim::pool::run_jobs(jobs, threads);
-        let mut reports = Vec::new();
-        for (i, _mix) in AppMix::ALL.iter().enumerate() {
-            let base = i * CLUSTER_SCHEDULERS.len();
-            reports.push(results[base..base + CLUSTER_SCHEDULERS.len()].to_vec());
+        let mut reports: Vec<Vec<RunReport>> = AppMix::ALL.iter().map(|_| Vec::new()).collect();
+        let legs = grid.iter().zip(knots_sim::pool::run_jobs(jobs, threads));
+        for (i, ((mix, name), (report, leg_obs))) in legs.enumerate() {
+            obs.absorb(leg_obs, &[("scheduler", name), ("mix", &mix.to_string())]);
+            reports[i / CLUSTER_SCHEDULERS.len()].push(report);
         }
         ClusterStudy { mixes: AppMix::ALL.iter().map(|m| m.to_string()).collect(), reports }
     }

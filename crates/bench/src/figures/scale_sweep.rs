@@ -8,7 +8,6 @@
 use crate::render::{f, Table};
 use knots_core::experiment::{mix_inputs, scheduler_by_name, ExperimentConfig};
 use knots_core::{report_digest, KubeKnots};
-use knots_obs::Obs;
 use knots_sim::time::SimDuration;
 use knots_workloads::AppMix;
 use std::time::Instant;
@@ -37,18 +36,17 @@ pub fn run_point(nodes: usize, secs: u64, seed: u64) -> ScalePoint {
         seed,
         ..Default::default()
     };
-    let obs = Obs::disabled();
     let t0 = Instant::now();
     let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &cfg);
-    let report = KubeKnots::new(
+    let mut k = KubeKnots::new(
         cluster_cfg,
         scheduler_by_name("CBP+PP").expect("known scheduler"),
         cfg.orch,
-    )
-    .with_obs(obs.clone())
-    .run_schedule(&schedule);
+    );
+    let report = k.run_schedule(&schedule);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let round_p99_us = obs
+    let round_p99_us = k
+        .obs()
         .metrics
         .histogram("knots_heartbeat_latency_us", &[])
         .and_then(|h| h.percentile(0.99))

@@ -81,12 +81,12 @@ fn run_leg(name: &str, faulted: bool, workload: &DnnWorkloadConfig, seed: u64) -
     };
     let obs = Obs { tracer: Tracer::bounded(SPAN_CAPACITY), ..Obs::disabled() };
     let (schedule, cluster_cfg, orch) = dnn_inputs(workload);
-    let report =
+    let mut k =
         KubeKnots::new(cluster_cfg, scheduler_by_name(name).expect("known scheduler"), orch)
-            .with_obs(obs.clone())
-            .with_chaos(ChaosEngine::new(plan))
-            .run_schedule(&schedule);
-    let tracer = &obs.tracer;
+            .with_obs(obs)
+            .with_chaos(ChaosEngine::new(plan));
+    let report = k.run_schedule(&schedule);
+    let tracer = &k.obs().tracer;
     TraceLeg {
         scheduler: name.to_string(),
         faulted,

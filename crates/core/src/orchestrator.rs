@@ -198,8 +198,9 @@ pub struct KubeKnots {
     chaos_buf: Vec<ChaosAction>,
     skipped: usize,
     /// This run's skipped actions keyed `(error, kind)` — the metrics
-    /// registry's sorted label order. The registry may be shared with other
-    /// runs, so the report's breakdown is counted here, not read back.
+    /// registry's sorted label order. A registry may be merged with other
+    /// runs' (`Obs::absorb`), so the report's breakdown is counted here, not
+    /// read back.
     skips: BTreeMap<(&'static str, &'static str), u64>,
     tally: LoopTally,
     /// The scheduler's inputs, refilled in place every heartbeat so a
@@ -361,6 +362,15 @@ impl KubeKnots {
         &self.obs
     }
 
+    /// Hand the observability bundle back, leaving an empty one with the
+    /// same sinks switched on (`Obs::empty_like`) to record the rest of the
+    /// run. A study folds the returned bundle into its own with
+    /// `Obs::absorb`.
+    pub fn take_obs(&mut self) -> Obs {
+        let rest = self.obs.empty_like();
+        std::mem::replace(&mut self.obs, rest)
+    }
+
     /// Attach a fault-injection engine. An inert engine (empty plan) is
     /// dropped on the spot, so fault-free runs take exactly the fault-free
     /// code path and stay bit-identical to runs built without chaos.
@@ -399,7 +409,7 @@ impl KubeKnots {
     /// per run — [`KubeKnots::run_schedule`] and [`KubeKnots::run_ticked`]
     /// end with it, and a run driven via [`KubeKnots::begin`] /
     /// [`KubeKnots::drive`] calls it after its last drive. Counters add to
-    /// whatever the (possibly shared) registry holds.
+    /// whatever the registry holds.
     pub fn finish(&mut self, submitted: usize) -> RunReport {
         if self.obs.tracer.enabled() {
             self.lifecycle.flush(self.cluster.now().as_micros(), &self.obs.tracer);
@@ -680,8 +690,8 @@ impl KubeKnots {
     /// Apply one calendar event at `now` and schedule the producer's next
     /// occurrence. Handlers advance bookkeeping in closed form: due times
     /// are snapped to the tick grid once, at enqueue (`grid_at_or_after`)
-    /// — analyzer rule E1 keeps tick quantization and wall clocks out of
-    /// this dispatch.
+    /// — analyzer rule E1 keeps tick quantization out of this dispatch, and
+    /// clippy's `disallowed-types` ban keeps wall clocks out.
     fn handle_event(
         &mut self,
         kind: CoreEvent,
@@ -1118,8 +1128,8 @@ impl KubeKnots {
     }
 
     /// Publish the run's event counts, heartbeat latencies and loop tallies
-    /// to the metrics registry: counters add to whatever the (possibly
-    /// shared) registry holds, gauges overwrite.
+    /// to the metrics registry: counters add to whatever the registry holds,
+    /// gauges overwrite.
     fn publish_run_metrics(&self) {
         let (m, t) = (&self.obs.metrics, &self.tally);
         for kind in CoreEvent::ALL {
@@ -1510,7 +1520,7 @@ mod tests {
             "heartbeat latency must be observed on every built round, and CBP+PP builds \
              every round of a fault-free run"
         );
-        // The scheduler audit trail flows through the shared recorder.
+        // The scheduler audit trail flows through the run's recorder.
         let trace = k.obs().recorder.export_jsonl();
         assert!(trace.contains("\"sched."), "scheduler decisions should be audited: {trace}");
         // Skipped breakdown is consistent with the aggregate counter.
@@ -1616,11 +1626,11 @@ mod tests {
     }
 
     #[test]
-    fn skip_breakdown_is_per_run_when_runs_share_a_registry() {
+    fn skip_breakdown_is_per_run_when_runs_merge_into_one_registry() {
         // Every round asks to sleep a node that does not exist, so every
-        // action is skipped. Two identical runs share one metrics registry
-        // (as the legs of a cluster study do); each report must describe its
-        // own run only.
+        // action is skipped. Two identical runs merge into one metrics
+        // registry (as the legs of a cluster study do); each report must
+        // describe its own run only.
         struct SleepGhost;
         impl Scheduler for SleepGhost {
             fn name(&self) -> &'static str {
@@ -1638,9 +1648,10 @@ mod tests {
             OrchestratorConfig { drain_grace: SimDuration::from_secs(1), ..Default::default() };
         let obs = Obs::disabled();
         let run = || {
-            KubeKnots::new(quiet(1), Box::new(SleepGhost), cfg)
-                .with_obs(obs.clone())
-                .run_schedule(&schedule)
+            let mut k = KubeKnots::new(quiet(1), Box::new(SleepGhost), cfg);
+            let report = k.run_schedule(&schedule);
+            obs.absorb(k.take_obs(), &[]);
+            report
         };
         let (a, b) = (run(), run());
         assert!(a.skipped_actions > 0);
@@ -1656,7 +1667,7 @@ mod tests {
                 count: b.skipped_actions as u64,
             }]
         );
-        // The shared registry still accumulates across runs.
+        // The merged registry accumulates across runs.
         let total = obs.metrics.counter_value(
             "knots_actions_skipped_total",
             &[("kind", "Sleep"), ("error", "unknown_node")],
@@ -1775,16 +1786,17 @@ mod tests {
             OrchestratorConfig { drain_grace: SimDuration::from_secs(8), ..Default::default() };
         let obs = Obs::disabled();
         let m = &obs.metrics;
-        let place = || m.counter_value("knots_actions_applied_total", &[("kind", "Place")]);
+        let place = |m: &knots_obs::Registry| {
+            m.counter_value("knots_actions_applied_total", &[("kind", "Place")])
+        };
         let last_pending = std::rc::Rc::new(std::cell::Cell::new(usize::MAX));
         let last_end = std::cell::Cell::new(0u64);
         // One leg, paused halfway: placements have happened, but nothing
         // reaches the registry before the run reports. Returns the leg's
-        // placement events.
+        // placement events, and merges the leg's metrics into `obs`.
         let run = || {
-            let before = place();
             let spy = Spy(CbpPp::new(), last_pending.clone());
-            let mut k = KubeKnots::new(quiet(2), Box::new(spy), cfg).with_obs(obs.clone());
+            let mut k = KubeKnots::new(quiet(2), Box::new(spy), cfg);
             k.begin(&schedule);
             assert!(!k.drive(&schedule, Some(SimTime::from_secs(2))), "run must pause");
             let placed = |k: &KubeKnots| {
@@ -1792,14 +1804,15 @@ mod tests {
                 events.filter(|e| matches!(e.kind, EventKind::Placed { .. })).count() as u64
             };
             assert!(placed(&k) > 0);
-            assert_eq!(place(), before, "applied actions reached the registry mid-run");
+            assert_eq!(place(&k.obs().metrics), 0, "applied actions reached the registry mid-run");
             assert!(k.drive(&schedule, None));
             k.finish(schedule.len());
             last_end.set(k.cluster().now().as_micros());
+            obs.absorb(k.take_obs(), &[]);
             placed(&k)
         };
         let placed = run();
-        let applied = place();
+        let applied = place(m);
         assert_eq!(applied, placed, "one Place per placement event");
         // Every node-tick is counted once, as active or idle.
         let ticks = |state| m.counter_value("knots_node_ticks_total", &[("state", state)]);
@@ -1812,10 +1825,10 @@ mod tests {
         let requested = m.counter_value("knots_requested_mb_total", &[]);
         assert!(requested > 0);
 
-        // A second, identical leg on the same registry: counters add up,
-        // the gauge holds the latest round.
+        // A second, identical leg merged into the same registry: counters
+        // add up, the gauge holds the latest round.
         assert_eq!(run(), placed);
-        assert_eq!(place(), 2 * applied);
+        assert_eq!(place(m), 2 * applied);
         assert_eq!(m.counter_value("knots_requested_mb_total", &[]), 2 * requested);
         assert_eq!(m.gauge_value("knots_pending_pods", &[]), Some(1.0));
     }
@@ -1826,10 +1839,8 @@ mod tests {
         // while paused. Both publish the same metrics, once, at `finish`.
         let schedule = tiny_schedule();
         let run = |peek: bool| {
-            let obs = Obs::disabled();
             let mut k =
-                KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default())
-                    .with_obs(obs.clone());
+                KubeKnots::new(quiet(2), Box::new(CbpPp::new()), OrchestratorConfig::default());
             k.begin(&schedule);
             assert!(!k.drive(&schedule, Some(SimTime::from_millis(1500))), "run must pause");
             if peek {
@@ -1840,7 +1851,7 @@ mod tests {
             let digest = crate::digest::report_digest(&k.finish(schedule.len()));
             // Latency buckets and sums are wall-clock; their count is not.
             let wall = ["knots_heartbeat_latency_us_bucket", "knots_heartbeat_latency_us_sum"];
-            let text = obs.metrics.to_prometheus();
+            let text = k.obs().metrics.to_prometheus();
             let lines = text.lines().filter(|l| !wall.iter().any(|w| l.starts_with(w)));
             (digest, lines.map(|l| format!("{l}\n")).collect::<String>())
         };

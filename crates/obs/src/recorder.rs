@@ -1,69 +1,97 @@
 //! Bounded ring-buffer event sink with JSONL export.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::event::{Event, FieldValue};
 
-use crate::event::Event;
-
-/// Shared, clonable event sink.
+/// One leg's event sink.
 ///
 /// A disabled recorder holds no buffer at all: [`Recorder::record`] is a
 /// single `Option` branch, which keeps tracing effectively free when off
 /// (the property the telemetry bench asserts). An enabled recorder keeps
 /// the most recent `capacity` events and counts what it evicts.
-#[derive(Clone, Debug, Default)]
+///
+/// The recorder belongs to one leg. Schedulers record through a shared
+/// borrow (`SchedContext`), so the ring sits in a `RefCell`; a study that
+/// runs legs on several threads gives each its own recorder and merges
+/// them afterwards with [`Recorder::absorb`].
+#[derive(Debug, Default)]
 pub struct Recorder {
-    inner: Option<Arc<Inner>>,
+    ring: Option<RefCell<Ring>>,
 }
 
 #[derive(Debug)]
-struct Inner {
-    buf: Mutex<VecDeque<Event>>,
+struct Ring {
+    buf: VecDeque<Event>,
     capacity: usize,
-    dropped: AtomicU64,
+    dropped: u64,
+}
+
+impl Ring {
+    fn push(&mut self, event: Event) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(event);
+    }
 }
 
 impl Recorder {
     /// A recorder that silently drops everything.
     pub fn disabled() -> Self {
-        Recorder { inner: None }
+        Recorder { ring: None }
     }
 
     /// A recorder retaining at most `capacity` events (oldest evicted).
     pub fn bounded(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Recorder {
-            inner: Some(Arc::new(Inner {
-                buf: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
+            ring: Some(RefCell::new(Ring {
+                buf: VecDeque::with_capacity(capacity.min(4096)),
                 capacity,
-                dropped: AtomicU64::new(0),
+                dropped: 0,
             })),
         }
+    }
+
+    /// An empty recorder with this one's capacity (disabled when this one
+    /// is): what a leg records into before [`Recorder::absorb`].
+    pub fn empty_like(&self) -> Self {
+        self.ring.as_ref().map_or_else(Self::disabled, |r| Self::bounded(r.borrow().capacity))
     }
 
     /// Whether events are being kept. Call sites building expensive events
     /// should check this first.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.ring.is_some()
     }
 
     /// Append an event, evicting the oldest when full.
     pub fn record(&self, event: Event) {
-        let Some(inner) = &self.inner else { return };
-        let mut buf = inner.buf.lock();
-        if buf.len() == inner.capacity {
-            buf.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+        let Some(ring) = &self.ring else { return };
+        ring.borrow_mut().push(event);
+    }
+
+    /// Append `leg`'s events after this recorder's, each with `labels`
+    /// prepended to its fields, under this recorder's capacity. What `leg`
+    /// evicted counts as dropped here too. A disabled recorder drops them.
+    pub fn absorb(&self, leg: Recorder, labels: &[(&'static str, &str)]) {
+        let (Some(ring), Some(leg)) = (&self.ring, leg.ring) else { return };
+        let leg = leg.into_inner();
+        let mut ring = ring.borrow_mut();
+        ring.dropped += leg.dropped;
+        for mut event in leg.buf {
+            let tags = labels.iter().map(|&(k, v)| (k, FieldValue::Str(v.to_string())));
+            event.fields.splice(0..0, tags);
+            ring.push(event);
         }
-        buf.push_back(event);
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.buf.lock().len())
+        self.ring.as_ref().map_or(0, |r| r.borrow().buf.len())
     }
 
     /// True when nothing is retained.
@@ -73,23 +101,24 @@ impl Recorder {
 
     /// Number of events evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.dropped.load(Ordering::Relaxed))
+        self.ring.as_ref().map_or(0, |r| r.borrow().dropped)
     }
 
     /// Snapshot the retained events (oldest first).
     pub fn events(&self) -> Vec<Event> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.buf.lock().iter().cloned().collect())
+        self.ring.as_ref().map_or_else(Vec::new, |r| r.borrow().buf.iter().cloned().collect())
     }
 
     /// Export retained events as JSON Lines, oldest first.
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
-        for e in self.events() {
+        let Some(ring) = &self.ring else { return out };
+        for e in &ring.borrow().buf {
             #[expect(
                 clippy::expect_used,
                 reason = "Event is a plain struct with string keys; its Serialize impl cannot fail"
             )]
-            out.push_str(&serde_json::to_string(&e).expect("event serializes"));
+            out.push_str(&serde_json::to_string(e).expect("event serializes"));
             out.push('\n');
         }
         out
@@ -137,13 +166,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"warn\""));
         assert!(lines[1].contains("\"second\""));
-    }
-
-    #[test]
-    fn clones_share_the_buffer() {
-        let r = Recorder::bounded(8);
-        let r2 = r.clone();
-        r2.record(Event::new("a", "shared"));
-        assert_eq!(r.len(), 1);
     }
 }

@@ -1,9 +1,7 @@
 //! Labelled metrics registry with Prometheus text exposition.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::histogram::Histogram;
 
@@ -20,6 +18,13 @@ impl Key {
             labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
         labels.sort();
         Key { name: name.to_string(), labels }
+    }
+
+    /// This key with `extra` labels added, kept sorted.
+    fn labelled(mut self, extra: &[(&str, &str)]) -> Self {
+        self.labels.extend(extra.iter().map(|(k, v)| (k.to_string(), v.to_string())));
+        self.labels.sort();
+        self
     }
 
     fn render(&self) -> String {
@@ -52,20 +57,23 @@ fn escape_label_value(v: &str) -> String {
 }
 
 #[derive(Debug, Default)]
-struct RegistryInner {
+struct Series {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, f64>,
     histograms: BTreeMap<Key, Histogram>,
 }
 
-/// Shared, clonable registry of counters, gauges and histograms.
+/// One leg's registry of counters, gauges and histograms.
 ///
 /// Metric names follow Prometheus conventions (`knots_..._total` for
 /// counters); labels are `(key, value)` pairs and are part of the series
-/// identity.
-#[derive(Clone, Debug, Default)]
+/// identity. Updates go through a shared borrow (the recovery harness
+/// counts into a borrowed bundle), so the series sit in a `RefCell`; a
+/// study running legs on several threads gives each its own registry and
+/// merges them afterwards with [`Registry::absorb`].
+#[derive(Debug, Default)]
 pub struct Registry {
-    inner: Arc<Mutex<RegistryInner>>,
+    inner: RefCell<Series>,
 }
 
 impl Registry {
@@ -81,22 +89,22 @@ impl Registry {
 
     /// Increment a counter by `delta`.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self.inner.lock().counters.entry(Key::new(name, labels)).or_insert(0) += delta;
+        *self.inner.borrow_mut().counters.entry(Key::new(name, labels)).or_insert(0) += delta;
     }
 
     /// Set a gauge to `v`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.inner.lock().gauges.insert(Key::new(name, labels), v);
+        self.inner.borrow_mut().gauges.insert(Key::new(name, labels), v);
     }
 
     /// Fold a locally-accumulated histogram into the registry series.
-    /// One lock + merge instead of a lock per observation; the series is
+    /// One merge instead of an update per observation; the series is
     /// created with the same [`Histogram::latency_us`] buckets on first
     /// use, and the merged result is identical to observing every value
     /// through [`Registry::observe_with`] with those buckets.
     pub fn merge_histogram(&self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
         self.inner
-            .lock()
+            .borrow_mut()
             .histograms
             .entry(Key::new(name, labels))
             .or_insert_with(Histogram::latency_us)
@@ -111,27 +119,52 @@ impl Registry {
         v: f64,
         make: impl FnOnce() -> Histogram,
     ) {
-        self.inner.lock().histograms.entry(Key::new(name, labels)).or_insert_with(make).observe(v);
+        self.inner
+            .borrow_mut()
+            .histograms
+            .entry(Key::new(name, labels))
+            .or_insert_with(make)
+            .observe(v);
+    }
+
+    /// Fold `leg`'s series into this registry, each with `labels` added:
+    /// counters add, gauges overwrite, histograms merge.
+    pub fn absorb(&self, leg: Registry, labels: &[(&str, &str)]) {
+        let leg = leg.inner.into_inner();
+        let mut inner = self.inner.borrow_mut();
+        for (key, v) in leg.counters {
+            *inner.counters.entry(key.labelled(labels)).or_insert(0) += v;
+        }
+        for (key, v) in leg.gauges {
+            inner.gauges.insert(key.labelled(labels), v);
+        }
+        for (key, h) in leg.histograms {
+            inner
+                .histograms
+                .entry(key.labelled(labels))
+                .and_modify(|sum| sum.merge(&h))
+                .or_insert(h);
+        }
     }
 
     /// Read a counter (0 when absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner.lock().counters.get(&Key::new(name, labels)).copied().unwrap_or(0)
+        self.inner.borrow().counters.get(&Key::new(name, labels)).copied().unwrap_or(0)
     }
 
     /// Read a gauge.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.inner.lock().gauges.get(&Key::new(name, labels)).copied()
+        self.inner.borrow().gauges.get(&Key::new(name, labels)).copied()
     }
 
     /// Snapshot a histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.inner.lock().histograms.get(&Key::new(name, labels)).cloned()
+        self.inner.borrow().histograms.get(&Key::new(name, labels)).cloned()
     }
 
     /// Prometheus text exposition (v0.0.4) of every metric.
     pub fn to_prometheus(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = String::new();
         let mut last_name = String::new();
         for (key, v) in &inner.counters {

@@ -13,10 +13,8 @@
 //!   every emission site is a single `Option` branch, mirroring
 //!   [`Recorder`](crate::Recorder).
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::event::FieldValue;
 use crate::histogram::Histogram;
@@ -70,16 +68,18 @@ impl Span {
     }
 }
 
-/// Shared, clonable span sink.
+/// One leg's span sink.
 ///
 /// A disabled tracer holds no buffer and every `record_*` call is one
 /// `Option` branch; an enabled tracer keeps the most recent `capacity`
 /// spans and counts what it evicts. Span ids are sequential in emission
 /// order, so a single-threaded control loop produces a deterministic id
-/// assignment.
-#[derive(Clone, Debug, Default)]
+/// assignment. The state sits in a `RefCell` (the lifecycle tracker emits
+/// through a shared borrow); a study running legs on several threads
+/// gives each its own tracer and merges them with [`Tracer::absorb`].
+#[derive(Debug, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Mutex<State>>>,
+    inner: Option<RefCell<State>>,
 }
 
 #[derive(Debug)]
@@ -87,6 +87,8 @@ struct State {
     spans: VecDeque<Span>,
     capacity: usize,
     dropped: u64,
+    /// The id this tracer's numbering began at (see [`Tracer::empty_like`]).
+    first_id: u64,
     next_id: u64,
     /// Per-stage duration histograms, fed at emission time so eviction
     /// from the ring never loses latency mass. Complete spans only.
@@ -101,15 +103,54 @@ impl Tracer {
 
     /// A tracer retaining at most `capacity` spans (oldest evicted).
     pub fn bounded(capacity: usize) -> Self {
+        Self::numbered_from(capacity, 1)
+    }
+
+    fn numbered_from(capacity: usize, first_id: u64) -> Self {
         let capacity = capacity.max(1);
         Tracer {
-            inner: Some(Arc::new(Mutex::new(State {
+            inner: Some(RefCell::new(State {
                 spans: VecDeque::with_capacity(capacity.min(4096)),
                 capacity,
                 dropped: 0,
-                next_id: 1,
+                first_id,
+                next_id: first_id,
                 stages: BTreeMap::new(),
-            }))),
+            })),
+        }
+    }
+
+    /// An empty tracer with this one's capacity (disabled when this one
+    /// is) that numbers its spans on from this one's next id: what a leg
+    /// records into before [`Tracer::absorb`].
+    pub fn empty_like(&self) -> Self {
+        self.inner.as_ref().map_or_else(Self::disabled, |st| {
+            let st = st.borrow();
+            Self::numbered_from(st.capacity, st.next_id)
+        })
+    }
+
+    /// Append `leg`'s spans after this tracer's, under this tracer's
+    /// capacity, and merge its stage histograms. The leg's spans are
+    /// renumbered to follow this tracer's; a parent id from before the leg
+    /// began already is in this tracer's numbering and is kept. A disabled
+    /// tracer drops them.
+    pub fn absorb(&self, leg: Tracer) {
+        let (Some(st), Some(leg)) = (&self.inner, leg.inner) else { return };
+        let leg = leg.into_inner();
+        let mut st = st.borrow_mut();
+        let (first, base) = (leg.first_id, st.next_id);
+        let renumber = move |id: u64| if id >= first { id - first + base } else { id };
+        st.next_id += leg.next_id - first;
+        st.dropped += leg.dropped;
+        for mut span in leg.spans {
+            span.id = renumber(span.id);
+            span.parent = span.parent.map(renumber);
+            st.evict_if_full();
+            st.spans.push_back(span);
+        }
+        for (name, h) in leg.stages {
+            st.stages.entry(name).and_modify(|sum| sum.merge(&h)).or_insert(h);
         }
     }
 
@@ -131,7 +172,7 @@ impl Tracer {
         parent: Option<u64>,
         args: Vec<(&'static str, FieldValue)>,
     ) -> Option<u64> {
-        let mut st = self.inner.as_ref()?.lock();
+        let mut st = self.inner.as_ref()?.borrow_mut();
         let dur = end_us.saturating_sub(start_us);
         st.stages
             .entry(name)
@@ -150,13 +191,13 @@ impl Tracer {
         parent: Option<u64>,
         args: Vec<(&'static str, FieldValue)>,
     ) -> Option<u64> {
-        let mut st = self.inner.as_ref()?.lock();
+        let mut st = self.inner.as_ref()?.borrow_mut();
         Some(st.push(Span { id: 0, parent, name, track, start_us: at_us, dur_us: None, args }))
     }
 
     /// Number of retained spans.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.lock().spans.len())
+        self.inner.as_ref().map_or(0, |i| i.borrow().spans.len())
     }
 
     /// True when nothing is retained.
@@ -166,12 +207,12 @@ impl Tracer {
 
     /// Number of spans evicted due to the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.lock().dropped)
+        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
     }
 
     /// Snapshot the retained spans (oldest first).
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| i.lock().spans.iter().cloned().collect())
+        self.inner.as_ref().map_or_else(Vec::new, |i| i.borrow().spans.iter().cloned().collect())
     }
 
     /// Snapshot the per-stage duration histograms, sorted by stage name.
@@ -179,7 +220,7 @@ impl Tracer {
     /// ring has since evicted.
     pub fn stage_histograms(&self) -> Vec<(&'static str, Histogram)> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.lock().stages.iter().map(|(k, v)| (*k, v.clone())).collect()
+            i.borrow().stages.iter().map(|(k, v)| (*k, v.clone())).collect()
         })
     }
 }
@@ -189,12 +230,16 @@ impl State {
         let id = self.next_id;
         self.next_id += 1;
         span.id = id;
+        self.evict_if_full();
+        self.spans.push_back(span);
+        id
+    }
+
+    fn evict_if_full(&mut self) {
         if self.spans.len() == self.capacity {
             self.spans.pop_front();
             self.dropped += 1;
         }
-        self.spans.push_back(span);
-        id
     }
 }
 
@@ -237,10 +282,23 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state() {
-        let t = Tracer::bounded(8);
-        let t2 = t.clone();
-        t2.record_instant(Track::Control, "chaos.inject", 1, None, vec![]);
-        assert_eq!(t.len(), 1);
+    fn absorbed_legs_are_renumbered_in_order() {
+        let t = Tracer::bounded(3);
+        let legs = [t.empty_like(), t.empty_like()];
+        for leg in &legs {
+            let q = leg.record_complete(Track::Pod(1), "queued", 0, 10, None, vec![]);
+            leg.record_instant(Track::Pod(1), "placed", 10, q, vec![]);
+        }
+        for leg in legs {
+            t.absorb(leg);
+        }
+        // Four spans through a ring of three: the first leg's `queued` goes.
+        assert_eq!((t.len(), t.dropped()), (3, 1));
+        let ids: Vec<(u64, Option<u64>)> = t.spans().iter().map(|s| (s.id, s.parent)).collect();
+        assert_eq!(ids, vec![(2, Some(1)), (3, None), (4, Some(3))]);
+        assert_eq!(t.stage_histograms()[0].1.count(), 2);
+        // A leg made now numbers on from the merged spans.
+        let next = t.empty_like();
+        assert_eq!(next.record_instant(Track::Control, "chaos.inject", 1, None, vec![]), Some(5));
     }
 }

@@ -57,6 +57,12 @@ enum StopKind {
 /// wall-clock recovery latency. Everything the report digest covers is
 /// bit-identical to an uninterrupted run of the same inputs — that is the
 /// contract `tests/recovery.rs` pins.
+///
+/// Each controller incarnation records into its own bundle
+/// (`Obs::empty_like` of `obs`), folded into `obs` at every checkpoint and
+/// at the end of the run. What a killed incarnation recorded since its last
+/// checkpoint dies with it; its successor records that stretch again as it
+/// replays it.
 pub fn run_with_recovery(
     cluster_cfg: &ClusterConfig,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
@@ -71,7 +77,8 @@ pub fn run_with_recovery(
     let mut crash_iter = crashes.into_iter().peekable();
 
     let mut k = KubeKnots::new(cluster_cfg.clone(), make_scheduler(), *orch)
-        .with_chaos(ChaosEngine::new(plan.clone()));
+        .with_chaos(ChaosEngine::new(plan.clone()))
+        .with_obs(obs.empty_like());
     k.begin(schedule);
     k.enable_journal();
 
@@ -114,6 +121,7 @@ pub fn run_with_recovery(
                 wal.truncate();
                 stats.checkpoints += 1;
                 obs.metrics.inc("knots_recovery_checkpoints_total", &[]);
+                obs.absorb(k.take_obs(), &[]);
             }
             StopKind::Crash => {
                 crash_iter.next();
@@ -135,7 +143,8 @@ pub fn run_with_recovery(
                     Some(plan.clone()),
                     state,
                 )
-                .map_err(|e| RecoveryError::Malformed(e.to_string()))?;
+                .map_err(|e| RecoveryError::Malformed(e.to_string()))?
+                .with_obs(obs.empty_like());
                 revived.enable_journal();
                 // Replay: re-drive the deterministic loop from the
                 // snapshot to the crash boundary. The WAL is the fence,
@@ -158,6 +167,7 @@ pub fn run_with_recovery(
     }
 
     let mut report = k.finish(schedule.len());
+    obs.absorb(k.take_obs(), &[]);
     report.recovery = stats;
     Ok(report)
 }

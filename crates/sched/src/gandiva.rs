@@ -1,15 +1,20 @@
 //! A Gandiva-style baseline (§VI-E, Fig. 12, Table V).
 //!
 //! Gandiva (OSDI '18) is an introspective DL-cluster scheduler built on
-//! three mechanisms this model reproduces: aggressive packing, *time-
-//! slicing* via suspend-and-resume when a GPU is oversubscribed, and
-//! *trial-and-error migration* between unevenly loaded nodes. It is
-//! application-aware for DLT jobs but has no utilization telemetry and no
-//! notion of latency-critical queries, so inference tasks wait in the same
-//! FCFS queue behind training jobs — the head-of-line blocking and
-//! migration stalls that cost it QoS violations and JCT in the paper's
-//! comparison ("trial-and-error task placement leading to severe HOL
-//! blocking of small tasks").
+//! three mechanisms: aggressive packing, *time-slicing* via
+//! suspend-and-resume when a GPU is oversubscribed, and *trial-and-error
+//! migration* between unevenly loaded nodes. It is application-aware for
+//! DLT jobs but has no utilization telemetry and no notion of
+//! latency-critical queries, so inference tasks wait in the same FCFS
+//! queue behind training jobs — the head-of-line blocking that costs it QoS
+//! violations and JCT in the paper's comparison ("trial-and-error task
+//! placement leading to severe HOL blocking of small tasks").
+//!
+//! This model keeps packing and time-slicing and does not model migration.
+//! The paper's baseline runs one DL job per GPU ([`SLOTS_PER_NODE`] = 1):
+//! every placement and resume needs a node with no running pod, so no node
+//! ever runs two pods, and the load imbalance Gandiva migrates away from
+//! (a node with two or more pods more than another) cannot arise.
 
 use crate::action::Action;
 use crate::context::SchedContext;
@@ -26,14 +31,10 @@ pub const SLOTS_PER_NODE: usize = 1;
 /// Time-slice rotation period.
 pub const QUANTUM: SimDuration = SimDuration::from_secs(30);
 
-/// Interval between migration attempts.
-pub const MIGRATION_INTERVAL: SimDuration = SimDuration::from_secs(60);
-
 /// The Gandiva-style scheduler.
 #[derive(Debug, Default)]
 pub struct Gandiva {
     last_rotation: Option<SimTime>,
-    last_migration: Option<SimTime>,
 }
 
 impl Gandiva {
@@ -44,12 +45,12 @@ impl Gandiva {
 }
 
 /// Serializable form of Gandiva's decision state (snapshot interchange).
+/// A payload written before migration left the model also carries a
+/// `last_migration` entry; it is read past.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GandivaState {
     /// When the last time-slice rotation happened.
     pub last_rotation: Option<SimTime>,
-    /// When the last packing migration happened.
-    pub last_migration: Option<SimTime>,
 }
 
 impl Scheduler for Gandiva {
@@ -57,17 +58,19 @@ impl Scheduler for Gandiva {
         "Gandiva"
     }
 
+    /// With no pod pending or suspended, nothing is placed or resumed and
+    /// no rotation is due (it waits for work), so the round changes nothing.
+    fn idle_without_waiting_pods(&self) -> bool {
+        true
+    }
+
     fn snapshot_state(&self) -> serde::Value {
-        serde::Serialize::to_value(&GandivaState {
-            last_rotation: self.last_rotation,
-            last_migration: self.last_migration,
-        })
+        serde::Serialize::to_value(&GandivaState { last_rotation: self.last_rotation })
     }
 
     fn restore_state(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
         let s: GandivaState = serde::Deserialize::from_value(state)?;
         self.last_rotation = s.last_rotation;
-        self.last_migration = s.last_migration;
         Ok(())
     }
 
@@ -169,34 +172,6 @@ impl Scheduler for Gandiva {
             }
         }
 
-        // 4. Trial-and-error migration: move one pod from the most- to the
-        //    least-loaded node when the imbalance is ≥ 2 pods.
-        let migrate_due =
-            self.last_migration.is_none_or(|t| ctx.now.saturating_since(t) >= MIGRATION_INTERVAL);
-        if migrate_due {
-            self.last_migration = Some(ctx.now);
-            let mut actives: Vec<_> = ctx.snapshot.active_nodes().collect();
-            actives.sort_by_key(|n| n.pods.len());
-            if let (Some(lo), Some(hi)) = (actives.first(), actives.last()) {
-                if hi.pods.len() >= lo.pods.len() + 2 {
-                    if let Some(mover) = hi.pods.iter().find(|p| !p.pulling) {
-                        if let Some(rec) = ctx.audit() {
-                            knots_obs::audit::decision(
-                                rec,
-                                ctx.now.as_micros(),
-                                "Gandiva",
-                                "sched.migrate",
-                                Some(mover.id.0),
-                                Some(lo.id.0 as u64),
-                                "trial_and_error_rebalance",
-                            );
-                        }
-                        actions.push(Action::Migrate { pod: mover.id, to: lo.id });
-                    }
-                }
-            }
-        }
-
         actions
     }
 }
@@ -282,18 +257,6 @@ mod tests {
             acts.iter().position(|a| *a == Action::Place { pod: PodId(1), node: NodeId(1) });
         assert!(first_resume.is_some() && first_place.is_some(), "{acts:?}");
         assert!(first_resume < first_place, "resume before place: {acts:?}");
-    }
-
-    #[test]
-    fn migrates_from_hot_to_cold_node() {
-        let s0 = snap(vec![node_view(0, 3, false), node_view(1, 0, false)]);
-        let db = TimeSeriesDb::default();
-        let mut g = Gandiva::new();
-        let acts = g.decide(&ctx(&s0, &[], &[], &db));
-        assert!(
-            acts.iter().any(|a| matches!(a, Action::Migrate { to: NodeId(1), .. })),
-            "acts: {acts:?}"
-        );
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub trait Scheduler {
     /// state of its own when no pod is pending or suspended. The
     /// orchestrator then skips building such a round: it arms the next
     /// heartbeat and counts the round, nothing else. A policy that acts on
-    /// running pods or learns from every round (timed rotation, migration,
-    /// per-round observation) keeps the default `false`.
+    /// running pods or learns from every round (CBP's per-round
+    /// observation and resizes) keeps the default `false`.
     fn idle_without_waiting_pods(&self) -> bool {
         false
     }

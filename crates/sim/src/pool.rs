@@ -8,8 +8,6 @@
 //! steps nodes serially: per-tick fan-out measured slower than the serial
 //! loop at every cluster size (DESIGN.md §11).
 
-use std::sync::{Mutex, PoisonError};
-
 /// Worker count to use when the caller does not specify one: the host's
 /// available parallelism, falling back to 1 when it cannot be queried.
 pub fn default_threads() -> usize {
@@ -20,44 +18,37 @@ pub fn default_threads() -> usize {
 /// results in submission order.
 ///
 /// `threads` is clamped to `1..=jobs.len()`; `threads == 1` degenerates to
-/// a plain serial loop on the calling thread. Jobs may borrow from the
-/// caller's stack — the threads are scoped — and a panicking job propagates
-/// out of the scope.
-#[expect(
-    clippy::expect_used,
-    reason = "every queue entry is popped exactly once, so each slot is filled unless a job panicked (which already propagated)"
-)]
+/// a plain serial loop on the calling thread. Jobs are dealt round-robin
+/// (worker `w` runs jobs `w`, `w + threads`, ...), and each worker hands
+/// its results back through its `JoinHandle`, so nothing is shared between
+/// workers. Jobs may borrow from the caller's stack — the threads are
+/// scoped — and a panicking job propagates out of the call.
 pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
+    let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         return jobs.into_iter().map(|f| f()).collect();
     }
-    // Indexed job queue; workers drain it and fill the slot matching each
-    // job's original position.
-    let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let job = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
-                let Some((i, f)) = job else { break };
-                let out = f();
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            });
-        }
+    let mut hands: Vec<Vec<F>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, f) in jobs.into_iter().enumerate() {
+        hands[i % threads].push(f);
+    }
+    let mut done: Vec<std::vec::IntoIter<T>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = hands
+            .into_iter()
+            .map(|hand| scope.spawn(|| hand.into_iter().map(|f| f()).collect::<Vec<T>>()))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)).into_iter())
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner).expect("job completed"))
-        .collect()
+    // Job `i` is the `i / threads`-th result of worker `i % threads`.
+    (0..n).filter_map(|i| done[i % threads].next()).collect()
 }
 
 #[cfg(test)]
@@ -87,6 +78,20 @@ mod tests {
         let none: Vec<fn() -> i32> = Vec::new();
         assert_eq!(run_jobs(none, 4), Vec::<i32>::new());
         assert_eq!(run_jobs(vec![|| 7], 0), vec![7], "threads clamp to 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn a_panicking_job_propagates() {
+        let jobs: Vec<_> = (0..4)
+            .map(|i| {
+                move || {
+                    assert!(i != 3, "job {i} failed");
+                    i
+                }
+            })
+            .collect();
+        run_jobs(jobs, 2);
     }
 
     #[test]

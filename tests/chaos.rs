@@ -26,15 +26,9 @@ fn cfg(seed: u64, secs: u64) -> ExperimentConfig {
 }
 
 /// One App-Mix-2 run of `scheduler` with `plan` replayed against it.
-fn run_mix2(
-    scheduler: &str,
-    cfg: &ExperimentConfig,
-    obs: knots_obs::Obs,
-    plan: FaultPlan,
-) -> RunReport {
+fn run_mix2(scheduler: &str, cfg: &ExperimentConfig, plan: FaultPlan) -> RunReport {
     let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, cfg);
     KubeKnots::new(cluster_cfg, scheduler_by_name(scheduler).unwrap(), cfg.orch)
-        .with_obs(obs)
         .with_chaos(ChaosEngine::new(plan))
         .run_schedule(&schedule)
 }
@@ -94,7 +88,7 @@ fn generated_plans_never_panic_and_keep_reports_sane() {
             });
             let mut c = c;
             c.orch.freshness = Some(SimDuration::from_secs(2));
-            let r = run_mix2("CBP+PP", &c, knots_obs::Obs::disabled(), plan);
+            let r = run_mix2("CBP+PP", &c, plan);
             let fa = &r.faults;
             let injected = fa.node_failures
                 + fa.degradations
@@ -131,7 +125,7 @@ fn corrupted_samples_are_refused_and_counted() {
             },
         },
     ]);
-    let r = run_mix2("Res-Ag", &cfg(42, 30), knots_obs::Obs::disabled(), plan);
+    let r = run_mix2("Res-Ag", &cfg(42, 30), plan);
     assert_eq!(r.faults.corruption_windows, 2);
     assert!(r.faults.corrupted_samples > 0, "the windows must mangle some readings");
     assert!(r.faults.rejected_samples > 0, "the TSDB must refuse the non-finite ones");
@@ -153,10 +147,13 @@ fn stale_series_fallbacks_show_up_in_the_audit_log() {
     let plan = FaultPlan::from_events(events);
     let mut c = cfg(42, 40);
     c.orch.freshness = Some(SimDuration::from_millis(500));
-    let obs = knots_obs::Obs::with_trace_capacity(1 << 16);
-    let r = run_mix2("CBP+PP", &c, obs.clone(), plan);
+    let (schedule, cluster_cfg) = mix_inputs(AppMix::Mix2, &c);
+    let mut k = KubeKnots::new(cluster_cfg, scheduler_by_name("CBP+PP").unwrap(), c.orch)
+        .with_obs(knots_obs::Obs::with_trace_capacity(1 << 16))
+        .with_chaos(ChaosEngine::new(plan));
+    let r = k.run_schedule(&schedule);
     assert_eq!(r.faults.probe_dropouts, 10);
-    let trace = obs.recorder.export_jsonl();
+    let trace = k.obs().recorder.export_jsonl();
     assert!(
         trace.contains("sched.stale_fallback"),
         "stale-series fallbacks must be visible in the decision audit log"

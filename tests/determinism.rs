@@ -64,11 +64,30 @@ fn parallel_sweep_matches_serial_sweep() {
         seed: 42,
         ..Default::default()
     };
-    let serial = ClusterStudy::run(&cfg, &Obs::disabled(), 1);
-    let parallel = ClusterStudy::run(&cfg, &Obs::disabled(), 4);
-    let digests =
-        |s: &ClusterStudy| -> Vec<u64> { s.reports.iter().flatten().map(report_digest).collect() };
-    assert_eq!(digests(&serial), digests(&parallel), "cluster sweep diverged across thread counts");
+    // With the recorder on, the legs' events and series merge in grid
+    // order, so the JSONL trace is byte-equal too, and so is every series
+    // but the wall-clock heartbeat latencies.
+    let run = |threads| {
+        let obs = Obs::with_trace_capacity(1 << 16);
+        let study = ClusterStudy::run(&cfg, &obs, threads);
+        let digests: Vec<u64> = study.reports.iter().flatten().map(report_digest).collect();
+        let prom = obs.metrics.to_prometheus();
+        let prom: Vec<String> = prom
+            .lines()
+            .filter(|l| !l.starts_with("knots_heartbeat_latency_us"))
+            .map(str::to_string)
+            .collect();
+        (digests, obs.recorder.export_jsonl(), prom)
+    };
+    let (serial, parallel) = (run(1), run(4));
+    assert_eq!(serial.0, parallel.0, "cluster sweep diverged across thread counts");
+    assert!(serial.1.lines().count() > 100, "the recorder kept {} lines", serial.1.lines().count());
+    for line in serial.1.lines() {
+        assert!(line.contains("\"fields\":{\"scheduler\":\""), "an event without its leg: {line}");
+        assert!(line.contains(",\"mix\":\"App-Mix-"), "an event without its mix: {line}");
+    }
+    assert!(serial.1 == parallel.1, "the merged JSONL trace depends on the thread count");
+    assert_eq!(serial.2, parallel.2, "the metrics depend on the thread count");
 
     let workload = DnnWorkloadConfig::smoke();
     let serial = DnnStudy::run(&workload, 1);

@@ -240,10 +240,10 @@ pub fn run(leg: &Leg, mode: Mode) -> Fingerprint {
                 _ => Obs::disabled(),
             };
             let naive = matches!(mode, Mode::Oracle);
-            let mut k = inputs.start().with_obs(obs.clone());
+            let mut k = inputs.start().with_obs(obs);
             let report = if naive { k.run_ticked(schedule) } else { k.run_schedule(schedule) };
-            assert_eq!(obs.tracer.dropped(), 0, "{leg:?}: the span ring evicted");
-            let spans = obs.tracer.spans();
+            assert_eq!(k.obs().tracer.dropped(), 0, "{leg:?}: the span ring evicted");
+            let spans = k.obs().tracer.spans();
             let traced = spans.iter().filter(|s| s.track == Track::Control);
             let steps = if naive {
                 (k.cluster().now().0 / inputs.orch.tick.0) as usize
@@ -279,6 +279,11 @@ pub fn run(leg: &Leg, mode: Mode) -> Fingerprint {
                 obs.metrics.counter_value("knots_recovery_crashes_total", &[]),
                 report.recovery.controller_crashes,
                 "{leg:?}: the obs crash counter disagrees with the report"
+            );
+            let heartbeats = [("kind", "heartbeat")];
+            assert!(
+                obs.metrics.counter_value("knots_core_events_total", &heartbeats) > 0,
+                "{leg:?}: the incarnations' metrics did not fold into the harness's bundle"
             );
             fingerprint(report, None)
         }

@@ -261,7 +261,7 @@ fn snapshot_capture_is_byte_stable() {
     // state survives the serde boundary without drift).
     let (schedule, cluster_cfg, orch) = setup(7, 70, 12);
     let p = plan(7, SimDuration::from_secs(12));
-    let mut k = KubeKnots::new(cluster_cfg, scheduler_by_name("Gandiva").unwrap(), orch)
+    let mut k = KubeKnots::new(cluster_cfg.clone(), scheduler_by_name("Gandiva").unwrap(), orch)
         .with_chaos(ChaosEngine::new(p.clone()));
     k.begin(&schedule);
     k.drive(&schedule, Some(SimTime(5_000_000)));
@@ -272,6 +272,20 @@ fn snapshot_capture_is_byte_stable() {
     assert_eq!(snap.digest, again.digest);
     // And the envelope itself round-trips.
     assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
+    // A payload written while Gandiva still modelled migration carries a
+    // `last_migration` timer as well; it resumes and runs on exactly like
+    // the current one.
+    let mut legacy = state.clone();
+    let serde::Value::Object(fields) = &mut legacy.scheduler else { panic!("Gandiva's state") };
+    fields.push(("last_migration".into(), serde::Value::U64(0)));
+    let finish = |state| {
+        let sched = scheduler_by_name("Gandiva").unwrap();
+        let mut k = KubeKnots::resume(cluster_cfg.clone(), sched, orch, Some(p.clone()), state)
+            .unwrap_or_else(|e| panic!("resume refused: {e}"));
+        assert!(k.drive(&schedule, None));
+        knots_core::report_digest(&k.finish(schedule.len()))
+    };
+    assert_eq!(finish(legacy), finish(state));
 }
 
 /// Checkpoint bytes, pinned: every DNN scheduler under the seed-42 chaos
@@ -286,8 +300,8 @@ fn checkpoint_payloads_are_pinned() {
     const PINNED: [(&str, u64, u64, usize, u64); 8] = [
         ("Res-Ag", 9_000_000, 0x285a1dd03f7385bb, 62_900, 0x514c014f1bdbf680),
         ("Res-Ag", 21_000_000, 0x8f0b662f441ea246, 157_757, 0x2cae947660b3e081),
-        ("Gandiva", 9_000_000, 0x850c9e3f8a4c460d, 61_784, 0x3476ce94f793b580),
-        ("Gandiva", 21_000_000, 0x920a36aa8c6fa807, 148_741, 0xf5b4d120f015a106),
+        ("Gandiva", 9_000_000, 0x8c2a2cf0421ff3a8, 61_765, 0xc3eb13fb50bfb0b2),
+        ("Gandiva", 21_000_000, 0x19a60e83774b6a6e, 148_722, 0x4ed94cb11dedc1b0),
         ("Tiresias", 9_000_000, 0xdf24d19871b1034c, 61_759, 0x7ea10e96e8b0a9c2),
         ("Tiresias", 21_000_000, 0xdd21b4913f721952, 148_716, 0x175b26e31116b967),
         ("CBP+PP", 9_000_000, 0x7a6f04dff1167d65, 61_752, 0xe57f5c935bcd761c),
